@@ -15,8 +15,6 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import baselines, dcqo, hubo, mi, postselect, samplers
 from .dataset import discretize, load_csv, standardize, stratified_split, subset_features
 from .errors import CapabilityError, DataError, HubofsError, UsageError
@@ -83,12 +81,11 @@ def _load_splits(cfg: RunConfig):
 
 
 def cmd_build(cfg: RunConfig) -> tuple[Path, Path]:
-    """load -> standardize -> split -> discretize -> MI -> preselect -> HUBO."""
+    """load -> standardize -> split -> discretize -> relevance -> preselect -> MI -> HUBO."""
     ds, train, _ = _load_splits(cfg)
-    dd = discretize(train, cfg.bins)
-    tensors = mi.compute_tensors(dd)
     if ds.n_features > cfg.preselect_k:
-        indices = hubo.preselect_top_k(tensors.relevance, cfg.preselect_k)
+        relevance = mi.relevance(discretize(train, cfg.bins))
+        indices = hubo.preselect_top_k(relevance, cfg.preselect_k)
     else:
         indices = list(range(ds.n_features))
         if ds.n_features < cfg.preselect_k:
@@ -97,7 +94,9 @@ def cmd_build(cfg: RunConfig) -> tuple[Path, Path]:
                 f"{cfg.preselect_k} skipped",
                 file=sys.stderr,
             )
-    normalized = hubo.normalize_global(tensors.subset(indices))
+    # discretize bins each column on its own, so the kept columns get the same codes.
+    tensors = mi.compute_tensors(discretize(subset_features(train, indices), cfg.bins))
+    normalized = hubo.normalize_global(tensors)
     coeffs = hubo.build_coefficients(normalized, cfg.w1, cfg.w2, cfg.w3)
     coeffs = hubo.apply_penalty(coeffs, normalized.relevance, cfg.lam, cfg.tau, cfg.p)
     provenance = {
@@ -226,10 +225,7 @@ def cmd_compare(cfg: RunConfig) -> Path:
     if not cfg.selections:
         raise UsageError("compare needs at least one --selection file")
     ds, train, test = _load_splits(cfg)
-    dd_train = discretize(train, cfg.bins)
-    relevance = np.array(
-        [mi.mi_pair(dd_train.codes[:, i], dd_train.target) for i in range(ds.n_features)]
-    )
+    relevance = mi.relevance(discretize(train, cfg.bins))
 
     def fit_eval(indices, label) -> baselines.EvalReport:
         model = baselines.logistic_fit(subset_features(train, indices))

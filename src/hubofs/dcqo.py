@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapabilityError, UsageError
+from .errors import CapabilityError, HubofsError, UsageError
 from .hubo import HuboCoefficients, energies_all_states
 from .rng import Xoshiro256StarStar
 from .samplers import SampleSet, _aggregate
@@ -77,8 +77,8 @@ def schedule_lambda_dot(t: float, total_time: float) -> float:
 def build_schedule(steps: int, total_time: float) -> CdSchedule:
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
-    if total_time <= 0:
-        raise UsageError(f"total_time must be > 0, got {total_time}")
+    if not 0.0 < total_time < math.inf:
+        raise UsageError(f"total_time must be finite and > 0, got {total_time}")
     midpoints = [(m + 0.5) * total_time / steps for m in range(steps)]
     return CdSchedule(
         steps=steps,
@@ -162,8 +162,8 @@ def _apply_z_phase(state: np.ndarray, z_qubits, angle: float, n: int) -> None:
 
 def _check_norm(state: np.ndarray, worst: float) -> float:
     drift = abs(float(np.sum(np.abs(state) ** 2)) - 1.0)
-    if drift > _NORM_TOL:
-        raise AssertionError(f"statevector norm drifted by {drift:.3e}")
+    if not drift <= _NORM_TOL:
+        raise HubofsError(f"statevector norm drifted by {drift:.3e}")
     return max(worst, drift)
 
 

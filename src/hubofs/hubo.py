@@ -14,6 +14,7 @@ identical floats for the same configuration.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -142,8 +143,8 @@ def build_coefficients(
     t_norm: MiTensors, w1: float, w2: float, w3: float
 ) -> HuboCoefficients:
     """h_i = w1*rel_i, J_ij = w2*red_ij, K_ijk = -w3*tri_ijk, constant 0."""
-    if w1 <= 0 or w2 <= 0 or w3 <= 0:
-        raise UsageError(f"weights must be positive, got ({w1}, {w2}, {w3})")
+    if not all(0.0 < w < math.inf for w in (w1, w2, w3)):
+        raise UsageError(f"weights must be positive and finite, got ({w1}, {w2}, {w3})")
     values = t_norm.all_values()
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise UsageError("tensors must be globally normalized to [0, 1] before building")
@@ -183,12 +184,12 @@ def apply_penalty(
     """
     if c.penalty_applied:
         raise UsageError("penalty already applied to these coefficients")
-    if lam < 0:
-        raise UsageError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise UsageError(f"lambda must be finite and >= 0, got {lam}")
     if not 0.0 < tau <= 1.0:
         raise UsageError(f"tau must be in (0, 1], got {tau}")
-    if p < 1:
-        raise UsageError(f"p must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise UsageError(f"p must be finite and >= 1, got {p}")
     rel = np.asarray(relevance_norm, dtype=np.float64)
     if rel.shape != (c.n,):
         raise UsageError(f"relevance must have shape ({c.n},), got {rel.shape}")
@@ -322,19 +323,26 @@ def load_coefficients(path) -> tuple[HuboCoefficients, dict]:
         raise DataError(f"cannot read coefficient file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed coefficient file {path!r}: {exc}") from exc
-    if doc.get("schema") != COEFF_SCHEMA:
-        raise DataError(f"unknown coefficient schema {doc.get('schema')!r} in {path!r}")
-    pen = doc["penalty"]
-    coeffs = HuboCoefficients(
-        n=int(doc["n"]),
-        h=np.array(doc["h"], dtype=np.float64),
-        j_terms={(int(i), int(j)): float(v) for i, j, v in doc["J"]},
-        k_terms={(int(i), int(j), int(k)): float(v) for i, j, k, v in doc["K"]},
-        constant=float(doc["constant"]),
-        weights=(doc["weights"]["w1"], doc["weights"]["w2"], doc["weights"]["w3"]),
-        penalty_params=(pen["lambda"], pen["tau"], pen["p"]),
-        penalty_applied=bool(pen["applied"]),
-    )
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != COEFF_SCHEMA:
+        raise DataError(f"unknown coefficient schema {schema!r} in {path!r}")
+    try:
+        pen = doc["penalty"]
+        coeffs = HuboCoefficients(
+            n=int(doc["n"]),
+            h=np.array(doc["h"], dtype=np.float64),
+            j_terms={(int(i), int(j)): float(v) for i, j, v in doc["J"]},
+            k_terms={(int(i), int(j), int(k)): float(v) for i, j, k, v in doc["K"]},
+            constant=float(doc["constant"]),
+            weights=(doc["weights"]["w1"], doc["weights"]["w2"], doc["weights"]["w3"]),
+            penalty_params=(pen["lambda"], pen["tau"], pen["p"]),
+            penalty_applied=bool(pen["applied"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
+        raise DataError(f"malformed coefficient file {path!r}: {exc!r}") from exc
+    terms = [*coeffs.h, *coeffs.j_terms.values(), *coeffs.k_terms.values(), coeffs.constant]
+    if not np.isfinite(terms).all():
+        raise DataError(f"non-finite coefficient in {path!r}")
     extras = {
         key: doc[key] for key in ("feature_names", "source_indices", "provenance") if key in doc
     }

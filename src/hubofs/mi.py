@@ -20,7 +20,7 @@ import numpy as np
 from .dataset import DiscretizedDataset
 from .errors import DataError, UsageError
 
-TENSOR_SCHEMA = "hubofs-mi-tensors/1"
+TENSOR_SCHEMA = "hubofs-mi-tensors/2"
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,8 @@ class MiTensors:
     triadic: dict[tuple[int, int, int], float]
 
     def __post_init__(self):
+        if self.relevance.ndim != 1:
+            raise UsageError(f"relevance must be 1-D, got shape {self.relevance.shape}")
         self.relevance.setflags(write=False)
         n = self.n
         for key in self.redundancy:
@@ -54,25 +56,6 @@ class MiTensors:
                 np.fromiter(self.triadic.values(), dtype=np.float64, count=len(self.triadic)),
             ]
         )
-
-    def subset(self, indices) -> "MiTensors":
-        """Tensors restricted to ``indices`` (ascending), reindexed to 0..k-1."""
-        idx = list(indices)
-        if sorted(set(idx)) != idx:
-            raise UsageError("subset indices must be strictly ascending and unique")
-        if idx and (idx[0] < 0 or idx[-1] >= self.n):
-            raise UsageError("subset index out of range")
-        pos = {orig: new for new, orig in enumerate(idx)}
-        keep = set(idx)
-        red = {
-            (pos[i], pos[j]): v for (i, j), v in self.redundancy.items() if i in keep and j in keep
-        }
-        tri = {
-            (pos[i], pos[j], pos[k]): v
-            for (i, j, k), v in self.triadic.items()
-            if i in keep and j in keep and k in keep
-        }
-        return MiTensors(relevance=self.relevance[idx].copy(), redundancy=red, triadic=tri)
 
 
 def _entropy_from_counts(counts: np.ndarray) -> float:
@@ -152,6 +135,18 @@ def mi_joint_pair_single(dd: DiscretizedDataset, i: int, j: int, k: int) -> floa
     return _mi_known_cardinality(composite, int(bc[i] * bc[j]), dd.codes[:, k], int(bc[k]))
 
 
+def _triadic(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
+    """Cyclic triple MI from one (b_i, b_j, b_k) histogram, read three ways."""
+    bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
+    codes = (dd.codes[:, i] * bj + dd.codes[:, j]) * bk + dd.codes[:, k]
+    cube = np.bincount(codes, minlength=bi * bj * bk).reshape(bi, bj, bk)
+    return (
+        _mi_from_joint(cube.reshape(bi * bj, bk))
+        + _mi_from_joint(cube.transpose(0, 2, 1).reshape(bi * bk, bj))
+        + _mi_from_joint(cube.transpose(1, 2, 0).reshape(bj * bk, bi))
+    ) / 3.0
+
+
 def cyclic_mi(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
     """Cyclic average of the three pair-vs-single MI groupings of a triple.
 
@@ -159,47 +154,35 @@ def cyclic_mi(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
     of the same triple returns the exact same float.
     """
     _check_triple(dd, i, j, k)
-    a, b, c = sorted((i, j, k))
-    return (
-        mi_joint_pair_single(dd, a, b, c)
-        + mi_joint_pair_single(dd, a, c, b)
-        + mi_joint_pair_single(dd, b, c, a)
-    ) / 3.0
+    return _triadic(dd, *sorted((i, j, k)))
 
 
-def compute_tensors(dd: DiscretizedDataset, max_triples: int | None = None) -> MiTensors:
-    """All relevance, pairwise, and triadic MI values of a discretized dataset.
+def relevance(dd: DiscretizedDataset) -> np.ndarray:
+    """MI (bits) between each feature and the target, in feature order."""
+    target, n_t = _compress(dd.target)
+    return np.array(
+        [
+            _mi_known_cardinality(dd.codes[:, i], int(dd.bin_counts[i]), target, n_t)
+            for i in range(dd.n_features)
+        ]
+    )
 
-    O(n^3 * N); fine for the n <= 32 instances this pipeline targets. When
-    ``max_triples`` is given, only that many triples are retained, keeping the
-    largest values (ties to the lexicographically smaller triple).
+
+def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
+    """Relevance, pairwise, and triadic MI values of every feature of ``dd``.
+
+    O(n^3 * N): pass only the features the Hamiltonian keeps.
     """
     n = dd.n_features
     if n < 1:
         raise DataError("need at least one feature")
     bc = [int(v) for v in dd.bin_counts]
-    cols = [dd.codes[:, idx] for idx in range(n)]
-    target, n_t = _compress(dd.target)
-
-    relevance = np.array([_mi_known_cardinality(cols[i], bc[i], target, n_t) for i in range(n)])
     redundancy = {
-        (i, j): _mi_known_cardinality(cols[i], bc[i], cols[j], bc[j])
+        (i, j): _mi_known_cardinality(dd.codes[:, i], bc[i], dd.codes[:, j], bc[j])
         for i, j in itertools.combinations(range(n), 2)
     }
-    triadic: dict[tuple[int, int, int], float] = {}
-    for i, j, k in itertools.combinations(range(n), 3):
-        pair_ij = cols[i] * bc[j] + cols[j]
-        pair_ik = cols[i] * bc[k] + cols[k]
-        pair_jk = cols[j] * bc[k] + cols[k]
-        triadic[(i, j, k)] = (
-            _mi_known_cardinality(pair_ij, bc[i] * bc[j], cols[k], bc[k])
-            + _mi_known_cardinality(pair_ik, bc[i] * bc[k], cols[j], bc[j])
-            + _mi_known_cardinality(pair_jk, bc[j] * bc[k], cols[i], bc[i])
-        ) / 3.0
-    if max_triples is not None and len(triadic) > max_triples:
-        ranked = sorted(triadic.items(), key=lambda kv: (-kv[1], kv[0]))
-        triadic = dict(sorted(ranked[:max_triples]))
-    return MiTensors(relevance=relevance, redundancy=redundancy, triadic=triadic)
+    triadic = {key: _triadic(dd, *key) for key in itertools.combinations(range(n), 3)}
+    return MiTensors(relevance=relevance(dd), redundancy=redundancy, triadic=triadic)
 
 
 def save_tensors(path, t: MiTensors, provenance: dict | None = None) -> None:
@@ -218,6 +201,7 @@ def save_tensors(path, t: MiTensors, provenance: dict | None = None) -> None:
 
 
 def load_tensors(path) -> MiTensors:
+    """Read a tensor file; malformed content raises :class:`DataError`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -225,10 +209,17 @@ def load_tensors(path) -> MiTensors:
         raise DataError(f"cannot read tensor file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed tensor file {path!r}: {exc}") from exc
-    if doc.get("schema") != TENSOR_SCHEMA:
-        raise DataError(f"unknown tensor schema {doc.get('schema')!r} in {path!r}")
-    return MiTensors(
-        relevance=np.array(doc["relevance"], dtype=np.float64),
-        redundancy={(int(i), int(j)): float(v) for i, j, v in doc["pairs"]},
-        triadic={(int(i), int(j), int(k)): float(v) for i, j, k, v in doc["triples"]},
-    )
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != TENSOR_SCHEMA:
+        raise DataError(f"unknown tensor schema {schema!r} in {path!r}")
+    try:
+        t = MiTensors(
+            relevance=np.array(doc["relevance"], dtype=np.float64),
+            redundancy={(int(i), int(j)): float(v) for i, j, v in doc["pairs"]},
+            triadic={(int(i), int(j), int(k)): float(v) for i, j, k, v in doc["triples"]},
+        )
+    except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
+        raise DataError(f"malformed tensor file {path!r}: {exc!r}") from exc
+    if not np.isfinite(t.all_values()).all():
+        raise DataError(f"non-finite MI value in tensor file {path!r}")
+    return t

@@ -20,11 +20,12 @@ the exact sparse evaluator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, DataError, UsageError
+from .errors import CapabilityError, DataError, HubofsError, UsageError
 from .hubo import (
     HuboCoefficients,
     SpinConfig,
@@ -194,13 +195,13 @@ def simulated_annealing(
         raise UsageError(f"shots must be >= 1, got {shots}")
     if sweeps < 1:
         raise UsageError(f"sweeps must be >= 1, got {sweeps}")
-    if t_end <= 0.0:
-        raise UsageError(f"t_end must be > 0, got {t_end}")
+    if not 0.0 < t_end < math.inf:
+        raise UsageError(f"t_end must be finite and > 0, got {t_end}")
     if t_start is None:
         scale = c.max_abs_coefficient()
         t_start = max(2.0 * c.n * scale if scale > 0.0 else 1.0, t_end)
-    if t_start < t_end:
-        raise UsageError(f"need t_start >= t_end > 0, got ({t_start}, {t_end})")
+    if not t_end <= t_start < math.inf:
+        raise UsageError(f"need finite t_start >= t_end > 0, got ({t_start}, {t_end})")
 
     if sweeps == 1:
         temps = np.array([t_end])
@@ -233,7 +234,7 @@ def simulated_annealing(
                 flipped[:, i] = -flipped[:, i]
                 full = energy_many(c, flipped) - base
                 if not np.allclose(delta, full, atol=1e-10, rtol=0.0):
-                    raise AssertionError("incremental delta drifted from full re-evaluation")
+                    raise HubofsError("incremental delta drifted from full re-evaluation")
             u = rng.random()
             accept = u < np.exp(np.minimum(-delta / temp, 0.0))
             np.negative(spins[:, i], where=accept, out=spins[:, i])
@@ -300,10 +301,18 @@ def load_samples(path) -> SampleSet:
     if not body or body[0] != "bitstring,count,energy":
         raise DataError(f"missing sample header row in {path!r}")
     entries = []
-    for line in body[1:]:
-        bits, count, energy = line.split(",")
-        entries.append(SampleEntry(bitstring_to_spins(bits), int(count), float(energy)))
-    declared = int(meta.get("total_shots", "0"))
+    try:
+        for line in body[1:]:
+            bits, count, energy = line.split(",")
+            entries.append(SampleEntry(bitstring_to_spins(bits), int(count), float(energy)))
+        declared = int(meta.get("total_shots", "0"))
+        seed = int(meta.get("seed", "0"))
+    except ValueError as exc:
+        raise DataError(f"malformed sample file {path!r}: {exc}") from exc
+    if not all(math.isfinite(e.energy) for e in entries):
+        raise DataError(f"non-finite energy in {path!r}")
+    if len({len(e.spins) for e in entries}) > 1:
+        raise DataError(f"bitstrings of different lengths in {path!r}")
     total = sum(e.count for e in entries)
     if declared and declared != total:
         raise DataError(f"total_shots mismatch in {path!r}: header {declared}, rows {total}")
@@ -312,6 +321,6 @@ def load_samples(path) -> SampleSet:
         entries=tuple(entries),
         total_shots=total,
         sampler_name=meta.get("sampler", "unknown"),
-        seed=int(meta.get("seed", "0")),
+        seed=seed,
         metadata={k: v for k, v in meta.items() if k not in known},
     )

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from hubofs.cli import main
-from hubofs.hubo import load_coefficients
+from hubofs.dataset import discretize, load_csv, standardize, stratified_split
+from hubofs.hubo import (
+    DEFAULT_PENALTY,
+    DEFAULT_WEIGHTS,
+    apply_penalty,
+    build_coefficients,
+    load_coefficients,
+    normalize_global,
+    preselect_top_k,
+)
+from hubofs.mi import MiTensors, compute_tensors
 from hubofs.postselect import read_importance_csv
 from hubofs.samplers import load_samples
 
@@ -22,7 +32,8 @@ class TestBuild:
         assert coeffs.penalty_applied
         assert extras["feature_names"][0] == "strong_a"
         doc = json.loads((out / "mi_tensors.json").read_text())
-        assert doc["schema"] == "hubofs-mi-tensors/1"
+        assert doc["schema"] == "hubofs-mi-tensors/2"
+        assert len(doc["relevance"]) == coeffs.n
         assert "input_sha256" in doc["provenance"]
 
     def test_preselection_applies(self, demo_csv, tmp_path):
@@ -38,6 +49,43 @@ class TestBuild:
         assert coeffs.n == 4
         assert len(extras["source_indices"]) == 4
         assert len(coeffs.k_terms) == 4  # C(4,3)
+
+    def test_preselected_build_matches_full_table_route(self, demo_csv, tmp_path):
+        out = tmp_path / "out"
+        assert (
+            run_cli(
+                "build", "--input", demo_csv, "--target", "label",
+                "--preselect-k", 4, "--out", out,
+            )
+            == 0
+        )
+        coeffs, extras = load_coefficients(out / "coefficients.json")
+        # Reference route: tensors of all 8 features, restricted to the kept
+        # ones and reindexed to source_indices.
+        train, _ = stratified_split(standardize(load_csv(demo_csv, "label")), 0.2)
+        full = compute_tensors(discretize(train, 8))
+        idx = extras["source_indices"]
+        assert idx == preselect_top_k(full.relevance, 4)
+        pos = {orig: new for new, orig in enumerate(idx)}
+        kept = MiTensors(
+            relevance=full.relevance[idx],
+            redundancy={
+                (pos[i], pos[j]): v
+                for (i, j), v in full.redundancy.items()
+                if i in pos and j in pos
+            },
+            triadic={
+                (pos[i], pos[j], pos[k]): v
+                for (i, j, k), v in full.triadic.items()
+                if i in pos and j in pos and k in pos
+            },
+        )
+        norm = normalize_global(kept)
+        ref = build_coefficients(norm, *DEFAULT_WEIGHTS)
+        ref = apply_penalty(ref, norm.relevance, *DEFAULT_PENALTY)
+        assert np.array_equal(coeffs.h, ref.h)
+        assert coeffs.j_terms == ref.j_terms
+        assert coeffs.k_terms == ref.k_terms
 
     def test_rerun_byte_identical(self, demo_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -65,6 +113,27 @@ def built(demo_csv, tmp_path):
     out = tmp_path / "stage"
     assert run_cli("build", "--input", demo_csv, "--target", "label", "--out", out) == 0
     return out
+
+
+@pytest.mark.parametrize(
+    "stage,flags",
+    [
+        ("build", ["--w1", "nan"]),
+        ("build", ["--p", "nan"]),
+        ("build", ["--lambda", "inf"]),
+        ("sample", ["--t-end", "nan"]),
+        ("sample", ["--t-start", "inf"]),
+        ("sample", ["--sampler", "dcqo", "--total-time", "nan"]),
+    ],
+)
+def test_non_finite_parameter_exit_code(stage, flags, built, demo_csv, tmp_path, capsys):
+    if stage == "build":
+        args = ["build", "--input", demo_csv, "--target", "label"]
+    else:
+        args = ["sample", "--coefficients", built / "coefficients.json", "--shots", 8]
+    capsys.readouterr()
+    assert run_cli(*args, *flags, "--out", tmp_path / "rejected") == 2
+    assert f"error [{stage}]" in capsys.readouterr().err
 
 
 class TestSample:

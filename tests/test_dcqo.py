@@ -5,6 +5,7 @@ from conftest import random_instance
 from hubofs.dcqo import (
     CdSchedule,
     _apply_z_phase,
+    _check_norm,
     build_schedule,
     cd_amplitude,
     evolve_and_sample,
@@ -14,7 +15,7 @@ from hubofs.dcqo import (
     schedule_lambda_dot,
     statevector_probe,
 )
-from hubofs.errors import CapabilityError, UsageError
+from hubofs.errors import CapabilityError, HubofsError, UsageError
 from hubofs.hubo import HuboCoefficients, energies_all_states
 from hubofs.samplers import save_samples
 
@@ -47,6 +48,8 @@ class TestSchedule:
             build_schedule(0, 1.0)
         with pytest.raises(UsageError):
             build_schedule(10, 0.0)
+        with pytest.raises(UsageError):
+            build_schedule(10, float("nan"))
 
 
 class TestEvolution:
@@ -102,6 +105,12 @@ class TestEvolution:
         c = random_instance(2, 6)
         _, drift = evolve_statevector(c, build_schedule(80, 12.0))
         assert drift < 1e-9
+
+    def test_norm_check_rejects_nan(self):
+        with pytest.raises(HubofsError):
+            _check_norm(np.full(2, np.nan), 0.0)
+        with pytest.raises(HubofsError):
+            _check_norm(np.ones(2), 0.0)
 
     def test_mode_validation_and_cap(self):
         c = zero_instance(2)

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -138,6 +139,8 @@ class TestBuildCoefficients:
         t = MiTensors(relevance=np.array([0.5]), redundancy={}, triadic={})
         with pytest.raises(UsageError):
             build_coefficients(t, 0.0, 1.0, 1.0)
+        with pytest.raises(UsageError):
+            build_coefficients(t, float("nan"), 1.0, 1.0)
         t_bad = MiTensors(relevance=np.array([1.5]), redundancy={}, triadic={})
         with pytest.raises(UsageError):
             build_coefficients(t_bad, 1.0, 1.0, 1.0)
@@ -186,6 +189,10 @@ class TestPenalty:
         c = build_coefficients(t, 1.0, 1.0, 1.0)
         with pytest.raises(UsageError):
             apply_penalty(c, t.relevance, -0.1, 0.2, 2.0)
+        with pytest.raises(UsageError):
+            apply_penalty(c, t.relevance, float("inf"), 0.2, 2.0)
+        with pytest.raises(UsageError):
+            apply_penalty(c, t.relevance, 0.5, 0.2, float("nan"))
         with pytest.raises(UsageError):
             apply_penalty(c, t.relevance, 0.5, 0.0, 2.0)
         with pytest.raises(UsageError):
@@ -257,6 +264,33 @@ class TestCoefficientIo:
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "nope/0"}')
+        with pytest.raises(DataError):
+            load_coefficients(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.pop("penalty"),
+            lambda doc: doc.pop("n"),
+            lambda doc: doc["penalty"].pop("tau"),
+            lambda doc: doc.__setitem__("n", 4),
+            lambda doc: doc.__setitem__("weights", [1, 2, 3]),
+            lambda doc: doc["J"][0].pop(),
+            lambda doc: doc["K"][0].append(0.1),
+            lambda doc: doc["J"][0].__setitem__(1, 7),
+            lambda doc: doc["h"].__setitem__(0, "x"),
+            lambda doc: doc["h"].__setitem__(0, float("nan")),
+            lambda doc: doc["J"][0].__setitem__(2, float("inf")),
+            lambda doc: doc["K"][0].__setitem__(3, float("-inf")),
+            lambda doc: doc.__setitem__("constant", float("nan")),
+        ],
+    )
+    def test_malformed_file_is_data_error(self, tmp_path, corrupt):
+        path = tmp_path / "coeffs.json"
+        save_coefficients(path, random_instance(56, 3))
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
         with pytest.raises(DataError):
             load_coefficients(path)
 

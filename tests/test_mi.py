@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from hubofs.dataset import DiscretizedDataset
 from hubofs.errors import DataError, UsageError
 from hubofs.mi import (
-    MiTensors,
     compute_tensors,
     cyclic_mi,
     entropy,
@@ -188,14 +188,22 @@ class TestComputeTensors:
         for key, value in t.triadic.items():
             assert value == cyclic_mi(dd, *key)
 
-    def test_max_triples_cap(self):
-        rng = np.random.default_rng(2)
-        dd = make_dd(rng.integers(0, 2, (40, 6)))
-        t = compute_tensors(dd, max_triples=5)
-        assert len(t.triadic) == 5
-        full = compute_tensors(dd)
-        kept = sorted(full.triadic.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
-        assert t.triadic == dict(kept)
+    def test_triadic_matches_pair_vs_single_reference(self):
+        # compute_tensors reads one 3-D histogram three ways; the reference
+        # bins each pair-vs-single grouping on its own composite code.
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            bins = rng.permutation([2, 3, 4, 5, 7])
+            dd = make_dd(np.column_stack([rng.integers(0, b, 60) for b in bins]))
+            assert len(set(dd.bin_counts)) > 1
+            t = compute_tensors(dd)
+            for a, b, c in itertools.combinations(range(5), 3):
+                expect = (
+                    mi_joint_pair_single(dd, a, b, c)
+                    + mi_joint_pair_single(dd, a, c, b)
+                    + mi_joint_pair_single(dd, b, c, a)
+                ) / 3.0
+                assert t.triadic[(a, b, c)] == expect
 
     def test_all_values_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -221,13 +229,35 @@ class TestTensorIo:
         with pytest.raises(DataError):
             load_tensors(path)
 
-    def test_subset_reindexes(self):
-        t = MiTensors(
-            relevance=np.array([0.1, 0.2, 0.3, 0.4]),
-            redundancy={(0, 1): 0.5, (1, 3): 0.6, (2, 3): 0.7},
-            triadic={(0, 1, 3): 0.8, (1, 2, 3): 0.9},
-        )
-        sub = t.subset([1, 3])
-        assert list(sub.relevance) == [0.2, 0.4]
-        assert sub.redundancy == {(0, 1): 0.6}
-        assert sub.triadic == {}
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda doc: doc.pop("relevance"),
+            lambda doc: doc.pop("triples"),
+            lambda doc: doc.__setitem__("relevance", [[0.1, 0.2]]),
+            lambda doc: doc.__setitem__("relevance", None),
+            lambda doc: doc["pairs"][0].pop(),
+            lambda doc: doc["triples"][0].append(0.5),
+            lambda doc: doc["pairs"][0].__setitem__(2, "x"),
+            lambda doc: doc["pairs"][0].__setitem__(1, float("inf")),
+            lambda doc: doc["triples"][0].__setitem__(2, 9),
+            lambda doc: doc["relevance"].__setitem__(0, float("nan")),
+            lambda doc: doc["pairs"][0].__setitem__(2, float("inf")),
+            lambda doc: doc["triples"][0].__setitem__(3, float("-inf")),
+        ],
+    )
+    def test_malformed_file_is_data_error(self, tmp_path, corrupt):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "tensors.json"
+        save_tensors(path, compute_tensors(make_dd(rng.integers(0, 3, (30, 3)))))
+        doc = json.loads(path.read_text())
+        corrupt(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
+            load_tensors(path)
+
+    def test_non_object_document_is_data_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(DataError):
+            load_tensors(path)

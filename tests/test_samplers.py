@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
-from hubofs.errors import CapabilityError, DataError, UsageError
+from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
 from hubofs.hubo import HuboCoefficients, SpinConfig, energy
 from hubofs.samplers import (
     bitstring_to_spins,
@@ -96,6 +96,11 @@ class TestSimulatedAnnealing:
         c = random_instance(12, 6)
         simulated_annealing(c, shots=8, sweeps=10, seed=2, validate_deltas=True)
 
+    def test_nan_delta_fails_validation(self):
+        c = HuboCoefficients(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
+        with pytest.raises(HubofsError):
+            simulated_annealing(c, shots=2, sweeps=2, t_start=1.0, seed=0, validate_deltas=True)
+
     def test_more_sweeps_never_hurts_median_minimum(self):
         short_mins, long_mins = [], []
         for trial in range(20):
@@ -118,6 +123,10 @@ class TestSimulatedAnnealing:
             simulated_annealing(c, shots=1, sweeps=0)
         with pytest.raises(UsageError):
             simulated_annealing(c, shots=1, sweeps=10, t_start=0.001, t_end=0.01)
+        with pytest.raises(UsageError):
+            simulated_annealing(c, shots=1, sweeps=10, t_end=float("nan"))
+        with pytest.raises(UsageError):
+            simulated_annealing(c, shots=1, sweeps=10, t_start=float("inf"))
 
     def test_auto_schedule_handles_tiny_coefficients(self):
         tiny = HuboCoefficients(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
@@ -178,6 +187,32 @@ class TestSampleFile:
         path.write_text(
             "# schema=hubofs-samples/1\n# total_shots=5\nbitstring,count,energy\n00,1,0\n"
         )
+        with pytest.raises(DataError):
+            load_samples(path)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "00,1",
+            "00,1,0.5,9",
+            "00,x,0.5",
+            "00,1.5,0.5",
+            "00,1,abc",
+            "00,1,nan",
+            "00,1,inf",
+            "00,1,0.5\n011,1,0.5",
+        ],
+    )
+    def test_malformed_rows_are_data_error(self, tmp_path, rows):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# schema=hubofs-samples/1\nbitstring,count,energy\n{rows}\n")
+        with pytest.raises(DataError):
+            load_samples(path)
+
+    @pytest.mark.parametrize("meta", ["total_shots=two", "seed=x"])
+    def test_malformed_metadata_is_data_error(self, tmp_path, meta):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# schema=hubofs-samples/1\n# {meta}\nbitstring,count,energy\n00,1,0\n")
         with pytest.raises(DataError):
             load_samples(path)
 
