@@ -203,6 +203,19 @@ def cmd_select(cfg: RunConfig) -> Path:
         f"select: rho={cfg.rho:g} delta={first.delta:g} kept {scores.retained_count} shots, "
         f"selected {len(first.selected)}/{coeffs.n} features -> {importance_path}"
     )
+    problems = []
+    if not first.selected:
+        problems.append(f"the selection at delta={first.delta:g} is empty")
+    if len(retained.entries) == 1:
+        problems.append("the retained shots are a single state")
+    if problems:
+        print(
+            f"warning [select]: {' and '.join(problems)}; the samples hold "
+            f"{len(sample_set.entries)} distinct configurations in {sample_set.total_shots} "
+            "shots. If the sampler collapsed to its ground state, run SA shallow and warm "
+            "(e.g. --sweeps 5 --t-end 16, see README)",
+            file=sys.stderr,
+        )
     return importance_path
 
 

@@ -90,7 +90,7 @@ def load_csv(path, target_column: str) -> Dataset:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise DataError(f"cannot read CSV file {path!r}: {exc}") from exc
     if not rows:
         raise DataError(f"{path!r} is empty (no header row)")

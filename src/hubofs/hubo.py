@@ -13,6 +13,7 @@ identical floats for the same configuration.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -271,6 +272,45 @@ def energies_all_states(c: HuboCoefficients) -> np.ndarray:
     return acc + c.constant
 
 
+def dense_couplings(c: HuboCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric dense views ``J (n, n)`` and ``K (n, n, n)`` of the couplings.
+
+    Each J_ij sits at both index orders and each K_ijk at all six, with zeros
+    wherever an index repeats, so the local field of :func:`local_fields` is
+    ``F_i = h_i + sum_j J_ij Z_j + 1/2 sum_jk K_ijk Z_j Z_k``.
+    """
+    n = c.n
+    jmat = np.zeros((n, n))
+    if c.pair_keys:
+        a, b = np.array(c.pair_keys).T
+        values = np.array([c.j_terms[key] for key in c.pair_keys])
+        jmat[a, b] = values
+        jmat[b, a] = values
+    kcube = np.zeros((n, n, n))
+    if c.triple_keys:
+        idx = np.array(c.triple_keys).T
+        values = np.array([c.k_terms[key] for key in c.triple_keys])
+        for p, q, r in itertools.permutations(idx):
+            kcube[p, q, r] = values
+    return jmat, kcube
+
+
+def local_fields(h, jmat: np.ndarray, kcube: np.ndarray, spins: np.ndarray) -> np.ndarray:
+    """``F[s, i] = dE/dZ_i`` at row ``s`` of a (S, n) spin matrix.
+
+    E is linear in each spin, so flipping spin i changes the energy by
+    ``-2 Z_i F_i``. Built one column at a time to keep the temporaries at
+    (S, n).
+    """
+    spins = np.asarray(spins, dtype=np.float64)
+    fields = np.empty_like(spins)
+    for a in range(spins.shape[1]):
+        fields[:, a] = h[a] + spins @ jmat[a] + 0.5 * np.einsum(
+            "sj,sj->s", spins @ kcube[a], spins
+        )
+    return fields
+
+
 def state_index_to_spins(s: int, n: int) -> SpinConfig:
     """Inverse of the x-bitstring state encoding used by :func:`energies_all_states`."""
     return SpinConfig(tuple(1 - 2 * ((s >> (n - 1 - i)) & 1) for i in range(n)))
@@ -321,7 +361,7 @@ def load_coefficients(path) -> tuple[HuboCoefficients, dict]:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read coefficient file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise DataError(f"malformed coefficient file {path!r}: {exc}") from exc
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != COEFF_SCHEMA:

@@ -207,7 +207,7 @@ def load_tensors(path) -> MiTensors:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read tensor file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
         raise DataError(f"malformed tensor file {path!r}: {exc}") from exc
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != TENSOR_SCHEMA:

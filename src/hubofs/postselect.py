@@ -20,6 +20,7 @@ from .hubo import to_binary
 from .samplers import SampleEntry, SampleSet
 
 IMPORTANCE_SCHEMA = "hubofs-importance/1"
+IMPORTANCE_FIELDS = ("feature_index", "feature_name", "importance", "selected")
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def write_importance_csv(
         lines.extend(f"# {k}={extra_metadata[k]}" for k in sorted(extra_metadata))
     body = io.StringIO()
     writer = csv.writer(body, lineterminator="\n")  # names may contain commas
-    writer.writerow(["feature_index", "feature_name", "importance", "selected"])
+    writer.writerow(IMPORTANCE_FIELDS)
     for i in order:
         writer.writerow([i, names[i], f"{scores.scores[i]:.12g}", 1 if i in chosen else 0])
     with open(path, "w", encoding="utf-8") as fh:
@@ -145,7 +146,7 @@ def read_importance_csv(path) -> tuple[list[dict], dict[str, str]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read importance file {path!r}: {exc}") from exc
     meta: dict[str, str] = {}
     body: list[str] = []
@@ -159,13 +160,26 @@ def read_importance_csv(path) -> tuple[list[dict], dict[str, str]]:
         raise DataError(f"unknown importance schema {meta.get('schema')!r} in {path!r}")
     reader = csv.DictReader(body)
     rows = []
-    for row in reader:
-        rows.append(
-            {
-                "feature_index": int(row["feature_index"]),
-                "feature_name": row["feature_name"],
-                "importance": float(row["importance"]),
-                "selected": row["selected"] == "1",
-            }
-        )
+    try:
+        missing = [f for f in IMPORTANCE_FIELDS if f not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"missing column(s) {', '.join(missing)}")
+        for row in reader:
+            if None in row or None in row.values():
+                raise ValueError(f"row {reader.line_num} has the wrong number of fields")
+            value = float(row["importance"])
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite importance {row['importance']!r}")
+            if row["selected"] not in ("0", "1"):
+                raise ValueError(f"selected must be 0 or 1, got {row['selected']!r}")
+            rows.append(
+                {
+                    "feature_index": int(row["feature_index"]),
+                    "feature_name": row["feature_name"],
+                    "importance": value,
+                    "selected": row["selected"] == "1",
+                }
+            )
+    except (ValueError, csv.Error) as exc:
+        raise DataError(f"malformed importance file {path!r}: {exc}") from exc
     return rows, meta

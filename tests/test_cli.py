@@ -258,6 +258,43 @@ class TestSelectAndCompare:
         rows, _ = read_importance_csv(sampled / "importance.csv")
         assert all(r["selected"] for r in rows)
 
+    def select_stderr(self, built, capsys, sampler, shots, delta, rho=0.25):
+        assert (
+            run_cli(
+                "sample", "--coefficients", built / "coefficients.json",
+                "--sampler", sampler, "--shots", shots, "--seed", 1, "--out", built,
+            )
+            == 0
+        )
+        capsys.readouterr()
+        assert (
+            run_cli(
+                "select", "--coefficients", built / "coefficients.json",
+                "--samples", built / "samples.csv",
+                "--rho", rho, "--delta", delta, "--out", built,
+            )
+            == 0
+        )
+        return capsys.readouterr().err
+
+    def test_select_warns_on_single_retained_state(self, built, capsys):
+        err = self.select_stderr(built, capsys, "exhaustive", 1, 0.5)
+        assert "warning [select]: " in err
+        assert "single state" in err
+        assert "1 distinct configurations in 1 shots" in err
+        assert "--sweeps 5 --t-end 16" in err
+
+    def test_select_warns_on_empty_selection(self, built, capsys):
+        err = self.select_stderr(built, capsys, "random", 200, 1.0, rho=1.0)
+        distinct = len(load_samples(built / "samples.csv").entries)
+        assert "warning [select]: the selection at delta=1 is empty;" in err
+        assert "single state" not in err
+        assert f"{distinct} distinct configurations in 200 shots" in err
+
+    def test_select_spread_selection_does_not_warn(self, built, capsys):
+        err = self.select_stderr(built, capsys, "random", 200, 0.0, rho=1.0)
+        assert "warning" not in err
+
     def test_mismatched_files_rejected(self, sampled, tmp_path, demo_csv):
         other = tmp_path / "other"
         assert (

@@ -62,6 +62,10 @@ class TestLoadCsv:
         p = write(tmp_path / "empty_rows.csv", "a,label\n,x\n,y\n")
         with pytest.raises(DataError):
             load_csv(p, "label")
+        p = tmp_path / "binary.csv"
+        p.write_bytes(b"a,label\n\xff\xfe,x\n")
+        with pytest.raises(DataError):
+            load_csv(p, "label")
 
     def test_spambase_shape_when_available(self):
         import os

@@ -12,11 +12,13 @@ from hubofs.hubo import (
     SpinConfig,
     apply_penalty,
     build_coefficients,
+    dense_couplings,
     energies_all_states,
     energy,
     energy_many,
     hinge_delta,
     load_coefficients,
+    local_fields,
     normalize_global,
     preselect_top_k,
     save_coefficients,
@@ -244,6 +246,29 @@ class TestEnergy:
             energies = energies_all_states(c)
             best = int(np.argmin(energies))
             assert state_index_to_spins(best, n).spins == tuple([-1] * n)
+
+
+class TestLocalFields:
+    def test_dense_couplings_are_symmetric_views(self):
+        c = random_instance(14, 5)
+        jmat, kcube = dense_couplings(c)
+        assert np.array_equal(jmat, jmat.T)
+        for perm in itertools.permutations(range(3)):
+            assert np.array_equal(kcube, kcube.transpose(perm))
+        assert jmat[1, 3] == c.j_terms[(1, 3)]
+        assert kcube[4, 0, 2] == c.k_terms[(0, 2, 4)]
+        assert kcube[2, 2, 0] == 0.0
+
+    def test_fields_give_single_flip_energy_changes(self):
+        c = random_instance(15, 7)
+        spins = np.random.default_rng(2).choice([-1, 1], (30, 7)).astype(np.int8)
+        fields = local_fields(c.h, *dense_couplings(c), spins)
+        base = energy_many(c, spins)
+        for i in range(7):
+            flipped = spins.copy()
+            flipped[:, i] = -flipped[:, i]
+            change = energy_many(c, flipped) - base
+            assert np.allclose(-2.0 * spins[:, i] * fields[:, i], change, rtol=0.0, atol=1e-12)
 
 
 class TestCoefficientIo:

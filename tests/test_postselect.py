@@ -174,6 +174,33 @@ class TestImportanceCsv:
                 tmp_path / "x.csv", scores, ("a", "b"), threshold_select(scores, 0.5)
             )
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            "feature_index,feature_name,importance\n0,a,0.5",
+            "feature_index,feature_name,importance,selected\n0,a,0.5",
+            "feature_index,feature_name,importance,selected\n0,a,0.5,1,extra",
+            "feature_index,feature_name,importance,selected\n0.5,a,0.5,1",
+            "feature_index,feature_name,importance,selected\nx,a,0.5,1",
+            "feature_index,feature_name,importance,selected\n0,a,high,1",
+            "feature_index,feature_name,importance,selected\n0,a,nan,1",
+            "feature_index,feature_name,importance,selected\n0,a,inf,0",
+            "feature_index,feature_name,importance,selected\n0,a,0.5,yes",
+            "feature_index,feature_name,importance,selected\n0,a,0.5,",
+        ],
+    )
+    def test_malformed_rows_are_data_error(self, tmp_path, table):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# schema=hubofs-importance/1\n{table}\n")
+        with pytest.raises(DataError):
+            read_importance_csv(path)
+
+    def test_undecodable_file_is_data_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"# schema=hubofs-importance/1\n\xff\xfe\n")
+        with pytest.raises(DataError):
+            read_importance_csv(path)
+
     def test_names_with_commas_survive_round_trip(self, tmp_path):
         scores = ImportanceScores(scores=np.array([0.9, 0.2]), retained_count=4, rho=1.0)
         names = ('city=Berlin, DE', 'plain')

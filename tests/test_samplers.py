@@ -4,7 +4,9 @@ import pytest
 from conftest import random_instance
 from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
 from hubofs.hubo import HuboCoefficients, SpinConfig, energy
+from hubofs.rng import VectorXoshiro256StarStar
 from hubofs.samplers import (
+    _aggregate,
     bitstring_to_spins,
     exhaustive_solve,
     load_samples,
@@ -17,6 +19,60 @@ from hubofs.samplers import (
 
 def zero_instance(n):
     return HuboCoefficients(n=n, h=np.zeros(n), j_terms={}, k_terms={})
+
+
+def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0):
+    """Reference SA: the same RNG contract and acceptance rule, but every
+    proposal re-gathers all pair and triple partners of spin i from the
+    chains' current spins instead of reading a maintained local field."""
+    if t_start is None:
+        scale = c.max_abs_coefficient()
+        t_start = max(2.0 * c.n * scale if scale > 0.0 else 1.0, t_end)
+    if sweeps == 1:
+        temps = np.array([t_end])
+    else:
+        temps = t_start * ((t_end / t_start) ** (1.0 / (sweeps - 1))) ** np.arange(sweeps)
+    n = c.n
+    rng = VectorXoshiro256StarStar([seed + chain for chain in range(shots)])
+    spins = np.empty((shots, n), dtype=np.int8)
+    for i in range(n):
+        spins[:, i] = 1 - 2 * rng.next_bit()
+    pairs = [([], []) for _ in range(n)]
+    for (a, b), v in c.j_terms.items():
+        for i, j in ((a, b), (b, a)):
+            pairs[i][0].append(j)
+            pairs[i][1].append(v)
+    tris = [([], []) for _ in range(n)]
+    for (a, b, d), v in c.k_terms.items():
+        for i, rest in ((a, (b, d)), (b, (a, d)), (d, (a, b))):
+            tris[i][0].append(rest)
+            tris[i][1].append(v)
+    accepted = []
+    for temp in temps:
+        for i in range(n):
+            local = np.full(shots, float(c.h[i]))
+            if pairs[i][0]:
+                local += spins[:, pairs[i][0]] @ np.array(pairs[i][1])
+            if tris[i][0]:
+                partner = np.array(tris[i][0])
+                local += (spins[:, partner[:, 0]] * spins[:, partner[:, 1]]) @ np.array(tris[i][1])
+            delta = -2.0 * spins[:, i] * local
+            accept = rng.random() < np.exp(np.minimum(-delta / temp, 0.0))
+            np.negative(spins[:, i], where=accept, out=spins[:, i])
+            accepted.append(int(accept.sum()))
+    total = sweeps * n
+    rates = []
+    for tenth in range(10):
+        steps = [t for t in range(total) if t * 10 // total == tenth]
+        rates.append(sum(accepted[t] for t in steps) / (shots * len(steps)))
+    metadata = {
+        "sweeps": str(sweeps),
+        "t_start": f"{t_start:.12g}",
+        "t_end": f"{t_end:.12g}",
+        "sa_acceptance": ",".join(f"{r:.6g}" for r in rates),
+        "distinct_states": str(len(np.unique(spins, axis=0))),
+    }
+    return _aggregate(c, spins, "sa", seed, metadata)
 
 
 class TestExhaustive:
@@ -127,6 +183,42 @@ class TestSimulatedAnnealing:
             simulated_annealing(c, shots=1, sweeps=10, t_end=float("nan"))
         with pytest.raises(UsageError):
             simulated_annealing(c, shots=1, sweeps=10, t_start=float("inf"))
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            random_instance(31, 6),
+            random_instance(32, 12),
+            random_instance(33, 20),
+            zero_instance(5),
+            HuboCoefficients(n=4, h=np.array([0.7, -0.2, 0.05, -1.3]), j_terms={}, k_terms={}),
+        ],
+        ids=["random6", "random12", "random20", "flat", "h_only"],
+    )
+    def test_field_kernel_matches_gather_reference(self, c):
+        got = simulated_annealing(c, shots=64, sweeps=80, seed=3)
+        assert got == gather_annealing(c, shots=64, sweeps=80, seed=3)
+
+    def test_field_check_rejects_nan_instance(self):
+        c = HuboCoefficients(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
+        with pytest.raises(HubofsError, match="local field"):
+            simulated_annealing(c, shots=2, sweeps=2, t_start=1.0, seed=0)
+
+    def test_diagnostics_deterministic_and_round_trip(self, tmp_path):
+        c = random_instance(21, 8)
+        res = simulated_annealing(c, shots=40, sweeps=30, seed=5)
+        assert res.metadata == simulated_annealing(c, shots=40, sweeps=30, seed=5).metadata
+        rates = [float(v) for v in res.metadata["sa_acceptance"].split(",")]
+        assert len(rates) == 10
+        assert all(0.0 <= r <= 1.0 for r in rates)
+        assert res.metadata["distinct_states"] == str(len(res.entries))
+        path = tmp_path / "samples.csv"
+        save_samples(path, res)
+        assert load_samples(path).metadata == res.metadata
+
+    def test_flat_landscape_accepts_every_proposal(self):
+        res = simulated_annealing(zero_instance(3), shots=8, sweeps=10, seed=0)
+        assert res.metadata["sa_acceptance"] == ",".join(["1"] * 10)
 
     def test_auto_schedule_handles_tiny_coefficients(self):
         tiny = HuboCoefficients(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
