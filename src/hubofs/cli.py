@@ -80,9 +80,12 @@ def _load_splits(cfg: RunConfig):
     return ds, train, test
 
 
-def cmd_build(cfg: RunConfig) -> tuple[Path, Path]:
-    """load -> standardize -> split -> discretize -> relevance -> preselect -> MI -> HUBO."""
-    ds, train, _ = _load_splits(cfg)
+def cmd_build(cfg: RunConfig, splits=None) -> tuple[Path, Path]:
+    """load -> standardize -> split -> discretize -> relevance -> preselect -> MI -> HUBO.
+
+    ``splits`` is ``_load_splits(cfg)`` when the caller already has it.
+    """
+    ds, train, _ = splits or _load_splits(cfg)
     if ds.n_features > cfg.preselect_k:
         relevance = mi.relevance(discretize(train, cfg.bins))
         indices = hubo.preselect_top_k(relevance, cfg.preselect_k)
@@ -233,11 +236,14 @@ def _selection_columns(path: str, ds) -> tuple[str, list[int]]:
     return Path(path).stem, sorted(picked)
 
 
-def cmd_compare(cfg: RunConfig) -> Path:
-    """Evaluate selections against all-features, matched k-best, and PCA."""
+def cmd_compare(cfg: RunConfig, splits=None) -> Path:
+    """Evaluate selections against all-features, matched k-best, and PCA.
+
+    ``splits`` is ``_load_splits(cfg)`` when the caller already has it.
+    """
     if not cfg.selections:
         raise UsageError("compare needs at least one --selection file")
-    ds, train, test = _load_splits(cfg)
+    ds, train, test = splits or _load_splits(cfg)
     relevance = mi.relevance(discretize(train, cfg.bins))
 
     def fit_eval(indices, label) -> baselines.EvalReport:
@@ -310,14 +316,15 @@ def _write_auc_svg(path, reports) -> None:
 
 
 def cmd_run(cfg: RunConfig) -> None:
-    """All four stages in sequence, artifacts under --out."""
-    coeffs_path, _ = cmd_build(cfg)
+    """All four stages in sequence, artifacts under --out; the CSV is loaded once."""
+    splits = _load_splits(cfg)
+    coeffs_path, _ = cmd_build(cfg, splits)
     cfg.coefficients = str(coeffs_path)
     samples_path = cmd_sample(cfg)
     cfg.samples = str(samples_path)
     importance_path = cmd_select(cfg)
     cfg.selections = [str(importance_path)]
-    cmd_compare(cfg)
+    cmd_compare(cfg, splits)
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:

@@ -2,24 +2,35 @@
 
 The interpolating Hamiltonian is H(t) = (1-l(t)) * H_d + l(t) * H_p with
 driver H_d = -sum_i X_i (ground state: uniform superposition) and diagonal
-target H_p given by the HUBO coefficients. Each first-order Trotter step of
-size dt applies, in order:
+target H_p given by the HUBO coefficients. The first-order nested-commutator
+counterdiabatic term replaces each Z-string of H_p by the symmetrized sum of
+strings with one Z turned into Y, so the CD generator is
 
-(a) driver x-rotations  exp(+i (1-l) dt X_i) on every qubit,
-(b) per-term diagonal phases exp(-i l dt c_T Z_T) for every one-, two-, and
-    three-body term (composite phase gates, no CNOT decomposition),
-(c) first-order nested-commutator counterdiabatic rotations. The commutator
-    [H_d, H_p] replaces each Z-string term by the symmetrized sum of strings
-    with one Z turned into Y, so the CD generator is
+    A = -2 a1(l) ldot [ sum h_i Y_i + sum J_ij (Y_i Z_j + Z_i Y_j)
+                        + sum K_ijk (Y Z Z + Z Y Z + Z Z Y) ]
+      = -2 a1(l) ldot sum_q Y_q F_q
 
-        A = -2 a1(l) ldot [ sum h_i Y_i + sum J_ij (Y_i Z_j + Z_i Y_j)
-                            + sum K_ijk (Y Z Z + Z Y Z + Z Z Y) ]
+with the Landau-Zener-style amplitude a1(l) = 1 / (4 ((1-l)^2 + l^2)) and the
+local field F_q = dE/dZ_q (Hegade et al., "Digitized counterdiabatic quantum
+optimization", PRR 4, L042030 (2022)). Each first-order Trotter step of size
+dt applies three fused layers, in order:
 
-    with the Landau-Zener-style amplitude a1(l) = 1 / (4 ((1-l)^2 + l^2)).
+(a) driver x-rotations exp(+i (1-l) dt X_q) on every qubit;
+(b) one diagonal phase exp(-i l dt (E - constant)), with E the all-states
+    energies computed once per run. All diagonal terms commute, so this is
+    the product of the per-term phases exp(-i l dt c_T Z_T);
+(c) one rotation per qubit q = 0 .. n-1, exp(-i (theta/2) Y_q F_q) with
+    theta = -4 dt ldot a1(l). F_q does not depend on Z_q and every string
+    with its Y on q commutes with every other, so this is the product of
+    that qubit's Y / ZY / ZZY terms. F_q is gathered from E as
+    (E(s) - E(s xor bit_q)) / (2 Z_q).
 
-Mode "cd_only" keeps only layer (c) (impulse regime). Basis ordering: the
-amplitude at index s belongs to the x-bitstring of s with feature 0 as the
-most significant bit, matching the all-states energy evaluator.
+Mode "cd_only" keeps only layer (c) (impulse regime). The layers are exact
+regroupings of the per-term circuit except that the CD terms act grouped by
+qubit, a different O(dt^2) Trotter order. :func:`gate_counts` still tallies
+the per-term gates of the hardware circuit. Basis ordering: the amplitude at
+index s belongs to the x-bitstring of s with feature 0 as the most
+significant bit, matching the all-states energy evaluator.
 """
 
 from __future__ import annotations
@@ -121,16 +132,6 @@ def _axis_slices(n: int, qubit: int):
     return idx0, idx1
 
 
-def _z_sign(n: int, z_qubits) -> np.ndarray:
-    """{-1,+1}^(z-product) as a broadcastable tensor over the state."""
-    sign = np.ones([1] * n)
-    for q in z_qubits:
-        shape = [1] * n
-        shape[q] = 2
-        sign = sign * np.array([1.0, -1.0]).reshape(shape)
-    return sign
-
-
 def _apply_rx(state: np.ndarray, qubit: int, theta: float, n: int) -> None:
     idx0, idx1 = _axis_slices(n, qubit)
     a0 = state[idx0].copy()
@@ -141,23 +142,15 @@ def _apply_rx(state: np.ndarray, qubit: int, theta: float, n: int) -> None:
     state[idx1] = cos_t * a1 - 1j * sin_t * a0
 
 
-def _apply_y_string(state: np.ndarray, y_qubit: int, z_qubits, theta: float, n: int) -> None:
-    """exp(-i (theta/2) Y_a Z_b Z_c ...) with the Y on ``y_qubit``."""
-    idx0, idx1 = _axis_slices(n, y_qubit)
-    sign = _z_sign(n, z_qubits)
-    half = 0.5 * theta * np.take(sign, 0, axis=y_qubit)
+def _apply_y_rotation(state: np.ndarray, qubit: int, half: np.ndarray, n: int) -> None:
+    """exp(-i half Y_qubit), ``half`` indexed by the other qubits' basis states."""
+    idx0, idx1 = _axis_slices(n, qubit)
     cos_t = np.cos(half)
     sin_t = np.sin(half)
     a0 = state[idx0].copy()
     a1 = state[idx1]
     state[idx0] = cos_t * a0 - sin_t * a1
     state[idx1] = cos_t * a1 + sin_t * a0
-
-
-def _apply_z_phase(state: np.ndarray, z_qubits, angle: float, n: int) -> None:
-    """Diagonal exp(-i angle Z_a Z_b ...) as one composite phase gate."""
-    sign = _z_sign(n, z_qubits)
-    state *= np.exp(-1j * angle * sign)
 
 
 def _check_norm(state: np.ndarray, worst: float) -> float:
@@ -167,29 +160,15 @@ def _check_norm(state: np.ndarray, worst: float) -> float:
     return max(worst, drift)
 
 
-def _diagonal_terms(c: HuboCoefficients):
-    """Nonzero diagonal terms as (qubit tuple, coefficient), ascending order."""
-    terms = [((i,), float(c.h[i])) for i in range(c.n) if c.h[i] != 0.0]
-    terms.extend((key, c.j_terms[key]) for key in c.pair_keys if c.j_terms[key] != 0.0)
-    terms.extend((key, c.k_terms[key]) for key in c.triple_keys if c.k_terms[key] != 0.0)
-    return terms
+def _gathered_fields(energies: np.ndarray, n: int) -> list[np.ndarray]:
+    """F_q = dE/dZ_q on every basis state, from n gathers over the energies.
 
-
-def _cd_rotations(c: HuboCoefficients):
-    """(y_qubit, z_qubits, coefficient) triples of the CD generator."""
-    rots = [(i, (), float(c.h[i])) for i in range(c.n) if c.h[i] != 0.0]
-    for (i, j) in c.pair_keys:
-        v = c.j_terms[(i, j)]
-        if v != 0.0:
-            rots.append((i, (j,), v))
-            rots.append((j, (i,), v))
-    for (i, j, k) in c.triple_keys:
-        v = c.k_terms[(i, j, k)]
-        if v != 0.0:
-            rots.append((i, (j, k), v))
-            rots.append((j, (i, k), v))
-            rots.append((k, (i, j), v))
-    return rots
+    Entry q has shape [2] * (n-1): F_q does not depend on Z_q, so it is
+    indexed by the other qubits. Z_q = +1 at index 0 of axis q, so
+    F_q = (E[Z_q=+1] - E[Z_q=-1]) / 2.
+    """
+    e = energies.reshape([2] * n)
+    return [0.5 * (np.take(e, 0, axis=q) - np.take(e, 1, axis=q)) for q in range(n)]
 
 
 def evolve_statevector(
@@ -203,8 +182,11 @@ def evolve_statevector(
     n = c.n
     dt = sched.dt
     state = Statevector.uniform(n).amplitudes.copy().reshape([2] * n)
-    diag_terms = _diagonal_terms(c)
-    cd_rots = _cd_rotations(c)
+    energies = energies_all_states(c)
+    fields = _gathered_fields(energies, n)
+    # The constant is a global phase; dropping it keeps layer (b) equal to
+    # the product of the per-term phases.
+    diagonal = (energies - c.constant).reshape([2] * n)
     worst = 0.0
     for m in range(sched.steps):
         lam = float(sched.lambda_values[m])
@@ -214,12 +196,11 @@ def evolve_statevector(
             for q in range(n):
                 _apply_rx(state, q, theta_x, n)
             worst = _check_norm(state, worst)
-            for qubits, coeff in diag_terms:
-                _apply_z_phase(state, qubits, lam * dt * coeff, n)
+            state *= np.exp(-1j * (lam * dt) * diagonal)
             worst = _check_norm(state, worst)
-        theta_cd = -4.0 * dt * lam_dot * cd_amplitude(lam)
-        for y_qubit, z_qubits, coeff in cd_rots:
-            _apply_y_string(state, y_qubit, z_qubits, theta_cd * coeff, n)
+        half_cd = -2.0 * dt * lam_dot * cd_amplitude(lam)
+        for q in range(n):
+            _apply_y_rotation(state, q, half_cd * fields[q], n)
         worst = _check_norm(state, worst)
     return Statevector(state.reshape(-1)), worst
 
@@ -261,20 +242,22 @@ def evolve_and_sample(
     seed: int = 0,
     mode: str = "full",
 ) -> SampleSet:
-    """Evolve, then draw computational-basis samples from |amplitude|^2."""
+    """Evolve, then draw computational-basis samples from |amplitude|^2.
+
+    Shot s takes the s-th uniform of one xoshiro256** stream seeded ``seed``
+    and lands on the first basis state whose cumulative probability exceeds
+    it (the last state if rounding leaves none).
+    """
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
     final, drift = evolve_statevector(c, sched, mode)
     probs = final.probabilities()
     cumulative = np.cumsum(probs)
     rng = Xoshiro256StarStar(seed)
-    size = 1 << c.n
-    spins = np.empty((shots, c.n), dtype=np.int8)
-    for s in range(shots):
-        idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
-        idx = min(idx, size - 1)
-        for i in range(c.n):
-            spins[s, i] = 1 - 2 * ((idx >> (c.n - 1 - i)) & 1)
+    draws = np.array([rng.random() for _ in range(shots)])
+    idx = np.minimum(np.searchsorted(cumulative, draws, side="right"), (1 << c.n) - 1)
+    shifts = np.arange(c.n - 1, -1, -1)
+    spins = (1 - 2 * ((idx[:, None] >> shifts) & 1)).astype(np.int8)
     metadata = {
         "steps": str(sched.steps),
         "total_time": f"{sched.total_time:.12g}",

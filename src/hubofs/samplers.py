@@ -49,7 +49,7 @@ from .hubo import (
 )
 from .rng import Xoshiro256StarStar, VectorXoshiro256StarStar
 
-SAMPLE_SCHEMA = "hubofs-samples/1"
+SAMPLE_SCHEMA = "hubofs-samples/2"
 DEFAULT_T_END = 0.01
 
 

@@ -403,3 +403,35 @@ class TestRun:
         ]
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_run_loads_csv_once_and_matches_the_four_stages(self, demo_csv, tmp_path, monkeypatch):
+        import hubofs.cli as cli
+
+        calls = []
+
+        def counting_load_csv(*args):
+            calls.append(args)
+            return load_csv(*args)
+
+        monkeypatch.setattr(cli, "load_csv", counting_load_csv)
+        data = ("--input", demo_csv, "--target", "label")
+        sampler = ("--sampler", "dcqo", "--shots", 200, "--steps", 8, "--seed", 4)
+        chained, staged = tmp_path / "run", tmp_path / "stages"
+        assert run_cli("run", *data, *sampler, "--delta", 0.3, "--out", chained) == 0
+        assert len(calls) == 1
+        coefficients = staged / "coefficients.json"
+        assert run_cli("build", *data, "--out", staged) == 0
+        assert run_cli("sample", "--coefficients", coefficients, *sampler, "--out", staged) == 0
+        assert (
+            run_cli(
+                "select", "--coefficients", coefficients, "--samples", staged / "samples.csv",
+                "--delta", 0.3, "--out", staged,
+            )
+            == 0
+        )
+        selection = staged / "importance.csv"
+        assert run_cli("compare", *data, "--selection", selection, "--out", staged) == 0
+        assert len(calls) == 3
+        for name in ("mi_tensors.json", "coefficients.json", "samples.csv", "importance.csv",
+                     "comparison.csv", "comparison.svg"):
+            assert (chained / name).read_bytes() == (staged / name).read_bytes(), name

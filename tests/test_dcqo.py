@@ -4,8 +4,8 @@ import pytest
 from conftest import random_instance
 from hubofs.dcqo import (
     CdSchedule,
-    _apply_z_phase,
     _check_norm,
+    _gathered_fields,
     build_schedule,
     cd_amplitude,
     evolve_and_sample,
@@ -16,12 +16,49 @@ from hubofs.dcqo import (
     statevector_probe,
 )
 from hubofs.errors import CapabilityError, HubofsError, UsageError
-from hubofs.hubo import HuboCoefficients, energies_all_states
-from hubofs.samplers import save_samples
+from hubofs.hubo import (
+    HuboCoefficients,
+    dense_couplings,
+    energies_all_states,
+    local_fields,
+)
+from hubofs.rng import Xoshiro256StarStar
+from hubofs.samplers import _aggregate, save_samples
 
 
 def zero_instance(n):
     return HuboCoefficients(n=n, h=np.zeros(n), j_terms={}, k_terms={})
+
+
+def basis_spins(n):
+    """(2^n, n) spins of every basis state; feature 0 is the most significant bit."""
+    return 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+
+
+def per_term_evolution(c, sched, mode):
+    """Reference circuit with one gate per term, the CD terms grouped by their Y qubit."""
+    n, size = c.n, 1 << c.n
+    z = basis_spins(n)
+    state = np.full(size, 1 / np.sqrt(size), dtype=complex)
+    terms = [((i,), float(c.h[i])) for i in range(n)]
+    terms += sorted(c.j_terms.items()) + sorted(c.k_terms.items())
+    cd_terms = [
+        (q, [t for t in qubits if t != q], v) for q in range(n) for qubits, v in terms if q in qubits
+    ]
+    for lam, ldot in zip(sched.lambda_values, sched.lambda_dot_values):
+        if mode == "full":
+            half = -(1 - lam) * sched.dt
+            for q in range(n):
+                partner = state[np.arange(size) ^ (1 << (n - 1 - q))]
+                state = np.cos(half) * state - 1j * np.sin(half) * partner
+            for qubits, v in terms:
+                state = state * np.exp(-1j * lam * sched.dt * v * np.prod(z[:, list(qubits)], 1))
+        theta_cd = -4 * sched.dt * ldot * cd_amplitude(lam)
+        for q, others, v in cd_terms:
+            half = 0.5 * theta_cd * v * np.prod(z[:, others], 1)
+            partner = state[np.arange(size) ^ (1 << (n - 1 - q))]
+            state = np.cos(half) * state - z[:, q] * np.sin(half) * partner
+    return state
 
 
 class TestSchedule:
@@ -92,6 +129,37 @@ class TestEvolution:
         sv, _ = evolve_statevector(c, build_schedule(800, total_time))
         assert np.abs(sv.probabilities() - oracle).max() < 5e-4
 
+    def test_two_qubit_matches_exact_time_ordered_propagator(self):
+        h, coupling = np.array([0.7, -0.4]), 0.5
+        one = np.eye(2)
+        X = np.array([[0, 1], [1, 0]], dtype=complex)
+        Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+        Z = np.array([[1, 0], [0, -1]], dtype=complex)
+        # Qubit 0 is the most significant bit of the basis index.
+        driver = np.kron(X, one) + np.kron(one, X)
+        diagonal = h[0] * np.kron(Z, one) + h[1] * np.kron(one, Z) + coupling * np.kron(Z, Z)
+        cd = (
+            h[0] * np.kron(Y, one)
+            + h[1] * np.kron(one, Y)
+            + coupling * (np.kron(Y, Z) + np.kron(Z, Y))
+        )
+        total_time, substeps = 10.0, 4000
+        state = np.full(4, 0.5, dtype=complex)
+        dt = total_time / substeps
+        for m in range(substeps):
+            t = (m + 0.5) * dt
+            lam = schedule_lambda(t, total_time)
+            ldot = schedule_lambda_dot(t, total_time)
+            ham = -(1 - lam) * driver + lam * diagonal - 2.0 * cd_amplitude(lam) * ldot * cd
+            w, v = np.linalg.eigh(ham)
+            state = v @ (np.exp(-1j * w * dt) * (v.conj().T @ state))
+        oracle = np.abs(state) ** 2
+        c = HuboCoefficients(n=2, h=h, j_terms={(0, 1): coupling}, k_terms={})
+        sv, _ = evolve_statevector(c, build_schedule(800, total_time))
+        # First-order Trotter error at 800 steps is ~9e-4 in either CD order; a
+        # flipped sign of Y_0 Z_1 + Z_0 Y_1 moves the probabilities by ~0.07.
+        assert np.abs(sv.probabilities() - oracle).max() < 2e-3
+
     def test_ground_state_enhancement_n8(self):
         sched = build_schedule(50, 10.0)
         c = random_instance(1234, 8)
@@ -124,16 +192,58 @@ class TestEvolution:
         rng = np.random.default_rng(0)
         state = rng.normal(size=32) + 1j * rng.normal(size=32)
         state /= np.linalg.norm(state)
+        z = basis_spins(5)
         terms = [((i,), float(c.h[i])) for i in range(5)]
         terms += [(key, v) for key, v in sorted(c.j_terms.items())]
         terms += [(key, v) for key, v in sorted(c.k_terms.items())]
-        final = []
+        fused = state * np.exp(-1j * 0.37 * (energies_all_states(c) - c.constant))
         for order in (terms, terms[::-1]):
-            work = state.copy().reshape([2] * 5)
+            work = state.copy()
             for qubits, coeff in order:
-                _apply_z_phase(work, qubits, 0.37 * coeff, 5)
-            final.append(work.reshape(-1))
-        assert np.abs(final[0] - final[1]).max() < 1e-12
+                work *= np.exp(-1j * 0.37 * coeff * np.prod(z[:, list(qubits)], axis=1))
+            assert np.abs(work - fused).max() < 1e-12
+
+    @pytest.mark.parametrize("mode", ["full", "cd_only"])
+    def test_fused_step_matches_per_term_circuit(self, mode):
+        rng = np.random.default_rng(3)
+        for trial in range(6):
+            n = int(rng.integers(3, 8))
+            r = random_instance(500 + trial, n)
+            c = HuboCoefficients(
+                n=n, h=r.h, j_terms=r.j_terms, k_terms=r.k_terms, constant=1.7
+            )
+            sched = build_schedule(int(rng.integers(1, 6)), float(rng.uniform(1.0, 8.0)))
+            fused, _ = evolve_statevector(c, sched, mode)
+            reference = per_term_evolution(c, sched, mode)
+            assert np.abs(fused.amplitudes - reference).max() <= 1e-12
+
+    def test_gathered_fields_match_local_fields(self):
+        for n in (1, 3, 6, 8):
+            c = random_instance(20 + n, n)
+            spins = basis_spins(n)
+            expected = local_fields(c.h, *dense_couplings(c), spins)
+            fields = _gathered_fields(energies_all_states(c), n)
+            assert len(fields) == n
+            for q, field in enumerate(fields):
+                assert field.shape == (2,) * (n - 1)
+                full = np.broadcast_to(np.expand_dims(field, q), (2,) * n).reshape(-1)
+                assert np.abs(full - expected[:, q]).max() <= 1e-12
+
+    def test_shot_draws_match_per_shot_loop(self):
+        c = random_instance(31, 6)
+        sched = build_schedule(20, 5.0)
+        shots, seed = 3000, 9
+        final, _ = evolve_statevector(c, sched)
+        cumulative = np.cumsum(final.probabilities())
+        rng = Xoshiro256StarStar(seed)
+        spins = np.empty((shots, c.n), dtype=np.int8)
+        for s in range(shots):
+            idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
+            idx = min(idx, (1 << c.n) - 1)
+            for i in range(c.n):
+                spins[s, i] = 1 - 2 * ((idx >> (c.n - 1 - i)) & 1)
+        expected = _aggregate(c, spins, "dcqo", seed)
+        assert evolve_and_sample(c, sched, shots, seed).entries == expected.entries
 
     def test_cd_only_time_reversal_amplitudes(self):
         c = random_instance(8, 5)

@@ -6,6 +6,7 @@ from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
 from hubofs.hubo import HuboCoefficients, SpinConfig, energy
 from hubofs.rng import VectorXoshiro256StarStar
 from hubofs.samplers import (
+    SAMPLE_SCHEMA,
     _aggregate,
     bitstring_to_spins,
     exhaustive_solve,
@@ -277,7 +278,7 @@ class TestSampleFile:
     def test_total_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
-            "# schema=hubofs-samples/1\n# total_shots=5\nbitstring,count,energy\n00,1,0\n"
+            f"# schema={SAMPLE_SCHEMA}\n# total_shots=5\nbitstring,count,energy\n00,1,0\n"
         )
         with pytest.raises(DataError):
             load_samples(path)
@@ -297,14 +298,14 @@ class TestSampleFile:
     )
     def test_malformed_rows_are_data_error(self, tmp_path, rows):
         path = tmp_path / "bad.csv"
-        path.write_text(f"# schema=hubofs-samples/1\nbitstring,count,energy\n{rows}\n")
+        path.write_text(f"# schema={SAMPLE_SCHEMA}\nbitstring,count,energy\n{rows}\n")
         with pytest.raises(DataError):
             load_samples(path)
 
     @pytest.mark.parametrize("meta", ["total_shots=two", "seed=x"])
     def test_malformed_metadata_is_data_error(self, tmp_path, meta):
         path = tmp_path / "bad.csv"
-        path.write_text(f"# schema=hubofs-samples/1\n# {meta}\nbitstring,count,energy\n00,1,0\n")
+        path.write_text(f"# schema={SAMPLE_SCHEMA}\n# {meta}\nbitstring,count,energy\n00,1,0\n")
         with pytest.raises(DataError):
             load_samples(path)
 
