@@ -24,8 +24,6 @@ from .hubo import (
     energy,
     normalize_global,
     preselect_top_k,
-    to_binary,
-    to_spin,
 )
 from .mi import MiTensors, compute_tensors, cyclic_mi, entropy, mi_joint_pair_single, mi_pair
 from .postselect import (
@@ -74,6 +72,4 @@ __all__ = [
     "stratified_split",
     "threshold_select",
     "threshold_sweep",
-    "to_binary",
-    "to_spin",
 ]

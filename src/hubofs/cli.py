@@ -179,6 +179,17 @@ def cmd_select(cfg: RunConfig) -> Path:
         raise DataError(
             f"sample file has n={sample_set.n} but coefficient file has n={coeffs.n}"
         )
+    # The file keeps 12 significant digits; energies of another instance differ there.
+    recomputed = hubo.energy_many(coeffs, sample_set.spins)
+    stale = sum(
+        f"{a:.12g}" != f"{b:.12g}"
+        for a, b in zip(recomputed.tolist(), sample_set.energies.tolist())
+    )
+    if stale:
+        raise DataError(
+            f"{stale} of {len(recomputed)} sample energies in {cfg.samples!r} differ from "
+            f"the coefficients in {cfg.coefficients!r}; were they sampled from another build?"
+        )
     retained = postselect.retain_low_energy(sample_set, cfg.rho)
     scores = postselect.importance(retained)
     results = postselect.threshold_sweep(scores, cfg.deltas)
@@ -209,12 +220,12 @@ def cmd_select(cfg: RunConfig) -> Path:
     problems = []
     if not first.selected:
         problems.append(f"the selection at delta={first.delta:g} is empty")
-    if len(retained.entries) == 1:
+    if len(retained.counts) == 1:
         problems.append("the retained shots are a single state")
     if problems:
         print(
             f"warning [select]: {' and '.join(problems)}; the samples hold "
-            f"{len(sample_set.entries)} distinct configurations in {sample_set.total_shots} "
+            f"{len(sample_set.counts)} distinct configurations in {sample_set.total_shots} "
             "shots. If the sampler collapsed to its ground state, run SA shallow and warm "
             "(e.g. --sweeps 5 --t-end 16, see README)",
             file=sys.stderr,

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, HubofsError, UsageError
-from .hubo import HuboCoefficients, energies_all_states
+from .hubo import HuboCoefficients, energies_all_states, states_to_spins
 from .rng import Xoshiro256StarStar
 from .samplers import SampleSet, _aggregate
 
@@ -256,8 +256,6 @@ def evolve_and_sample(
     rng = Xoshiro256StarStar(seed)
     draws = np.array([rng.random() for _ in range(shots)])
     idx = np.minimum(np.searchsorted(cumulative, draws, side="right"), (1 << c.n) - 1)
-    shifts = np.arange(c.n - 1, -1, -1)
-    spins = (1 - 2 * ((idx[:, None] >> shifts) & 1)).astype(np.int8)
     metadata = {
         "steps": str(sched.steps),
         "total_time": f"{sched.total_time:.12g}",
@@ -265,7 +263,7 @@ def evolve_and_sample(
         "max_norm_drift": f"{drift:.3e}",
     }
     metadata.update((k, str(v)) for k, v in gate_counts(c, sched.steps, mode).items())
-    return _aggregate(c, spins, "dcqo", seed, metadata)
+    return _aggregate(c, states_to_spins(idx, c.n), "dcqo", seed, metadata)
 
 
 def statevector_probe(

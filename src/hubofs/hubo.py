@@ -6,9 +6,10 @@ not; the binary view is x_i = (1 - Z_i) / 2. The energy of a configuration is
     E(Z) = sum_i h_i Z_i + sum_{i<j} J_ij Z_i Z_j
          + sum_{i<j<k} K_ijk Z_i Z_j Z_k + constant
 
-with terms always accumulated in ascending index-tuple order, so every
-evaluator in this package (scalar, batched, all-states) produces bitwise
-identical floats for the same configuration.
+with terms always accumulated in ascending index-tuple order. There is one
+evaluator, :func:`energy_many`, over a (S, n) spin matrix: :func:`energy` is
+one row of it and :func:`energies_all_states` is every basis state of it, so
+all three produce bitwise identical floats for the same configuration.
 """
 
 from __future__ import annotations
@@ -46,19 +47,6 @@ class SpinConfig:
 
     def __len__(self) -> int:
         return len(self.spins)
-
-
-def to_binary(z: SpinConfig) -> tuple[int, ...]:
-    """x_i = (1 - Z_i) / 2: selected features become 1."""
-    return tuple((1 - s) // 2 for s in z.spins)
-
-
-def to_spin(x) -> SpinConfig:
-    """Inverse map Z_i = 1 - 2 x_i."""
-    bits = tuple(int(v) for v in x)
-    if any(b not in (0, 1) for b in bits):
-        raise UsageError(f"bits must be 0 or 1, got {bits}")
-    return SpinConfig(tuple(1 - 2 * b for b in bits))
 
 
 @dataclass(frozen=True)
@@ -210,22 +198,13 @@ def apply_penalty(
 
 
 def energy(c: HuboCoefficients, z) -> float:
-    """Exact energy of one configuration (terms in ascending tuple order)."""
-    spins = z.spins if isinstance(z, SpinConfig) else tuple(int(s) for s in z)
-    if len(spins) != c.n:
-        raise UsageError(f"configuration has {len(spins)} spins, model has {c.n}")
-    acc = 0.0
-    for i in range(c.n):
-        acc += float(c.h[i]) * spins[i]
-    for key in c.pair_keys:
-        acc += c.j_terms[key] * (spins[key[0]] * spins[key[1]])
-    for key in c.triple_keys:
-        acc += c.k_terms[key] * (spins[key[0]] * spins[key[1]] * spins[key[2]])
-    return acc + c.constant
+    """Exact energy of one configuration: :func:`energy_many` on a single row."""
+    spins = z.spins if isinstance(z, SpinConfig) else z
+    return float(energy_many(c, np.asarray(spins).reshape(1, -1))[0])
 
 
 def energy_many(c: HuboCoefficients, spins: np.ndarray) -> np.ndarray:
-    """Energies of a (S, n) matrix of spin rows; bitwise equal to :func:`energy` per row."""
+    """Energies of a (S, n) matrix of spin rows, terms in ascending tuple order."""
     spins = np.asarray(spins)
     if spins.ndim != 2 or spins.shape[1] != c.n:
         raise UsageError(f"spin matrix must be (S, {c.n}), got {spins.shape}")
@@ -239,37 +218,27 @@ def energy_many(c: HuboCoefficients, spins: np.ndarray) -> np.ndarray:
     return acc + c.constant
 
 
+def states_to_spins(states, n: int) -> np.ndarray:
+    """(S, n) int8 spins of x-bitstring state indices, feature 0 the most significant bit.
+
+    Built column by column in Fortran order, so each spin column is contiguous.
+    """
+    states = np.asarray(states, dtype=np.int64)
+    spins = np.empty((states.shape[0], n), dtype=np.int8, order="F")
+    for i in range(n):
+        spins[:, i] = 1 - 2 * ((states >> (n - 1 - i)) & 1)
+    return spins
+
+
 def energies_all_states(c: HuboCoefficients) -> np.ndarray:
     """Energy of every configuration, indexed by the integer x-bitstring.
 
     State s encodes x_i as bit (n-1-i) of s (feature 0 is the most
     significant bit), matching the statevector basis ordering.
     """
-    n = c.n
-    if n > 24:
-        raise UsageError(f"all-states enumeration capped at n=24, got n={n}")
-    size = 1 << n
-    states = np.arange(size, dtype=np.int64)
-
-    cache: dict[int, np.ndarray] = {}
-
-    def zcol(i: int) -> np.ndarray:
-        if i not in cache:
-            col = (1 - 2 * ((states >> (n - 1 - i)) & 1)).astype(np.int8)
-            if n <= 20:
-                cache[i] = col
-            else:
-                return col
-        return cache[i]
-
-    acc = np.zeros(size, dtype=np.float64)
-    for i in range(n):
-        acc += float(c.h[i]) * zcol(i)
-    for i, j in c.pair_keys:
-        acc += c.j_terms[(i, j)] * (zcol(i) * zcol(j))
-    for i, j, k in c.triple_keys:
-        acc += c.k_terms[(i, j, k)] * (zcol(i) * zcol(j) * zcol(k))
-    return acc + c.constant
+    if c.n > 24:
+        raise UsageError(f"all-states enumeration capped at n=24, got n={c.n}")
+    return energy_many(c, states_to_spins(np.arange(1 << c.n), c.n))
 
 
 def dense_couplings(c: HuboCoefficients) -> tuple[np.ndarray, np.ndarray]:
@@ -309,11 +278,6 @@ def local_fields(h, jmat: np.ndarray, kcube: np.ndarray, spins: np.ndarray) -> n
             "sj,sj->s", spins @ kcube[a], spins
         )
     return fields
-
-
-def state_index_to_spins(s: int, n: int) -> SpinConfig:
-    """Inverse of the x-bitstring state encoding used by :func:`energies_all_states`."""
-    return SpinConfig(tuple(1 - 2 * ((s >> (n - 1 - i)) & 1) for i in range(n)))
 
 
 def save_coefficients(

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, UsageError
-from .hubo import to_binary
-from .samplers import SampleEntry, SampleSet
+from .samplers import SampleSet
 
 IMPORTANCE_SCHEMA = "hubofs-importance/1"
 IMPORTANCE_FIELDS = ("feature_index", "feature_name", "importance", "selected")
@@ -51,25 +50,26 @@ class SelectionResult:
 
 
 def retain_low_energy(s: SampleSet, rho: float) -> SampleSet:
-    """Keep the k = max(1, floor(rho * shots)) lowest-energy shots."""
+    """Keep the k = max(1, floor(rho * shots)) lowest-energy shots.
+
+    Rows rank by (energy, lexicographic spins with -1 < +1); the row that
+    crosses k keeps only the shots that fit.
+    """
     if not 0.0 < rho <= 1.0:
         raise UsageError(f"rho must be in (0, 1], got {rho}")
     if s.total_shots < 1:
         raise DataError("cannot retain from an empty sample set")
     k = max(1, math.floor(rho * s.total_shots))
-    ranked = sorted(s.entries, key=lambda e: (e.energy, e.spins))
-    kept: list[SampleEntry] = []
-    remaining = k
-    for entry in ranked:
-        if remaining <= 0:
-            break
-        take = min(entry.count, remaining)
-        kept.append(SampleEntry(entry.spins, take, entry.energy))
-        remaining -= take
+    order = np.lexsort((*s.spins.T[::-1], s.energies))
+    counts = s.counts[order]
+    before = np.cumsum(counts) - counts  # shots ranked ahead of each row
+    keep = before < k
     metadata = dict(s.metadata)
     metadata["rho"] = f"{rho:.12g}"
     return SampleSet(
-        entries=tuple(kept),
+        spins=s.spins[order[keep]],
+        counts=np.minimum(counts[keep], k - before[keep]),
+        energies=s.energies[order[keep]],
         total_shots=k,
         sampler_name=s.sampler_name,
         seed=s.seed,
@@ -78,19 +78,15 @@ def retain_low_energy(s: SampleSet, rho: float) -> SampleSet:
 
 
 def importance(s_retained: SampleSet) -> ImportanceScores:
-    """Count-weighted mean of the binary selection variables x_i.
+    """Count-weighted mean of the binary selection variables x_i = (Z_i < 0).
 
     The rho recorded by :func:`retain_low_energy` is carried through; a raw
     (unretained) sample set scores with rho = 1.
     """
-    if not s_retained.entries:
+    if not s_retained.counts.size:
         raise DataError("cannot score an empty sample set")
-    n = s_retained.n
-    totals = np.zeros(n, dtype=np.float64)
-    for entry in s_retained.entries:
-        totals += entry.count * np.array(to_binary(entry.spins), dtype=np.float64)
     return ImportanceScores(
-        scores=totals / s_retained.total_shots,
+        scores=(s_retained.counts @ (s_retained.spins < 0)) / s_retained.total_shots,
         retained_count=s_retained.total_shots,
         rho=float(s_retained.metadata.get("rho", 1.0)),
     )

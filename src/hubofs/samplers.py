@@ -22,18 +22,21 @@ before their spin i flips (Isakov et al., "Optimised simulated annealing for
 Ising spin glasses", CPC 192 (2015)). After the last sweep the fields are
 evaluated afresh and a gap beyond a rounding bound raises
 :class:`~hubofs.errors.HubofsError`. SA sample metadata records the
-acceptance rate in each tenth of the proposals (``sa_acceptance``) and the
-number of distinct final states (``distinct_states``).
+acceptance rate in each tenth of the proposals (``sa_acceptance``).
 
-Sample sets are canonicalized: duplicate configurations merge, entries sort
-by (energy, lexicographic spins with -1 < +1), energies are recomputed with
-the exact sparse evaluator.
+A :class:`SampleSet` is three arrays: ``spins`` (distinct configurations x n,
+int8, one row each), ``counts`` (int64, shots per row) and ``energies``
+(float64). Every sampler canonicalizes its set: duplicate configurations
+merge, rows sort by (energy, lexicographic spins with -1 < +1), energies come
+from :func:`hubofs.hubo.energy_many`, and the metadata records the number of
+rows (``distinct_states``). ``SampleSet.entries`` is a read-only view of the
+rows as :class:`SampleEntry` objects, built from the arrays on each access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +48,7 @@ from .hubo import (
     energies_all_states,
     energy_many,
     local_fields,
-    state_index_to_spins,
+    states_to_spins,
 )
 from .rng import Xoshiro256StarStar, VectorXoshiro256StarStar
 
@@ -60,41 +63,59 @@ class SampleEntry:
     energy: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Multiset of spin configurations with multiplicities and energies."""
+    """Multiset of spin configurations: distinct rows with their counts and energies."""
 
-    entries: tuple[SampleEntry, ...]
+    spins: np.ndarray
+    counts: np.ndarray
+    energies: np.ndarray
     total_shots: int
     sampler_name: str
     seed: int
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if sum(e.count for e in self.entries) != self.total_shots:
+        for name, dtype in (("spins", np.int8), ("counts", np.int64), ("energies", np.float64)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+        rows = self.counts.shape
+        if self.spins.ndim != 2 or self.spins.shape[:1] != rows or self.energies.shape != rows:
+            raise DataError("spins, counts and energies of a sample set disagree in shape")
+        if not np.isin(self.spins, (-1, 1)).all():
+            raise DataError("spins must be -1 or +1")
+        if int(self.counts.sum()) != self.total_shots:
             raise DataError("entry counts do not sum to total_shots")
-        if any(e.count < 1 for e in self.entries):
+        if np.any(self.counts < 1):
             raise DataError("entry counts must be positive")
-        if len({e.spins for e in self.entries}) != len(self.entries):
+        if len(self.counts) > 1 and len(np.unique(self.spins, axis=0)) != len(self.counts):
             raise DataError("duplicate spin configurations in sample set")
+
+    def __eq__(self, other):
+        if not isinstance(other, SampleSet):
+            return NotImplemented
+        arrays = ("spins", "counts", "energies")
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays) and (
+            (self.total_shots, self.sampler_name, self.seed, self.metadata)
+            == (other.total_shots, other.sampler_name, other.seed, other.metadata)
+        )
 
     @property
     def n(self) -> int:
-        return len(self.entries[0].spins) if self.entries else 0
+        return self.spins.shape[1]
+
+    @property
+    def entries(self) -> tuple[SampleEntry, ...]:
+        return tuple(
+            SampleEntry(SpinConfig(tuple(row)), count, energy)
+            for row, count, energy in zip(
+                self.spins.tolist(), self.counts.tolist(), self.energies.tolist()
+            )
+        )
 
     def min_energy(self) -> float:
-        return min(e.energy for e in self.entries)
-
-
-def spins_to_bitstring(z: SpinConfig) -> str:
-    """Binary x-representation, feature 0 leftmost ('1' = selected)."""
-    return "".join("1" if s == -1 else "0" for s in z.spins)
-
-
-def bitstring_to_spins(bits: str) -> SpinConfig:
-    if any(ch not in "01" for ch in bits):
-        raise DataError(f"invalid bitstring {bits!r}")
-    return SpinConfig(tuple(1 - 2 * int(ch) for ch in bits))
+        return float(self.energies.min())
 
 
 def _aggregate(
@@ -107,20 +128,14 @@ def _aggregate(
     uniq, counts = np.unique(spin_matrix, axis=0, return_counts=True)
     energies = energy_many(c, uniq)
     order = np.argsort(energies, kind="stable")  # np.unique rows are already spin-lex
-    entries = tuple(
-        SampleEntry(
-            spins=SpinConfig(tuple(int(v) for v in uniq[t])),
-            count=int(counts[t]),
-            energy=float(energies[t]),
-        )
-        for t in order
-    )
     return SampleSet(
-        entries=entries,
+        spins=uniq[order],
+        counts=counts[order],
+        energies=energies[order],
         total_shots=int(spin_matrix.shape[0]),
         sampler_name=sampler_name,
         seed=seed,
-        metadata=metadata or {},
+        metadata={**(metadata or {}), "distinct_states": str(len(order))},
     )
 
 
@@ -138,22 +153,16 @@ def exhaustive_solve(c: HuboCoefficients, keep: int) -> SampleSet:
     if keep > size:
         raise UsageError(f"keep={keep} exceeds the 2^{c.n} = {size} configurations")
     energies = energies_all_states(c)
-    states = np.arange(size, dtype=np.int64)
     # Spin-lex ascending equals state-integer descending (x=1 <-> Z=-1 at the MSB).
-    order = np.lexsort((-states, energies))[:keep]
-    entries = tuple(
-        SampleEntry(
-            spins=state_index_to_spins(int(s), c.n),
-            count=1,
-            energy=float(energies[s]),
-        )
-        for s in order
-    )
+    order = np.lexsort((-np.arange(size), energies))[:keep]
     return SampleSet(
-        entries=entries,
+        spins=states_to_spins(order, c.n),
+        counts=np.ones(keep, dtype=np.int64),
+        energies=energies[order],
         total_shots=keep,
         sampler_name="exhaustive",
         seed=0,
+        metadata={"distinct_states": str(keep)},
     )
 
 
@@ -228,7 +237,7 @@ def simulated_annealing(
         rates = np.bincount(tenth, weights=accepted, minlength=10) / (
             shots * np.bincount(tenth, minlength=10)
         )
-    result = _aggregate(
+    return _aggregate(
         c,
         spins.astype(np.int8),
         "sa",
@@ -239,9 +248,6 @@ def simulated_annealing(
             "t_end": f"{t_end:.12g}",
             "sa_acceptance": ",".join(f"{r:.6g}" for r in rates),
         },
-    )
-    return replace(
-        result, metadata={**result.metadata, "distinct_states": str(len(result.entries))}
     )
 
 
@@ -267,15 +273,15 @@ def random_sample(c: HuboCoefficients, shots: int, seed: int = 0) -> SampleSet:
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
     rng = Xoshiro256StarStar(seed)
-    spins = np.empty((shots, c.n), dtype=np.int8)
-    for s in range(shots):
-        for i in range(c.n):
-            spins[s, i] = 1 - 2 * rng.next_bit()
-    return _aggregate(c, spins, "random", seed)
+    bits = np.array([rng.next_bit() for _ in range(shots * c.n)], dtype=np.int8)
+    return _aggregate(c, 1 - 2 * bits.reshape(shots, c.n), "random", seed)
 
 
 def save_samples(path, s: SampleSet) -> None:
-    """Write the sample CSV: '#' metadata lines, then bitstring,count,energy."""
+    """Write the sample CSV: '#' metadata lines, then bitstring,count,energy.
+
+    A bitstring is the x-representation, feature 0 leftmost ('1' = selected).
+    """
     lines = [
         f"# schema={SAMPLE_SCHEMA}",
         f"# sampler={s.sampler_name}",
@@ -285,14 +291,18 @@ def save_samples(path, s: SampleSet) -> None:
     ]
     lines.extend(f"# {key}={s.metadata[key]}" for key in sorted(s.metadata))
     lines.append("bitstring,count,energy")
+    chars = ((s.spins < 0) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    n = s.n
     lines.extend(
-        f"{spins_to_bitstring(e.spins)},{e.count},{e.energy:.12g}" for e in s.entries
+        f"{chars[t * n:(t + 1) * n]},{count},{energy:.12g}"
+        for t, (count, energy) in enumerate(zip(s.counts.tolist(), s.energies.tolist()))
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_samples(path) -> SampleSet:
+    """Read a sample CSV; the ``# n=`` header fixes the bitstring length."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read().splitlines()
@@ -310,25 +320,31 @@ def load_samples(path) -> SampleSet:
         raise DataError(f"unknown sample schema {meta.get('schema')!r} in {path!r}")
     if not body or body[0] != "bitstring,count,energy":
         raise DataError(f"missing sample header row in {path!r}")
-    entries = []
     try:
-        for line in body[1:]:
-            bits, count, energy = line.split(",")
-            entries.append(SampleEntry(bitstring_to_spins(bits), int(count), float(energy)))
+        n = int(meta.get("n", ""))
+        rows = [line.split(",") for line in body[1:]]
+        bits = [b for b, _, _ in rows]
+        if n < 1 or any(len(b) != n for b in bits):
+            raise ValueError(f"need n >= 1 and every bitstring {n} characters long")
+        codes = np.frombuffer("".join(bits).encode("utf-8"), np.uint8).reshape(len(bits), n)
+        counts = np.array([int(count) for _, count, _ in rows], dtype=np.int64)
+        energies = np.array([float(energy) for _, _, energy in rows])
         declared = int(meta.get("total_shots", "0"))
         seed = int(meta.get("seed", "0"))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DataError(f"malformed sample file {path!r}: {exc}") from exc
-    if not all(math.isfinite(e.energy) for e in entries):
+    if not np.isin(codes, (ord("0"), ord("1"))).all():
+        raise DataError(f"bitstrings in {path!r} must be made of 0 and 1")
+    if not np.isfinite(energies).all():
         raise DataError(f"non-finite energy in {path!r}")
-    if len({len(e.spins) for e in entries}) > 1:
-        raise DataError(f"bitstrings of different lengths in {path!r}")
-    total = sum(e.count for e in entries)
+    total = sum(counts.tolist())
     if declared and declared != total:
         raise DataError(f"total_shots mismatch in {path!r}: header {declared}, rows {total}")
     known = {"schema", "sampler", "seed", "n", "total_shots"}
     return SampleSet(
-        entries=tuple(entries),
+        spins=1 - 2 * (codes == ord("1")),
+        counts=counts,
+        energies=energies,
         total_shots=total,
         sampler_name=meta.get("sampler", "unknown"),
         seed=seed,

@@ -310,6 +310,25 @@ class TestSelectAndCompare:
         )
         assert code == 3
 
+    def test_samples_of_another_instance_rejected(self, sampled, tmp_path, demo_csv, capsys):
+        other = tmp_path / "other"
+        assert (
+            run_cli(
+                "build", "--input", demo_csv, "--target", "label", "--w1", 2.0, "--out", other,
+            )
+            == 0
+        )
+        assert load_coefficients(other / "coefficients.json")[0].n == 8
+        capsys.readouterr()
+        code = run_cli(
+            "select", "--coefficients", other / "coefficients.json",
+            "--samples", sampled / "samples.csv", "--out", tmp_path,
+        )
+        assert code == 3
+        rows = len(load_samples(sampled / "samples.csv").counts)
+        assert f"of {rows} sample energies" in capsys.readouterr().err
+        assert not (tmp_path / "importance.csv").exists()
+
     def test_compare_rows(self, sampled, demo_csv):
         assert (
             run_cli(

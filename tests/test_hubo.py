@@ -22,30 +22,23 @@ from hubofs.hubo import (
     normalize_global,
     preselect_top_k,
     save_coefficients,
-    state_index_to_spins,
-    to_binary,
-    to_spin,
+    states_to_spins,
 )
 from hubofs.mi import MiTensors
 
 
 class TestSpinConversions:
-    def test_examples(self):
-        assert to_binary(SpinConfig((-1, 1))) == (1, 0)
-        assert to_binary(SpinConfig((1, 1, 1))) == (0, 0, 0)
-        assert to_spin((1, 0)).spins == (-1, 1)
-
-    def test_round_trip(self):
-        for bits in itertools.product((0, 1), repeat=4):
-            z = to_spin(bits)
-            assert to_binary(z) == bits
-            assert to_spin(to_binary(z)) == z
+    def test_states_to_spins_layout(self):
+        # x-bitstring states: feature 0 is the most significant bit, x=1 <-> Z=-1.
+        spins = states_to_spins([0b100, 0b011, 0b000], 3)
+        assert spins.dtype == np.int8
+        assert spins.flags.f_contiguous
+        assert spins.tolist() == [[-1, 1, 1], [1, -1, -1], [1, 1, 1]]
+        assert states_to_spins([], 2).shape == (0, 2)
 
     def test_invalid_symbols(self):
         with pytest.raises(UsageError):
             SpinConfig((0, 1))
-        with pytest.raises(UsageError):
-            to_spin((2, 0))
 
 
 class TestPreselect:
@@ -231,7 +224,7 @@ class TestEnergy:
         c = random_instance(13, 6)
         energies = energies_all_states(c)
         for s in range(64):
-            assert energies[s] == energy(c, state_index_to_spins(s, 6))
+            assert energies[s] == energy(c, states_to_spins([s], 6)[0])
 
     def test_dimension_mismatch(self):
         c = random_instance(0, 4)
@@ -245,7 +238,7 @@ class TestEnergy:
             c = HuboCoefficients(n=n, h=rng.uniform(0.05, 1.0, n), j_terms={}, k_terms={})
             energies = energies_all_states(c)
             best = int(np.argmin(energies))
-            assert state_index_to_spins(best, n).spins == tuple([-1] * n)
+            assert states_to_spins([best], n)[0].tolist() == [-1] * n
 
 
 class TestLocalFields:

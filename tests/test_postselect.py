@@ -3,7 +3,6 @@ import pytest
 
 from conftest import random_instance
 from hubofs.errors import DataError, UsageError
-from hubofs.hubo import to_spin
 from hubofs.postselect import (
     ImportanceScores,
     importance,
@@ -13,19 +12,52 @@ from hubofs.postselect import (
     threshold_sweep,
     write_importance_csv,
 )
-from hubofs.samplers import SampleEntry, SampleSet, random_sample
+from hubofs.samplers import SampleSet, random_sample
 
 
-def sample_set(rows, sampler="test", seed=0):
-    """rows: list of (bits, count, energy)."""
-    entries = tuple(
-        SampleEntry(to_spin(bits), count, float(energy)) for bits, count, energy in rows
-    )
+def sample_set(rows, sampler="test", seed=0, metadata=None):
+    """rows: list of (bits, count, energy); bit 1 means selected (Z = -1)."""
+    bits, counts, energies = zip(*rows)
     return SampleSet(
-        entries=entries,
-        total_shots=sum(r[1] for r in rows),
+        spins=1 - 2 * np.array(bits).reshape(len(rows), -1),
+        counts=np.array(counts),
+        energies=np.array(energies, dtype=np.float64),
+        total_shots=sum(counts),
         sampler_name=sampler,
         seed=seed,
+        metadata=metadata or {},
+    )
+
+
+def reference_retain(s, rho):
+    """The per-entry loop: rank by (energy, spins), take shots until k."""
+    k = max(1, int(np.floor(rho * s.total_shots)))
+    kept, remaining = [], k
+    for e in sorted(s.entries, key=lambda e: (e.energy, e.spins)):
+        if remaining <= 0:
+            break
+        take = min(e.count, remaining)
+        kept.append((tuple((1 - z) // 2 for z in e.spins.spins), take, e.energy))
+        remaining -= take
+    return sample_set(kept, s.sampler_name, s.seed, {**s.metadata, "rho": f"{rho:.12g}"})
+
+
+def reference_importance(s):
+    """The per-entry loop: float64 sum of count * x over the entries."""
+    totals = np.zeros(s.n, dtype=np.float64)
+    for e in s.entries:
+        totals += e.count * np.array([(1 - z) // 2 for z in e.spins.spins], dtype=np.float64)
+    return totals / s.total_shots
+
+
+def random_sample_set(rng):
+    """Distinct rows in random order, energies drawn from three values (ties)."""
+    n = int(rng.integers(2, 7))
+    rows = int(rng.integers(1, min(12, 1 << n) + 1))
+    states = rng.choice(1 << n, rows, replace=False)
+    bits = (states[:, None] >> np.arange(n)) & 1
+    return sample_set(
+        [(b, int(rng.integers(1, 6)), float(rng.integers(-1, 2)) / 2) for b in bits]
     )
 
 
@@ -82,6 +114,21 @@ class TestRetain:
             retain_low_energy(s, 0.0)
         with pytest.raises(UsageError):
             retain_low_energy(s, 1.5)
+
+    def test_matches_per_entry_reference(self):
+        rng = np.random.default_rng(17)
+        truncated = ties = unsorted = 0
+        for _ in range(200):
+            s = random_sample_set(rng)
+            unsorted += not np.array_equal(s.energies, np.sort(s.energies))
+            ties += len(set(s.energies.tolist())) < len(s.energies)
+            for rho in (0.01, 0.25, 0.5, 0.77, 1.0):
+                out = retain_low_energy(s, rho)
+                assert out == reference_retain(s, rho)
+                assert np.array_equal(importance(out).scores, reference_importance(out))
+                kept = dict(zip(map(tuple, s.spins.tolist()), s.counts.tolist()))
+                truncated += out.counts[-1] < kept[tuple(out.spins[-1].tolist())]
+        assert min(truncated, ties, unsorted) > 20
 
 
 class TestImportance:

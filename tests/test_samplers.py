@@ -3,19 +3,43 @@ import pytest
 
 from conftest import random_instance
 from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
-from hubofs.hubo import HuboCoefficients, SpinConfig, energy
+from hubofs.dcqo import build_schedule, evolve_and_sample
+from hubofs.hubo import HuboCoefficients, energy
 from hubofs.rng import VectorXoshiro256StarStar
 from hubofs.samplers import (
     SAMPLE_SCHEMA,
+    SampleSet,
     _aggregate,
-    bitstring_to_spins,
     exhaustive_solve,
     load_samples,
     random_sample,
     save_samples,
     simulated_annealing,
-    spins_to_bitstring,
 )
+
+
+# Sample files load_samples must refuse: (the "# n=" value, None to omit it; the rows).
+MALFORMED = [
+    ("2", "00,1"),
+    ("2", "00,1,0.5,9"),
+    ("2", "00,x,0.5"),
+    ("2", "00,1.5,0.5"),
+    ("2", "00,1,abc"),
+    ("2", "00,1,nan"),
+    ("2", "00,1,inf"),
+    ("2", "00,1,0.5\n011,1,0.5"),
+    ("2", "10x,1,0.5"),
+    ("2", "1x,1,0.5"),
+    ("2", "1\u00e9,1,0.5"),
+    ("2", "00,99999999999999999999,0.5"),
+    ("5", "101,1,0.5"),
+    ("abc", "101,1,0.5"),
+    ("", "101,1,0.5"),
+    (None, "101,1,0.5"),
+    ("0", ""),
+    ("-1", "1,1,0.5"),
+    ("3", ",1,0.5"),
+]
 
 
 def zero_instance(n):
@@ -248,12 +272,43 @@ class TestRandomSample:
 
 
 class TestSampleFile:
-    def test_bitstring_convention(self):
-        z = SpinConfig((-1, 1, -1))
-        assert spins_to_bitstring(z) == "101"
-        assert bitstring_to_spins("101") == z
-        with pytest.raises(DataError):
-            bitstring_to_spins("10x")
+    def test_bitstring_convention(self, tmp_path):
+        # "1" = selected (Z = -1), feature 0 leftmost.
+        one = SampleSet(
+            spins=np.array([[-1, 1, -1]]), counts=np.array([1]), energies=np.array([0.5]),
+            total_shots=1, sampler_name="test", seed=0,
+        )
+        path = tmp_path / "samples.csv"
+        save_samples(path, one)
+        assert path.read_bytes().endswith(b"\nbitstring,count,energy\n101,1,0.5\n")
+        assert load_samples(path) == one
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda c: exhaustive_solve(c, 20),
+            lambda c: simulated_annealing(c, shots=40, sweeps=30, seed=5),
+            lambda c: random_sample(c, 40, seed=5),
+            lambda c: evolve_and_sample(c, build_schedule(10, 4.0), 40, seed=5),
+        ],
+        ids=["exhaustive", "sa", "random", "dcqo"],
+    )
+    def test_every_sampler_records_distinct_states(self, tmp_path, draw):
+        res = draw(random_instance(21, 6))
+        assert res.metadata["distinct_states"] == str(len(res.counts))
+        path = tmp_path / "samples.csv"
+        save_samples(path, res)
+        loaded = load_samples(path)
+        assert loaded.metadata["distinct_states"] == str(len(res.counts))
+        assert np.array_equal(loaded.spins, res.spins)
+
+    def test_file_without_rows_loads_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(f"# schema={SAMPLE_SCHEMA}\n# n=3\nbitstring,count,energy\n")
+        loaded = load_samples(path)
+        assert loaded.spins.shape == (0, 3)
+        assert loaded.n == 3
+        assert loaded.total_shots == 0
 
     def test_round_trip(self, tmp_path):
         c = random_instance(8, 6)
@@ -278,34 +333,27 @@ class TestSampleFile:
     def test_total_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
-            f"# schema={SAMPLE_SCHEMA}\n# total_shots=5\nbitstring,count,energy\n00,1,0\n"
+            f"# schema={SAMPLE_SCHEMA}\n# n=2\n# total_shots=5\nbitstring,count,energy\n00,1,0\n"
         )
         with pytest.raises(DataError):
             load_samples(path)
 
     @pytest.mark.parametrize(
-        "rows",
-        [
-            "00,1",
-            "00,1,0.5,9",
-            "00,x,0.5",
-            "00,1.5,0.5",
-            "00,1,abc",
-            "00,1,nan",
-            "00,1,inf",
-            "00,1,0.5\n011,1,0.5",
-        ],
+        "n,rows", MALFORMED, ids=[r if n == "2" else f"n={n}-{r}" for n, r in MALFORMED]
     )
-    def test_malformed_rows_are_data_error(self, tmp_path, rows):
+    def test_malformed_rows_are_data_error(self, tmp_path, n, rows):
         path = tmp_path / "bad.csv"
-        path.write_text(f"# schema={SAMPLE_SCHEMA}\nbitstring,count,energy\n{rows}\n")
+        header = "" if n is None else f"# n={n}\n"
+        path.write_text(f"# schema={SAMPLE_SCHEMA}\n{header}bitstring,count,energy\n{rows}\n")
         with pytest.raises(DataError):
             load_samples(path)
 
     @pytest.mark.parametrize("meta", ["total_shots=two", "seed=x"])
     def test_malformed_metadata_is_data_error(self, tmp_path, meta):
         path = tmp_path / "bad.csv"
-        path.write_text(f"# schema={SAMPLE_SCHEMA}\n# {meta}\nbitstring,count,energy\n00,1,0\n")
+        path.write_text(
+            f"# schema={SAMPLE_SCHEMA}\n# n=2\n# {meta}\nbitstring,count,energy\n00,1,0\n"
+        )
         with pytest.raises(DataError):
             load_samples(path)
 
