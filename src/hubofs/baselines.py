@@ -65,12 +65,8 @@ class LogisticModel:
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         z = features @ self.weights + self.bias
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere: never overflows
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def select_k_best(relevance, k: int) -> list[int]:

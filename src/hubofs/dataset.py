@@ -9,7 +9,6 @@ identical downstream artifacts in any implementation.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,15 +67,6 @@ class DiscretizedDataset:
         return self.codes.shape[1]
 
 
-def _is_float(text: str) -> bool:
-    # Non-finite tokens ("nan", "inf") count as categorical values, never as
-    # numbers: the loaded matrix must be free of non-finite entries.
-    try:
-        return math.isfinite(float(text))
-    except ValueError:
-        return False
-
-
 def load_csv(path, target_column: str) -> Dataset:
     """Load a UTF-8 CSV with a header row into a :class:`Dataset`.
 
@@ -107,7 +97,7 @@ def load_csv(path, target_column: str) -> Dataset:
     n_cols = len(header)
     kept, dropped = [], 0
     for row in body:
-        if len(row) != n_cols or any(cell == "" for cell in row):
+        if len(row) != n_cols or "" in row:
             dropped += 1
             continue
         kept.append(row)
@@ -128,8 +118,14 @@ def load_csv(path, target_column: str) -> Dataset:
         if j == t_idx:
             continue
         values = [row[j] for row in kept]
-        if all(_is_float(v) for v in values):
-            columns.append(np.array([float(v) for v in values], dtype=np.float64))
+        try:
+            parsed = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError:
+            parsed = None
+        # Non-finite tokens ("nan", "inf", "1e999") make a column categorical:
+        # the loaded matrix must be free of non-finite entries.
+        if parsed is not None and np.isfinite(parsed).all():
+            columns.append(parsed)
             names.append(col_name)
         else:
             for level in sorted(set(values)):

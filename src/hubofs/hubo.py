@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import CapabilityError, DataError, UsageError
 from .mi import MiTensors
 
 COEFF_SCHEMA = "hubofs-coefficients/1"
@@ -237,7 +237,7 @@ def energies_all_states(c: HuboCoefficients) -> np.ndarray:
     significant bit), matching the statevector basis ordering.
     """
     if c.n > 24:
-        raise UsageError(f"all-states enumeration capped at n=24, got n={c.n}")
+        raise CapabilityError(f"all-states enumeration needs n <= 24, got n={c.n}")
     return energy_many(c, states_to_spins(np.arange(1 << c.n), c.n))
 
 

@@ -7,6 +7,24 @@ independent empirical table (``c_ab * N == c_a * c_b`` cell-wise) yields
 exactly 0.0 because every log argument is exactly 1. Negative rounding
 residue is clamped to 0 so downstream coefficient building can rely on
 non-negativity.
+
+Every MI goes through one kernel, ``_mi_tables``, which takes a ``(T, R, C)``
+stack of count tables. Relevance is one ``bincount`` per chunk of features,
+pairs one per feature i over every j > i, and triples one per pair (i, j)
+over every k > j, each such histogram read as the three pair-vs-single
+groupings. Features are padded to the largest bin count; empty cells add no
+term. A call takes as many tables as keep both its count stack and its
+``(tables, N)`` index array within ``MAX_CELLS`` entries, and at least one
+table (or one triple's three groupings), so the scratch of one call does not
+grow with the number of features, and with the number of samples N only as
+a single table's index array does.
+
+Each table's terms are summed in ascending order, which makes MI(a, b) ==
+MI(b, a) bitwise. The kernel sorts every table's terms at once and sums the
+tables with the same number L of terms as the rows of one ``(count, L)``
+array: numpy sums each row exactly as it sums a 1-D array of length L, so
+batched values equal per-table values bitwise. ``np.add.reduceat`` over the
+concatenated terms does not (it gave other bits for most tables tried).
 """
 
 from __future__ import annotations
@@ -21,6 +39,11 @@ from .dataset import DiscretizedDataset
 from .errors import DataError, UsageError
 
 TENSOR_SCHEMA = "hubofs-mi-tensors/2"
+
+# Cells per count-table stack, and entries per index array, of one MI kernel
+# call; a single table (or one triple's three groupings) larger than this goes
+# alone.
+MAX_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -64,21 +87,69 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
     return float(np.sum((counts / total) * np.log2(total / counts)))
 
 
-def _mi_from_joint(joint: np.ndarray) -> float:
-    """Plug-in MI (bits) of a 2-D contingency count table, clamped at 0.
+def _mi_tables(joint: np.ndarray) -> np.ndarray:
+    """Plug-in MI (bits, clamped at 0) of each table of a ``(T, R, C)`` count stack.
 
-    Per-cell terms are sorted before summation: the term multiset is
-    invariant under transposition, so MI(a,b) == MI(b,a) bitwise.
+    Per nonzero cell: ``(cells / total) * log2(cells * total / (row * col))``.
+    Each table's terms are sorted (empty cells pad with +inf, which sorts
+    last) and summed in that order, so a value depends only on the table's
+    term multiset: MI(a, b) == MI(b, a) bitwise, and empty padding rows or
+    columns change nothing.
     """
-    total = float(joint.sum())
-    row = joint.sum(axis=1, keepdims=True).astype(np.float64)
-    col = joint.sum(axis=0, keepdims=True).astype(np.float64)
+    t = len(joint)
+    row = np.einsum("trc->tr", joint)[:, :, None]
+    col = np.einsum("trc->tc", joint)[:, None, :]
+    total = row.sum(axis=1, keepdims=True).astype(np.float64)
     cells = joint.astype(np.float64)
-    mask = cells > 0
-    ratio = np.ones_like(cells)
-    np.divide(cells * total, row * col, out=ratio, where=mask)
-    terms = (cells[mask] / total) * np.log2(ratio[mask])
-    return max(float(np.sort(terms).sum()), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # empty cells, replaced below
+        terms = (cells / total) * np.log2(cells * total / (row * col).astype(np.float64))
+    terms = np.where(joint > 0, terms, np.inf).reshape(t, -1)
+    terms.sort(axis=1)
+    lengths = np.count_nonzero(joint.reshape(t, -1), axis=1)
+    sums = np.empty(t)
+    for length in np.unique(lengths):
+        rows = lengths == length
+        sums[rows] = terms[rows, :length].sum(axis=1)
+    return np.where(sums < 0.0, 0.0, sums)
+
+
+def _counts(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
+    """``(m, n_a, n_b)`` count tables of codes ``a (N,)`` against each row of ``cols (m, N)``."""
+    m = len(cols)
+    flat = np.add(cols, np.arange(0, m * n_a * n_b, n_a * n_b)[:, None], order="C")
+    flat += a * n_b
+    return np.bincount(flat.ravel(), minlength=m * n_a * n_b).reshape(m, n_a, n_b)
+
+
+def _mi_columns(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
+    """MI of codes ``a`` against each row of ``cols (m, N)`` (codes below ``n_b``)."""
+    step = max(1, MAX_CELLS // max(n_a * n_b, len(a)))
+    return np.concatenate(
+        [np.empty(0)]
+        + [_mi_tables(_counts(a, n_a, cols[s : s + step], n_b)) for s in range(0, len(cols), step)]
+    )
+
+
+def _cyclic_columns(pair: np.ndarray, cols: np.ndarray, b: int) -> np.ndarray:
+    """Cyclic MI of (X_i, X_j, X_k) for each row X_k of ``cols (m, N)``.
+
+    Every feature is padded to ``b`` bins and ``pair`` is ``code_i * b +
+    code_j``. One ``(m, b, b, b)`` histogram per chunk is read as the three
+    pair-vs-single groupings.
+    """
+    step = max(1, MAX_CELLS // max(3 * b**3, len(pair)))
+    out = [np.empty(0)]
+    for s in range(0, len(cols), step):
+        cube = _counts(pair, b * b, cols[s : s + step], b).reshape(-1, b, b, b)
+        m = len(cube)
+        groupings = [
+            cube.reshape(m, b * b, b),  # (i, j) vs k
+            cube.transpose(0, 1, 3, 2).reshape(m, b * b, b),  # (i, k) vs j
+            cube.transpose(0, 2, 3, 1).reshape(m, b * b, b),  # (j, k) vs i
+        ]
+        mi = _mi_tables(np.concatenate(groupings)).reshape(3, m)
+        out.append((mi[0] + mi[1] + mi[2]) / 3.0)
+    return np.concatenate(out)
 
 
 def _compress(codes) -> tuple[np.ndarray, int]:
@@ -106,13 +177,7 @@ def mi_pair(a, b) -> float:
         raise DataError(f"length mismatch: {av.shape} vs {bv.shape}")
     inv_a, n_a = _compress(av)
     inv_b, n_b = _compress(bv)
-    joint = np.bincount(inv_a * n_b + inv_b, minlength=n_a * n_b).reshape(n_a, n_b)
-    return _mi_from_joint(joint)
-
-
-def _mi_known_cardinality(a: np.ndarray, n_a: int, b: np.ndarray, n_b: int) -> float:
-    joint = np.bincount(a * n_b + b, minlength=n_a * n_b).reshape(n_a, n_b)
-    return _mi_from_joint(joint)
+    return float(_mi_columns(inv_a, n_a, inv_b[None], n_b)[0])
 
 
 def _check_triple(dd: DiscretizedDataset, i: int, j: int, k: int):
@@ -130,21 +195,9 @@ def mi_joint_pair_single(dd: DiscretizedDataset, i: int, j: int, k: int) -> floa
     The composite is coded as ``code_i * bin_counts[j] + code_j``.
     """
     _check_triple(dd, i, j, k)
-    bc = dd.bin_counts
-    composite = dd.codes[:, i] * bc[j] + dd.codes[:, j]
-    return _mi_known_cardinality(composite, int(bc[i] * bc[j]), dd.codes[:, k], int(bc[k]))
-
-
-def _triadic(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
-    """Cyclic triple MI from one (b_i, b_j, b_k) histogram, read three ways."""
     bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
-    codes = (dd.codes[:, i] * bj + dd.codes[:, j]) * bk + dd.codes[:, k]
-    cube = np.bincount(codes, minlength=bi * bj * bk).reshape(bi, bj, bk)
-    return (
-        _mi_from_joint(cube.reshape(bi * bj, bk))
-        + _mi_from_joint(cube.transpose(0, 2, 1).reshape(bi * bk, bj))
-        + _mi_from_joint(cube.transpose(1, 2, 0).reshape(bj * bk, bi))
-    ) / 3.0
+    composite = dd.codes[:, i] * bj + dd.codes[:, j]
+    return float(_mi_columns(composite, bi * bj, dd.codes[:, k][None], bk)[0])
 
 
 def cyclic_mi(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
@@ -154,18 +207,17 @@ def cyclic_mi(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
     of the same triple returns the exact same float.
     """
     _check_triple(dd, i, j, k)
-    return _triadic(dd, *sorted((i, j, k)))
+    i, j, k = sorted((i, j, k))
+    b = int(dd.bin_counts[[i, j, k]].max())
+    pair = dd.codes[:, i] * b + dd.codes[:, j]
+    return float(_cyclic_columns(pair, dd.codes[:, k][None], b)[0])
 
 
 def relevance(dd: DiscretizedDataset) -> np.ndarray:
     """MI (bits) between each feature and the target, in feature order."""
     target, n_t = _compress(dd.target)
-    return np.array(
-        [
-            _mi_known_cardinality(dd.codes[:, i], int(dd.bin_counts[i]), target, n_t)
-            for i in range(dd.n_features)
-        ]
-    )
+    b = int(dd.bin_counts.max(initial=1))
+    return _mi_columns(target, n_t, dd.codes.T, b)
 
 
 def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
@@ -176,13 +228,18 @@ def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
     n = dd.n_features
     if n < 1:
         raise DataError("need at least one feature")
-    bc = [int(v) for v in dd.bin_counts]
-    redundancy = {
-        (i, j): _mi_known_cardinality(dd.codes[:, i], bc[i], dd.codes[:, j], bc[j])
-        for i, j in itertools.combinations(range(n), 2)
-    }
-    triadic = {key: _triadic(dd, *key) for key in itertools.combinations(range(n), 3)}
-    return MiTensors(relevance=relevance(dd), redundancy=redundancy, triadic=triadic)
+    cols = np.ascontiguousarray(dd.codes.T)
+    b = int(dd.bin_counts.max())
+    pairs = list(itertools.combinations(range(n), 2))
+    redundancy = np.concatenate([_mi_columns(cols[i], b, cols[i + 1 :], b) for i in range(n)])
+    triadic = np.concatenate(
+        [np.empty(0)] + [_cyclic_columns(cols[i] * b + cols[j], cols[j + 1 :], b) for i, j in pairs]
+    )
+    return MiTensors(
+        relevance=relevance(dd),
+        redundancy=dict(zip(pairs, redundancy.tolist())),
+        triadic=dict(zip(itertools.combinations(range(n), 3), triadic.tolist())),
+    )
 
 
 def save_tensors(path, t: MiTensors, provenance: dict | None = None) -> None:

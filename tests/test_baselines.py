@@ -201,6 +201,38 @@ class TestLogistic:
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
 
+def masked_predict_proba(model, features):
+    """Reference: the stable logistic evaluated on each sign's cells separately."""
+    z = features @ model.weights + model.bias
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestPredictProba:
+    def test_matches_masked_reference(self):
+        rng = np.random.default_rng(31)
+        features = rng.standard_normal((400, 9))
+        saturated = 0
+        for scale in (0.01, 1.0, 30.0, 1e3):
+            for _ in range(25):
+                model = LogisticModel(scale * rng.standard_normal(9), float(scale * rng.standard_normal()))
+                proba = model.predict_proba(features)
+                assert np.array_equal(proba, masked_predict_proba(model, features))
+                saturated += int(np.count_nonzero((proba == 0.0) | (proba == 1.0)))
+        assert saturated > 1000
+
+    def test_non_finite_scores_match_reference(self):
+        features = np.array([[np.inf], [-np.inf], [np.nan], [0.0], [-0.0], [800.0], [-800.0]])
+        model = LogisticModel(np.array([1.0]), 0.0)
+        proba = model.predict_proba(features)
+        assert np.array_equal(proba, masked_predict_proba(model, features), equal_nan=True)
+        assert proba[:2].tolist() == [1.0, 0.0] and np.isnan(proba[2])
+
+
 class TestMetrics:
     def test_perfect_ranking(self):
         ds = dataset([[-2.0], [2.0]], [0, 1])

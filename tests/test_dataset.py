@@ -41,10 +41,18 @@ class TestLoadCsv:
         assert ds.n_samples == 3
         assert ds.n_dropped_rows == 1
 
-    def test_non_finite_tokens_become_categorical(self, tmp_path):
-        p = write(tmp_path / "t.csv", "a,label\n1,neg\nnan,pos\ninf,pos\n4,neg\n")
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            ("a,label\n1,neg\nnan,pos\ninf,pos\n4,neg\n", ("a=1", "a=4", "a=inf", "a=nan")),
+            ("a,label\n1,neg\n1e999,pos\n4,neg\n", ("a=1", "a=1e999", "a=4")),  # overflows to inf
+        ],
+        ids=["nan_inf", "overflow"],
+    )
+    def test_non_finite_tokens_become_categorical(self, tmp_path, text, names):
+        p = write(tmp_path / "t.csv", text)
         ds = load_csv(p, "label")
-        assert ds.feature_names == ("a=1", "a=4", "a=inf", "a=nan")
+        assert ds.feature_names == names
         assert np.isfinite(ds.features).all()
 
     def test_errors(self, tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import naive_energy, random_instance
-from hubofs.errors import DataError, UsageError
+from hubofs import hubo
+from hubofs.errors import CapabilityError, DataError, UsageError
 from hubofs.hubo import (
     DegenerateNormalizationWarning,
     HuboCoefficients,
@@ -225,6 +226,17 @@ class TestEnergy:
         energies = energies_all_states(c)
         for s in range(64):
             assert energies[s] == energy(c, states_to_spins([s], 6)[0])
+
+    def test_all_states_cap_is_capability_error_before_allocation(self, monkeypatch):
+        # Same cap and exit code (4) as exhaustive_solve; nothing is enumerated.
+        def refuse(*args):
+            raise AssertionError("states enumerated past the cap")
+
+        monkeypatch.setattr(hubo, "states_to_spins", refuse)
+        c = HuboCoefficients(n=25, h=np.zeros(25), j_terms={}, k_terms={})
+        with pytest.raises(CapabilityError) as info:
+            energies_all_states(c)
+        assert info.value.exit_code == 4
 
     def test_dimension_mismatch(self):
         c = random_instance(0, 4)

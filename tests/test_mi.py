@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hubofs import mi
 from hubofs.dataset import DiscretizedDataset
 from hubofs.errors import DataError, UsageError
 from hubofs.mi import (
@@ -16,6 +17,7 @@ from hubofs.mi import (
     load_tensors,
     mi_joint_pair_single,
     mi_pair,
+    relevance,
     save_tensors,
 )
 
@@ -32,6 +34,56 @@ def oracle_entropy(codes) -> float:
 def oracle_mi(a, b) -> float:
     """H(a) + H(b) - H(a,b) computed from explicit dictionaries."""
     return oracle_entropy(list(a)) + oracle_entropy(list(b)) - oracle_entropy(list(zip(a, b)))
+
+
+def _mi_from_joint(joint: np.ndarray) -> float:
+    """Per-table reference: plug-in MI (bits) of one 2-D count table, clamped at 0."""
+    total = float(joint.sum())
+    row = joint.sum(axis=1, keepdims=True).astype(np.float64)
+    col = joint.sum(axis=0, keepdims=True).astype(np.float64)
+    cells = joint.astype(np.float64)
+    mask = cells > 0
+    ratio = np.ones_like(cells)
+    np.divide(cells * total, row * col, out=ratio, where=mask)
+    terms = (cells[mask] / total) * np.log2(ratio[mask])
+    return max(float(np.sort(terms).sum()), 0.0)
+
+
+def _joint(a, n_a, b, n_b):
+    return np.bincount(a * n_b + b, minlength=n_a * n_b).reshape(n_a, n_b)
+
+
+def reference_mi_pair(a, b) -> float:
+    _, inv_a = np.unique(a, return_inverse=True)
+    _, inv_b = np.unique(b, return_inverse=True)
+    return _mi_from_joint(_joint(inv_a, inv_a.max() + 1, inv_b, inv_b.max() + 1))
+
+
+def reference_cyclic(dd, i, j, k) -> float:
+    """One (b_i, b_j, b_k) histogram per triple, each grouping its own table."""
+    bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
+    codes = (dd.codes[:, i] * bj + dd.codes[:, j]) * bk + dd.codes[:, k]
+    cube = np.bincount(codes, minlength=bi * bj * bk).reshape(bi, bj, bk)
+    return (
+        _mi_from_joint(cube.reshape(bi * bj, bk))
+        + _mi_from_joint(cube.transpose(0, 2, 1).reshape(bi * bk, bj))
+        + _mi_from_joint(cube.transpose(1, 2, 0).reshape(bj * bk, bi))
+    ) / 3.0
+
+
+def reference_pair(dd, i, j) -> float:
+    bi, bj = int(dd.bin_counts[i]), int(dd.bin_counts[j])
+    return _mi_from_joint(_joint(dd.codes[:, i], bi, dd.codes[:, j], bj))
+
+
+def reference_relevance(dd) -> np.ndarray:
+    _, target = np.unique(dd.target, return_inverse=True)
+    return np.array(
+        [
+            _mi_from_joint(_joint(dd.codes[:, i], int(dd.bin_counts[i]), target, target.max() + 1))
+            for i in range(dd.n_features)
+        ]
+    )
 
 
 def make_dd(codes, target=None):
@@ -209,6 +261,119 @@ class TestComputeTensors:
         rng = np.random.default_rng(3)
         dd = make_dd(rng.integers(0, 4, (60, 5)))
         assert compute_tensors(dd).all_values().min() >= 0.0
+
+
+def random_dd(rng, n_features, n_samples, max_bins=6):
+    """Unequal bin counts; every column leaves some of its bins empty."""
+    bins = rng.integers(1, max_bins + 1, n_features)
+    codes = np.column_stack(
+        [rng.choice(rng.permutation(b)[: rng.integers(1, b + 1)], n_samples) for b in bins]
+    ).reshape(n_samples, n_features)
+    return DiscretizedDataset(
+        codes=codes.astype(np.int64),
+        bin_counts=bins.astype(np.int64),
+        target=rng.integers(0, rng.integers(1, 3), n_samples),
+        source_names=tuple(f"f{i}" for i in range(n_features)),
+    )
+
+
+def structured_dd(seed=0, n_features=12, n_samples=3000, bins=8):
+    """Correlated 8-bin features: their tables leave many different cell counts empty."""
+    rng = np.random.default_rng(seed)
+    latent = rng.standard_normal((n_samples, 3))
+    noise = rng.uniform(0.05, 3.0, n_features)
+    x = latent[:, np.arange(n_features) % 3] + noise * rng.standard_normal((n_samples, n_features))
+    edges = np.quantile(x, np.linspace(0, 1, bins + 1)[1:-1], axis=0)
+    codes = np.column_stack([np.searchsorted(edges[:, f], x[:, f]) for f in range(n_features)])
+    return DiscretizedDataset(
+        codes=codes.astype(np.int64),
+        bin_counts=np.full(n_features, bins, dtype=np.int64),
+        target=(latent[:, 0] + rng.standard_normal(n_samples) > 0).astype(np.int64),
+        source_names=tuple(f"f{i}" for i in range(n_features)),
+    )
+
+
+def assert_matches_reference(dd):
+    n = dd.n_features
+    t = compute_tensors(dd)
+    assert np.array_equal(relevance(dd), reference_relevance(dd))
+    assert np.array_equal(t.relevance, reference_relevance(dd))
+    for i, j in itertools.combinations(range(n), 2):
+        assert t.redundancy[(i, j)] == reference_pair(dd, i, j)
+        expect = reference_mi_pair(dd.codes[:, i], dd.codes[:, j])
+        assert mi_pair(dd.codes[:, i], dd.codes[:, j]) == expect
+        assert mi_pair(dd.codes[:, j], dd.codes[:, i]) == expect
+    for i, j, k in itertools.combinations(range(n), 3):
+        expect = reference_cyclic(dd, i, j, k)
+        assert t.triadic[(i, j, k)] == expect
+        assert cyclic_mi(dd, k, i, j) == expect
+        bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
+        composite = dd.codes[:, i] * bj + dd.codes[:, j]
+        assert mi_joint_pair_single(dd, i, j, k) == _mi_from_joint(
+            _joint(composite, bi * bj, dd.codes[:, k], bk)
+        )
+
+
+class TestBatchedKernel:
+    """The batched MI kernel against the per-table reference, with ``==``."""
+
+    def test_random_unequal_and_empty_bins(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            dd = random_dd(rng, int(rng.integers(1, 8)), int(rng.integers(1, 50)))
+            assert_matches_reference(dd)
+
+    def test_structured_many_lengths(self):
+        dd = structured_dd()
+        lengths = {
+            np.count_nonzero(np.bincount((dd.codes[:, i] * 8 + dd.codes[:, j]) * 8 + dd.codes[:, k]))
+            for i, j, k in itertools.combinations(range(12), 3)
+        }
+        assert len(lengths) > 20
+        assert_matches_reference(dd)
+
+    @pytest.mark.parametrize("cells", [1, 100, 700])
+    def test_chunked_paths(self, monkeypatch, cells):
+        # 1 and 100: one table, or one triple's three groupings, per call;
+        # 700: several pairs or triples per call at small bins and few rows.
+        monkeypatch.setattr(mi, "MAX_CELLS", cells)
+        rng = np.random.default_rng(cells)
+        for _ in range(15):
+            assert_matches_reference(random_dd(rng, int(rng.integers(1, 8)), int(rng.integers(1, 50))))
+        assert_matches_reference(structured_dd(n_features=6, n_samples=500))
+
+    def test_scratch_per_call_is_bounded(self, monkeypatch):
+        # More features or more rows mean more kernel calls, not larger ones:
+        # each call's index array (tables x N) and count stack stay within
+        # MAX_CELLS while one table fits.
+        monkeypatch.setattr(mi, "MAX_CELLS", 2000)
+        sizes = []
+        counts, tables = mi._counts, mi._mi_tables
+
+        def spy_counts(a, n_a, cols, n_b):
+            sizes.append(cols.size)
+            return counts(a, n_a, cols, n_b)
+
+        def spy_tables(joint):
+            sizes.append(joint.size)
+            return tables(joint)
+
+        monkeypatch.setattr(mi, "_counts", spy_counts)
+        monkeypatch.setattr(mi, "_mi_tables", spy_tables)
+        dd = structured_dd(n_features=12, n_samples=500, bins=3)
+        assert_matches_reference(dd)
+        assert max(sizes) <= 2000
+        sizes.clear()
+        relevance(dd)
+        assert sizes == [4 * 500, 4 * 2 * 3] * 3  # 4 features per call at N = 500
+
+    def test_kernel_matches_reference_across_summation_blocks(self):
+        # Tables whose nonzero counts straddle numpy's pairwise-summation
+        # block sizes (8 and 128 terms), several counts per call.
+        rng = np.random.default_rng(2)
+        for rows in (1, 4, 5, 63, 64, 65, 150):
+            joint = rng.integers(0, 3, (40, rows, 2))
+            assert mi._mi_tables(joint).tolist() == [_mi_from_joint(table) for table in joint]
 
 
 class TestTensorIo:
