@@ -13,10 +13,20 @@ import hashlib
 import io
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 from . import baselines, dcqo, hubo, mi, postselect, samplers
-from .dataset import discretize, load_csv, standardize, stratified_split, subset_features
+from .dataset import (
+    Dataset,
+    DiscretizedDataset,
+    discretize,
+    load_csv,
+    standardize,
+    stratified_split,
+    subset_codes,
+    subset_features,
+)
 from .errors import CapabilityError, DataError, HubofsError, UsageError
 
 DEFAULT_PRESELECT_K = 32
@@ -73,22 +83,41 @@ def _dataset_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _load_splits(cfg: RunConfig):
+@dataclass
+class _Splits:
+    """The loaded dataset, its train/test split, and what build and compare
+    derive from the train rows; each is computed at most once."""
+
+    ds: Dataset
+    train: Dataset
+    test: Dataset
+    bins: int
+
+    @cached_property
+    def binned(self) -> DiscretizedDataset:
+        return discretize(self.train, self.bins)
+
+    @cached_property
+    def relevance(self):
+        return mi.relevance(self.binned)
+
+
+def _load_splits(cfg: RunConfig) -> _Splits:
     ds = load_csv(cfg.input, cfg.target)
     ds_std = standardize(ds)
     train, test = stratified_split(ds_std, cfg.test_fraction)
-    return ds, train, test
+    return _Splits(ds, train, test, cfg.bins)
 
 
-def cmd_build(cfg: RunConfig, splits=None) -> tuple[Path, Path]:
+def cmd_build(cfg: RunConfig, splits: _Splits | None = None) -> tuple[Path, Path]:
     """load -> standardize -> split -> discretize -> relevance -> preselect -> MI -> HUBO.
 
     ``splits`` is ``_load_splits(cfg)`` when the caller already has it.
     """
-    ds, train, _ = splits or _load_splits(cfg)
+    splits = splits or _load_splits(cfg)
+    ds, train = splits.ds, splits.train
     if ds.n_features > cfg.preselect_k:
-        relevance = mi.relevance(discretize(train, cfg.bins))
-        indices = hubo.preselect_top_k(relevance, cfg.preselect_k)
+        indices = hubo.preselect_top_k(splits.relevance, cfg.preselect_k)
     else:
         indices = list(range(ds.n_features))
         if ds.n_features < cfg.preselect_k:
@@ -97,8 +126,7 @@ def cmd_build(cfg: RunConfig, splits=None) -> tuple[Path, Path]:
                 f"{cfg.preselect_k} skipped",
                 file=sys.stderr,
             )
-    # discretize bins each column on its own, so the kept columns get the same codes.
-    tensors = mi.compute_tensors(discretize(subset_features(train, indices), cfg.bins))
+    tensors = mi.compute_tensors(subset_codes(splits.binned, indices))
     normalized = hubo.normalize_global(tensors)
     coeffs = hubo.build_coefficients(normalized, cfg.w1, cfg.w2, cfg.w3)
     coeffs = hubo.apply_penalty(coeffs, normalized.relevance, cfg.lam, cfg.tau, cfg.p)
@@ -170,8 +198,12 @@ def cmd_sample(cfg: RunConfig) -> Path:
     return path
 
 
-def cmd_select(cfg: RunConfig) -> Path:
-    """rho-retention, importance scoring, and delta thresholding/sweeping."""
+def cmd_select(cfg: RunConfig, check_energies: bool = True) -> Path:
+    """rho-retention, importance scoring, and delta thresholding/sweeping.
+
+    ``check_energies=False`` skips recomputing the sample energies, for a
+    sample file just written from the same coefficients.
+    """
     coeffs, extras = hubo.load_coefficients(cfg.coefficients)
     names = extras.get("feature_names") or [f"f{i}" for i in range(coeffs.n)]
     sample_set = samplers.load_samples(cfg.samples)
@@ -180,16 +212,18 @@ def cmd_select(cfg: RunConfig) -> Path:
             f"sample file has n={sample_set.n} but coefficient file has n={coeffs.n}"
         )
     # The file keeps 12 significant digits; energies of another instance differ there.
-    recomputed = hubo.energy_many(coeffs, sample_set.spins)
-    stale = sum(
-        f"{a:.12g}" != f"{b:.12g}"
-        for a, b in zip(recomputed.tolist(), sample_set.energies.tolist())
-    )
-    if stale:
-        raise DataError(
-            f"{stale} of {len(recomputed)} sample energies in {cfg.samples!r} differ from "
-            f"the coefficients in {cfg.coefficients!r}; were they sampled from another build?"
+    if check_energies:
+        recomputed = hubo.energy_many(coeffs, sample_set.spins)
+        stale = sum(
+            f"{a:.12g}" != f"{b:.12g}"
+            for a, b in zip(recomputed.tolist(), sample_set.energies.tolist())
         )
+        if stale:
+            raise DataError(
+                f"{stale} of {len(recomputed)} sample energies in {cfg.samples!r} differ "
+                f"from the coefficients in {cfg.coefficients!r}; were they sampled from "
+                "another build?"
+            )
     retained = postselect.retain_low_energy(sample_set, cfg.rho)
     scores = postselect.importance(retained)
     results = postselect.threshold_sweep(scores, cfg.deltas)
@@ -247,15 +281,15 @@ def _selection_columns(path: str, ds) -> tuple[str, list[int]]:
     return Path(path).stem, sorted(picked)
 
 
-def cmd_compare(cfg: RunConfig, splits=None) -> Path:
+def cmd_compare(cfg: RunConfig, splits: _Splits | None = None) -> Path:
     """Evaluate selections against all-features, matched k-best, and PCA.
 
     ``splits`` is ``_load_splits(cfg)`` when the caller already has it.
     """
     if not cfg.selections:
         raise UsageError("compare needs at least one --selection file")
-    ds, train, test = splits or _load_splits(cfg)
-    relevance = mi.relevance(discretize(train, cfg.bins))
+    splits = splits or _load_splits(cfg)
+    ds, train, test = splits.ds, splits.train, splits.test
 
     def fit_eval(indices, label) -> baselines.EvalReport:
         model = baselines.logistic_fit(subset_features(train, indices))
@@ -272,7 +306,8 @@ def cmd_compare(cfg: RunConfig, splits=None) -> Path:
         matched_sizes.append(len(columns))
     reports.append(fit_eval(list(range(ds.n_features)), "all_features"))
     for size in matched_sizes:
-        reports.append(fit_eval(baselines.select_k_best(relevance, size), f"select_k_best_{size}"))
+        columns = baselines.select_k_best(splits.relevance, size)
+        reports.append(fit_eval(columns, f"select_k_best_{size}"))
     pca = baselines.pca_fit(train, PCA_VARIANCE)
     pca_model = baselines.logistic_fit(baselines.pca_transform(pca, train))
     reports.append(
@@ -327,13 +362,18 @@ def _write_auc_svg(path, reports) -> None:
 
 
 def cmd_run(cfg: RunConfig) -> None:
-    """All four stages in sequence, artifacts under --out; the CSV is loaded once."""
+    """All four stages in sequence, artifacts under --out.
+
+    The CSV is loaded, and the train rows discretized and scored for
+    relevance, once. ``select`` reads the sample file ``sample`` just wrote
+    from the same coefficients, so it does not recompute the energies.
+    """
     splits = _load_splits(cfg)
     coeffs_path, _ = cmd_build(cfg, splits)
     cfg.coefficients = str(coeffs_path)
     samples_path = cmd_sample(cfg)
     cfg.samples = str(samples_path)
-    importance_path = cmd_select(cfg)
+    importance_path = cmd_select(cfg, check_energies=False)
     cfg.selections = [str(importance_path)]
     cmd_compare(cfg, splits)
 

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError
+from .errors import CapabilityError, DataError, UsageError
 
 DEFAULT_BINS = 8
+# One triple's histogram has MAX_BINS**3 cells (262 144), read three ways.
+MAX_BINS = 64
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,8 @@ def discretize(d: Dataset, max_bins: int = DEFAULT_BINS) -> DiscretizedDataset:
     """Per-feature equal-frequency binning with B = min(max_bins, #distinct)."""
     if max_bins < 2:
         raise UsageError(f"max_bins must be >= 2, got {max_bins}")
+    if max_bins > MAX_BINS:
+        raise CapabilityError(f"max_bins must be <= {MAX_BINS}, got {max_bins}")
     codes = np.empty((d.n_samples, d.n_features), dtype=np.int64)
     bin_counts = np.empty(d.n_features, dtype=np.int64)
     for j in range(d.n_features):
@@ -252,6 +256,21 @@ def discretize(d: Dataset, max_bins: int = DEFAULT_BINS) -> DiscretizedDataset:
         bin_counts=bin_counts,
         target=d.target.copy(),
         source_names=d.feature_names,
+    )
+
+
+def subset_codes(dd: DiscretizedDataset, indices) -> DiscretizedDataset:
+    """The given feature columns of ``dd`` (order preserved).
+
+    :func:`discretize` bins each column on its own, so this equals
+    discretizing the same columns of the dataset.
+    """
+    idx = list(indices)
+    return DiscretizedDataset(
+        codes=dd.codes[:, idx],
+        bin_counts=dd.bin_counts[idx],
+        target=dd.target.copy(),
+        source_names=tuple(dd.source_names[i] for i in idx),
     )
 
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import CapabilityError, HubofsError, UsageError
 from .hubo import HuboCoefficients, energies_all_states, states_to_spins
-from .rng import Xoshiro256StarStar
+from .rng import stream, uniforms
 from .samplers import SampleSet, _aggregate
 
 MAX_QUBITS = 20
@@ -244,17 +244,16 @@ def evolve_and_sample(
 ) -> SampleSet:
     """Evolve, then draw computational-basis samples from |amplitude|^2.
 
-    Shot s takes the s-th uniform of one xoshiro256** stream seeded ``seed``
-    and lands on the first basis state whose cumulative probability exceeds
-    it (the last state if rounding leaves none).
+    Shot s takes the uniform of word s of the stream keyed ``seed`` (see
+    :mod:`hubofs.rng`) and lands on the first basis state whose cumulative
+    probability exceeds it (the last state if rounding leaves none).
     """
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
     final, drift = evolve_statevector(c, sched, mode)
     probs = final.probabilities()
     cumulative = np.cumsum(probs)
-    rng = Xoshiro256StarStar(seed)
-    draws = np.array([rng.random() for _ in range(shots)])
+    draws = uniforms(stream(seed).random_raw(shots))
     idx = np.minimum(np.searchsorted(cumulative, draws, side="right"), (1 << c.n) - 1)
     metadata = {
         "steps": str(sched.steps),

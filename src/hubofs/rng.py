@@ -1,33 +1,41 @@
-"""Portable 64-bit PRNG used by every stochastic sampler in this package.
+"""Counter-based random streams used by every stochastic sampler in this package.
 
-Sample artifacts must be byte-identical across runs, platforms, and
-reimplementations in other languages, so the generator is fully specified
-here instead of delegating to a library RNG.
+Sample artifacts must be byte-identical across runs, platforms, numpy
+versions and reimplementations in other languages, so the streams are fully
+specified here. Only ``numpy.random.Philox.random_raw`` is used: NEP 19 keeps
+bit-generator streams stable across numpy versions, which it does not
+promise for ``Generator`` methods.
 
-Generator: xoshiro256** (Blackman & Vigna), seeded with splitmix64.
+Generator: Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC'11), keyed ``seed mod 2**64`` (key words ``(seed mod 2**64,
+0)``). Word ``p`` of a stream (``p = 0, 1, ...``) is lane ``p mod 4`` of the
+Philox4x64-10 block of the 256-bit counter ``p // 4 + 1``; numpy increments
+the counter before each block. One round maps counter ``(c0, c1, c2, c3)``
+and key ``(k0, k1)``, with 128-bit products ``hi:lo``, to::
 
-splitmix64 (state ``x``, 64-bit wrapping arithmetic)::
+    hi0:lo0 = 0xD2E7470EE14C6C93 * c0
+    hi1:lo1 = 0xCA5A826395121157 * c2
+    (c0, c1, c2, c3) = (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+    k0 += 0x9E3779B97F4A7C15;  k1 += 0xBB67AE8584CAA73B   (mod 2**64)
 
-    x += 0x9E3779B97F4A7C15
-    z = x
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-    output: z ^ (z >> 31)
+A word ``w`` gives the uniform ``(w >> 11) * 2**-53`` in [0, 1) and the bit
+``w >> 63`` (bit 1 is x=1, selected, spin -1). The samplers read one stream,
+keyed by their ``seed``, at fixed positions:
 
-Seeding: the xoshiro256** state words ``s0..s3`` are the first four
-splitmix64 outputs produced from the user seed (reduced mod 2**64).
+* simulated annealing with n spins and ``shots`` chains: the bit of word
+  ``i*shots + c`` is chain c's initial spin i; the uniform of word
+  ``n*shots + sweep*n*shots + i*shots + c`` decides chain c's proposal to
+  flip spin i in that sweep. Chains of one run use disjoint positions;
+* random sampling: the bit of word ``s*n + i`` is shot s's spin i;
+* DCQO: the uniform of word ``s`` places shot s.
 
-xoshiro256** step, with ``rotl(v, k) = (v << k) | (v >> (64 - k))``::
+Runs with different seeds read different keys, so they share no stream.
 
-    output = rotl(s1 * 5, 7) * 9
-    t  = s1 << 17
-    s2 ^= s0;  s3 ^= s1;  s1 ^= s2;  s0 ^= s3
-    s2 ^= t
-    s3 = rotl(s3, 45)
-
-``random()`` maps one output word to a float in [0, 1) as
-``(word >> 11) * 2**-53``. ``next_bit()`` returns the top bit of one
-output word (used for uniform spin draws).
+``Xoshiro256StarStar`` and ``VectorXoshiro256StarStar`` (xoshiro256** by
+Blackman & Vigna, seeded with splitmix64) are the generators of the
+``hubofs-samples/2`` files. No sampler uses them any more; they stay only
+because ``perfbench/tracer.py`` wraps their methods when it installs, and go
+away with that tracer.
 """
 
 from __future__ import annotations
@@ -36,6 +44,21 @@ import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _INV_2_53 = 2.0**-53
+
+
+def stream(seed: int) -> np.random.Philox:
+    """The Philox4x64-10 stream keyed ``seed mod 2**64``, at word 0."""
+    return np.random.Philox(key=seed & _MASK64)
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """``(w >> 11) * 2**-53`` per word: float64 in [0, 1) with 53 random bits."""
+    return (words >> np.uint64(11)) * _INV_2_53
+
+
+def spins_from_bits(words: np.ndarray) -> np.ndarray:
+    """``1 - 2 * (w >> 63)`` per word, as int8 spins (bit 1 is spin -1)."""
+    return (1 - 2 * (words >> np.uint64(63))).astype(np.int8)
 
 
 def splitmix64_stream(seed: int, count: int) -> list[int]:
@@ -81,11 +104,7 @@ class Xoshiro256StarStar:
 
 
 class VectorXoshiro256StarStar:
-    """Lane-parallel xoshiro256**: lane ``i`` is exactly ``Xoshiro256StarStar(seeds[i])``.
-
-    Used to advance many independent chains in lockstep; outputs per lane
-    are bit-identical to the scalar generator with the same seed.
-    """
+    """Lane-parallel xoshiro256**: lane ``i`` is exactly ``Xoshiro256StarStar(seeds[i])``."""
 
     def __init__(self, seeds):
         states = [splitmix64_stream(int(s), 4) for s in seeds]

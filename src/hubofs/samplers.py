@@ -1,28 +1,38 @@
 """Low-energy samplers for HUBO instances: exhaustive, annealing, random.
 
 Reproducibility contract for the stochastic samplers (portable across
-languages via the generator spec in :mod:`hubofs.rng`):
+languages via the stream spec in :mod:`hubofs.rng`): each run reads one
+Philox4x64-10 stream keyed ``seed mod 2**64``, at the word positions that
+:mod:`hubofs.rng` lists.
 
-* simulated annealing runs one xoshiro256** stream per chain, seeded
-  ``seed + chain_index``. Chain ``c`` consumes, in order: n top-bit draws
-  for the initial spins (spin 0 first, bit 1 meaning x=1/selected), then
-  exactly one uniform per proposal in (sweep-major, spin-minor) order. A
-  proposal flips spin i and is accepted when ``delta <= 0`` or
-  ``u < exp(-delta / T)``; the uniform is drawn either way so stream
+* simulated annealing draws the initial spins of all chains from the first
+  ``n*shots`` words, then one block of ``n*shots`` words per sweep; in
+  sweep-major, spin-minor order, chain c's proposal to flip spin i is
+  accepted when ``delta <= 0`` or ``u < exp(-delta / T)``, with u the
+  uniform of that proposal's word. Every proposal has its word, so stream
   position never depends on the data.
-* random sampling uses a single stream seeded ``seed``, drawing n top bits
-  per shot (shot-major, spin-minor).
+* random sampling draws n top bits per shot (shot-major, spin-minor).
 
 SA kernel: every chain keeps its local fields ``F_i = dE/dZ_i = h_i +
 sum_j J_ij Z_j + 1/2 sum_jk K_ijk Z_j Z_k`` (dense symmetric J and K from
 :func:`hubofs.hubo.dense_couplings`), built once from the initial spins. A
 proposal's energy change is ``delta = -2 Z_i F_i``. After each spin step only
 the accepted chains A are updated, ``F[A] -= 2 Z_i[A] (J[i] + Z[A] K[i])``,
-before their spin i flips (Isakov et al., "Optimised simulated annealing for
-Ising spin glasses", CPC 192 (2015)). After the last sweep the fields are
-evaluated afresh and a gap beyond a rounding bound raises
-:class:`~hubofs.errors.HubofsError`. SA sample metadata records the
-acceptance rate in each tenth of the proposals (``sa_acceptance``).
+in reused scratch buffers, before their spin i flips (Isakov et al.,
+"Optimised simulated annealing for Ising spin glasses", CPC 192 (2015)).
+After the last sweep the fields are evaluated afresh and a gap beyond a
+rounding bound raises :class:`~hubofs.errors.HubofsError`. SA sample
+metadata records the acceptance rate in each tenth of the proposals
+(``sa_acceptance``).
+
+Frozen exit: once a sweep accepts no flip and every acceptance probability
+at the next temperature is below 2**-54, no chain can move again except on
+a uniform of exactly 0 (a word below 2**11): the fields stay fixed while no
+spin flips, the temperature only falls, and the smallest nonzero uniform is
+2**-53, twice the bound (a margin for ``exp`` rounding). From then on a
+sweep draws its block and is skipped unless one of its words is below
+2**11, so the samples and metadata equal those of the plain loop, and the
+skipped proposals count as rejected.
 
 A :class:`SampleSet` is three arrays: ``spins`` (distinct configurations x n,
 int8, one row each), ``counts`` (int64, shots per row) and ``energies``
@@ -50,10 +60,14 @@ from .hubo import (
     local_fields,
     states_to_spins,
 )
-from .rng import Xoshiro256StarStar, VectorXoshiro256StarStar
+from .rng import spins_from_bits, stream, uniforms
 
-SAMPLE_SCHEMA = "hubofs-samples/2"
+SAMPLE_SCHEMA = "hubofs-samples/3"
 DEFAULT_T_END = 0.01
+# Words below this give the uniform 0.0; a frozen sweep without one is skipped.
+_ZERO_WORD = np.uint64(1 << 11)
+# Half the smallest nonzero uniform: the frozen bound, with a margin for exp rounding.
+_FROZEN_P = 2.0**-54
 
 
 @dataclass(frozen=True)
@@ -204,15 +218,22 @@ def simulated_annealing(
         temps = t_start * ratio ** np.arange(sweeps)
 
     n = c.n
-    rng = VectorXoshiro256StarStar([seed + chain for chain in range(shots)])
-    spins = np.empty((shots, n))
-    for i in range(n):
-        spins[:, i] = 1 - 2 * rng.next_bit()
+    block = n * shots
+    gen = stream(seed)
+    words = gen.random_raw(block).reshape(n, shots)
+    spins = spins_from_bits(words).T.astype(np.float64, order="C")
 
     jmat, kcube = dense_couplings(c)
     fields = local_fields(c.h, jmat, kcube, spins)
     accepted = np.zeros(sweeps * n, dtype=np.int64)
+    moved_buf, update_buf, field_buf = (np.empty((shots, n)) for _ in range(3))
+    scale_buf = np.empty(shots)
+    frozen = False
     for sweep, temp in enumerate(temps):
+        words = gen.random_raw(block)
+        if frozen and words.min() >= _ZERO_WORD:
+            continue
+        u = uniforms(words).reshape(n, shots)
         for i in range(n):
             delta = -2.0 * spins[:, i] * fields[:, i]
             if validate_deltas:
@@ -222,14 +243,23 @@ def simulated_annealing(
                 full = energy_many(c, flipped) - base
                 if not np.allclose(delta, full, atol=1e-10, rtol=0.0):
                     raise HubofsError("incremental delta drifted from full re-evaluation")
-            u = rng.random()
-            flips = np.flatnonzero(u < np.exp(np.minimum(-delta / temp, 0.0)))
-            if flips.size:
-                moved = spins[flips]
-                zi = moved[:, i]
-                fields[flips] -= (2.0 * zi)[:, None] * (jmat[i] + moved @ kcube[i])
-                spins[flips, i] = -zi
-            accepted[sweep * n + i] = flips.size
+            flips = np.flatnonzero(u[i] < np.exp(np.minimum(-delta / temp, 0.0)))
+            k = flips.size
+            if k:
+                # mode="clip" lets take write straight into out= (flips are in range).
+                moved = np.take(spins, flips, axis=0, out=moved_buf[:k], mode="clip")
+                update = np.matmul(moved, kcube[i], out=update_buf[:k])
+                update += jmat[i]
+                update *= np.multiply(moved[:, i], 2.0, out=scale_buf[:k])[:, None]
+                moved_fields = np.take(fields, flips, axis=0, out=field_buf[:k], mode="clip")
+                moved_fields -= update
+                fields[flips] = moved_fields
+                spins[flips, i] = -moved[:, i]
+            accepted[sweep * n + i] = k
+        frozen = sweep + 1 < sweeps and not accepted[sweep * n : (sweep + 1) * n].any()
+        if frozen:
+            top = np.exp(np.minimum(2.0 * spins * fields / temps[sweep + 1], 0.0)).max()
+            frozen = bool(top < _FROZEN_P)
 
     _check_fields(c, jmat, kcube, spins, fields, sweeps)
     tenth = np.arange(sweeps * n) * 10 // (sweeps * n)
@@ -272,9 +302,8 @@ def random_sample(c: HuboCoefficients, shots: int, seed: int = 0) -> SampleSet:
     """Uniform i.i.d. configurations with exactly evaluated energies."""
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
-    rng = Xoshiro256StarStar(seed)
-    bits = np.array([rng.next_bit() for _ in range(shots * c.n)], dtype=np.int8)
-    return _aggregate(c, 1 - 2 * bits.reshape(shots, c.n), "random", seed)
+    words = stream(seed).random_raw(shots * c.n)
+    return _aggregate(c, spins_from_bits(words).reshape(shots, c.n), "random", seed)
 
 
 def save_samples(path, s: SampleSet) -> None:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hubofs.cli import main
-from hubofs.dataset import discretize, load_csv, standardize, stratified_split
+from hubofs.dataset import MAX_BINS, discretize, load_csv, standardize, stratified_split
 from hubofs.hubo import (
     DEFAULT_PENALTY,
     DEFAULT_WEIGHTS,
@@ -422,6 +422,63 @@ class TestRun:
         ]
         for name in names:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_run_bins_and_scores_relevance_once(self, demo_csv, tmp_path, monkeypatch):
+        import hubofs.cli as cli
+        import hubofs.mi as mi
+
+        binned, scored = [], []
+        monkeypatch.setattr(cli, "discretize", lambda *a: binned.append(a) or discretize(*a))
+        relevance = mi.relevance
+        monkeypatch.setattr(
+            mi, "relevance", lambda dd: scored.append(dd.n_features) or relevance(dd)
+        )
+        args = ("--input", demo_csv, "--target", "label", "--preselect-k", 4)
+        sampler = ("--sampler", "random", "--shots", 200, "--delta", 0.3)
+        assert run_cli("run", *args, *sampler, "--out", tmp_path) == 0
+        # One all-feature relevance serves preselection and the matched k-best baseline;
+        # compute_tensors scores the 4 kept features itself.
+        assert len(binned) == 1
+        assert scored == [8, 4]
+        assert "select_k_best_" in (tmp_path / "comparison.csv").read_text()
+
+    def test_only_standalone_select_rechecks_energies(self, demo_csv, tmp_path, monkeypatch):
+        import hubofs.cli as cli
+
+        checked = []
+        energy_many = cli.hubo.energy_many
+        monkeypatch.setattr(
+            cli.hubo, "energy_many", lambda c, s: checked.append(len(s)) or energy_many(c, s)
+        )
+        data = ("--input", demo_csv, "--target", "label")
+        assert run_cli("run", *data, "--shots", 100, "--sweeps", 5, "--out", tmp_path) == 0
+        assert checked == []
+        samples = tmp_path / "samples.csv"
+        files = ("--coefficients", tmp_path / "coefficients.json", "--samples", samples)
+        assert run_cli("select", *files, "--out", tmp_path / "again") == 0
+        assert checked == [len(load_samples(samples).counts)]
+        assert (tmp_path / "again" / "importance.csv").read_bytes() == (
+            tmp_path / "importance.csv"
+        ).read_bytes()
+
+    def test_bins_past_the_cap_exit_4_before_binning(
+        self, demo_csv, tmp_path, monkeypatch, capsys
+    ):
+        import hubofs.dataset as dataset
+
+        def fail(*args):
+            raise AssertionError("a column was binned")
+
+        monkeypatch.setattr(dataset, "_bin_column", fail)
+        data = ("--input", demo_csv, "--target", "label", "--bins", MAX_BINS + 1)
+        assert run_cli("build", *data, "--out", tmp_path) == 4
+        assert run_cli("run", *data, "--out", tmp_path) == 4
+        assert f"<= {MAX_BINS}" in capsys.readouterr().err
+        assert not (tmp_path / "mi_tensors.json").exists()
+
+    def test_bins_at_the_cap_run(self, demo_csv, tmp_path):
+        data = ("--input", demo_csv, "--target", "label", "--bins", MAX_BINS)
+        assert run_cli("build", *data, "--out", tmp_path) == 0
 
     def test_run_loads_csv_once_and_matches_the_four_stages(self, demo_csv, tmp_path, monkeypatch):
         import hubofs.cli as cli

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubofs.dataset import (
+    MAX_BINS,
     Dataset,
     discretize,
     load_csv,
     standardize,
     stratified_split,
+    subset_codes,
     subset_features,
 )
-from hubofs.errors import DataError, UsageError
+from hubofs.errors import CapabilityError, DataError, UsageError
 
 
 def write(path, text):
@@ -198,6 +200,28 @@ class TestDiscretize:
         dd = discretize(ds, max_bins)
         assert list(dd.codes[:, 0]) == codes
         assert dd.bin_counts[0] == bins
+
+    def test_bins_past_the_cap_refused_before_binning(self, monkeypatch):
+        import hubofs.dataset as dataset
+
+        def fail(*args):
+            raise AssertionError("a column was binned")
+
+        monkeypatch.setattr(dataset, "_bin_column", fail)
+        ds = two_class_dataset(np.arange(8.0).reshape(-1, 1), [0, 1] * 4)
+        with pytest.raises(CapabilityError, match=f"<= {MAX_BINS}"):
+            discretize(ds, MAX_BINS + 1)
+
+    def test_subset_codes_equal_discretizing_the_subset(self):
+        rng = np.random.default_rng(4)
+        ds = two_class_dataset(rng.normal(size=(60, 6)).round(1), [0, 1] * 30)
+        for indices in ([3, 0, 5], [2], list(range(6))):
+            got = subset_codes(discretize(ds, 5), indices)
+            expected = discretize(subset_features(ds, indices), 5)
+            assert np.array_equal(got.codes, expected.codes)
+            assert np.array_equal(got.bin_counts, expected.bin_counts)
+            assert np.array_equal(got.target, expected.target)
+            assert got.source_names == expected.source_names
 
     def test_codes_bounded(self):
         rng = np.random.default_rng(2)

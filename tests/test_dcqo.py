@@ -22,7 +22,6 @@ from hubofs.hubo import (
     energies_all_states,
     local_fields,
 )
-from hubofs.rng import Xoshiro256StarStar
 from hubofs.samplers import _aggregate, save_samples
 
 
@@ -235,10 +234,10 @@ class TestEvolution:
         shots, seed = 3000, 9
         final, _ = evolve_statevector(c, sched)
         cumulative = np.cumsum(final.probabilities())
-        rng = Xoshiro256StarStar(seed)
+        words = np.random.Philox(key=seed).random_raw(shots).tolist()
         spins = np.empty((shots, c.n), dtype=np.int8)
         for s in range(shots):
-            idx = int(np.searchsorted(cumulative, rng.random(), side="right"))
+            idx = int(np.searchsorted(cumulative, (words[s] >> 11) * 2.0**-53, side="right"))
             idx = min(idx, (1 << c.n) - 1)
             for i in range(c.n):
                 spins[s, i] = 1 - 2 * ((idx >> (c.n - 1 - i)) & 1)

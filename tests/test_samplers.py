@@ -5,7 +5,7 @@ from conftest import random_instance
 from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
 from hubofs.dcqo import build_schedule, evolve_and_sample
 from hubofs.hubo import HuboCoefficients, energy
-from hubofs.rng import VectorXoshiro256StarStar
+from hubofs import rng, samplers
 from hubofs.samplers import (
     SAMPLE_SCHEMA,
     SampleSet,
@@ -46,10 +46,36 @@ def zero_instance(n):
     return HuboCoefficients(n=n, h=np.zeros(n), j_terms={}, k_terms={})
 
 
-def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0):
-    """Reference SA: the same RNG contract and acceptance rule, but every
+class RecordingStream:
+    """A stream keyed ``seed`` that keeps every block it hands out; words
+    below ``zero_below`` are handed out as 0, the word of the uniform 0.0."""
+
+    def __init__(self, seed, zero_below=0):
+        self.gen = rng.stream(seed)
+        self.zero_below = np.uint64(zero_below)
+        self.blocks = []
+
+    def random_raw(self, size):
+        words = self.gen.random_raw(size)
+        words[words < self.zero_below] = 0
+        self.blocks.append(words.copy())
+        return words
+
+
+def frozen_instance():
+    return HuboCoefficients(
+        n=4,
+        h=np.array([5.0, -3.0, 4.0, -6.0]),
+        j_terms={(0, 1): 2.0, (1, 2): -1.5},
+        k_terms={(0, 2, 3): 1.0},
+    )
+
+
+def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0, gen=None):
+    """Reference SA: the same stream contract and acceptance rule, but every
     proposal re-gathers all pair and triple partners of spin i from the
-    chains' current spins instead of reading a maintained local field."""
+    chains' current spins instead of reading a maintained local field, and
+    every sweep runs (no frozen exit)."""
     if t_start is None:
         scale = c.max_abs_coefficient()
         t_start = max(2.0 * c.n * scale if scale > 0.0 else 1.0, t_end)
@@ -58,10 +84,11 @@ def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0):
     else:
         temps = t_start * ((t_end / t_start) ** (1.0 / (sweeps - 1))) ** np.arange(sweeps)
     n = c.n
-    rng = VectorXoshiro256StarStar([seed + chain for chain in range(shots)])
+    gen = gen or rng.stream(seed)
+    words = gen.random_raw(n * shots).reshape(n, shots)
     spins = np.empty((shots, n), dtype=np.int8)
     for i in range(n):
-        spins[:, i] = 1 - 2 * rng.next_bit()
+        spins[:, i] = 1 - 2 * (words[i] >> np.uint64(63)).astype(np.int8)
     pairs = [([], []) for _ in range(n)]
     for (a, b), v in c.j_terms.items():
         for i, j in ((a, b), (b, a)):
@@ -74,6 +101,7 @@ def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0):
             tris[i][1].append(v)
     accepted = []
     for temp in temps:
+        words = gen.random_raw(n * shots).reshape(n, shots)
         for i in range(n):
             local = np.full(shots, float(c.h[i]))
             if pairs[i][0]:
@@ -82,7 +110,8 @@ def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0):
                 partner = np.array(tris[i][0])
                 local += (spins[:, partner[:, 0]] * spins[:, partner[:, 1]]) @ np.array(tris[i][1])
             delta = -2.0 * spins[:, i] * local
-            accept = rng.random() < np.exp(np.minimum(-delta / temp, 0.0))
+            u = (words[i] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+            accept = u < np.exp(np.minimum(-delta / temp, 0.0))
             np.negative(spins[:, i], where=accept, out=spins[:, i])
             accepted.append(int(accept.sum()))
     total = sweeps * n
@@ -224,6 +253,58 @@ class TestSimulatedAnnealing:
         got = simulated_annealing(c, shots=64, sweeps=80, seed=3)
         assert got == gather_annealing(c, shots=64, sweeps=80, seed=3)
 
+    def test_frozen_exit_skips_sweeps_and_keeps_samples(self, monkeypatch):
+        # Large fields freeze every chain well before t_end; the reference runs every sweep.
+        c = frozen_instance()
+        drawn = []
+        monkeypatch.setattr(samplers, "uniforms", lambda w: drawn.append(w) or rng.uniforms(w))
+        got = simulated_annealing(c, shots=64, sweeps=80, seed=3)
+        assert 0 < len(drawn) < 80
+        assert got == gather_annealing(c, shots=64, sweeps=80, seed=3)
+        assert got.metadata["sa_acceptance"].endswith(",0,0,0,0")
+
+    def test_rare_flips_are_not_mistaken_for_frozen(self):
+        # From the sixth tenth on most sweeps accept nothing, yet acceptance
+        # probabilities far above 2**-54 still move a few of the 2000 chains.
+        c = HuboCoefficients(n=1, h=np.array([1.0]), j_terms={}, k_terms={})
+        got = simulated_annealing(c, shots=2000, sweeps=300, t_start=1.0, t_end=0.08, seed=2)
+        expected = gather_annealing(c, shots=2000, sweeps=300, t_start=1.0, t_end=0.08, seed=2)
+        assert got == expected
+        assert float(got.metadata["sa_acceptance"].split(",")[6]) > 0.0
+
+    def test_zero_uniform_moves_a_frozen_chain(self, monkeypatch):
+        # A uniform of exactly 0 is the one way out of the frozen state: hand
+        # out 1 word in 256 as 0 and the skipped sweeps must run again.
+        c = frozen_instance()
+        monkeypatch.setattr(samplers, "stream", lambda seed: RecordingStream(seed, 1 << 56))
+        got = simulated_annealing(c, shots=64, sweeps=80, seed=3)
+        gen = RecordingStream(3, 1 << 56)
+        expected = gather_annealing(c, shots=64, sweeps=80, seed=3, gen=gen)
+        assert got == expected
+        assert float(got.metadata["sa_acceptance"].split(",")[-1]) > 0.0
+
+    def test_seeds_share_no_chain(self, monkeypatch):
+        c = random_instance(40, 6)
+        words = {}
+
+        def recording(seed):
+            words[seed] = RecordingStream(seed)
+            return words[seed]
+
+        monkeypatch.setattr(samplers, "stream", recording)
+        for seed in (7, 8):
+            simulated_annealing(c, shots=200, sweeps=20, seed=seed)
+        # Chain c reads column c of every (n, shots) block: its initial spins, then its uniforms.
+        chains = {
+            seed: {col.tobytes() for col in np.vstack([b.reshape(c.n, 200) for b in rec.blocks]).T}
+            for seed, rec in words.items()
+        }
+        assert len(words[7].blocks) == 21
+        assert len(chains[7]) == len(chains[8]) == 200
+        assert not chains[7] & chains[8]
+        seven, eight = (np.concatenate(words[seed].blocks) for seed in (7, 8))
+        assert not np.intersect1d(seven, eight).size
+
     def test_field_check_rejects_nan_instance(self):
         c = HuboCoefficients(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
         with pytest.raises(HubofsError, match="local field"):
@@ -265,6 +346,13 @@ class TestRandomSample:
         freq = counts / 4096
         sigma = 0.5 / np.sqrt(4096)
         assert np.all(np.abs(freq - 0.5) < 3.5 * sigma)
+
+    def test_spins_follow_the_stream_contract(self):
+        # Shot s, spin i: the top bit of word s*n + i (1 = selected, spin -1).
+        c = random_instance(2, 5)
+        words = np.random.Philox(key=9).random_raw(64 * 5).tolist()
+        spins = np.array([1 - 2 * (w >> 63) for w in words], dtype=np.int8).reshape(64, 5)
+        assert random_sample(c, 64, seed=9) == _aggregate(c, spins, "random", 9)
 
     def test_seed_determinism(self):
         c = random_instance(2, 5)
