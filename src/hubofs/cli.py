@@ -333,7 +333,7 @@ def cmd_compare(cfg: RunConfig, splits: _Splits | None = None) -> Path:
 
 def _write_auc_svg(path, reports) -> None:
     """Static horizontal bar chart of AUC per method."""
-    from xml.sax.saxutils import escape
+    from html import escape  # xml.sax.saxutils would import urllib and http.client
 
     bar_h, gap, left, top = 24, 10, 190, 40
     width = 640
@@ -349,7 +349,7 @@ def _write_auc_svg(path, reports) -> None:
         bar = max(1, int(round(r.auc * scale)))
         parts.append(
             f'<text x="{left - 8}" y="{y + bar_h - 8}" text-anchor="end">'
-            f"{escape(r.method_name)}</text>"
+            f"{escape(r.method_name, quote=False)}</text>"
         )
         parts.append(
             f'<rect x="{left}" y="{y}" width="{bar}" height="{bar_h}" fill="#4878a8"/>'

@@ -46,6 +46,8 @@ from .rng import stream, uniforms
 from .samplers import SampleSet, _aggregate
 
 MAX_QUBITS = 20
+# Trotter steps: build_schedule keeps two Python lists of this many floats.
+MAX_STEPS = 100_000
 DEFAULT_STEPS = 50
 DEFAULT_TOTAL_TIME = 10.0
 _NORM_TOL = 1e-9
@@ -88,6 +90,8 @@ def schedule_lambda_dot(t: float, total_time: float) -> float:
 def build_schedule(steps: int, total_time: float) -> CdSchedule:
     if steps < 1:
         raise UsageError(f"steps must be >= 1, got {steps}")
+    if steps > MAX_STEPS:
+        raise CapabilityError(f"DCQO schedules need steps <= {MAX_STEPS}, got {steps}")
     if not 0.0 < total_time < math.inf:
         raise UsageError(f"total_time must be finite and > 0, got {total_time}")
     midpoints = [(m + 0.5) * total_time / steps for m in range(steps)]
@@ -171,18 +175,26 @@ def _gathered_fields(energies: np.ndarray, n: int) -> list[np.ndarray]:
     return [0.5 * (np.take(e, 0, axis=q) - np.take(e, 1, axis=q)) for q in range(n)]
 
 
-def evolve_statevector(
-    c: HuboCoefficients, sched: CdSchedule, mode: str = "full"
-) -> tuple[Statevector, float]:
-    """Run the digitized evolution; returns (final state, max norm drift)."""
+def _check_qubits(c: HuboCoefficients) -> None:
     if c.n > MAX_QUBITS:
         raise CapabilityError(f"statevector simulation needs n <= {MAX_QUBITS}, got n={c.n}")
+
+
+def evolve_statevector(
+    c: HuboCoefficients, sched: CdSchedule, mode: str = "full", *, energies=None
+) -> tuple[Statevector, float]:
+    """Run the digitized evolution; returns (final state, max norm drift).
+
+    ``energies`` is ``energies_all_states(c)`` when the caller already has it.
+    """
+    _check_qubits(c)
     if mode not in ("full", "cd_only"):
         raise UsageError(f"mode must be 'full' or 'cd_only', got {mode!r}")
     n = c.n
     dt = sched.dt
     state = Statevector.uniform(n).amplitudes.copy().reshape([2] * n)
-    energies = energies_all_states(c)
+    if energies is None:
+        energies = energies_all_states(c)
     fields = _gathered_fields(energies, n)
     # The constant is a global phase; dropping it keeps layer (b) equal to
     # the product of the per-term phases.
@@ -269,9 +281,10 @@ def statevector_probe(
     c: HuboCoefficients, sched: CdSchedule, mode: str = "full"
 ) -> tuple[float, float]:
     """Exact diagnostics: (overlap with the ground manifold, <H>)."""
-    final, _ = evolve_statevector(c, sched, mode)
-    probs = final.probabilities()
+    _check_qubits(c)
     energies = energies_all_states(c)
+    final, _ = evolve_statevector(c, sched, mode, energies=energies)
+    probs = final.probabilities()
     e_min = float(energies.min())
     manifold = energies <= e_min + 1e-9 * max(1.0, abs(e_min))
     return float(probs[manifold].sum()), float(probs @ energies)

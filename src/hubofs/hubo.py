@@ -29,6 +29,9 @@ COEFF_SCHEMA = "hubofs-coefficients/1"
 
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.3)
 DEFAULT_PENALTY = (0.5, 0.2, 2.0)  # (lambda, tau, p)
+# Rows per energy_many call in energies_all_states: a 2**16 x n int8 block
+# and its per-term temporaries stay cache-sized instead of 2**n long.
+_STATE_BLOCK = 1 << 16
 
 
 class DegenerateNormalizationWarning(RuntimeWarning):
@@ -234,11 +237,17 @@ def energies_all_states(c: HuboCoefficients) -> np.ndarray:
     """Energy of every configuration, indexed by the integer x-bitstring.
 
     State s encodes x_i as bit (n-1-i) of s (feature 0 is the most
-    significant bit), matching the statevector basis ordering.
+    significant bit), matching the statevector basis ordering. Evaluated in
+    blocks of 2**16 states; every row is still one :func:`energy_many` row.
     """
     if c.n > 24:
         raise CapabilityError(f"all-states enumeration needs n <= 24, got n={c.n}")
-    return energy_many(c, states_to_spins(np.arange(1 << c.n), c.n))
+    size = 1 << c.n
+    energies = np.empty(size)
+    for lo in range(0, size, _STATE_BLOCK):
+        hi = min(lo + _STATE_BLOCK, size)
+        energies[lo:hi] = energy_many(c, states_to_spins(np.arange(lo, hi), c.n))
+    return energies
 
 
 def dense_couplings(c: HuboCoefficients) -> tuple[np.ndarray, np.ndarray]:

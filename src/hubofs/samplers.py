@@ -20,6 +20,12 @@ proposal's energy change is ``delta = -2 Z_i F_i``. After each spin step only
 the accepted chains A are updated, ``F[A] -= 2 Z_i[A] (J[i] + Z[A] K[i])``,
 in reused scratch buffers, before their spin i flips (Isakov et al.,
 "Optimised simulated annealing for Ising spin glasses", CPC 192 (2015)).
+The product ``Z[A] K[i]`` runs as GEMMs of at most 2**18 multiply-adds, which
+the BLAS keeps on one thread (its second thread buys nothing at these shapes
+and competes with concurrent runs). No block has one row unless |A| = 1: a
+1-row product takes another BLAS path that rounds differently. At n = 5, 12
+and 32 the fields are then bitwise those of one |A|-row GEMM; at n = 33 and
+57 this OpenBLAS rounds some rows by the product's row count.
 After the last sweep the fields are evaluated afresh and a gap beyond a
 rounding bound raises :class:`~hubofs.errors.HubofsError`. SA sample
 metadata records the acceptance rate in each tenth of the proposals
@@ -68,6 +74,9 @@ DEFAULT_T_END = 0.01
 _ZERO_WORD = np.uint64(1 << 11)
 # Half the smallest nonzero uniform: the frozen bound, with a margin for exp rounding.
 _FROZEN_P = 2.0**-54
+# Multiply-adds per field-update GEMM: a quarter of the ~2**20 above which
+# numpy's OpenBLAS was measured to start its second thread.
+_GEMM_MACS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -227,6 +236,7 @@ def simulated_annealing(
     fields = local_fields(c.h, jmat, kcube, spins)
     accepted = np.zeros(sweeps * n, dtype=np.int64)
     moved_buf, update_buf, field_buf = (np.empty((shots, n)) for _ in range(3))
+    rows = max(3, _GEMM_MACS // (n * n))
     scale_buf = np.empty(shots)
     frozen = False
     for sweep, temp in enumerate(temps):
@@ -248,7 +258,10 @@ def simulated_annealing(
             if k:
                 # mode="clip" lets take write straight into out= (flips are in range).
                 moved = np.take(spins, flips, axis=0, out=moved_buf[:k], mode="clip")
-                update = np.matmul(moved, kcube[i], out=update_buf[:k])
+                update = update_buf[:k]
+                bounds = _row_blocks(k, rows)
+                for lo, hi in zip(bounds, bounds[1:]):
+                    np.matmul(moved[lo:hi], kcube[i], out=update[lo:hi])
                 update += jmat[i]
                 update *= np.multiply(moved[:, i], 2.0, out=scale_buf[:k])[:, None]
                 moved_fields = np.take(fields, flips, axis=0, out=field_buf[:k], mode="clip")
@@ -279,6 +292,18 @@ def simulated_annealing(
             "sa_acceptance": ",".join(f"{r:.6g}" for r in rates),
         },
     )
+
+
+def _row_blocks(k: int, rows: int) -> list[int]:
+    """Bounds of consecutive blocks of at most ``rows`` (>= 3) of k rows.
+
+    A 1-row tail takes a row from the block before it, so only k = 1 makes a
+    1-row block.
+    """
+    bounds = [*range(0, k, rows), k]
+    if k > 1 and k - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return bounds
 
 
 def _check_fields(c, jmat, kcube, spins, fields, sweeps) -> None:

@@ -1,8 +1,10 @@
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
 
+from hubofs import dcqo
 from hubofs.cli import main
 from hubofs.dataset import MAX_BINS, discretize, load_csv, standardize, stratified_split
 from hubofs.hubo import (
@@ -186,6 +188,18 @@ class TestSample:
         assert samples.metadata["mode"] == "cd_only"
         assert samples.metadata["gates_3q_diag"] == "0"
 
+    def test_dcqo_steps_past_the_cap_exit_4(self, built, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("schedule built past the cap")
+
+        monkeypatch.setattr(dcqo, "schedule_lambda", refuse)
+        code = run_cli(
+            "sample", "--coefficients", built / "coefficients.json",
+            "--sampler", "dcqo", "--steps", dcqo.MAX_STEPS + 1, "--out", built,
+        )
+        assert code == 4
+        assert f"steps <= {dcqo.MAX_STEPS}" in capsys.readouterr().err
+
     def test_exhaustive_refused_for_large_n(self, tmp_path, capsys):
         from hubofs.hubo import HuboCoefficients, save_coefficients
 
@@ -355,6 +369,27 @@ class TestSelectAndCompare:
         assert len(methods) == 4
         svg = (sampled / "comparison.svg").read_text()
         assert svg.startswith("<svg") and "ROC-AUC" in svg
+
+    def test_compare_svg_escapes_selection_name(self, sampled, demo_csv):
+        run_cli(
+            "select", "--coefficients", sampled / "coefficients.json",
+            "--samples", sampled / "samples.csv",
+            "--rho", 0.25, "--delta", 0.5, "--out", sampled,
+        )
+        odd = sampled / "a&<b>.csv"
+        odd.write_bytes((sampled / "importance.csv").read_bytes())
+        assert (
+            run_cli(
+                "compare", "--input", demo_csv, "--target", "label",
+                "--selection", odd, "--out", sampled,
+            )
+            == 0
+        )
+        svg = (sampled / "comparison.svg").read_text()
+        assert "a&amp;&lt;b&gt;" in svg
+        texts = ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+        labels = [t.text for t in texts]
+        assert "a&<b>" in labels
 
     def test_compare_duplicate_selection_identical_rows(self, sampled, demo_csv):
         run_cli(

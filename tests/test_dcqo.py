@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from hubofs import dcqo
 from hubofs.dcqo import (
+    MAX_STEPS,
     CdSchedule,
     _check_norm,
     _gathered_fields,
@@ -86,6 +88,18 @@ class TestSchedule:
             build_schedule(10, 0.0)
         with pytest.raises(UsageError):
             build_schedule(10, float("nan"))
+
+    def test_steps_past_the_cap_refused_before_the_schedule(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("schedule built past the cap")
+
+        monkeypatch.setattr(dcqo, "schedule_lambda", refuse)
+        with pytest.raises(CapabilityError) as info:
+            build_schedule(MAX_STEPS + 1, 1.0)
+        assert info.value.exit_code == 4
+
+    def test_steps_at_the_cap_build(self):
+        assert build_schedule(MAX_STEPS, 1.0).lambda_values.shape == (MAX_STEPS,)
 
 
 class TestEvolution:
@@ -284,6 +298,18 @@ class TestProbe:
         ]
         assert all(b > a for a, b in zip(overlaps, overlaps[1:]))
         assert overlaps[-1] > 0.9
+
+    def test_all_states_built_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            dcqo, "energies_all_states", lambda c: calls.append(c) or energies_all_states(c)
+        )
+        c = random_instance(44, 5)
+        overlap, expectation = statevector_probe(c, build_schedule(10, 3.0))
+        assert len(calls) == 1
+        final, _ = evolve_statevector(c, build_schedule(10, 3.0))
+        probs = final.probabilities()
+        assert expectation == probs @ energies_all_states(c)
 
     def test_variational_bound(self):
         for trial in range(5):

@@ -221,9 +221,19 @@ class TestEnergy:
         for row in range(50):
             assert batch[row] == energy(c, spins[row])
 
-    def test_all_states_bitwise_equal(self):
+    @pytest.mark.parametrize("block", [hubo._STATE_BLOCK, 64, 7])
+    def test_all_states_bitwise_equal(self, monkeypatch, block):
+        # Block 7 splits the 64 states into ten blocks, the last one short.
+        monkeypatch.setattr(hubo, "_STATE_BLOCK", block)
+        blocks = []
+        spins_of = hubo.states_to_spins
+        monkeypatch.setattr(
+            hubo, "states_to_spins", lambda s, n: blocks.append(s) or spins_of(s, n)
+        )
         c = random_instance(13, 6)
         energies = energies_all_states(c)
+        assert len(blocks) == -(-64 // block)
+        assert np.concatenate(blocks).tolist() == list(range(64))
         for s in range(64):
             assert energies[s] == energy(c, states_to_spins([s], 6)[0])
 

@@ -305,6 +305,72 @@ class TestSimulatedAnnealing:
         seven, eight = (np.concatenate(words[seed].blocks) for seed in (7, 8))
         assert not np.intersect1d(seven, eight).size
 
+    @pytest.mark.parametrize(
+        "k, bounds",
+        [
+            (1, [0, 1]),
+            (2, [0, 2]),
+            (5, [0, 5]),
+            (6, [0, 4, 6]),
+            (11, [0, 5, 9, 11]),
+            (12, [0, 5, 10, 12]),
+        ],
+    )
+    def test_row_blocks_fold_a_one_row_tail(self, k, bounds):
+        assert samplers._row_blocks(k, 5) == bounds
+
+    @pytest.mark.parametrize("n", [5, 12, 32])
+    def test_update_gemms_fit_one_core_and_never_take_one_row(self, monkeypatch, n):
+        # One chain more than a block: the hot first sweep flips every chain.
+        rows = (1 << 18) // (n * n)
+        calls = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            calls.append(((out.ctypes.data - out.base.ctypes.data) // out.strides[0], len(a)))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        simulated_annealing(random_instance(n, n), rows + 1, sweeps=12, t_start=1e9, seed=4)
+        monkeypatch.undo()
+        # An update fills its k rows of the buffer in order, starting at row 0.
+        updates = []
+        for offset, size in calls:
+            if offset == 0:
+                updates.append([])
+            assert offset == sum(updates[-1])
+            updates[-1].append(size)
+        assert [rows - 1, 2] in updates
+        for blocks in updates:
+            assert max(blocks) * n * n <= 1 << 18
+            assert min(blocks) >= 2 or blocks == [1]
+
+    @pytest.mark.parametrize(
+        "n, shots, macs",
+        [(5, 10486, None), (12, 1821, None), (32, 513, None), (12, 301, 3 * 144)],
+        ids=["n5", "n12", "n32", "n12_rows3"],
+    )
+    def test_row_blocks_keep_fields_bitwise(self, monkeypatch, n, shots, macs):
+        # Shots one past a multiple of the block: the hot first sweep flips
+        # every chain and leaves a 1-row tail; the cooler sweeps vary k.
+        c = random_instance(n, n)
+        fields = []
+        check = samplers._check_fields
+
+        def recording(c, jmat, kcube, spins, f, sweeps):
+            fields.append(f.copy())
+            check(c, jmat, kcube, spins, f, sweeps)
+
+        monkeypatch.setattr(samplers, "_check_fields", recording)
+        if macs:
+            monkeypatch.setattr(samplers, "_GEMM_MACS", macs)
+        blocked = simulated_annealing(c, shots, sweeps=30, t_start=1e9, seed=4)
+        # Blocks above shots: one GEMM per step, the unblocked kernel.
+        monkeypatch.setattr(samplers, "_GEMM_MACS", (shots + 1) * n * n)
+        whole = simulated_annealing(c, shots, sweeps=30, t_start=1e9, seed=4)
+        assert blocked == whole
+        assert fields[0].tobytes() == fields[1].tobytes()
+
     def test_field_check_rejects_nan_instance(self):
         c = HuboCoefficients(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
         with pytest.raises(HubofsError, match="local field"):
