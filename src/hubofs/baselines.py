@@ -64,9 +64,13 @@ class LogisticModel:
         self.weights.setflags(write=False)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        z = features @ self.weights + self.bias
-        e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere: never overflows
-        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return _sigmoid(features @ self.weights + self.bias)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic of each score, evaluated stably on both signs."""
+    e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere: never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def select_k_best(relevance, k: int) -> list[int]:
@@ -155,8 +159,7 @@ def logistic_fit(
     w = np.zeros(train.n_features)
     b = 0.0
     for _ in range(iterations):
-        p = LogisticModel(w, b).predict_proba(X)
-        residual = p - y
+        residual = _sigmoid(X @ w + b) - y
         grad_w = X.T @ residual / n + l2 * w
         grad_b = float(residual.mean())
         w = w - learning_rate * grad_w

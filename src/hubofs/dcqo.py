@@ -43,7 +43,7 @@ import numpy as np
 from .errors import CapabilityError, HubofsError, UsageError
 from .hubo import HuboCoefficients, energies_all_states, states_to_spins
 from .rng import stream, uniforms
-from .samplers import SampleSet, _aggregate
+from .samplers import SampleSet, _aggregate, _check_words
 
 MAX_QUBITS = 20
 # Trotter steps: build_schedule keeps two Python lists of this many floats.
@@ -262,6 +262,7 @@ def evolve_and_sample(
     """
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
+    _check_words(shots, "dcqo shots")
     final, drift = evolve_statevector(c, sched, mode)
     probs = final.probabilities()
     cumulative = np.cumsum(probs)

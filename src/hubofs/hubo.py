@@ -32,6 +32,9 @@ DEFAULT_PENALTY = (0.5, 0.2, 2.0)  # (lambda, tau, p)
 # Rows per energy_many call in energies_all_states: a 2**16 x n int8 block
 # and its per-term temporaries stay cache-sized instead of 2**n long.
 _STATE_BLOCK = 1 << 16
+# Multiply-adds per field GEMM: a quarter of the ~2**20 above which numpy's
+# OpenBLAS was measured to start its second thread.
+_GEMM_MACS = 1 << 18
 
 
 class DegenerateNormalizationWarning(RuntimeWarning):
@@ -277,16 +280,37 @@ def local_fields(h, jmat: np.ndarray, kcube: np.ndarray, spins: np.ndarray) -> n
     """``F[s, i] = dE/dZ_i`` at row ``s`` of a (S, n) spin matrix.
 
     E is linear in each spin, so flipping spin i changes the energy by
-    ``-2 Z_i F_i``. Built one column at a time to keep the temporaries at
-    (S, n).
+    ``-2 Z_i F_i``. Built one column at a time; the products ``Z K[i]`` run
+    in the one-core row blocks of :func:`_row_blocks`, each into a reused
+    buffer. The GEMV ``Z J[i]`` stays one call over all rows: blocking it
+    moves rows between its unrolled and tail kernels, which round apart.
     """
     spins = np.asarray(spins, dtype=np.float64)
+    size, n = spins.shape
     fields = np.empty_like(spins)
-    for a in range(spins.shape[1]):
-        fields[:, a] = h[a] + spins @ jmat[a] + 0.5 * np.einsum(
-            "sj,sj->s", spins @ kcube[a], spins
-        )
+    rows = max(3, _GEMM_MACS // (n * n))
+    bounds = _row_blocks(size, rows)
+    product = np.empty((min(size, rows), n))
+    for a in range(n):
+        column = h[a] + spins @ jmat[a]
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = spins[lo:hi]
+            kz = np.matmul(block, kcube[a], out=product[: hi - lo])
+            fields[lo:hi, a] = column[lo:hi] + 0.5 * np.einsum("sj,sj->s", kz, block)
     return fields
+
+
+def _row_blocks(k: int, rows: int) -> list[int]:
+    """Bounds of consecutive blocks of at most ``rows`` (>= 3) of k rows.
+
+    A 1-row product takes another BLAS path that rounds differently, so a
+    1-row tail takes a row from the block before it: only k = 1 makes a
+    1-row block.
+    """
+    bounds = [*range(0, k, rows), k]
+    if k > 1 and k - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return bounds
 
 
 def save_coefficients(

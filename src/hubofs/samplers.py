@@ -13,19 +13,30 @@ Philox4x64-10 stream keyed ``seed mod 2**64``, at the word positions that
   position never depends on the data.
 * random sampling draws n top bits per shot (shot-major, spin-minor).
 
+One draw takes at most :data:`MAX_WORDS` = 2**24 words: ``n*shots`` per SA
+sweep or random run, ``shots`` for DCQO. A larger request raises
+:class:`~hubofs.errors.CapabilityError` before anything is allocated.
+
 SA kernel: every chain keeps its local fields ``F_i = dE/dZ_i = h_i +
 sum_j J_ij Z_j + 1/2 sum_jk K_ijk Z_j Z_k`` (dense symmetric J and K from
 :func:`hubofs.hubo.dense_couplings`), built once from the initial spins. A
-proposal's energy change is ``delta = -2 Z_i F_i``. After each spin step only
-the accepted chains A are updated, ``F[A] -= 2 Z_i[A] (J[i] + Z[A] K[i])``,
-in reused scratch buffers, before their spin i flips (Isakov et al.,
-"Optimised simulated annealing for Ising spin glasses", CPC 192 (2015)).
-The product ``Z[A] K[i]`` runs as GEMMs of at most 2**18 multiply-adds, which
-the BLAS keeps on one thread (its second thread buys nothing at these shapes
-and competes with concurrent runs). No block has one row unless |A| = 1: a
-1-row product takes another BLAS path that rounds differently. At n = 5, 12
-and 32 the fields are then bitwise those of one |A|-row GEMM; at n = 33 and
-57 this OpenBLAS rounds some rows by the product's row count.
+proposal's energy change is ``delta = -2 Z_i F_i``. After each spin step the
+accepted chains A are updated, ``F[A] -= 2 Z_i[A] (J[i] + Z[A] K[i])``, in
+reused scratch buffers, before their spin i flips (Isakov et al., "Optimised
+simulated annealing for Ising spin glasses", CPC 192 (2015)). A step that
+accepts fewer than half the chains gathers the rows of A and scatters them
+back. A hot step (``2|A| >= shots``) skips the gathers: it forms the product
+for every chain in place and scales each row by ``2 Z_i`` where accepted and
+by 0 elsewhere, so a rejected chain subtracts ±0 and keeps its field (only a
+zero field may change sign, and ``exp(±0) = 1`` accepts either way).
+The products ``Z K[i]`` here and in :func:`hubofs.hubo.local_fields` run as
+GEMMs of at most 2**18 multiply-adds, which the BLAS keeps on one thread (its
+second thread buys nothing at these shapes and competes with concurrent
+runs). No block has one row unless |A| = 1: a 1-row product takes another
+BLAS path that rounds differently. At n = 5, 12 and 32 a row's product is
+then bitwise the same in any block, so both step kinds give the fields of
+one |A|-row GEMM; at n = 33 and 57 this OpenBLAS rounds some rows by the
+product's row count.
 After the last sweep the fields are evaluated afresh and a gap beyond a
 rounding bound raises :class:`~hubofs.errors.HubofsError`. SA sample
 metadata records the acceptance rate in each tenth of the proposals
@@ -58,8 +69,10 @@ import numpy as np
 
 from .errors import CapabilityError, DataError, HubofsError, UsageError
 from .hubo import (
+    _GEMM_MACS,
     HuboCoefficients,
     SpinConfig,
+    _row_blocks,
     dense_couplings,
     energies_all_states,
     energy_many,
@@ -74,9 +87,10 @@ DEFAULT_T_END = 0.01
 _ZERO_WORD = np.uint64(1 << 11)
 # Half the smallest nonzero uniform: the frozen bound, with a margin for exp rounding.
 _FROZEN_P = 2.0**-54
-# Multiply-adds per field-update GEMM: a quarter of the ~2**20 above which
-# numpy's OpenBLAS was measured to start its second thread.
-_GEMM_MACS = 1 << 18
+# Share of the chains from which a step updates every chain in place (dense).
+_DENSE_SHARE = 0.5
+# Stream words one draw may take: n*shots per SA sweep or random run, shots for dcqo.
+MAX_WORDS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -212,6 +226,7 @@ def simulated_annealing(
         raise UsageError(f"shots must be >= 1, got {shots}")
     if sweeps < 1:
         raise UsageError(f"sweeps must be >= 1, got {sweeps}")
+    _check_words(c.n * shots, "sa n*shots")
     if not 0.0 < t_end < math.inf:
         raise UsageError(f"t_end must be finite and > 0, got {t_end}")
     if t_start is None:
@@ -237,6 +252,7 @@ def simulated_annealing(
     accepted = np.zeros(sweeps * n, dtype=np.int64)
     moved_buf, update_buf, field_buf = (np.empty((shots, n)) for _ in range(3))
     rows = max(3, _GEMM_MACS // (n * n))
+    all_rows = _row_blocks(shots, rows)
     scale_buf = np.empty(shots)
     frozen = False
     for sweep, temp in enumerate(temps):
@@ -253,9 +269,20 @@ def simulated_annealing(
                 full = energy_many(c, flipped) - base
                 if not np.allclose(delta, full, atol=1e-10, rtol=0.0):
                     raise HubofsError("incremental delta drifted from full re-evaluation")
-            flips = np.flatnonzero(u[i] < np.exp(np.minimum(-delta / temp, 0.0)))
-            k = flips.size
-            if k:
+            accept = u[i] < np.exp(np.minimum(-delta / temp, 0.0))
+            k = int(np.count_nonzero(accept))
+            if k >= _DENSE_SHARE * shots:
+                # Every chain at once; a rejected chain's row is scaled by 0 and subtracts ±0.
+                for lo, hi in zip(all_rows, all_rows[1:]):
+                    np.matmul(spins[lo:hi], kcube[i], out=update_buf[lo:hi])
+                update_buf += jmat[i]
+                np.multiply(spins[:, i], 2.0, out=scale_buf)
+                scale_buf *= accept
+                update_buf *= scale_buf[:, None]
+                fields -= update_buf
+                spins[:, i] -= scale_buf  # Z - 2Z = -Z where accepted, Z - 0 elsewhere
+            elif k:
+                flips = np.flatnonzero(accept)
                 # mode="clip" lets take write straight into out= (flips are in range).
                 moved = np.take(spins, flips, axis=0, out=moved_buf[:k], mode="clip")
                 update = update_buf[:k]
@@ -294,16 +321,10 @@ def simulated_annealing(
     )
 
 
-def _row_blocks(k: int, rows: int) -> list[int]:
-    """Bounds of consecutive blocks of at most ``rows`` (>= 3) of k rows.
-
-    A 1-row tail takes a row from the block before it, so only k = 1 makes a
-    1-row block.
-    """
-    bounds = [*range(0, k, rows), k]
-    if k > 1 and k - bounds[-2] == 1:
-        bounds[-2] -= 1
-    return bounds
+def _check_words(words: int, what: str) -> None:
+    """Refuse a draw of more than :data:`MAX_WORDS` stream words before allocating it."""
+    if words > MAX_WORDS:
+        raise CapabilityError(f"{what} must be <= {MAX_WORDS} stream words, got {words}")
 
 
 def _check_fields(c, jmat, kcube, spins, fields, sweeps) -> None:
@@ -327,6 +348,7 @@ def random_sample(c: HuboCoefficients, shots: int, seed: int = 0) -> SampleSet:
     """Uniform i.i.d. configurations with exactly evaluated energies."""
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
+    _check_words(c.n * shots, "random n*shots")
     words = stream(seed).random_raw(shots * c.n)
     return _aggregate(c, spins_from_bits(words).reshape(shots, c.n), "random", seed)
 

@@ -200,6 +200,20 @@ class TestLogistic:
         b = logistic_fit(ds)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
+    @pytest.mark.parametrize("l2, iterations, rate", [(1e-3, 500, 0.1), (0.05, 37, 0.7)])
+    def test_fit_equals_a_reference_loop_bitwise(self, l2, iterations, rate):
+        rng = np.random.default_rng(12)
+        feats = rng.normal(size=(300, 7))
+        target = (feats @ rng.normal(size=7) + rng.normal(size=300) > 0).astype(np.int64)
+        model = logistic_fit(dataset(feats, target), l2=l2, iterations=iterations, learning_rate=rate)
+        w, b = np.zeros(7), 0.0
+        for _ in range(iterations):
+            residual = masked_predict_proba(LogisticModel(w.copy(), b), feats) - target
+            w = w - rate * (feats.T @ residual / 300 + l2 * w)
+            b = b - rate * float(residual.mean())
+        assert model.weights.tobytes() == w.tobytes()
+        assert model.bias == b
+
 
 def masked_predict_proba(model, features):
     """Reference: the stable logistic evaluated on each sign's cells separately."""

@@ -4,7 +4,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from hubofs import dcqo
+from hubofs import dcqo, samplers
 from hubofs.cli import main
 from hubofs.dataset import MAX_BINS, discretize, load_csv, standardize, stratified_split
 from hubofs.hubo import (
@@ -199,6 +199,20 @@ class TestSample:
         )
         assert code == 4
         assert f"steps <= {dcqo.MAX_STEPS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sampler", ["sa", "random", "dcqo"])
+    def test_shots_past_the_cap_exit_4(self, built, capsys, monkeypatch, sampler):
+        def refuse(*args):
+            raise AssertionError("stream drawn past the shots cap")
+
+        monkeypatch.setattr(samplers, "stream", refuse)
+        monkeypatch.setattr(dcqo, "stream", refuse)
+        code = run_cli(
+            "sample", "--coefficients", built / "coefficients.json",
+            "--sampler", sampler, "--shots", 10**12, "--out", built,
+        )
+        assert code == 4
+        assert f"<= {samplers.MAX_WORDS} stream words" in capsys.readouterr().err
 
     def test_exhaustive_refused_for_large_n(self, tmp_path, capsys):
         from hubofs.hubo import HuboCoefficients, save_coefficients

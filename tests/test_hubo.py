@@ -285,6 +285,33 @@ class TestLocalFields:
             change = energy_many(c, flipped) - base
             assert np.allclose(-2.0 * spins[:, i] * fields[:, i], change, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [5, 12, 32])
+    def test_gemms_fit_one_core_and_keep_the_unblocked_bits(self, monkeypatch, n):
+        # Two blocks and a 1-row tail, which the second block must fold in.
+        rows = (1 << 18) // (n * n)
+        c = random_instance(60 + n, n)
+        jmat, kcube = dense_couplings(c)
+        spins = np.random.default_rng(n).choice([-1.0, 1.0], (2 * rows + 1, n))
+        sizes = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            sizes.append(len(a))
+            assert b.shape == (n, n)
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        fields = local_fields(c.h, jmat, kcube, spins)
+        monkeypatch.undo()
+        assert sizes == [rows, rows - 1, 2] * n
+        assert max(sizes) * n * n <= 1 << 18 and min(sizes) >= 2
+        expected = np.empty_like(spins)
+        for a in range(n):
+            expected[:, a] = c.h[a] + spins @ jmat[a] + 0.5 * np.einsum(
+                "sj,sj->s", spins @ kcube[a], spins
+            )
+        assert fields.tobytes() == expected.tobytes()
+
 
 class TestCoefficientIo:
     def test_round_trip(self, tmp_path):

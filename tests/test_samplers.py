@@ -5,7 +5,7 @@ from conftest import random_instance
 from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
 from hubofs.dcqo import build_schedule, evolve_and_sample
 from hubofs.hubo import HuboCoefficients, energy
-from hubofs import rng, samplers
+from hubofs import dcqo, rng, samplers
 from hubofs.samplers import (
     SAMPLE_SCHEMA,
     SampleSet,
@@ -371,6 +371,48 @@ class TestSimulatedAnnealing:
         assert blocked == whole
         assert fields[0].tobytes() == fields[1].tobytes()
 
+    @pytest.mark.parametrize("n, shots", [(5, 300), (12, 301), (32, 300)])
+    def test_dense_steps_equal_gather_steps_bitwise(self, monkeypatch, n, shots):
+        # The hot sweeps accept at least half the chains (dense steps), the
+        # cold ones fewer (gather steps); the second run gathers every step.
+        c = random_instance(n, n)
+        fields, gathers = [], []
+        check = samplers._check_fields
+        take = np.take
+
+        def recording(c, jmat, kcube, spins, f, sweeps):
+            fields.append(f.copy())
+            check(c, jmat, kcube, spins, f, sweeps)
+
+        def counting(*args, **kwargs):
+            gathers[-1] += 1
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "_check_fields", recording)
+        monkeypatch.setattr(np, "take", counting)
+        runs = []
+        for share in (samplers._DENSE_SHARE, 2.0):
+            monkeypatch.setattr(samplers, "_DENSE_SHARE", share)
+            gathers.append(0)
+            runs.append(simulated_annealing(c, shots, sweeps=40, seed=4))
+        assert runs[0] == runs[1]
+        assert fields[0].tobytes() == fields[1].tobytes()
+        # Every step that moved a chain gathers twice in the second run.
+        assert 0 < gathers[0] < gathers[1]
+
+    def test_incremental_delta_validated_through_dense_steps(self, monkeypatch):
+        # t_start = 1e9 accepts every proposal of the first sweeps: dense steps.
+        c = random_instance(13, 6)
+        take = np.take
+        gathers = []
+        monkeypatch.setattr(np, "take", lambda *a, **k: gathers.append(1) or take(*a, **k))
+        got = simulated_annealing(c, 16, sweeps=12, t_start=1e9, seed=2, validate_deltas=True)
+        dense = len(gathers)
+        monkeypatch.setattr(samplers, "_DENSE_SHARE", 2.0)
+        gathered = simulated_annealing(c, 16, sweeps=12, t_start=1e9, seed=2, validate_deltas=True)
+        assert got == gathered
+        assert dense < len(gathers) - dense
+
     def test_field_check_rejects_nan_instance(self):
         c = HuboCoefficients(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
         with pytest.raises(HubofsError, match="local field"):
@@ -396,6 +438,31 @@ class TestSimulatedAnnealing:
         tiny = HuboCoefficients(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
         res = simulated_annealing(tiny, shots=4, sweeps=5, seed=0)
         assert res.total_shots == 4  # auto t_start floors at t_end
+
+
+class TestShotsCap:
+    @pytest.mark.parametrize("sampler", ["sa", "random", "dcqo"])
+    def test_one_shot_past_the_cap_refused_before_drawing(self, monkeypatch, sampler):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reached past the shots cap")
+
+        for module, name in ((samplers, "stream"), (dcqo, "stream"), (dcqo, "evolve_statevector")):
+            monkeypatch.setattr(module, name, refuse)
+        n = 3 if sampler == "dcqo" else 32
+        shots = samplers.MAX_WORDS // (1 if sampler == "dcqo" else n) + 1
+        c = zero_instance(n)
+        draw = {
+            "sa": lambda: simulated_annealing(c, shots, sweeps=10),
+            "random": lambda: random_sample(c, shots),
+            "dcqo": lambda: evolve_and_sample(c, build_schedule(2, 1.0), shots),
+        }[sampler]
+        with pytest.raises(CapabilityError, match=f"<= {samplers.MAX_WORDS} stream words"):
+            draw()
+
+    def test_the_cap_itself_is_allowed(self):
+        samplers._check_words(samplers.MAX_WORDS, "n*shots")
+        with pytest.raises(CapabilityError):
+            samplers._check_words(samplers.MAX_WORDS + 1, "n*shots")
 
 
 class TestRandomSample:
