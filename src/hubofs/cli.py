@@ -27,7 +27,7 @@ from .dataset import (
     subset_codes,
     subset_features,
 )
-from .errors import CapabilityError, DataError, HubofsError, UsageError
+from .errors import DataError, HubofsError, UsageError
 
 DEFAULT_PRESELECT_K = 32
 DEFAULT_SHOTS = 2000
@@ -178,10 +178,6 @@ def cmd_sample(cfg: RunConfig) -> Path:
             coeffs, cfg.shots, cfg.sweeps, cfg.t_start, cfg.t_end, cfg.seed
         )
     elif cfg.sampler == "dcqo":
-        if coeffs.n > dcqo.MAX_QUBITS:
-            raise CapabilityError(
-                f"dcqo sampler needs n <= {dcqo.MAX_QUBITS}, got n={coeffs.n}"
-            )
         sched = dcqo.build_schedule(cfg.steps, cfg.total_time)
         result = dcqo.evolve_and_sample(coeffs, sched, cfg.shots, cfg.seed, cfg.mode)
     elif cfg.sampler == "random":

@@ -108,32 +108,9 @@ def cd_amplitude(lam: float) -> float:
     return 1.0 / (4.0 * ((1.0 - lam) ** 2 + lam**2))
 
 
-@dataclass(frozen=True)
-class Statevector:
-    """2^n amplitudes indexed by the integer value of the x-bitstring."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return int(self.amplitudes.shape[0]).bit_length() - 1
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    @classmethod
-    def uniform(cls, n: int) -> "Statevector":
-        size = 1 << n
-        return cls(np.full(size, 1.0 / math.sqrt(size), dtype=np.complex128))
-
-
 def _axis_slices(n: int, qubit: int):
-    idx0 = (slice(None),) * qubit + (0,)
-    idx1 = (slice(None),) * qubit + (1,)
-    return idx0, idx1
+    head = (slice(None),) * qubit
+    return head + (0,), head + (1,)
 
 
 def _apply_rx(state: np.ndarray, qubit: int, theta: float, n: int) -> None:
@@ -182,17 +159,18 @@ def _check_qubits(c: HuboCoefficients) -> None:
 
 def evolve_statevector(
     c: HuboCoefficients, sched: CdSchedule, mode: str = "full", *, energies=None
-) -> tuple[Statevector, float]:
-    """Run the digitized evolution; returns (final state, max norm drift).
+) -> tuple[np.ndarray, float]:
+    """Run the digitized evolution; returns (final flat 2^n amplitudes, max norm drift).
 
-    ``energies`` is ``energies_all_states(c)`` when the caller already has it.
+    It starts from the uniform superposition. ``energies`` is
+    ``energies_all_states(c)`` when the caller already has it.
     """
     _check_qubits(c)
     if mode not in ("full", "cd_only"):
         raise UsageError(f"mode must be 'full' or 'cd_only', got {mode!r}")
     n = c.n
     dt = sched.dt
-    state = Statevector.uniform(n).amplitudes.copy().reshape([2] * n)
+    state = np.full([2] * n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     if energies is None:
         energies = energies_all_states(c)
     fields = _gathered_fields(energies, n)
@@ -214,7 +192,7 @@ def evolve_statevector(
         for q in range(n):
             _apply_y_rotation(state, q, half_cd * fields[q], n)
         worst = _check_norm(state, worst)
-    return Statevector(state.reshape(-1)), worst
+    return state.reshape(-1), worst
 
 
 def gate_counts(c: HuboCoefficients, steps: int, mode: str = "full") -> dict[str, int]:
@@ -223,27 +201,14 @@ def gate_counts(c: HuboCoefficients, steps: int, mode: str = "full") -> dict[str
     The estimate charges 1 native two-qubit gate per ZZ phase or ZY rotation
     and 4 per three-qubit string (CNOT-conjugated two-body core).
     """
-    nh = sum(1 for v in c.h if v != 0.0)
-    nj = sum(1 for v in c.j_terms.values() if v != 0.0)
-    nk = sum(1 for v in c.k_terms.values() if v != 0.0)
-    if mode == "full":
-        g1 = steps * (c.n + nh + nh)
-        g2 = steps * (nj + 2 * nj)
-        g3_diag = steps * nk
-        g3_cd = steps * 3 * nk
-        estimate = steps * (nj + 4 * nk + 2 * nj + 12 * nk)
-    else:
-        g1 = steps * nh
-        g2 = steps * 2 * nj
-        g3_diag = 0
-        g3_cd = steps * 3 * nk
-        estimate = steps * (2 * nj + 12 * nk)
+    nh, nj, nk = (int(np.count_nonzero(v)) for v in (c.h, c.j, c.k))
+    full = int(mode == "full")  # the x-rotation and diagonal-phase layers run
     return {
-        "gates_1q": g1,
-        "gates_2q": g2,
-        "gates_3q_diag": g3_diag,
-        "gates_3q_cd": g3_cd,
-        "two_qubit_gate_estimate": estimate,
+        "gates_1q": steps * (full * (c.n + nh) + nh),
+        "gates_2q": steps * (full * nj + 2 * nj),
+        "gates_3q_diag": steps * full * nk,
+        "gates_3q_cd": steps * 3 * nk,
+        "two_qubit_gate_estimate": steps * (full * (nj + 4 * nk) + 2 * nj + 12 * nk),
     }
 
 
@@ -263,9 +228,8 @@ def evolve_and_sample(
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
     _check_words(shots, "dcqo shots")
-    final, drift = evolve_statevector(c, sched, mode)
-    probs = final.probabilities()
-    cumulative = np.cumsum(probs)
+    amplitudes, drift = evolve_statevector(c, sched, mode)
+    cumulative = np.cumsum(np.abs(amplitudes) ** 2)
     draws = uniforms(stream(seed).random_raw(shots))
     idx = np.minimum(np.searchsorted(cumulative, draws, side="right"), (1 << c.n) - 1)
     metadata = {
@@ -284,8 +248,8 @@ def statevector_probe(
     """Exact diagnostics: (overlap with the ground manifold, <H>)."""
     _check_qubits(c)
     energies = energies_all_states(c)
-    final, _ = evolve_statevector(c, sched, mode, energies=energies)
-    probs = final.probabilities()
+    amplitudes, _ = evolve_statevector(c, sched, mode, energies=energies)
+    probs = np.abs(amplitudes) ** 2
     e_min = float(energies.min())
     manifold = energies <= e_min + 1e-9 * max(1.0, abs(e_min))
     return float(probs[manifold].sum()), float(probs @ energies)

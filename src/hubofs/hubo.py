@@ -18,12 +18,12 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CapabilityError, DataError, UsageError
-from .mi import MiTensors
+from .mi import MiTensors, check_terms, read_json, sort_terms, term_rows
 
 COEFF_SCHEMA = "hubofs-coefficients/1"
 
@@ -57,43 +57,58 @@ class SpinConfig:
 
 @dataclass(frozen=True)
 class HuboCoefficients:
-    """Sparse one-, two-, and three-body Ising coefficients.
+    """One-body ``h (n,)``, n >= 1, and sparse two- and three-body Ising coefficients.
 
-    ``j_terms`` and ``k_terms`` are keyed by strictly increasing index
-    tuples. ``weights`` and ``penalty_params`` record how the instance was
-    built; they do not affect energy evaluation.
+    ``pairs (m2, 2)`` and ``triples (m3, 3)`` are the index rows of
+    :class:`~hubofs.mi.MiTensors` with their values ``j`` and ``k``.
+    ``weights`` and ``penalty_params`` record how the instance was built;
+    they do not affect energy evaluation.
     """
 
     n: int
     h: np.ndarray
-    j_terms: dict[tuple[int, int], float]
-    k_terms: dict[tuple[int, int, int], float]
+    pairs: np.ndarray
+    j: np.ndarray
+    triples: np.ndarray
+    k: np.ndarray
     constant: float = 0.0
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     penalty_params: tuple[float, float, float] = (0.0, 1.0, 1.0)
     penalty_applied: bool = False
-    pair_keys: tuple[tuple[int, int], ...] = field(init=False, repr=False)
-    triple_keys: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.h.shape != (self.n,):
-            raise UsageError(f"h must have shape ({self.n},), got {self.h.shape}")
-        self.h.setflags(write=False)
-        for i, j in self.j_terms:
-            if not 0 <= i < j < self.n:
-                raise UsageError(f"bad pair key ({i}, {j}) for n={self.n}")
-        for i, j, k in self.k_terms:
-            if not 0 <= i < j < k < self.n:
-                raise UsageError(f"bad triple key ({i}, {j}, {k}) for n={self.n}")
-        object.__setattr__(self, "pair_keys", tuple(sorted(self.j_terms)))
-        object.__setattr__(self, "triple_keys", tuple(sorted(self.k_terms)))
+        if self.n < 1:
+            raise UsageError(f"need n >= 1 spins, got n={self.n}")
+        h = np.asarray(self.h, dtype=np.float64)
+        if h.shape != (self.n,):
+            raise UsageError(f"h must have shape ({self.n},), got {h.shape}")
+        h.setflags(write=False)
+        object.__setattr__(self, "h", h)
+        check_terms(self, "pairs", "j", 2, self.n)
+        check_terms(self, "triples", "k", 3, self.n)
+
+    @classmethod
+    def from_terms(cls, n: int, h, j_terms, k_terms, **settings) -> "HuboCoefficients":
+        """Coefficients from ``{(i, j): J}`` and ``{(i, j, k): K}`` terms in any order."""
+        pairs, j = sort_terms(j_terms, 2)
+        triples, k = sort_terms(k_terms, 3)
+        return cls(n, h, pairs, j, triples, k, **settings)
+
+    @property
+    def j_terms(self) -> dict[tuple[int, int], float]:
+        """``{(i, j): J_ij}``, built from the arrays on each access: a view for the
+        benchmark scripts that goes with ROADMAP item 1, along with
+        ``SampleSet.entries``, ``SpinConfig`` and the xoshiro generators."""
+        return dict(zip(map(tuple, self.pairs.tolist()), self.j.tolist()))
+
+    @property
+    def k_terms(self) -> dict[tuple[int, int, int], float]:
+        """``{(i, j, k): K_ijk}``; the same kind of view as :attr:`j_terms`."""
+        return dict(zip(map(tuple, self.triples.tolist()), self.k.tolist()))
 
     def max_abs_coefficient(self) -> float:
         """Largest |h|, |J|, or |K| (the constant does not affect dynamics)."""
-        vals = [abs(float(v)) for v in self.h]
-        vals.extend(abs(v) for v in self.j_terms.values())
-        vals.extend(abs(v) for v in self.k_terms.values())
-        return max(vals, default=0.0)
+        return float(np.abs(np.concatenate([self.h, self.j, self.k])).max())
 
 
 def preselect_top_k(relevance, k: int) -> list[int]:
@@ -115,22 +130,19 @@ def normalize_global(t: MiTensors) -> MiTensors:
     values = t.all_values()
     if values.size == 0:
         raise DataError("cannot normalize empty tensors")
-    lo = float(values.min())
-    hi = float(values.max())
+    lo, hi = float(values.min()), float(values.max())
     if hi == lo:
         warnings.warn(
             "all MI values are equal; normalized tensors are all zero",
             DegenerateNormalizationWarning,
             stacklevel=2,
         )
-        scale = lambda v: 0.0  # noqa: E731
+        scale = np.zeros_like
     else:
         span = hi - lo
         scale = lambda v: (v - lo) / span  # noqa: E731
-    return MiTensors(
-        relevance=np.array([scale(float(v)) for v in t.relevance]),
-        redundancy={key: scale(v) for key, v in t.redundancy.items()},
-        triadic={key: scale(v) for key, v in t.triadic.items()},
+    return replace(
+        t, relevance=scale(t.relevance), redundancy=scale(t.redundancy), triadic=scale(t.triadic)
     )
 
 
@@ -145,9 +157,11 @@ def build_coefficients(
         raise UsageError("tensors must be globally normalized to [0, 1] before building")
     return HuboCoefficients(
         n=t_norm.n,
-        h=np.array([w1 * float(v) for v in t_norm.relevance]),
-        j_terms={key: w2 * v for key, v in t_norm.redundancy.items()},
-        k_terms={key: -w3 * v for key, v in t_norm.triadic.items()},
+        h=w1 * t_norm.relevance,
+        pairs=t_norm.pairs,
+        j=w2 * t_norm.redundancy,
+        triples=t_norm.triples,
+        k=-w3 * t_norm.triadic,
         constant=0.0,
         weights=(w1, w2, w3),
     )
@@ -190,17 +204,8 @@ def apply_penalty(
         raise UsageError(f"relevance must have shape ({c.n},), got {rel.shape}")
     if rel.size and (rel.min() < 0.0 or rel.max() > 1.0):
         raise UsageError("relevance values must lie in [0, 1]")
-    h_new = np.array([float(c.h[i]) + hinge_delta(float(rel[i]), lam, tau, p) for i in range(c.n)])
-    return HuboCoefficients(
-        n=c.n,
-        h=h_new,
-        j_terms=dict(c.j_terms),
-        k_terms=dict(c.k_terms),
-        constant=c.constant,
-        weights=c.weights,
-        penalty_params=(lam, tau, p),
-        penalty_applied=True,
-    )
+    deltas = np.array([hinge_delta(r, lam, tau, p) for r in rel.tolist()])
+    return replace(c, h=c.h + deltas, penalty_params=(lam, tau, p), penalty_applied=True)
 
 
 def energy(c: HuboCoefficients, z) -> float:
@@ -215,12 +220,12 @@ def energy_many(c: HuboCoefficients, spins: np.ndarray) -> np.ndarray:
     if spins.ndim != 2 or spins.shape[1] != c.n:
         raise UsageError(f"spin matrix must be (S, {c.n}), got {spins.shape}")
     acc = np.zeros(spins.shape[0], dtype=np.float64)
-    for i in range(c.n):
-        acc += float(c.h[i]) * spins[:, i]
-    for i, j in c.pair_keys:
-        acc += c.j_terms[(i, j)] * (spins[:, i] * spins[:, j])
-    for i, j, k in c.triple_keys:
-        acc += c.k_terms[(i, j, k)] * (spins[:, i] * spins[:, j] * spins[:, k])
+    for i, v in enumerate(c.h.tolist()):
+        acc += v * spins[:, i]
+    for (i, j), v in zip(c.pairs.tolist(), c.j.tolist()):
+        acc += v * (spins[:, i] * spins[:, j])
+    for (i, j, k), v in zip(c.triples.tolist(), c.k.tolist()):
+        acc += v * (spins[:, i] * spins[:, j] * spins[:, k])
     return acc + c.constant
 
 
@@ -262,17 +267,12 @@ def dense_couplings(c: HuboCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """
     n = c.n
     jmat = np.zeros((n, n))
-    if c.pair_keys:
-        a, b = np.array(c.pair_keys).T
-        values = np.array([c.j_terms[key] for key in c.pair_keys])
-        jmat[a, b] = values
-        jmat[b, a] = values
+    a, b = c.pairs.T
+    jmat[a, b] = c.j
+    jmat[b, a] = c.j
     kcube = np.zeros((n, n, n))
-    if c.triple_keys:
-        idx = np.array(c.triple_keys).T
-        values = np.array([c.k_terms[key] for key in c.triple_keys])
-        for p, q, r in itertools.permutations(idx):
-            kcube[p, q, r] = values
+    for p, q, r in itertools.permutations(c.triples.T):
+        kcube[p, q, r] = c.k
     return jmat, kcube
 
 
@@ -324,9 +324,9 @@ def save_coefficients(
     doc = {
         "schema": COEFF_SCHEMA,
         "n": c.n,
-        "h": [float(v) for v in c.h],
-        "J": [[i, j, c.j_terms[(i, j)]] for i, j in c.pair_keys],
-        "K": [[i, j, k, c.k_terms[(i, j, k)]] for i, j, k in c.triple_keys],
+        "h": c.h.tolist(),
+        "J": term_rows(c.pairs, c.j),
+        "K": term_rows(c.triples, c.k),
         "constant": c.constant,
         "weights": {"w1": c.weights[0], "w2": c.weights[1], "w3": c.weights[2]},
         "penalty": {
@@ -348,28 +348,20 @@ def save_coefficients(
 
 
 def load_coefficients(path) -> tuple[HuboCoefficients, dict]:
-    """Read a coefficient artifact; returns (coefficients, extras).
+    """Read a coefficient artifact, rows in any order; returns (coefficients, extras).
 
+    n = 0 and a repeated J or K row are malformed (:class:`DataError`).
     ``extras`` carries feature_names / source_indices / provenance when the
     file has them.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read coefficient file {path!r}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
-        raise DataError(f"malformed coefficient file {path!r}: {exc}") from exc
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != COEFF_SCHEMA:
-        raise DataError(f"unknown coefficient schema {schema!r} in {path!r}")
+    doc = read_json(path, COEFF_SCHEMA, "coefficient")
     try:
         pen = doc["penalty"]
-        coeffs = HuboCoefficients(
+        coeffs = HuboCoefficients.from_terms(
             n=int(doc["n"]),
             h=np.array(doc["h"], dtype=np.float64),
-            j_terms={(int(i), int(j)): float(v) for i, j, v in doc["J"]},
-            k_terms={(int(i), int(j), int(k)): float(v) for i, j, k, v in doc["K"]},
+            j_terms=[((int(i), int(j)), float(v)) for i, j, v in doc["J"]],
+            k_terms=[((int(i), int(j), int(k)), float(v)) for i, j, k, v in doc["K"]],
             constant=float(doc["constant"]),
             weights=(doc["weights"]["w1"], doc["weights"]["w2"], doc["weights"]["w3"]),
             penalty_params=(pen["lambda"], pen["tau"], pen["p"]),
@@ -377,8 +369,7 @@ def load_coefficients(path) -> tuple[HuboCoefficients, dict]:
         )
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise DataError(f"malformed coefficient file {path!r}: {exc!r}") from exc
-    terms = [*coeffs.h, *coeffs.j_terms.values(), *coeffs.k_terms.values(), coeffs.constant]
-    if not np.isfinite(terms).all():
+    if not np.isfinite(np.concatenate([coeffs.h, coeffs.j, coeffs.k, [coeffs.constant]])).all():
         raise DataError(f"non-finite coefficient in {path!r}")
     extras = {
         key: doc[key] for key in ("feature_names", "source_indices", "provenance") if key in doc

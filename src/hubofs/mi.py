@@ -46,25 +46,87 @@ TENSOR_SCHEMA = "hubofs-mi-tensors/2"
 MAX_CELLS = 1 << 17
 
 
+def check_terms(obj, index_field: str, value_field: str, order: int, n: int) -> None:
+    """Store ``(m, order)`` int64 index rows and their ``(m,)`` float64 values read-only.
+
+    Each row must be strictly increasing within ``[0, n)`` and the rows strictly
+    ascending, so a repeated row raises :class:`UsageError` like a bad one."""
+    index = np.asarray(getattr(obj, index_field), dtype=np.int64)
+    values = np.asarray(getattr(obj, value_field), dtype=np.float64)
+    m = len(values)
+    if values.ndim != 1 or index.shape != (m, order):
+        raise UsageError(f"{index_field} must be ({m}, {order}) beside {value_field} ({m},)")
+    ok = (index[:, 0] >= 0) & (index[:, -1] < n) & (np.diff(index, axis=1) > 0).all(axis=1)
+    if not ok.all():
+        raise UsageError(f"bad {index_field} row {tuple(index[~ok][0].tolist())} for n={n}")
+    step = np.diff(index, axis=0)  # each row's first nonzero step from the row before
+    if (step[np.arange(len(step)), np.argmax(step != 0, axis=1)] <= 0).any():
+        raise UsageError(f"{index_field} rows must be strictly ascending, without repeats")
+    for name, array in ((index_field, index), (value_field, values)):
+        array.setflags(write=False)
+        object.__setattr__(obj, name, array)
+
+
+def sort_terms(terms, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending ``(m, order)`` index rows and ``(m,)`` values of a dict or of
+    ``(key, value)`` pairs; a key given twice stays twice, for :func:`check_terms`."""
+    items = list(terms.items() if isinstance(terms, dict) else terms)
+    index = np.array([key for key, _ in items], dtype=np.int64).reshape(len(items), order)
+    values = np.array([value for _, value in items], dtype=np.float64)
+    rows = np.lexsort(index.T[::-1])
+    return index[rows], values[rows]
+
+
+def term_rows(index: np.ndarray, values: np.ndarray) -> list[list]:
+    """``[i, ..., value]`` JSON rows of one term family."""
+    return [row + [value] for row, value in zip(index.tolist(), values.tolist())]
+
+
+def read_json(path, schema: str, what: str) -> dict:
+    """The JSON object of a ``schema`` artifact; anything else raises :class:`DataError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path!r}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
+        raise DataError(f"malformed {what} file {path!r}: {exc}") from exc
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != schema:
+        raise DataError(f"unknown {what} schema {found!r} in {path!r}")
+    return doc
+
+
 @dataclass(frozen=True)
 class MiTensors:
-    """Relevance / redundancy / triadic MI values keyed by sorted index tuples."""
+    """Relevance ``(n,)`` plus redundancy and triadic MI in the sparse term layout.
+
+    ``pairs (m2, 2)`` and ``triples (m3, 3)`` are int64 index rows, each row
+    strictly increasing and the rows in ascending order; ``redundancy (m2,)``
+    and ``triadic (m3,)`` are their values.
+    """
 
     relevance: np.ndarray
-    redundancy: dict[tuple[int, int], float]
-    triadic: dict[tuple[int, int, int], float]
+    pairs: np.ndarray
+    redundancy: np.ndarray
+    triples: np.ndarray
+    triadic: np.ndarray
 
     def __post_init__(self):
-        if self.relevance.ndim != 1:
-            raise UsageError(f"relevance must be 1-D, got shape {self.relevance.shape}")
-        self.relevance.setflags(write=False)
-        n = self.n
-        for key in self.redundancy:
-            if not (0 <= key[0] < key[1] < n):
-                raise UsageError(f"bad redundancy key {key} for n={n}")
-        for key in self.triadic:
-            if not (0 <= key[0] < key[1] < key[2] < n):
-                raise UsageError(f"bad triadic key {key} for n={n}")
+        relevance = np.asarray(self.relevance, dtype=np.float64)
+        if relevance.ndim != 1:
+            raise UsageError(f"relevance must be 1-D, got shape {relevance.shape}")
+        relevance.setflags(write=False)
+        object.__setattr__(self, "relevance", relevance)
+        check_terms(self, "pairs", "redundancy", 2, self.n)
+        check_terms(self, "triples", "triadic", 3, self.n)
+
+    @classmethod
+    def from_terms(cls, relevance, redundancy, triadic) -> "MiTensors":
+        """Tensors from ``{(i, j): value}`` and ``{(i, j, k): value}`` terms in any order."""
+        pairs, redundancy = sort_terms(redundancy, 2)
+        triples, triadic = sort_terms(triadic, 3)
+        return cls(relevance, pairs, redundancy, triples, triadic)
 
     @property
     def n(self) -> int:
@@ -72,19 +134,7 @@ class MiTensors:
 
     def all_values(self) -> np.ndarray:
         """Every stored value (all three families) as one flat array."""
-        return np.concatenate(
-            [
-                self.relevance,
-                np.fromiter(self.redundancy.values(), dtype=np.float64, count=len(self.redundancy)),
-                np.fromiter(self.triadic.values(), dtype=np.float64, count=len(self.triadic)),
-            ]
-        )
-
-
-def _entropy_from_counts(counts: np.ndarray) -> float:
-    counts = counts[counts > 0]
-    total = float(counts.sum())
-    return float(np.sum((counts / total) * np.log2(total / counts)))
+        return np.concatenate([self.relevance, self.redundancy, self.triadic])
 
 
 def _mi_tables(joint: np.ndarray) -> np.ndarray:
@@ -164,7 +214,8 @@ def entropy(codes) -> float:
     if arr.size == 0:
         raise DataError("entropy of an empty vector is undefined")
     _, counts = np.unique(arr, return_counts=True)
-    return _entropy_from_counts(counts)
+    total = float(counts.sum())
+    return float(np.sum((counts / total) * np.log2(total / counts)))
 
 
 def mi_pair(a, b) -> float:
@@ -230,25 +281,29 @@ def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
         raise DataError("need at least one feature")
     cols = np.ascontiguousarray(dd.codes.T)
     b = int(dd.bin_counts.max())
-    pairs = list(itertools.combinations(range(n), 2))
-    redundancy = np.concatenate([_mi_columns(cols[i], b, cols[i + 1 :], b) for i in range(n)])
-    triadic = np.concatenate(
-        [np.empty(0)] + [_cyclic_columns(cols[i] * b + cols[j], cols[j + 1 :], b) for i, j in pairs]
-    )
+    pairs = _combinations(n, 2)
+    triadic = [_cyclic_columns(cols[i] * b + cols[j], cols[j + 1 :], b) for i, j in pairs.tolist()]
     return MiTensors(
         relevance=relevance(dd),
-        redundancy=dict(zip(pairs, redundancy.tolist())),
-        triadic=dict(zip(itertools.combinations(range(n), 3), triadic.tolist())),
+        pairs=pairs,
+        redundancy=np.concatenate([_mi_columns(cols[i], b, cols[i + 1 :], b) for i in range(n)]),
+        triples=_combinations(n, 3),
+        triadic=np.concatenate([np.empty(0)] + triadic),
     )
+
+
+def _combinations(n: int, r: int) -> np.ndarray:
+    """Every r-subset of ``range(n)`` as ascending ``(C(n, r), r)`` index rows."""
+    return np.array(list(itertools.combinations(range(n), r)), dtype=np.int64).reshape(-1, r)
 
 
 def save_tensors(path, t: MiTensors, provenance: dict | None = None) -> None:
-    """Write tensors as JSON: relevance array plus [i,j,v] / [i,j,k,v] lists."""
+    """Write tensors as JSON: relevance array plus [i,j,v] / [i,j,k,v] rows in ascending order."""
     doc = {
         "schema": TENSOR_SCHEMA,
-        "relevance": [float(v) for v in t.relevance],
-        "pairs": [[i, j, float(v)] for (i, j), v in sorted(t.redundancy.items())],
-        "triples": [[i, j, k, float(v)] for (i, j, k), v in sorted(t.triadic.items())],
+        "relevance": t.relevance.tolist(),
+        "pairs": term_rows(t.pairs, t.redundancy),
+        "triples": term_rows(t.triples, t.triadic),
     }
     if provenance is not None:
         doc["provenance"] = provenance
@@ -258,22 +313,14 @@ def save_tensors(path, t: MiTensors, provenance: dict | None = None) -> None:
 
 
 def load_tensors(path) -> MiTensors:
-    """Read a tensor file; malformed content raises :class:`DataError`."""
+    """Read a tensor file, rows in any order; a malformed one (a repeated row too) raises
+    :class:`DataError`."""
+    doc = read_json(path, TENSOR_SCHEMA, "tensor")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read tensor file {path!r}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
-        raise DataError(f"malformed tensor file {path!r}: {exc}") from exc
-    schema = doc.get("schema") if isinstance(doc, dict) else None
-    if schema != TENSOR_SCHEMA:
-        raise DataError(f"unknown tensor schema {schema!r} in {path!r}")
-    try:
-        t = MiTensors(
+        t = MiTensors.from_terms(
             relevance=np.array(doc["relevance"], dtype=np.float64),
-            redundancy={(int(i), int(j)): float(v) for i, j, v in doc["pairs"]},
-            triadic={(int(i), int(j), int(k)): float(v) for i, j, k, v in doc["triples"]},
+            redundancy=[((int(i), int(j)), float(v)) for i, j, v in doc["pairs"]],
+            triadic=[((int(i), int(j), int(k)), float(v)) for i, j, k, v in doc["triples"]],
         )
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise DataError(f"malformed tensor file {path!r}: {exc!r}") from exc

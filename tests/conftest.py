@@ -18,7 +18,12 @@ def random_instance(seed: int, n: int) -> HuboCoefficients:
         for b in range(a + 1, n)
         for c in range(b + 1, n)
     }
-    return HuboCoefficients(n=n, h=h, j_terms=j, k_terms=k)
+    return HuboCoefficients.from_terms(n=n, h=h, j_terms=j, k_terms=k)
+
+
+def term_dict(index: np.ndarray, values: np.ndarray) -> dict:
+    """``{(i, ...): value}`` of one term family's index rows and values."""
+    return dict(zip(map(tuple, index.tolist()), values.tolist()))
 
 
 def naive_energy(c: HuboCoefficients, spins) -> float:

@@ -38,7 +38,7 @@ def artifacts(tmp_path_factory):
     save_samples(root / "samples", simulated_annealing(c, shots=6, sweeps=3, seed=1))
     save_tensors(
         root / "tensors",
-        MiTensors(
+        MiTensors.from_terms(
             relevance=np.array([0.5, 0.25, 0.125]),
             redundancy={(0, 1): 0.1, (0, 2): 0.2, (1, 2): 0.3},
             triadic={(0, 1, 2): 0.05},

@@ -4,6 +4,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
+from conftest import term_dict
 from hubofs import dcqo, samplers
 from hubofs.cli import main
 from hubofs.dataset import MAX_BINS, discretize, load_csv, standardize, stratified_split
@@ -69,16 +70,16 @@ class TestBuild:
         idx = extras["source_indices"]
         assert idx == preselect_top_k(full.relevance, 4)
         pos = {orig: new for new, orig in enumerate(idx)}
-        kept = MiTensors(
+        kept = MiTensors.from_terms(
             relevance=full.relevance[idx],
             redundancy={
                 (pos[i], pos[j]): v
-                for (i, j), v in full.redundancy.items()
+                for (i, j), v in term_dict(full.pairs, full.redundancy).items()
                 if i in pos and j in pos
             },
             triadic={
                 (pos[i], pos[j], pos[k]): v
-                for (i, j, k), v in full.triadic.items()
+                for (i, j, k), v in term_dict(full.triples, full.triadic).items()
                 if i in pos and j in pos and k in pos
             },
         )
@@ -214,10 +215,25 @@ class TestSample:
         assert code == 4
         assert f"<= {samplers.MAX_WORDS} stream words" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sampler", ["sa", "random", "dcqo", "exhaustive"])
+    def test_zero_spins_exit_3(self, built, tmp_path, capsys, sampler):
+        doc = json.loads((built / "coefficients.json").read_text())
+        doc.update(n=0, h=[], J=[], K=[])
+        path = tmp_path / "n0.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli(
+            "sample", "--coefficients", path, "--sampler", sampler,
+            "--shots", 10, "--out", tmp_path,
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "need n >= 1 spins" in err and "Traceback" not in err
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_exhaustive_refused_for_large_n(self, tmp_path, capsys):
         from hubofs.hubo import HuboCoefficients, save_coefficients
 
-        c32 = HuboCoefficients(n=32, h=np.ones(32), j_terms={}, k_terms={})
+        c32 = HuboCoefficients.from_terms(n=32, h=np.ones(32), j_terms={}, k_terms={})
         path = tmp_path / "c32.json"
         save_coefficients(path, c32)
         code = run_cli(

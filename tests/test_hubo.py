@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import naive_energy, random_instance
+from conftest import naive_energy, random_instance, term_dict
 from hubofs import hubo
 from hubofs.errors import CapabilityError, DataError, UsageError
 from hubofs.hubo import (
@@ -25,7 +25,7 @@ from hubofs.hubo import (
     save_coefficients,
     states_to_spins,
 )
-from hubofs.mi import MiTensors
+from hubofs.mi import TENSOR_SCHEMA, MiTensors, load_tensors, save_tensors
 
 
 class TestSpinConversions:
@@ -61,32 +61,34 @@ class TestPreselect:
 
 class TestNormalizeGlobal:
     def test_min_max_endpoints(self):
-        t = MiTensors(relevance=np.array([0.2, 0.6, 1.0]), redundancy={}, triadic={})
+        t = MiTensors.from_terms(relevance=np.array([0.2, 0.6, 1.0]), redundancy={}, triadic={})
         norm = normalize_global(t)
         assert norm.relevance == pytest.approx([0.0, 0.5, 1.0], abs=1e-12)
 
     def test_values_spread_across_families(self):
-        t = MiTensors(
+        t = MiTensors.from_terms(
             relevance=np.array([0.2, 0.4, 0.4]),
             redundancy={(0, 1): 0.6},
             triadic={(0, 1, 2): 1.0},
         )
         norm = normalize_global(t)
         assert norm.relevance[0] == 0.0
-        assert norm.redundancy[(0, 1)] == pytest.approx(0.5, abs=1e-12)
-        assert norm.triadic[(0, 1, 2)] == 1.0
+        assert term_dict(norm.pairs, norm.redundancy)[(0, 1)] == pytest.approx(0.5, abs=1e-12)
+        assert term_dict(norm.triples, norm.triadic)[(0, 1, 2)] == 1.0
 
     def test_degenerate_all_equal(self):
-        t = MiTensors(relevance=np.array([0.7, 0.7]), redundancy={(0, 1): 0.7}, triadic={})
+        t = MiTensors.from_terms(
+            relevance=np.array([0.7, 0.7]), redundancy={(0, 1): 0.7}, triadic={}
+        )
         with pytest.warns(DegenerateNormalizationWarning):
             norm = normalize_global(t)
         assert list(norm.relevance) == [0.0, 0.0]
-        assert norm.redundancy[(0, 1)] == 0.0
+        assert term_dict(norm.pairs, norm.redundancy)[(0, 1)] == 0.0
 
     def test_idempotent(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
-            t = MiTensors(
+            t = MiTensors.from_terms(
                 relevance=rng.uniform(0, 3, 4),
                 redundancy={(0, 1): rng.uniform(0, 3), (2, 3): rng.uniform(0, 3)},
                 triadic={(0, 1, 2): rng.uniform(0, 3)},
@@ -94,34 +96,34 @@ class TestNormalizeGlobal:
             once = normalize_global(t)
             twice = normalize_global(once)
             assert np.array_equal(once.relevance, twice.relevance)
-            assert once.redundancy == twice.redundancy
-            assert once.triadic == twice.triadic
+            for name in ("pairs", "redundancy", "triples", "triadic"):
+                assert np.array_equal(getattr(once, name), getattr(twice, name))
 
 
 class TestBuildCoefficients:
     def test_scaling(self):
-        t = MiTensors(relevance=np.array([1.0]), redundancy={}, triadic={})
+        t = MiTensors.from_terms(relevance=np.array([1.0]), redundancy={}, triadic={})
         c = build_coefficients(t, 2.0, 0.5, 0.3)
         assert list(c.h) == [2.0]
         assert c.constant == 0.0
         assert not c.penalty_applied
 
     def test_three_body_sign(self):
-        t = MiTensors(
+        t = MiTensors.from_terms(
             relevance=np.zeros(3), redundancy={}, triadic={(0, 1, 2): 1.0}
         )
         c = build_coefficients(t, 1.0, 1.0, 0.5)
         assert c.k_terms[(0, 1, 2)] == -0.5
 
     def test_zero_inputs(self):
-        t = MiTensors(relevance=np.zeros(2), redundancy={(0, 1): 0.0}, triadic={})
+        t = MiTensors.from_terms(relevance=np.zeros(2), redundancy={(0, 1): 0.0}, triadic={})
         c = build_coefficients(t, 1.0, 0.5, 0.3)
         assert list(c.h) == [0.0, 0.0]
         assert c.j_terms[(0, 1)] == 0.0
 
     def test_bounds_after_build(self):
         rng = np.random.default_rng(23)
-        t = MiTensors(
+        t = MiTensors.from_terms(
             relevance=rng.uniform(0, 1, 4),
             redundancy={(i, j): float(rng.uniform(0, 1)) for i in range(4) for j in range(i + 1, 4)},
             triadic={(0, 1, 2): 0.9, (1, 2, 3): 0.1},
@@ -132,12 +134,12 @@ class TestBuildCoefficients:
         assert all(-0.3 <= v <= 0.0 for v in c.k_terms.values())
 
     def test_rejects_bad_weights_and_unnormalized(self):
-        t = MiTensors(relevance=np.array([0.5]), redundancy={}, triadic={})
+        t = MiTensors.from_terms(relevance=np.array([0.5]), redundancy={}, triadic={})
         with pytest.raises(UsageError):
             build_coefficients(t, 0.0, 1.0, 1.0)
         with pytest.raises(UsageError):
             build_coefficients(t, float("nan"), 1.0, 1.0)
-        t_bad = MiTensors(relevance=np.array([1.5]), redundancy={}, triadic={})
+        t_bad = MiTensors.from_terms(relevance=np.array([1.5]), redundancy={}, triadic={})
         with pytest.raises(UsageError):
             build_coefficients(t_bad, 1.0, 1.0, 1.0)
 
@@ -157,7 +159,7 @@ class TestPenalty:
         assert all(d <= 0.0 for d in deltas)
 
     def test_apply_only_touches_h(self):
-        t = MiTensors(
+        t = MiTensors.from_terms(
             relevance=np.array([0.0, 0.5, 1.0]),
             redundancy={(0, 1): 0.4},
             triadic={(0, 1, 2): 0.6},
@@ -174,14 +176,14 @@ class TestPenalty:
         assert out.h[0] >= -0.5  # h_i >= -lambda after penalty
 
     def test_double_application_rejected(self):
-        t = MiTensors(relevance=np.array([0.1, 0.9]), redundancy={}, triadic={})
+        t = MiTensors.from_terms(relevance=np.array([0.1, 0.9]), redundancy={}, triadic={})
         c = build_coefficients(t, 1.0, 1.0, 1.0)
         once = apply_penalty(c, t.relevance, 0.5, 0.2, 2.0)
         with pytest.raises(UsageError):
             apply_penalty(once, t.relevance, 0.5, 0.2, 2.0)
 
     def test_parameter_validation(self):
-        t = MiTensors(relevance=np.array([0.1]), redundancy={}, triadic={})
+        t = MiTensors.from_terms(relevance=np.array([0.1]), redundancy={}, triadic={})
         c = build_coefficients(t, 1.0, 1.0, 1.0)
         with pytest.raises(UsageError):
             apply_penalty(c, t.relevance, -0.1, 0.2, 2.0)
@@ -197,12 +199,14 @@ class TestPenalty:
 
 class TestEnergy:
     def test_two_spin_example(self):
-        c = HuboCoefficients(n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.3}, k_terms={})
+        c = HuboCoefficients.from_terms(
+            n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.3}, k_terms={}
+        )
         assert energy(c, SpinConfig((-1, -1))) == -1.2
         assert energy(c, SpinConfig((1, 1))) == 1.8
 
     def test_three_body_sign_example(self):
-        c = HuboCoefficients(n=3, h=np.zeros(3), j_terms={}, k_terms={(0, 1, 2): -0.4})
+        c = HuboCoefficients.from_terms(n=3, h=np.zeros(3), j_terms={}, k_terms={(0, 1, 2): -0.4})
         assert energy(c, SpinConfig((-1, -1, -1))) == pytest.approx(0.4, abs=1e-15)
 
     def test_matches_naive_oracle(self):
@@ -243,7 +247,7 @@ class TestEnergy:
             raise AssertionError("states enumerated past the cap")
 
         monkeypatch.setattr(hubo, "states_to_spins", refuse)
-        c = HuboCoefficients(n=25, h=np.zeros(25), j_terms={}, k_terms={})
+        c = HuboCoefficients.from_terms(n=25, h=np.zeros(25), j_terms={}, k_terms={})
         with pytest.raises(CapabilityError) as info:
             energies_all_states(c)
         assert info.value.exit_code == 4
@@ -257,7 +261,8 @@ class TestEnergy:
         # with w2=w3=lambda=0-equivalents and all h > 0, all-selected wins
         rng = np.random.default_rng(41)
         for n in (3, 8, 12):
-            c = HuboCoefficients(n=n, h=rng.uniform(0.05, 1.0, n), j_terms={}, k_terms={})
+            h = rng.uniform(0.05, 1.0, n)
+            c = HuboCoefficients.from_terms(n=n, h=h, j_terms={}, k_terms={})
             energies = energies_all_states(c)
             best = int(np.argmin(energies))
             assert states_to_spins([best], n)[0].tolist() == [-1] * n
@@ -350,6 +355,8 @@ class TestCoefficientIo:
             lambda doc: doc["J"][0].__setitem__(2, float("inf")),
             lambda doc: doc["K"][0].__setitem__(3, float("-inf")),
             lambda doc: doc.__setitem__("constant", float("nan")),
+            lambda doc: doc["J"].append([0, 1, 9.0]),
+            lambda doc: doc["K"].append(list(doc["K"][0])),
         ],
     )
     def test_malformed_file_is_data_error(self, tmp_path, corrupt):
@@ -363,6 +370,187 @@ class TestCoefficientIo:
 
     def test_bad_keys_rejected(self):
         with pytest.raises(UsageError):
-            HuboCoefficients(n=3, h=np.zeros(3), j_terms={(1, 1): 0.2}, k_terms={})
+            HuboCoefficients.from_terms(n=3, h=np.zeros(3), j_terms={(1, 1): 0.2}, k_terms={})
         with pytest.raises(UsageError):
-            HuboCoefficients(n=3, h=np.zeros(3), j_terms={}, k_terms={(0, 1, 3): 0.2})
+            HuboCoefficients.from_terms(n=3, h=np.zeros(3), j_terms={}, k_terms={(0, 1, 3): 0.2})
+        with pytest.raises(UsageError):
+            HuboCoefficients.from_terms(n=0, h=np.zeros(0), j_terms={}, k_terms={})
+
+
+# The dict-of-tuples code that the array layout replaced, kept as references.
+def dict_normalize(relevance, redundancy, triadic):
+    values = np.concatenate([relevance, list(redundancy.values()), list(triadic.values())])
+    lo, hi = float(values.min()), float(values.max())
+    if hi == lo:
+        scale = lambda v: 0.0  # noqa: E731
+    else:
+        span = hi - lo
+        scale = lambda v: (v - lo) / span  # noqa: E731
+    return (
+        np.array([scale(float(v)) for v in relevance]),
+        {key: scale(v) for key, v in redundancy.items()},
+        {key: scale(v) for key, v in triadic.items()},
+    )
+
+
+def dict_build(relevance, redundancy, triadic, w1, w2, w3):
+    return (
+        np.array([w1 * float(v) for v in relevance]),
+        {key: w2 * v for key, v in redundancy.items()},
+        {key: -w3 * v for key, v in triadic.items()},
+    )
+
+
+def dict_penalty(h, relevance, lam, tau, p):
+    return np.array(
+        [float(h[i]) + hinge_delta(float(relevance[i]), lam, tau, p) for i in range(len(h))]
+    )
+
+
+def dict_dense(n, j_terms, k_terms):
+    jmat = np.zeros((n, n))
+    if j_terms:
+        a, b = np.array(sorted(j_terms)).T
+        values = np.array([j_terms[key] for key in sorted(j_terms)])
+        jmat[a, b] = values
+        jmat[b, a] = values
+    kcube = np.zeros((n, n, n))
+    if k_terms:
+        idx = np.array(sorted(k_terms)).T
+        values = np.array([k_terms[key] for key in sorted(k_terms)])
+        for p, q, r in itertools.permutations(idx):
+            kcube[p, q, r] = values
+    return jmat, kcube
+
+
+def dict_dump(path, doc):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
+def dict_save_coefficients(path, h, j_terms, k_terms, weights, penalty, names):
+    dict_dump(path, {
+        "schema": hubo.COEFF_SCHEMA,
+        "n": len(h),
+        "h": [float(v) for v in h],
+        "J": [[i, j, j_terms[(i, j)]] for i, j in sorted(j_terms)],
+        "K": [[i, j, k, k_terms[(i, j, k)]] for i, j, k in sorted(k_terms)],
+        "constant": 0.0,
+        "weights": {"w1": weights[0], "w2": weights[1], "w3": weights[2]},
+        "penalty": {"lambda": penalty[0], "tau": penalty[1], "p": penalty[2], "applied": True},
+        "feature_names": list(names),
+    })
+
+
+def dict_save_tensors(path, relevance, redundancy, triadic):
+    dict_dump(path, {
+        "schema": TENSOR_SCHEMA,
+        "relevance": [float(v) for v in relevance],
+        "pairs": [[i, j, float(v)] for (i, j), v in sorted(redundancy.items())],
+        "triples": [[i, j, k, float(v)] for (i, j, k), v in sorted(triadic.items())],
+    })
+
+
+def dict_tensors(case: str, seed: int):
+    """Relevance and shuffled redundancy / triadic dicts for one case."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    triples = list(itertools.combinations(range(n), 3))
+    if case == "sparse":
+        pairs = [key for key in pairs if rng.random() < 0.4]
+        triples = [key for key in triples if rng.random() < 0.3]
+    elif case == "empty":
+        pairs, triples = [], []
+
+    def draw(size):
+        return np.full(size, 0.7) if case == "all_equal" else rng.uniform(0.0, 2.5, size)
+
+    rng.shuffle(pairs)
+    rng.shuffle(triples)
+    redundancy = dict(zip(pairs, draw(len(pairs)).tolist()))
+    triadic = dict(zip(triples, draw(len(triples)).tolist()))
+    return draw(n), redundancy, triadic
+
+
+def sorted_arrays(terms, order):
+    keys = sorted(terms)
+    return np.array(keys, dtype=np.int64).reshape(-1, order), np.array([terms[k] for k in keys])
+
+
+def assert_same_bits(got: np.ndarray, expected: np.ndarray):
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::hubofs.hubo.DegenerateNormalizationWarning")
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", ["complete", "sparse", "empty", "all_equal"])
+class TestArraysMatchDictCode:
+    def test_pipeline_bits_and_file_bytes(self, tmp_path, case, seed):
+        weights, penalty = (1.0, 0.5, 0.3), (0.5, 0.2, 2.0)
+        relevance, redundancy, triadic = dict_tensors(case, seed)
+        t = MiTensors.from_terms(relevance, redundancy, triadic)
+
+        ref_rel, ref_red, ref_tri = dict_normalize(relevance, redundancy, triadic)
+        norm = normalize_global(t)
+        assert_same_bits(norm.relevance, ref_rel)
+        for index, values, terms, order in (
+            (norm.pairs, norm.redundancy, ref_red, 2),
+            (norm.triples, norm.triadic, ref_tri, 3),
+        ):
+            ref_index, ref_values = sorted_arrays(terms, order)
+            assert_same_bits(index, ref_index)
+            assert_same_bits(values, ref_values)
+
+        ref_h, ref_j, ref_k = dict_build(ref_rel, ref_red, ref_tri, *weights)
+        c = build_coefficients(norm, *weights)
+        assert_same_bits(c.h, ref_h)
+        for got, terms, order in ((c.j, ref_j, 2), (c.k, ref_k, 3)):
+            assert_same_bits(got, sorted_arrays(terms, order)[1])
+        assert c.pairs is norm.pairs and c.triples is norm.triples
+
+        ref_h = dict_penalty(ref_h, ref_rel, *penalty)
+        c = apply_penalty(c, norm.relevance, *penalty)
+        assert_same_bits(c.h, ref_h)
+        for got, expected in zip(dense_couplings(c), dict_dense(c.n, ref_j, ref_k)):
+            assert_same_bits(got, expected)
+
+        names = [f"f{i}" for i in range(c.n)]
+        save_coefficients(tmp_path / "c.json", c, feature_names=names)
+        dict_save_coefficients(
+            tmp_path / "c_ref.json", ref_h, ref_j, ref_k, weights, penalty, names
+        )
+        assert (tmp_path / "c.json").read_bytes() == (tmp_path / "c_ref.json").read_bytes()
+        save_tensors(tmp_path / "t.json", t)
+        dict_save_tensors(tmp_path / "t_ref.json", relevance, redundancy, triadic)
+        assert (tmp_path / "t.json").read_bytes() == (tmp_path / "t_ref.json").read_bytes()
+
+    def test_shuffled_rows_round_trip_to_the_same_bytes(self, tmp_path, case, seed):
+        relevance, redundancy, triadic = dict_tensors(case, seed)
+        ref_rel, ref_red, ref_tri = dict_normalize(relevance, redundancy, triadic)
+        ref_h, ref_j, ref_k = dict_build(ref_rel, ref_red, ref_tri, 1.0, 0.5, 0.3)
+        ref_h = dict_penalty(ref_h, ref_rel, 0.5, 0.2, 2.0)
+        names = [f"f{i}" for i in range(len(ref_h))]
+        dict_save_coefficients(
+            tmp_path / "c_ref", ref_h, ref_j, ref_k, (1.0, 0.5, 0.3), (0.5, 0.2, 2.0), names
+        )
+        dict_save_tensors(tmp_path / "t_ref", relevance, redundancy, triadic)
+        rng = np.random.default_rng(100 + seed)
+        def save_loaded_coefficients(path, loaded):
+            save_coefficients(path, loaded[0], **loaded[1])
+
+        for kind, rows, load, save in (
+            ("c", ("J", "K"), load_coefficients, save_loaded_coefficients),
+            ("t", ("pairs", "triples"), load_tensors, save_tensors),
+        ):
+            doc = json.loads((tmp_path / f"{kind}_ref").read_text())
+            for key in rows:
+                rng.shuffle(doc[key])
+            dict_dump(tmp_path / f"{kind}_shuffled", doc)
+            once = tmp_path / f"{kind}_once"
+            save(once, load(tmp_path / f"{kind}_shuffled"))
+            assert once.read_bytes() == (tmp_path / f"{kind}_ref").read_bytes()
+            save(tmp_path / f"{kind}_twice", load(once))
+            assert (tmp_path / f"{kind}_twice").read_bytes() == once.read_bytes()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import term_dict
 from hubofs import mi
 from hubofs.dataset import DiscretizedDataset
 from hubofs.errors import DataError, UsageError
@@ -227,7 +228,7 @@ class TestComputeTensors:
         col = rng.integers(0, 4, 50)
         dd = make_dd(np.column_stack([col, col, rng.integers(0, 3, 50)]))
         t = compute_tensors(dd)
-        assert t.redundancy[(0, 1)] == pytest.approx(entropy(col), abs=1e-12)
+        assert term_dict(t.pairs, t.redundancy)[(0, 1)] == pytest.approx(entropy(col), abs=1e-12)
 
     def test_matches_pointwise_functions(self):
         rng = np.random.default_rng(8)
@@ -235,9 +236,9 @@ class TestComputeTensors:
         t = compute_tensors(dd)
         for i in range(4):
             assert t.relevance[i] == mi_pair(dd.codes[:, i], dd.target)
-        for key, value in t.redundancy.items():
+        for key, value in term_dict(t.pairs, t.redundancy).items():
             assert value == mi_pair(dd.codes[:, key[0]], dd.codes[:, key[1]])
-        for key, value in t.triadic.items():
+        for key, value in term_dict(t.triples, t.triadic).items():
             assert value == cyclic_mi(dd, *key)
 
     def test_triadic_matches_pair_vs_single_reference(self):
@@ -249,13 +250,14 @@ class TestComputeTensors:
             dd = make_dd(np.column_stack([rng.integers(0, b, 60) for b in bins]))
             assert len(set(dd.bin_counts)) > 1
             t = compute_tensors(dd)
+            triadic = term_dict(t.triples, t.triadic)
             for a, b, c in itertools.combinations(range(5), 3):
                 expect = (
                     mi_joint_pair_single(dd, a, b, c)
                     + mi_joint_pair_single(dd, a, c, b)
                     + mi_joint_pair_single(dd, b, c, a)
                 ) / 3.0
-                assert t.triadic[(a, b, c)] == expect
+                assert triadic[(a, b, c)] == expect
 
     def test_all_values_nonnegative(self):
         rng = np.random.default_rng(3)
@@ -296,16 +298,18 @@ def structured_dd(seed=0, n_features=12, n_samples=3000, bins=8):
 def assert_matches_reference(dd):
     n = dd.n_features
     t = compute_tensors(dd)
+    redundancy = term_dict(t.pairs, t.redundancy)
+    triadic = term_dict(t.triples, t.triadic)
     assert np.array_equal(relevance(dd), reference_relevance(dd))
     assert np.array_equal(t.relevance, reference_relevance(dd))
     for i, j in itertools.combinations(range(n), 2):
-        assert t.redundancy[(i, j)] == reference_pair(dd, i, j)
+        assert redundancy[(i, j)] == reference_pair(dd, i, j)
         expect = reference_mi_pair(dd.codes[:, i], dd.codes[:, j])
         assert mi_pair(dd.codes[:, i], dd.codes[:, j]) == expect
         assert mi_pair(dd.codes[:, j], dd.codes[:, i]) == expect
     for i, j, k in itertools.combinations(range(n), 3):
         expect = reference_cyclic(dd, i, j, k)
-        assert t.triadic[(i, j, k)] == expect
+        assert triadic[(i, j, k)] == expect
         assert cyclic_mi(dd, k, i, j) == expect
         bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
         composite = dd.codes[:, i] * bj + dd.codes[:, j]
@@ -385,8 +389,8 @@ class TestTensorIo:
         save_tensors(path, t, provenance={"input": "x.csv"})
         loaded = load_tensors(path)
         assert np.array_equal(loaded.relevance, t.relevance)
-        assert loaded.redundancy == t.redundancy
-        assert loaded.triadic == t.triadic
+        assert term_dict(loaded.pairs, loaded.redundancy) == term_dict(t.pairs, t.redundancy)
+        assert term_dict(loaded.triples, loaded.triadic) == term_dict(t.triples, t.triadic)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -409,6 +413,8 @@ class TestTensorIo:
             lambda doc: doc["relevance"].__setitem__(0, float("nan")),
             lambda doc: doc["pairs"][0].__setitem__(2, float("inf")),
             lambda doc: doc["triples"][0].__setitem__(3, float("-inf")),
+            lambda doc: doc["pairs"].append([0, 1, 9.0]),
+            lambda doc: doc["triples"].append(list(doc["triples"][0])),
         ],
     )
     def test_malformed_file_is_data_error(self, tmp_path, corrupt):

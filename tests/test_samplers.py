@@ -43,7 +43,7 @@ MALFORMED = [
 
 
 def zero_instance(n):
-    return HuboCoefficients(n=n, h=np.zeros(n), j_terms={}, k_terms={})
+    return HuboCoefficients.from_terms(n=n, h=np.zeros(n), j_terms={}, k_terms={})
 
 
 class RecordingStream:
@@ -63,7 +63,7 @@ class RecordingStream:
 
 
 def frozen_instance():
-    return HuboCoefficients(
+    return HuboCoefficients.from_terms(
         n=4,
         h=np.array([5.0, -3.0, 4.0, -6.0]),
         j_terms={(0, 1): 2.0, (1, 2): -1.5},
@@ -131,13 +131,13 @@ def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0, gen=Non
 
 class TestExhaustive:
     def test_single_spin(self):
-        c = HuboCoefficients(n=1, h=np.array([1.0]), j_terms={}, k_terms={})
+        c = HuboCoefficients.from_terms(n=1, h=np.array([1.0]), j_terms={}, k_terms={})
         best = exhaustive_solve(c, 1).entries[0]
         assert best.spins.spins == (-1,)
         assert best.energy == -1.0
 
     def test_two_spin_spectrum(self):
-        c = HuboCoefficients(n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.3}, k_terms={})
+        c = HuboCoefficients.from_terms(n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.3}, k_terms={})
         res = exhaustive_solve(c, 4)
         assert [e.energy for e in res.entries] == [-1.2, -0.8, 0.2, 1.8]
         assert [e.spins.spins for e in res.entries] == [
@@ -207,7 +207,7 @@ class TestSimulatedAnnealing:
         simulated_annealing(c, shots=8, sweeps=10, seed=2, validate_deltas=True)
 
     def test_nan_delta_fails_validation(self):
-        c = HuboCoefficients(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
+        c = HuboCoefficients.from_terms(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
         with pytest.raises(HubofsError):
             simulated_annealing(c, shots=2, sweeps=2, t_start=1.0, seed=0, validate_deltas=True)
 
@@ -245,7 +245,7 @@ class TestSimulatedAnnealing:
             random_instance(32, 12),
             random_instance(33, 20),
             zero_instance(5),
-            HuboCoefficients(n=4, h=np.array([0.7, -0.2, 0.05, -1.3]), j_terms={}, k_terms={}),
+            HuboCoefficients.from_terms(n=4, h=np.array([0.7, -0.2, 0.05, -1.3]), j_terms={}, k_terms={}),
         ],
         ids=["random6", "random12", "random20", "flat", "h_only"],
     )
@@ -266,7 +266,7 @@ class TestSimulatedAnnealing:
     def test_rare_flips_are_not_mistaken_for_frozen(self):
         # From the sixth tenth on most sweeps accept nothing, yet acceptance
         # probabilities far above 2**-54 still move a few of the 2000 chains.
-        c = HuboCoefficients(n=1, h=np.array([1.0]), j_terms={}, k_terms={})
+        c = HuboCoefficients.from_terms(n=1, h=np.array([1.0]), j_terms={}, k_terms={})
         got = simulated_annealing(c, shots=2000, sweeps=300, t_start=1.0, t_end=0.08, seed=2)
         expected = gather_annealing(c, shots=2000, sweeps=300, t_start=1.0, t_end=0.08, seed=2)
         assert got == expected
@@ -414,7 +414,7 @@ class TestSimulatedAnnealing:
         assert dense < len(gathers) - dense
 
     def test_field_check_rejects_nan_instance(self):
-        c = HuboCoefficients(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
+        c = HuboCoefficients.from_terms(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
         with pytest.raises(HubofsError, match="local field"):
             simulated_annealing(c, shots=2, sweeps=2, t_start=1.0, seed=0)
 
@@ -435,7 +435,7 @@ class TestSimulatedAnnealing:
         assert res.metadata["sa_acceptance"] == ",".join(["1"] * 10)
 
     def test_auto_schedule_handles_tiny_coefficients(self):
-        tiny = HuboCoefficients(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
+        tiny = HuboCoefficients.from_terms(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
         res = simulated_annealing(tiny, shots=4, sweeps=5, seed=0)
         assert res.total_shots == 4  # auto t_start floors at t_end
 
@@ -579,7 +579,7 @@ class TestSampleFile:
             load_samples(path)
 
     def test_energy_format_12_significant_digits(self, tmp_path):
-        c = HuboCoefficients(n=2, h=np.array([1 / 3, 0.5]), j_terms={}, k_terms={})
+        c = HuboCoefficients.from_terms(n=2, h=np.array([1 / 3, 0.5]), j_terms={}, k_terms={})
         path = tmp_path / "samples.csv"
         save_samples(path, exhaustive_solve(c, 1))
         row = path.read_text().splitlines()[-1]
