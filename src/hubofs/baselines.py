@@ -9,12 +9,11 @@ tied scores counting one half.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import write_tagged
 from .dataset import Dataset
 from .errors import DataError, UsageError
 from .hubo import preselect_top_k
@@ -215,18 +214,9 @@ def evaluate(
 
 
 def write_comparison_csv(path, reports) -> None:
-    body = io.StringIO()
-    writer = csv.writer(body, lineterminator="\n")
-    writer.writerow(["method", "n", "accuracy", "f1", "auc"])
-    for r in reports:
-        writer.writerow(
-            [
-                r.method_name,
-                r.n_features_or_components,
-                f"{r.accuracy:.12g}",
-                f"{r.f1:.12g}",
-                f"{r.auc:.12g}",
-            ]
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# schema={COMPARISON_SCHEMA}\n" + body.getvalue())
+    rows = (
+        [r.method_name, r.n_features_or_components]
+        + [f"{v:.12g}" for v in (r.accuracy, r.f1, r.auc)]
+        for r in reports
+    )
+    write_tagged(path, COMPARISON_SCHEMA, [], ("method", "n", "accuracy", "f1", "auc"), rows)

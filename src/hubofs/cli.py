@@ -1,22 +1,23 @@
 """Stage-oriented command line: build -> sample -> select -> compare.
 
-Each stage reads and writes plain-text artifacts (JSON / CSV / SVG) so any
-stage can be re-run from its inputs alone; ``run`` chains all four. Exit
-codes: 0 success, 2 usage error, 3 data error, 4 size/capability error.
+Each stage takes its inputs as values, writes plain-text artifacts (JSON /
+CSV / SVG) and returns what the next stage needs. The stand-alone
+subcommands read those inputs back from the artifacts, so any stage can be
+re-run from its files alone; ``run`` chains all four in memory. Exit codes:
+0 success, 2 usage error, 3 data error, 4 size/capability error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
 from . import baselines, dcqo, hubo, mi, postselect, samplers
+from .artifacts import write_tagged
 from .dataset import (
     Dataset,
     DiscretizedDataset,
@@ -29,9 +30,6 @@ from .dataset import (
 )
 from .errors import DataError, HubofsError, UsageError
 
-DEFAULT_PRESELECT_K = 32
-DEFAULT_SHOTS = 2000
-DEFAULT_SWEEPS = 500
 DEFAULT_RHO = 0.25
 DEFAULT_DELTA = 0.5
 PCA_VARIANCE = 0.95
@@ -39,13 +37,13 @@ PCA_VARIANCE = 0.95
 
 @dataclass
 class RunConfig:
-    """Everything the pipeline stages need, with module-level defaults."""
+    """Everything the pipeline stages need; the one place their defaults live."""
 
     input: str = ""
     target: str = ""
     test_fraction: float = 0.2
     bins: int = 8
-    preselect_k: int = DEFAULT_PRESELECT_K
+    preselect_k: int = 32
     w1: float = hubo.DEFAULT_WEIGHTS[0]
     w2: float = hubo.DEFAULT_WEIGHTS[1]
     w3: float = hubo.DEFAULT_WEIGHTS[2]
@@ -53,8 +51,8 @@ class RunConfig:
     tau: float = hubo.DEFAULT_PENALTY[1]
     p: float = hubo.DEFAULT_PENALTY[2]
     sampler: str = "sa"
-    shots: int = DEFAULT_SHOTS
-    sweeps: int = DEFAULT_SWEEPS
+    shots: int = 2000
+    sweeps: int = 500
     t_start: float | None = None
     t_end: float = samplers.DEFAULT_T_END
     steps: int = dcqo.DEFAULT_STEPS
@@ -64,7 +62,7 @@ class RunConfig:
     deltas: list[float] = field(default_factory=lambda: [DEFAULT_DELTA])
     seed: int = 0
     out: str = "."
-    coefficients: str = ""
+    coefficients: str = ""  # this and the next two: inputs of the stand-alone stages
     samples: str = ""
     selections: list[str] = field(default_factory=list)
 
@@ -109,12 +107,9 @@ def _load_splits(cfg: RunConfig) -> _Splits:
     return _Splits(ds, train, test, cfg.bins)
 
 
-def cmd_build(cfg: RunConfig, splits: _Splits | None = None) -> tuple[Path, Path]:
-    """load -> standardize -> split -> discretize -> relevance -> preselect -> MI -> HUBO.
-
-    ``splits`` is ``_load_splits(cfg)`` when the caller already has it.
-    """
-    splits = splits or _load_splits(cfg)
+def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, list[str]]:
+    """discretize -> relevance -> preselect -> MI -> HUBO; the coefficients and the
+    names of their features."""
     ds, train = splits.ds, splits.train
     if ds.n_features > cfg.preselect_k:
         indices = hubo.preselect_top_k(splits.relevance, cfg.preselect_k)
@@ -130,6 +125,7 @@ def cmd_build(cfg: RunConfig, splits: _Splits | None = None) -> tuple[Path, Path
     normalized = hubo.normalize_global(tensors)
     coeffs = hubo.build_coefficients(normalized, cfg.w1, cfg.w2, cfg.w3)
     coeffs = hubo.apply_penalty(coeffs, normalized.relevance, cfg.lam, cfg.tau, cfg.p)
+    names = [ds.feature_names[i] for i in indices]
     provenance = {
         "input": str(cfg.input),
         "input_sha256": _dataset_sha256(cfg.input),
@@ -156,20 +152,19 @@ def cmd_build(cfg: RunConfig, splits: _Splits | None = None) -> tuple[Path, Path
     hubo.save_coefficients(
         coeffs_path,
         coeffs,
-        feature_names=tuple(ds.feature_names[i] for i in indices),
+        feature_names=names,
         source_indices=tuple(indices),
         provenance=provenance,
     )
     print(f"build: wrote {tensors_path} and {coeffs_path} (n={coeffs.n})")
-    return coeffs_path, tensors_path
+    return coeffs, names
 
 
-def cmd_sample(cfg: RunConfig) -> Path:
+def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> Path:
     """Dispatch to the named sampler and write the sample CSV."""
-    coeffs, _ = hubo.load_coefficients(cfg.coefficients)
     if cfg.sampler == "exhaustive":
         keep = cfg.shots
-        if coeffs.n <= 24 and keep > (1 << coeffs.n):
+        if coeffs.n <= hubo.MAX_ALL_STATES_N and keep > (1 << coeffs.n):
             keep = 1 << coeffs.n
             print(f"note [sample]: keep clamped to 2^{coeffs.n} = {keep}", file=sys.stderr)
         result = samplers.exhaustive_solve(coeffs, keep)
@@ -194,32 +189,34 @@ def cmd_sample(cfg: RunConfig) -> Path:
     return path
 
 
-def cmd_select(cfg: RunConfig, check_energies: bool = True) -> Path:
-    """rho-retention, importance scoring, and delta thresholding/sweeping.
+def _select_inputs(cfg: RunConfig) -> tuple[hubo.HuboCoefficients, list[str], samplers.SampleSet]:
+    """Coefficients, feature names and samples of a stand-alone ``select``.
 
-    ``check_energies=False`` skips recomputing the sample energies, for a
-    sample file just written from the same coefficients.
+    The sample energies are recomputed: the file keeps 12 significant digits,
+    and energies of another instance differ there.
     """
     coeffs, extras = hubo.load_coefficients(cfg.coefficients)
     names = extras.get("feature_names") or [f"f{i}" for i in range(coeffs.n)]
     sample_set = samplers.load_samples(cfg.samples)
     if sample_set.n != coeffs.n:
+        raise DataError(f"sample file has n={sample_set.n} but coefficient file has n={coeffs.n}")
+    recomputed = hubo.energy_many(coeffs, sample_set.spins).tolist()
+    energies = sample_set.energies.tolist()
+    stale = sum(f"{a:.12g}" != f"{b:.12g}" for a, b in zip(recomputed, energies))
+    if stale:
         raise DataError(
-            f"sample file has n={sample_set.n} but coefficient file has n={coeffs.n}"
+            f"{stale} of {len(recomputed)} sample energies in {cfg.samples!r} differ "
+            f"from the coefficients in {cfg.coefficients!r}; were they sampled from "
+            "another build?"
         )
-    # The file keeps 12 significant digits; energies of another instance differ there.
-    if check_energies:
-        recomputed = hubo.energy_many(coeffs, sample_set.spins)
-        stale = sum(
-            f"{a:.12g}" != f"{b:.12g}"
-            for a, b in zip(recomputed.tolist(), sample_set.energies.tolist())
-        )
-        if stale:
-            raise DataError(
-                f"{stale} of {len(recomputed)} sample energies in {cfg.samples!r} differ "
-                f"from the coefficients in {cfg.coefficients!r}; were they sampled from "
-                "another build?"
-            )
+    return coeffs, names, sample_set
+
+
+def cmd_select(
+    cfg: RunConfig, coeffs: hubo.HuboCoefficients, names: list[str], sample_set: samplers.SampleSet
+) -> postselect.SelectionResult:
+    """rho-retention, importance scoring, and delta thresholding/sweeping; the
+    selection at the first delta."""
     retained = postselect.retain_low_energy(sample_set, cfg.rho)
     scores = postselect.importance(retained)
     results = postselect.threshold_sweep(scores, cfg.deltas)
@@ -234,13 +231,12 @@ def cmd_select(cfg: RunConfig, check_energies: bool = True) -> Path:
     )
     if len(results) > 1:
         sweep_path = out / "sweep.csv"
-        body = io.StringIO()
-        writer = csv.writer(body, lineterminator="\n")
-        writer.writerow(["delta", "n_selected", "selected_features"])
-        for res in results:
-            picked = ";".join(names[i] for i in res.selected)
-            writer.writerow([f"{res.delta:.12g}", len(res.selected), picked])
-        sweep_path.write_text("# schema=hubofs-sweep/1\n" + body.getvalue(), encoding="utf-8")
+        rows = (
+            [f"{r.delta:.12g}", len(r.selected), ";".join(names[i] for i in r.selected)]
+            for r in results
+        )
+        header = ("delta", "n_selected", "selected_features")
+        write_tagged(sweep_path, "hubofs-sweep/1", [], header, rows)
         print(f"select: wrote {sweep_path} ({len(results)} thresholds)")
     first = results[0]
     print(
@@ -260,31 +256,29 @@ def cmd_select(cfg: RunConfig, check_energies: bool = True) -> Path:
             "(e.g. --sweeps 5 --t-end 16, see README)",
             file=sys.stderr,
         )
-    return importance_path
+    return first
 
 
-def _selection_columns(path: str, ds) -> tuple[str, list[int]]:
-    rows, _ = postselect.read_importance_csv(path)
+def _columns(ds: Dataset, names, source: str) -> list[int]:
+    """Ascending dataset columns of the selected feature ``names`` (from ``source``)."""
     name_to_col = {name: idx for idx, name in enumerate(ds.feature_names)}
-    picked = []
-    for row in rows:
-        if not row["selected"]:
-            continue
-        name = row["feature_name"]
+    for name in names:
         if name not in name_to_col:
-            raise DataError(f"selected feature {name!r} from {path!r} not in the dataset")
-        picked.append(name_to_col[name])
-    return Path(path).stem, sorted(picked)
+            raise DataError(f"selected feature {name!r} from {source!r} not in the dataset")
+    return sorted(name_to_col[name] for name in names)
 
 
-def cmd_compare(cfg: RunConfig, splits: _Splits | None = None) -> Path:
-    """Evaluate selections against all-features, matched k-best, and PCA.
+def _read_selection(path: str, ds: Dataset) -> tuple[str, list[int]]:
+    """The label (file stem) and dataset columns of an importance file's selection."""
+    rows, _ = postselect.read_importance_csv(path)
+    return Path(path).stem, _columns(ds, [r["feature_name"] for r in rows if r["selected"]], path)
 
-    ``splits`` is ``_load_splits(cfg)`` when the caller already has it.
-    """
-    if not cfg.selections:
+
+def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
+    """Evaluate ``(label, columns)`` selections against all-features, matched
+    k-best, and PCA."""
+    if not selections:
         raise UsageError("compare needs at least one --selection file")
-    splits = splits or _load_splits(cfg)
     ds, train, test = splits.ds, splits.train, splits.test
 
     def fit_eval(indices, label) -> baselines.EvalReport:
@@ -293,10 +287,9 @@ def cmd_compare(cfg: RunConfig, splits: _Splits | None = None) -> Path:
 
     reports = []
     matched_sizes = []
-    for path in cfg.selections:
-        label, columns = _selection_columns(path, ds)
+    for label, columns in selections:
         if not columns:
-            print(f"note [compare]: {path} selects zero features, skipped", file=sys.stderr)
+            print(f"note [compare]: selection {label!r} is empty, skipped", file=sys.stderr)
             continue
         reports.append(fit_eval(columns, label))
         matched_sizes.append(len(columns))
@@ -358,61 +351,52 @@ def _write_auc_svg(path, reports) -> None:
 
 
 def cmd_run(cfg: RunConfig) -> None:
-    """All four stages in sequence, artifacts under --out.
-
-    The CSV is loaded, and the train rows discretized and scored for
-    relevance, once. ``select`` reads the sample file ``sample`` just wrote
-    from the same coefficients, so it does not recompute the energies.
-    """
+    """All four stages in sequence, artifacts under --out, each stage handed the
+    values of the one before: the CSV is loaded, the train rows binned and
+    scored for relevance, and the coefficients built, once."""
     splits = _load_splits(cfg)
-    coeffs_path, _ = cmd_build(cfg, splits)
-    cfg.coefficients = str(coeffs_path)
-    samples_path = cmd_sample(cfg)
-    cfg.samples = str(samples_path)
-    importance_path = cmd_select(cfg, check_energies=False)
-    cfg.selections = [str(importance_path)]
-    cmd_compare(cfg, splits)
+    coeffs, names = cmd_build(cfg, splits)
+    samples_path = cmd_sample(cfg, coeffs)
+    # Read back on purpose: select ranks the 12-digit energies of the file, as the
+    # stand-alone select does, so states that tie at 12 digits rank the same way.
+    selection = cmd_select(cfg, coeffs, names, samplers.load_samples(samples_path))
+    picked = [names[i] for i in selection.selected]
+    cmd_compare(cfg, splits, [("importance", _columns(splits.ds, picked, "importance.csv"))])
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input CSV path")
     p.add_argument("--target", required=True, help="target column name")
-    p.add_argument("--test-fraction", type=float, default=0.2, dest="test_fraction")
-    p.add_argument("--bins", type=int, default=8)
+    p.add_argument("--test-fraction", type=float, dest="test_fraction")
+    p.add_argument("--bins", type=int)
 
 
 def _add_build_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--preselect-k", type=int, default=DEFAULT_PRESELECT_K, dest="preselect_k")
-    p.add_argument("--w1", type=float, default=hubo.DEFAULT_WEIGHTS[0])
-    p.add_argument("--w2", type=float, default=hubo.DEFAULT_WEIGHTS[1])
-    p.add_argument("--w3", type=float, default=hubo.DEFAULT_WEIGHTS[2])
-    p.add_argument("--lambda", type=float, default=hubo.DEFAULT_PENALTY[0], dest="lam")
-    p.add_argument("--tau", type=float, default=hubo.DEFAULT_PENALTY[1])
-    p.add_argument("--p", type=float, default=hubo.DEFAULT_PENALTY[2])
+    p.add_argument("--preselect-k", type=int, dest="preselect_k")
+    for flag in ("--w1", "--w2", "--w3", "--lambda", "--tau", "--p"):
+        p.add_argument(flag, type=float, dest="lam" if flag == "--lambda" else None)
 
 
 def _add_sampler_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--sampler", default="sa", choices=["exhaustive", "sa", "dcqo", "random"]
-    )
-    p.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
-    p.add_argument("--sweeps", type=int, default=DEFAULT_SWEEPS)
-    p.add_argument("--t-start", type=float, default=None, dest="t_start")
-    p.add_argument("--t-end", type=float, default=samplers.DEFAULT_T_END, dest="t_end")
-    p.add_argument("--steps", type=int, default=dcqo.DEFAULT_STEPS)
-    p.add_argument("--total-time", type=float, default=dcqo.DEFAULT_TOTAL_TIME, dest="total_time")
-    p.add_argument("--mode", default="full", choices=["full", "cd_only"])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sampler", choices=["exhaustive", "sa", "dcqo", "random"])
+    p.add_argument("--shots", type=int)
+    p.add_argument("--sweeps", type=int)
+    p.add_argument("--t-start", type=float, dest="t_start")
+    p.add_argument("--t-end", type=float, dest="t_end")
+    p.add_argument("--steps", type=int)
+    p.add_argument("--total-time", type=float, dest="total_time")
+    p.add_argument("--mode", choices=["full", "cd_only"])
+    p.add_argument("--seed", type=int)
 
 
 def _add_select_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float, default=DEFAULT_RHO)
+    p.add_argument("--rho", type=float)
     p.add_argument(
         "--delta",
         type=float,
         action="append",
         dest="deltas",
-        help="importance threshold; repeat for a sweep (default 0.5)",
+        help=f"importance threshold; repeat for a sweep (default {DEFAULT_DELTA:g})",
     )
 
 
@@ -426,61 +410,57 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="MI tensors and HUBO coefficients from a CSV")
     _add_data_args(p_build)
     _add_build_args(p_build)
-    p_build.add_argument("--out", default=".")
+    p_build.add_argument("--out")
 
     p_sample = sub.add_parser("sample", help="sample low-energy configurations")
     p_sample.add_argument("--coefficients", required=True)
     _add_sampler_args(p_sample)
-    p_sample.add_argument("--out", default=".")
+    p_sample.add_argument("--out")
 
     p_select = sub.add_parser("select", help="importance scores and thresholded subset")
     p_select.add_argument("--coefficients", required=True)
     p_select.add_argument("--samples", required=True)
     _add_select_args(p_select)
-    p_select.add_argument("--out", default=".")
+    p_select.add_argument("--out")
 
     p_compare = sub.add_parser("compare", help="evaluate selections against baselines")
     _add_data_args(p_compare)
-    p_compare.add_argument(
-        "--selection", action="append", dest="selections", required=True, default=None
-    )
-    p_compare.add_argument("--out", default=".")
+    p_compare.add_argument("--selection", action="append", dest="selections", required=True)
+    p_compare.add_argument("--out")
 
     p_run = sub.add_parser("run", help="all four stages in sequence")
     _add_data_args(p_run)
     _add_build_args(p_run)
     _add_sampler_args(p_run)
     _add_select_args(p_run)
-    p_run.add_argument("--out", default=".")
+    p_run.add_argument("--out")
 
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    for key, value in vars(args).items():
-        if key == "command" or value is None:
-            continue
-        setattr(cfg, key, value)
-    if not cfg.deltas:
-        cfg.deltas = [DEFAULT_DELTA]
-    return cfg
+    """The flags given on the command line over the ``RunConfig`` defaults."""
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    del given["command"]
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
     stage = args.command
-    commands = {
-        "build": cmd_build,
-        "sample": cmd_sample,
-        "select": cmd_select,
-        "compare": cmd_compare,
-        "run": cmd_run,
-    }
     try:
-        commands[stage](cfg)
+        if stage == "build":
+            cmd_build(cfg, _load_splits(cfg))
+        elif stage == "sample":
+            cmd_sample(cfg, hubo.load_coefficients(cfg.coefficients)[0])
+        elif stage == "select":
+            cmd_select(cfg, *_select_inputs(cfg))
+        elif stage == "compare":
+            splits = _load_splits(cfg)
+            cmd_compare(cfg, splits, [_read_selection(p, splits.ds) for p in cfg.selections])
+        else:
+            cmd_run(cfg)
     except HubofsError as exc:
         print(f"error [{stage}]: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -15,20 +15,22 @@ all three produce bitwise identical floats for the same configuration.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .artifacts import json_int, json_number, read_json, read_terms, term_rows, write_json
 from .errors import CapabilityError, DataError, UsageError
-from .mi import MiTensors, check_terms, read_json, sort_terms, term_rows
+from .mi import MiTensors, check_terms, sort_terms
 
 COEFF_SCHEMA = "hubofs-coefficients/1"
 
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.3)
 DEFAULT_PENALTY = (0.5, 0.2, 2.0)  # (lambda, tau, p)
+# Largest n whose 2**n states energies_all_states enumerates (exhaustive sampling too).
+MAX_ALL_STATES_N = 24
 # Rows per energy_many call in energies_all_states: a 2**16 x n int8 block
 # and its per-term temporaries stay cache-sized instead of 2**n long.
 _STATE_BLOCK = 1 << 16
@@ -248,8 +250,8 @@ def energies_all_states(c: HuboCoefficients) -> np.ndarray:
     significant bit), matching the statevector basis ordering. Evaluated in
     blocks of 2**16 states; every row is still one :func:`energy_many` row.
     """
-    if c.n > 24:
-        raise CapabilityError(f"all-states enumeration needs n <= 24, got n={c.n}")
+    if c.n > MAX_ALL_STATES_N:
+        raise CapabilityError(f"all-states enumeration needs n <= {MAX_ALL_STATES_N}, got n={c.n}")
     size = 1 << c.n
     energies = np.empty(size)
     for lo in range(0, size, _STATE_BLOCK):
@@ -342,35 +344,32 @@ def save_coefficients(
         doc["source_indices"] = [int(i) for i in source_indices]
     if provenance is not None:
         doc["provenance"] = provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_coefficients(path) -> tuple[HuboCoefficients, dict]:
     """Read a coefficient artifact, rows in any order; returns (coefficients, extras).
 
-    n = 0 and a repeated J or K row are malformed (:class:`DataError`).
+    n = 0, a repeated J or K row, a non-integer index and a value, weight or
+    penalty parameter that is not a finite number are malformed (:class:`DataError`).
     ``extras`` carries feature_names / source_indices / provenance when the
     file has them.
     """
     doc = read_json(path, COEFF_SCHEMA, "coefficient")
     try:
-        pen = doc["penalty"]
+        pen, w = doc["penalty"], doc["weights"]
         coeffs = HuboCoefficients.from_terms(
-            n=int(doc["n"]),
-            h=np.array(doc["h"], dtype=np.float64),
-            j_terms=[((int(i), int(j)), float(v)) for i, j, v in doc["J"]],
-            k_terms=[((int(i), int(j), int(k)), float(v)) for i, j, k, v in doc["K"]],
-            constant=float(doc["constant"]),
-            weights=(doc["weights"]["w1"], doc["weights"]["w2"], doc["weights"]["w3"]),
-            penalty_params=(pen["lambda"], pen["tau"], pen["p"]),
+            n=json_int(doc["n"]),
+            h=[json_number(v) for v in doc["h"]],
+            j_terms=read_terms(doc["J"], 2),
+            k_terms=read_terms(doc["K"], 3),
+            constant=json_number(doc["constant"]),
+            weights=tuple(json_number(w[key]) for key in ("w1", "w2", "w3")),
+            penalty_params=tuple(json_number(pen[key]) for key in ("lambda", "tau", "p")),
             penalty_applied=bool(pen["applied"]),
         )
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise DataError(f"malformed coefficient file {path!r}: {exc!r}") from exc
-    if not np.isfinite(np.concatenate([coeffs.h, coeffs.j, coeffs.k, [coeffs.constant]])).all():
-        raise DataError(f"non-finite coefficient in {path!r}")
     extras = {
         key: doc[key] for key in ("feature_names", "source_indices", "provenance") if key in doc
     }

@@ -30,11 +30,11 @@ concatenated terms does not (it gave other bits for most tables tried).
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import json_number, read_json, read_terms, term_rows, write_json
 from .dataset import DiscretizedDataset
 from .errors import DataError, UsageError
 
@@ -75,26 +75,6 @@ def sort_terms(terms, order: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.array([value for _, value in items], dtype=np.float64)
     rows = np.lexsort(index.T[::-1])
     return index[rows], values[rows]
-
-
-def term_rows(index: np.ndarray, values: np.ndarray) -> list[list]:
-    """``[i, ..., value]`` JSON rows of one term family."""
-    return [row + [value] for row, value in zip(index.tolist(), values.tolist())]
-
-
-def read_json(path, schema: str, what: str) -> dict:
-    """The JSON object of a ``schema`` artifact; anything else raises :class:`DataError`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read {what} file {path!r}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, int digit limit
-        raise DataError(f"malformed {what} file {path!r}: {exc}") from exc
-    found = doc.get("schema") if isinstance(doc, dict) else None
-    if found != schema:
-        raise DataError(f"unknown {what} schema {found!r} in {path!r}")
-    return doc
 
 
 @dataclass(frozen=True)
@@ -307,23 +287,18 @@ def save_tensors(path, t: MiTensors, provenance: dict | None = None) -> None:
     }
     if provenance is not None:
         doc["provenance"] = provenance
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_tensors(path) -> MiTensors:
-    """Read a tensor file, rows in any order; a malformed one (a repeated row too) raises
-    :class:`DataError`."""
+    """Read a tensor file, rows in any order; a malformed one (a repeated row, a
+    non-integer index or a non-finite value too) raises :class:`DataError`."""
     doc = read_json(path, TENSOR_SCHEMA, "tensor")
     try:
-        t = MiTensors.from_terms(
-            relevance=np.array(doc["relevance"], dtype=np.float64),
-            redundancy=[((int(i), int(j)), float(v)) for i, j, v in doc["pairs"]],
-            triadic=[((int(i), int(j), int(k)), float(v)) for i, j, k, v in doc["triples"]],
+        return MiTensors.from_terms(
+            relevance=[json_number(v) for v in doc["relevance"]],
+            redundancy=read_terms(doc["pairs"], 2),
+            triadic=read_terms(doc["triples"], 3),
         )
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise DataError(f"malformed tensor file {path!r}: {exc!r}") from exc
-    if not np.isfinite(t.all_values()).all():
-        raise DataError(f"non-finite MI value in tensor file {path!r}")
-    return t

@@ -9,12 +9,12 @@ importance reaches the inclusive threshold delta.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_tagged, write_tagged
 from .errors import DataError, UsageError
 from .samplers import SampleSet
 
@@ -120,40 +120,19 @@ def write_importance_csv(
         raise UsageError(f"{len(names)} names for {scores.n} scores")
     chosen = set(selection.selected)
     order = sorted(range(scores.n), key=lambda i: (-scores.scores[i], i))
-    lines = [
-        f"# schema={IMPORTANCE_SCHEMA}",
-        f"# rho={scores.rho:.12g}",
-        f"# retained={scores.retained_count}",
-        f"# delta={selection.delta:.12g}",
+    meta = [
+        ("rho", f"{scores.rho:.12g}"),
+        ("retained", scores.retained_count),
+        ("delta", f"{selection.delta:.12g}"),
+        *sorted((extra_metadata or {}).items()),
     ]
-    if extra_metadata:
-        lines.extend(f"# {k}={extra_metadata[k]}" for k in sorted(extra_metadata))
-    body = io.StringIO()
-    writer = csv.writer(body, lineterminator="\n")  # names may contain commas
-    writer.writerow(IMPORTANCE_FIELDS)
-    for i in order:
-        writer.writerow([i, names[i], f"{scores.scores[i]:.12g}", 1 if i in chosen else 0])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n" + body.getvalue())
+    rows = ([i, names[i], f"{scores.scores[i]:.12g}", int(i in chosen)] for i in order)
+    write_tagged(path, IMPORTANCE_SCHEMA, meta, IMPORTANCE_FIELDS, rows)
 
 
 def read_importance_csv(path) -> tuple[list[dict], dict[str, str]]:
     """Rows (as dicts) and '#' metadata of an importance file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read importance file {path!r}: {exc}") from exc
-    meta: dict[str, str] = {}
-    body: list[str] = []
-    for line in raw:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            meta[key] = value
-        elif line:
-            body.append(line)
-    if meta.get("schema") != IMPORTANCE_SCHEMA:
-        raise DataError(f"unknown importance schema {meta.get('schema')!r} in {path!r}")
+    meta, body = read_tagged(path, IMPORTANCE_SCHEMA, "importance")
     reader = csv.DictReader(body)
     rows = []
     try:

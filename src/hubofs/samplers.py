@@ -67,9 +67,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .artifacts import read_tagged, write_tagged
 from .errors import CapabilityError, DataError, HubofsError, UsageError
 from .hubo import (
     _GEMM_MACS,
+    MAX_ALL_STATES_N,
     HuboCoefficients,
     SpinConfig,
     _row_blocks,
@@ -180,10 +182,10 @@ def exhaustive_solve(c: HuboCoefficients, keep: int) -> SampleSet:
     """All 2^n configurations, keeping the ``keep`` lowest-energy ones.
 
     Ties break lexicographically on spins (-1 < +1). Ground-truth oracle for
-    desk-scale validation; refuses n > 24.
+    desk-scale validation; refuses n > ``MAX_ALL_STATES_N`` (24).
     """
-    if c.n > 24:
-        raise CapabilityError(f"exhaustive enumeration needs n <= 24, got n={c.n}")
+    if c.n > MAX_ALL_STATES_N:
+        raise CapabilityError(f"exhaustive enumeration needs n <= {MAX_ALL_STATES_N}, got n={c.n}")
     if keep < 1:
         raise UsageError(f"keep must be >= 1, got {keep}")
     size = 1 << c.n
@@ -358,42 +360,18 @@ def save_samples(path, s: SampleSet) -> None:
 
     A bitstring is the x-representation, feature 0 leftmost ('1' = selected).
     """
-    lines = [
-        f"# schema={SAMPLE_SCHEMA}",
-        f"# sampler={s.sampler_name}",
-        f"# seed={s.seed}",
-        f"# n={s.n}",
-        f"# total_shots={s.total_shots}",
-    ]
-    lines.extend(f"# {key}={s.metadata[key]}" for key in sorted(s.metadata))
-    lines.append("bitstring,count,energy")
+    meta = [("sampler", s.sampler_name), ("seed", s.seed), ("n", s.n)]
+    meta += [("total_shots", s.total_shots), *sorted(s.metadata.items())]
     chars = ((s.spins < 0) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    n = s.n
-    lines.extend(
-        f"{chars[t * n:(t + 1) * n]},{count},{energy:.12g}"
-        for t, (count, energy) in enumerate(zip(s.counts.tolist(), s.energies.tolist()))
-    )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    bits = (chars[t * s.n : (t + 1) * s.n] for t in range(len(s.counts)))
+    energies = (f"{energy:.12g}" for energy in s.energies.tolist())
+    rows = zip(bits, s.counts.tolist(), energies)
+    write_tagged(path, SAMPLE_SCHEMA, meta, ("bitstring", "count", "energy"), rows)
 
 
 def load_samples(path) -> SampleSet:
     """Read a sample CSV; the ``# n=`` header fixes the bitstring length."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read sample file {path!r}: {exc}") from exc
-    meta: dict[str, str] = {}
-    body: list[str] = []
-    for line in raw:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            meta[key] = value
-        elif line:
-            body.append(line)
-    if meta.get("schema") != SAMPLE_SCHEMA:
-        raise DataError(f"unknown sample schema {meta.get('schema')!r} in {path!r}")
+    meta, body = read_tagged(path, SAMPLE_SCHEMA, "sample")
     if not body or body[0] != "bitstring,count,energy":
         raise DataError(f"missing sample header row in {path!r}")
     try:

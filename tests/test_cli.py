@@ -230,6 +230,17 @@ class TestSample:
         assert "need n >= 1 spins" in err and "Traceback" not in err
         assert not (tmp_path / "samples.csv").exists()
 
+    def test_non_integer_index_exit_3(self, built, tmp_path, capsys):
+        doc = json.loads((built / "coefficients.json").read_text())
+        doc["J"][0][1] = 1.5
+        path = tmp_path / "float_index.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("sample", "--coefficients", path, "--shots", 10, "--out", tmp_path)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "malformed coefficient file" in err and "Traceback" not in err
+        assert not (tmp_path / "samples.csv").exists()
+
     def test_exhaustive_refused_for_large_n(self, tmp_path, capsys):
         from hubofs.hubo import HuboCoefficients, save_coefficients
 
@@ -547,32 +558,72 @@ class TestRun:
 
     def test_run_loads_csv_once_and_matches_the_four_stages(self, demo_csv, tmp_path, monkeypatch):
         import hubofs.cli as cli
+        from hubofs import hubo, postselect
 
-        calls = []
+        calls = {}
 
-        def counting_load_csv(*args):
-            calls.append(args)
-            return load_csv(*args)
+        def count(owner, name):
+            inner = getattr(owner, name)
+            calls[name] = 0
 
-        monkeypatch.setattr(cli, "load_csv", counting_load_csv)
+            def counted(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(cli, "load_csv")
+        count(hubo, "load_coefficients")
+        count(postselect, "read_importance_csv")
+        count(samplers, "load_samples")
         data = ("--input", demo_csv, "--target", "label")
         sampler = ("--sampler", "dcqo", "--shots", 200, "--steps", 8, "--seed", 4)
+        deltas = ("--delta", 0.3, "--delta", 0.1)
         chained, staged = tmp_path / "run", tmp_path / "stages"
-        assert run_cli("run", *data, *sampler, "--delta", 0.3, "--out", chained) == 0
-        assert len(calls) == 1
+        assert run_cli("run", *data, *sampler, *deltas, "--out", chained) == 0
+        # run reads back only samples.csv, on purpose (see cmd_run).
+        assert calls == {
+            "load_csv": 1, "load_coefficients": 0, "read_importance_csv": 0, "load_samples": 1
+        }
         coefficients = staged / "coefficients.json"
         assert run_cli("build", *data, "--out", staged) == 0
         assert run_cli("sample", "--coefficients", coefficients, *sampler, "--out", staged) == 0
         assert (
             run_cli(
                 "select", "--coefficients", coefficients, "--samples", staged / "samples.csv",
-                "--delta", 0.3, "--out", staged,
+                *deltas, "--out", staged,
             )
             == 0
         )
         selection = staged / "importance.csv"
         assert run_cli("compare", *data, "--selection", selection, "--out", staged) == 0
-        assert len(calls) == 3
+        assert calls["load_csv"] == 3
         for name in ("mi_tensors.json", "coefficients.json", "samples.csv", "importance.csv",
-                     "comparison.csv", "comparison.svg"):
+                     "sweep.csv", "comparison.csv", "comparison.svg"):
             assert (chained / name).read_bytes() == (staged / name).read_bytes(), name
+        assert "importance," in (chained / "comparison.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--input", "t.csv", "--target", "y"],
+        ["sample", "--coefficients", "c.json"],
+        ["select", "--coefficients", "c.json", "--samples", "s.csv"],
+        ["compare", "--input", "t.csv", "--target", "y", "--selection", "i.csv"],
+        ["run", "--input", "t.csv", "--target", "y"],
+    ],
+)
+def test_parsed_defaults_are_the_run_config_defaults(argv):
+    from dataclasses import replace
+
+    from hubofs.cli import RunConfig, _config_from_args, build_parser
+
+    args = build_parser().parse_args(argv)
+    required = {"input": "t.csv", "target": "y", "coefficients": "c.json",
+                "samples": "s.csv", "selections": ["i.csv"]}
+    given = {key: value for key, value in required.items() if key in vars(args)}
+    assert _config_from_args(args) == replace(RunConfig(), **given)
+    # Every other flag of the subcommand takes its value from RunConfig alone.
+    flags = {key: value for key, value in vars(args).items() if key not in {*given, "command"}}
+    assert set(flags.values()) == {None}

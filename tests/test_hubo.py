@@ -357,6 +357,19 @@ class TestCoefficientIo:
             lambda doc: doc.__setitem__("constant", float("nan")),
             lambda doc: doc["J"].append([0, 1, 9.0]),
             lambda doc: doc["K"].append(list(doc["K"][0])),
+            lambda doc: doc["J"][0].__setitem__(1, 1.5),
+            lambda doc: doc["J"][0].__setitem__(1, True),
+            lambda doc: doc["J"][0].__setitem__(1, "1"),
+            lambda doc: doc["K"][0].__setitem__(0, 0.0),
+            lambda doc: doc.__setitem__("n", 3.0),
+            lambda doc: doc["J"][0].__setitem__(2, "0.5"),
+            lambda doc: doc["h"].__setitem__(0, "0.5"),
+            lambda doc: doc.__setitem__("constant", "0"),
+            lambda doc: doc["weights"].__setitem__("w1", "x"),
+            lambda doc: doc["weights"].__setitem__("w2", float("nan")),
+            lambda doc: doc["penalty"].__setitem__("tau", float("nan")),
+            lambda doc: doc["penalty"].__setitem__("lambda", "0.5"),
+            lambda doc: doc["penalty"].__setitem__("p", True),
         ],
     )
     def test_malformed_file_is_data_error(self, tmp_path, corrupt):

@@ -415,6 +415,12 @@ class TestTensorIo:
             lambda doc: doc["triples"][0].__setitem__(3, float("-inf")),
             lambda doc: doc["pairs"].append([0, 1, 9.0]),
             lambda doc: doc["triples"].append(list(doc["triples"][0])),
+            lambda doc: doc["pairs"][0].__setitem__(1, 1.5),
+            lambda doc: doc["pairs"][0].__setitem__(1, True),
+            lambda doc: doc["pairs"][0].__setitem__(1, "1"),
+            lambda doc: doc["triples"][0].__setitem__(0, 0.0),
+            lambda doc: doc["pairs"][0].__setitem__(2, "0.5"),
+            lambda doc: doc["relevance"].__setitem__(0, "0.5"),
         ],
     )
     def test_malformed_file_is_data_error(self, tmp_path, corrupt):
