@@ -69,7 +69,9 @@ def read_tagged(path, schema: str, what: str) -> tuple[dict[str, str], list[str]
     """The ``# key=value`` metadata (``schema`` included) and the non-empty other lines."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
+            # Only "\n" ends a line (the writer's terminator; reading maps "\r\n" to it):
+            # splitlines() would also break inside a field at U+2028, U+0085 or \x1c-\x1e.
+            raw = fh.read().split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} file {path!r}: {exc}") from exc
     meta: dict[str, str] = {}

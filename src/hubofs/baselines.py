@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifacts import write_tagged
-from .dataset import Dataset
 from .errors import DataError, UsageError
 from .hubo import preselect_top_k
 
@@ -77,7 +76,7 @@ def select_k_best(relevance, k: int) -> list[int]:
     return preselect_top_k(relevance, k)
 
 
-def pca_fit(d: Dataset, var_threshold: float) -> PcaModel:
+def pca_fit(X: np.ndarray, var_threshold: float) -> PcaModel:
     """Eigendecomposition of the sample covariance with a fixed sign rule.
 
     Keeps the smallest leading set of components whose cumulative explained
@@ -86,11 +85,11 @@ def pca_fit(d: Dataset, var_threshold: float) -> PcaModel:
     """
     if not 0.0 < var_threshold <= 1.0:
         raise UsageError(f"var_threshold must be in (0, 1], got {var_threshold}")
-    if d.n_samples < 2:
+    if X.shape[0] < 2:
         raise DataError("PCA needs at least 2 samples")
-    mean = d.features.mean(axis=0)
-    centered = d.features - mean
-    cov = centered.T @ centered / (d.n_samples - 1)
+    mean = X.mean(axis=0)
+    centered = X - mean
+    cov = centered.T @ centered / (X.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(-eigvals, kind="stable")
     eigvals = np.maximum(eigvals[order], 0.0)
@@ -114,19 +113,11 @@ def pca_fit(d: Dataset, var_threshold: float) -> PcaModel:
     )
 
 
-def pca_transform(m: PcaModel, d: Dataset) -> Dataset:
-    """Centered projection onto the kept components; names PC1..PCm."""
-    if d.n_features != m.mean.shape[0]:
-        raise UsageError(
-            f"dataset has {d.n_features} features, PCA model expects {m.mean.shape[0]}"
-        )
-    scores = (d.features - m.mean) @ m.components[: m.kept_components].T
-    return Dataset(
-        features=scores,
-        target=d.target.copy(),
-        feature_names=tuple(f"PC{i + 1}" for i in range(m.kept_components)),
-        n_dropped_rows=d.n_dropped_rows,
-    )
+def pca_transform(m: PcaModel, X: np.ndarray) -> np.ndarray:
+    """Centered projection of the rows of ``X`` onto the kept components."""
+    if X.shape[1] != m.mean.shape[0]:
+        raise UsageError(f"data has {X.shape[1]} features, PCA model expects {m.mean.shape[0]}")
+    return (X - m.mean) @ m.components[: m.kept_components].T
 
 
 def logistic_loss(features: np.ndarray, target: np.ndarray, model: LogisticModel, l2: float) -> float:
@@ -138,7 +129,8 @@ def logistic_loss(features: np.ndarray, target: np.ndarray, model: LogisticModel
 
 
 def logistic_fit(
-    train: Dataset,
+    X: np.ndarray,
+    y: np.ndarray,
     l2: float = DEFAULT_L2,
     iterations: int = DEFAULT_ITERATIONS,
     learning_rate: float = DEFAULT_LEARNING_RATE,
@@ -150,15 +142,14 @@ def logistic_fit(
         raise UsageError(f"iterations must be >= 0, got {iterations}")
     if learning_rate <= 0:
         raise UsageError(f"learning_rate must be > 0, got {learning_rate}")
-    y = train.target.astype(np.float64)
-    if np.unique(train.target).shape[0] < 2:
+    if np.unique(y).shape[0] < 2:
         raise DataError("logistic regression needs both classes in the training data")
-    X = train.features
-    n = train.n_samples
-    w = np.zeros(train.n_features)
+    n, d = X.shape
+    labels = y.astype(np.float64)
+    w = np.zeros(d)
     b = 0.0
     for _ in range(iterations):
-        residual = _sigmoid(X @ w + b) - y
+        residual = _sigmoid(X @ w + b) - labels
         grad_w = X.T @ residual / n + l2 * w
         grad_b = float(residual.mean())
         w = w - learning_rate * grad_w
@@ -187,18 +178,12 @@ def roc_auc(target: np.ndarray, scores: np.ndarray) -> float:
     return (rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
 
-def evaluate(
-    model: LogisticModel,
-    test: Dataset,
-    method_name: str = "logistic",
-    n_features: int | None = None,
-) -> EvalReport:
-    """Accuracy / F1 / AUC of predicted probabilities on a test set."""
-    if test.n_samples == 0:
+def evaluate(model: LogisticModel, X: np.ndarray, y: np.ndarray, method_name: str) -> EvalReport:
+    """Accuracy / F1 / AUC of predicted probabilities on test rows ``X`` with labels ``y``."""
+    if X.shape[0] == 0:
         raise DataError("cannot evaluate on an empty test set")
-    probs = model.predict_proba(test.features)
+    probs = model.predict_proba(X)
     pred = (probs >= 0.5).astype(np.int64)
-    y = test.target
     accuracy = float((pred == y).mean())
     tp = int(((pred == 1) & (y == 1)).sum())
     fp = int(((pred == 1) & (y == 0)).sum())
@@ -206,7 +191,7 @@ def evaluate(
     f1 = 0.0 if 2 * tp + fp + fn == 0 else 2.0 * tp / (2 * tp + fp + fn)
     return EvalReport(
         method_name=method_name,
-        n_features_or_components=test.n_features if n_features is None else n_features,
+        n_features_or_components=X.shape[1],
         accuracy=accuracy,
         f1=f1,
         auc=roc_auc(y, probs),

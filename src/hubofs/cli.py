@@ -26,7 +26,6 @@ from .dataset import (
     standardize,
     stratified_split,
     subset_codes,
-    subset_features,
 )
 from .errors import DataError, HubofsError, UsageError
 
@@ -281,9 +280,11 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
         raise UsageError("compare needs at least one --selection file")
     ds, train, test = splits.ds, splits.train, splits.test
 
-    def fit_eval(indices, label) -> baselines.EvalReport:
-        model = baselines.logistic_fit(subset_features(train, indices))
-        return baselines.evaluate(model, subset_features(test, indices), method_name=label)
+    def fit_eval(columns, label) -> baselines.EvalReport:
+        # Copied to C order: a column slice is Fortran-ordered, and the bits of the
+        # fit's matrix-vector products depend on the layout.
+        model = baselines.logistic_fit(train.features[:, columns].copy(), train.target)
+        return baselines.evaluate(model, test.features[:, columns].copy(), test.target, label)
 
     reports = []
     matched_sizes = []
@@ -297,15 +298,11 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     for size in matched_sizes:
         columns = baselines.select_k_best(splits.relevance, size)
         reports.append(fit_eval(columns, f"select_k_best_{size}"))
-    pca = baselines.pca_fit(train, PCA_VARIANCE)
-    pca_model = baselines.logistic_fit(baselines.pca_transform(pca, train))
+    pca = baselines.pca_fit(train.features, PCA_VARIANCE)
+    pca_model = baselines.logistic_fit(baselines.pca_transform(pca, train.features), train.target)
+    test_scores = baselines.pca_transform(pca, test.features)
     reports.append(
-        baselines.evaluate(
-            pca_model,
-            baselines.pca_transform(pca, test),
-            method_name=f"pca_var{PCA_VARIANCE:g}",
-            n_features=pca.kept_components,
-        )
+        baselines.evaluate(pca_model, test_scores, test.target, f"pca_var{PCA_VARIANCE:g}")
     )
     out = _out_dir(cfg)
     csv_path = out / "comparison.csv"

@@ -9,33 +9,28 @@ identical downstream artifacts in any implementation.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import CapabilityError, DataError, UsageError
 
-DEFAULT_BINS = 8
 # One triple's histogram has MAX_BINS**3 cells (262 144), read three ways.
 MAX_BINS = 64
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Numeric feature matrix with a binary target.
+    """Numeric feature matrix with a binary target, as loaded, standardized or split.
 
     ``features`` is (N, n) float64 with no missing entries; ``target`` holds
-    labels in {0, 1} with both classes present. ``column_means``/
-    ``column_stds`` are set only after standardization (stds are sample
-    standard deviations; 0.0 marks a constant column).
+    labels in {0, 1} with both classes present; ``n_dropped_rows`` counts the
+    CSV rows that :func:`load_csv` skipped.
     """
 
     features: np.ndarray
     target: np.ndarray
     feature_names: tuple[str, ...]
-    standardized: bool = False
-    column_means: np.ndarray | None = None
-    column_stds: np.ndarray | None = None
     n_dropped_rows: int = 0
 
     def __post_init__(self):
@@ -58,7 +53,6 @@ class DiscretizedDataset:
     codes: np.ndarray
     bin_counts: np.ndarray
     target: np.ndarray
-    source_names: tuple[str, ...]
 
     @property
     def n_samples(self) -> int:
@@ -149,25 +143,15 @@ def standardize(d: Dataset) -> Dataset:
     """Z-score every column (mean over N, std with N-1 in the denominator).
 
     Constant columns become all-zeros instead of being removed, keeping
-    feature indices stable; their recorded std is 0.0.
+    feature indices stable.
     """
-    if d.standardized:
-        raise UsageError("dataset is already standardized")
     if d.n_samples < 2:
         raise DataError("standardization needs at least 2 samples")
     means = d.features.mean(axis=0)
     stds = d.features.std(axis=0, ddof=1)
     centered = d.features - means
     out = np.where(stds == 0.0, 0.0, centered / np.where(stds == 0.0, 1.0, stds))
-    return Dataset(
-        features=out,
-        target=d.target,
-        feature_names=d.feature_names,
-        standardized=True,
-        column_means=means,
-        column_stds=stds,
-        n_dropped_rows=d.n_dropped_rows,
-    )
+    return replace(d, features=out)
 
 
 def stratified_split(d: Dataset, test_fraction: float) -> tuple[Dataset, Dataset]:
@@ -179,34 +163,21 @@ def stratified_split(d: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
     """
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test_fraction must be in (0,1), got {test_fraction}")
-    labels = np.unique(d.target)
     to_test = np.zeros(d.n_samples, dtype=bool)
-    for label in labels:
+    for label in np.unique(d.target):
         rows = np.flatnonzero(d.target == label)
         if rows.size < 2:
             raise DataError(f"class {label} has fewer than 2 samples")
-        for r, row in enumerate(rows):
-            if int((r + 1) * test_fraction) > int(r * test_fraction):
-                to_test[row] = True
-        n_test = int(to_test[rows].sum())
-        if n_test == 0 or n_test == rows.size:
+        r = np.arange(rows.size)
+        picked = np.floor((r + 1) * test_fraction) > np.floor(r * test_fraction)
+        if not picked.any():  # row 0 always trains, as test_fraction < 1
             raise DataError(
-                f"class {label} would get an empty train or test split at "
-                f"test_fraction={test_fraction}"
+                f"class {label} would get an empty test split at test_fraction={test_fraction}"
             )
-
-    def _take(mask: np.ndarray) -> Dataset:
-        return Dataset(
-            features=d.features[mask].copy(),
-            target=d.target[mask].copy(),
-            feature_names=d.feature_names,
-            standardized=d.standardized,
-            column_means=d.column_means,
-            column_stds=d.column_stds,
-            n_dropped_rows=d.n_dropped_rows,
-        )
-
-    return _take(~to_test), _take(to_test)
+        to_test[rows] = picked
+    return tuple(
+        replace(d, features=d.features[m], target=d.target[m]) for m in (~to_test, to_test)
+    )
 
 
 def _bin_column(values: np.ndarray, max_bins: int) -> tuple[np.ndarray, int]:
@@ -241,7 +212,7 @@ def _bin_column(values: np.ndarray, max_bins: int) -> tuple[np.ndarray, int]:
     return codes.astype(np.int64), used.shape[0]
 
 
-def discretize(d: Dataset, max_bins: int = DEFAULT_BINS) -> DiscretizedDataset:
+def discretize(d: Dataset, max_bins: int) -> DiscretizedDataset:
     """Per-feature equal-frequency binning with B = min(max_bins, #distinct)."""
     if max_bins < 2:
         raise UsageError(f"max_bins must be >= 2, got {max_bins}")
@@ -251,12 +222,7 @@ def discretize(d: Dataset, max_bins: int = DEFAULT_BINS) -> DiscretizedDataset:
     bin_counts = np.empty(d.n_features, dtype=np.int64)
     for j in range(d.n_features):
         codes[:, j], bin_counts[j] = _bin_column(d.features[:, j], max_bins)
-    return DiscretizedDataset(
-        codes=codes,
-        bin_counts=bin_counts,
-        target=d.target.copy(),
-        source_names=d.feature_names,
-    )
+    return DiscretizedDataset(codes=codes, bin_counts=bin_counts, target=d.target.copy())
 
 
 def subset_codes(dd: DiscretizedDataset, indices) -> DiscretizedDataset:
@@ -270,21 +236,4 @@ def subset_codes(dd: DiscretizedDataset, indices) -> DiscretizedDataset:
         codes=dd.codes[:, idx],
         bin_counts=dd.bin_counts[idx],
         target=dd.target.copy(),
-        source_names=tuple(dd.source_names[i] for i in idx),
-    )
-
-
-def subset_features(d: Dataset, indices) -> Dataset:
-    """Dataset restricted to the given feature columns (order preserved)."""
-    idx = list(indices)
-    if any(i < 0 or i >= d.n_features for i in idx):
-        raise UsageError(f"feature index out of range in {idx}")
-    return Dataset(
-        features=d.features[:, idx].copy(),
-        target=d.target.copy(),
-        feature_names=tuple(d.feature_names[i] for i in idx),
-        standardized=d.standardized,
-        column_means=None if d.column_means is None else d.column_means[idx],
-        column_stds=None if d.column_stds is None else d.column_stds[idx],
-        n_dropped_rows=d.n_dropped_rows,
     )

@@ -108,13 +108,13 @@ def cd_amplitude(lam: float) -> float:
     return 1.0 / (4.0 * ((1.0 - lam) ** 2 + lam**2))
 
 
-def _axis_slices(n: int, qubit: int):
+def _axis_slices(qubit: int):
     head = (slice(None),) * qubit
     return head + (0,), head + (1,)
 
 
-def _apply_rx(state: np.ndarray, qubit: int, theta: float, n: int) -> None:
-    idx0, idx1 = _axis_slices(n, qubit)
+def _apply_rx(state: np.ndarray, qubit: int, theta: float) -> None:
+    idx0, idx1 = _axis_slices(qubit)
     a0 = state[idx0].copy()
     a1 = state[idx1]
     cos_t = math.cos(0.5 * theta)
@@ -123,9 +123,9 @@ def _apply_rx(state: np.ndarray, qubit: int, theta: float, n: int) -> None:
     state[idx1] = cos_t * a1 - 1j * sin_t * a0
 
 
-def _apply_y_rotation(state: np.ndarray, qubit: int, half: np.ndarray, n: int) -> None:
+def _apply_y_rotation(state: np.ndarray, qubit: int, half: np.ndarray) -> None:
     """exp(-i half Y_qubit), ``half`` indexed by the other qubits' basis states."""
-    idx0, idx1 = _axis_slices(n, qubit)
+    idx0, idx1 = _axis_slices(qubit)
     cos_t = np.cos(half)
     sin_t = np.sin(half)
     a0 = state[idx0].copy()
@@ -184,13 +184,13 @@ def evolve_statevector(
         if mode == "full":
             theta_x = -2.0 * (1.0 - lam) * dt
             for q in range(n):
-                _apply_rx(state, q, theta_x, n)
+                _apply_rx(state, q, theta_x)
             worst = _check_norm(state, worst)
             state *= np.exp(-1j * (lam * dt) * diagonal)
             worst = _check_norm(state, worst)
         half_cd = -2.0 * dt * lam_dot * cd_amplitude(lam)
         for q in range(n):
-            _apply_y_rotation(state, q, half_cd * fields[q], n)
+            _apply_y_rotation(state, q, half_cd * fields[q])
         worst = _check_norm(state, worst)
     return state.reshape(-1), worst
 

@@ -351,13 +351,16 @@ def load_coefficients(path) -> tuple[HuboCoefficients, dict]:
     """Read a coefficient artifact, rows in any order; returns (coefficients, extras).
 
     n = 0, a repeated J or K row, a non-integer index and a value, weight or
-    penalty parameter that is not a finite number are malformed (:class:`DataError`).
-    ``extras`` carries feature_names / source_indices / provenance when the
-    file has them.
+    penalty parameter that is not a finite number are malformed (:class:`DataError`),
+    as are a penalty ``applied`` that is not a JSON bool and ``feature_names`` that
+    are not n strings. ``extras`` carries feature_names / source_indices /
+    provenance when the file has them.
     """
     doc = read_json(path, COEFF_SCHEMA, "coefficient")
     try:
         pen, w = doc["penalty"], doc["weights"]
+        if type(pen["applied"]) is not bool:
+            raise TypeError(f"penalty applied must be true or false, got {pen['applied']!r}")
         coeffs = HuboCoefficients.from_terms(
             n=json_int(doc["n"]),
             h=[json_number(v) for v in doc["h"]],
@@ -366,8 +369,13 @@ def load_coefficients(path) -> tuple[HuboCoefficients, dict]:
             constant=json_number(doc["constant"]),
             weights=tuple(json_number(w[key]) for key in ("w1", "w2", "w3")),
             penalty_params=tuple(json_number(pen[key]) for key in ("lambda", "tau", "p")),
-            penalty_applied=bool(pen["applied"]),
+            penalty_applied=pen["applied"],
         )
+        names = doc.get("feature_names", [""] * coeffs.n)
+        if not isinstance(names, list) or len(names) != coeffs.n or not all(
+            isinstance(name, str) for name in names
+        ):
+            raise ValueError(f"feature_names must be a list of {coeffs.n} strings")
     except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise DataError(f"malformed coefficient file {path!r}: {exc!r}") from exc
     extras = {

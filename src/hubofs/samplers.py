@@ -212,17 +212,14 @@ def simulated_annealing(
     t_start: float | None = None,
     t_end: float = DEFAULT_T_END,
     seed: int = 0,
-    validate_deltas: bool = False,
 ) -> SampleSet:
     """Independent single-spin Metropolis chains under geometric cooling.
 
     Each of ``shots`` chains starts uniformly at random, performs ``sweeps``
     full sweeps (spins in index order), and reports its final configuration.
     ``t_start`` defaults to 2 * n * max|coefficient| (1.0 on an all-zero
-    instance). ``validate_deltas`` cross-checks every incremental energy
-    delta against a full re-evaluation (slow; testing hook). A tenth of the
-    proposals that is empty (``sweeps * n < 10``) reads ``nan`` in
-    ``sa_acceptance``.
+    instance). A tenth of the proposals that is empty (``sweeps * n < 10``)
+    reads ``nan`` in ``sa_acceptance``.
     """
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
@@ -264,13 +261,6 @@ def simulated_annealing(
         u = uniforms(words).reshape(n, shots)
         for i in range(n):
             delta = -2.0 * spins[:, i] * fields[:, i]
-            if validate_deltas:
-                base = energy_many(c, spins)
-                flipped = spins.copy()
-                flipped[:, i] = -flipped[:, i]
-                full = energy_many(c, flipped) - base
-                if not np.allclose(delta, full, atol=1e-10, rtol=0.0):
-                    raise HubofsError("incremental delta drifted from full re-evaluation")
             accept = u[i] < np.exp(np.minimum(-delta / temp, 0.0))
             k = int(np.count_nonzero(accept))
             if k >= _DENSE_SHARE * shots:

@@ -16,7 +16,7 @@ import pytest
 from conftest import make_redundant_dataset, naive_energy, random_instance, write_demo_csv
 from hubofs import baselines, postselect
 from hubofs.cli import main as cli_main
-from hubofs.dataset import discretize, standardize, stratified_split, subset_features
+from hubofs.dataset import discretize, standardize, stratified_split
 from hubofs.dcqo import build_schedule, evolve_and_sample
 from hubofs.hubo import (
     apply_penalty,
@@ -221,10 +221,11 @@ def test_criterion_8_downstream_sanity_band():
         ground = exhaustive_solve(coeffs, 1).entries[0]
         selected = sorted(i for i, s in enumerate(ground.spins.spins) if s == -1)
         assert selected, "ground state selected nothing"
-        model_sub = baselines.logistic_fit(subset_features(train, selected))
-        auc_sub = baselines.evaluate(model_sub, subset_features(test, selected)).auc
-        model_all = baselines.logistic_fit(train)
-        auc_all = baselines.evaluate(model_all, test).auc
+        X_sub, X_test_sub = train.features[:, selected], test.features[:, selected]
+        model_sub = baselines.logistic_fit(X_sub, train.target)
+        auc_sub = baselines.evaluate(model_sub, X_test_sub, test.target, "subset").auc
+        model_all = baselines.logistic_fit(train.features, train.target)
+        auc_all = baselines.evaluate(model_all, test.features, test.target, "all").auc
         assert auc_sub >= 0.95 * auc_all, f"subset {auc_sub:.4f} vs all {auc_all:.4f}"
 
 
@@ -258,14 +259,7 @@ def test_criterion_10_baseline_correctness():
     with criterion(10, "PCA rank-1 keeps one component; AUC matches pair enumeration"):
         rng = np.random.default_rng(10)
         latent = rng.normal(size=80)
-        from hubofs.dataset import Dataset
-
-        ds = Dataset(
-            features=np.column_stack([latent, -0.5 * latent]),
-            target=np.array([0, 1] * 40),
-            feature_names=("a", "b"),
-        )
-        model = baselines.pca_fit(ds, 0.95)
+        model = baselines.pca_fit(np.column_stack([latent, -0.5 * latent]), 0.95)
         assert model.kept_components == 1
         assert abs(model.explained_variance_ratios[0] - 1.0) <= 1e-9
 

@@ -14,17 +14,11 @@ from hubofs.baselines import (
     select_k_best,
     write_comparison_csv,
 )
-from hubofs.dataset import Dataset
 from hubofs.errors import DataError, UsageError
 
 
-def dataset(features, target):
-    features = np.asarray(features, dtype=np.float64)
-    return Dataset(
-        features=features,
-        target=np.asarray(target, dtype=np.int64),
-        feature_names=tuple(f"f{i}" for i in range(features.shape[1])),
-    )
+def arrays(features, target):
+    return np.asarray(features, dtype=np.float64), np.asarray(target, dtype=np.int64)
 
 
 def auc_by_pair_enumeration(y, scores):
@@ -63,30 +57,27 @@ class TestPca:
     def test_rank_one_data(self):
         rng = np.random.default_rng(1)
         latent = rng.normal(size=60)
-        ds = dataset(np.column_stack([latent, 2.0 * latent]), [0, 1] * 30)
-        model = pca_fit(ds, 0.95)
+        model = pca_fit(np.column_stack([latent, 2.0 * latent]), 0.95)
         assert model.kept_components == 1
         assert model.explained_variance_ratios[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_isotropic_keeps_both(self):
         # empirical covariance exactly identity on a symmetric 4-point design
         feats = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]) * np.sqrt(1.5)
-        ds = dataset(feats, [0, 1, 0, 1])
-        model = pca_fit(ds, 0.95)
+        model = pca_fit(feats, 0.95)
         assert model.kept_components == 2
 
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(2)
-        ds = dataset(rng.normal(size=(40, 5)), [0, 1] * 20)
-        model = pca_fit(ds, 1.0)
-        centered = ds.features - model.mean
+        X = rng.normal(size=(40, 5))
+        model = pca_fit(X, 1.0)
+        centered = X - model.mean
         reconstructed = (centered @ model.components.T) @ model.components
         assert np.allclose(reconstructed, centered, atol=1e-8)
 
     def test_components_orthonormal_ratios_sorted(self):
         rng = np.random.default_rng(3)
-        ds = dataset(rng.normal(size=(50, 6)) * rng.uniform(0.2, 3.0, 6), [0, 1] * 25)
-        model = pca_fit(ds, 0.9)
+        model = pca_fit(rng.normal(size=(50, 6)) * rng.uniform(0.2, 3.0, 6), 0.9)
         gram = model.components @ model.components.T
         assert np.allclose(gram, np.eye(6), atol=1e-9)
         ratios = model.explained_variance_ratios
@@ -97,74 +88,68 @@ class TestPca:
 
     def test_sign_convention_deterministic(self):
         rng = np.random.default_rng(4)
-        ds = dataset(rng.normal(size=(30, 3)), [0, 1] * 15)
-        model = pca_fit(ds, 0.95)
+        model = pca_fit(rng.normal(size=(30, 3)), 0.95)
         for row in model.components:
             assert row[int(np.argmax(np.abs(row)))] > 0
 
     def test_degenerate_rejected(self):
-        ds = dataset(np.zeros((10, 3)), [0, 1] * 5)
         with pytest.raises(DataError):
-            pca_fit(ds, 0.95)
+            pca_fit(np.zeros((10, 3)), 0.95)
 
 
 class TestPcaTransform:
     def test_mean_row_maps_to_zero(self):
         rng = np.random.default_rng(5)
-        ds = dataset(rng.normal(size=(30, 4)), [0, 1] * 15)
-        model = pca_fit(ds, 0.95)
-        probe = dataset(model.mean.reshape(1, -1), [0])
-        out = pca_transform(model, probe)
-        assert np.allclose(out.features, 0.0, atol=1e-12)
-        assert out.feature_names == tuple(f"PC{i+1}" for i in range(model.kept_components))
+        model = pca_fit(rng.normal(size=(30, 4)), 0.95)
+        out = pca_transform(model, model.mean.reshape(1, -1))
+        assert out.shape == (1, model.kept_components)
+        assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_recovers_shared_latent(self):
         rng = np.random.default_rng(6)
         latent = rng.normal(size=80)
-        ds = dataset(np.column_stack([latent, -3.0 * latent]), [0, 1] * 40)
-        model = pca_fit(ds, 0.95)
-        scores = pca_transform(model, ds).features[:, 0]
+        X = np.column_stack([latent, -3.0 * latent])
+        model = pca_fit(X, 0.95)
+        scores = pca_transform(model, X)[:, 0]
         corr = np.corrcoef(scores, latent)[0, 1]
         assert abs(corr) >= 0.999
 
     def test_full_rank_round_trip(self):
         rng = np.random.default_rng(7)
-        ds = dataset(rng.normal(size=(25, 4)), [0, 1] * 12 + [0])
-        model = pca_fit(ds, 1.0)
-        scores = pca_transform(model, ds)
-        back = scores.features @ model.components + model.mean
-        assert np.allclose(back, ds.features, atol=1e-8)
+        X = rng.normal(size=(25, 4))
+        model = pca_fit(X, 1.0)
+        back = pca_transform(model, X) @ model.components + model.mean
+        assert np.allclose(back, X, atol=1e-8)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(8)
-        ds = dataset(rng.normal(size=(20, 3)), [0, 1] * 10)
-        model = pca_fit(ds, 0.95)
+        model = pca_fit(rng.normal(size=(20, 3)), 0.95)
         with pytest.raises(UsageError):
-            pca_transform(model, dataset(rng.normal(size=(5, 2)), [0, 1, 0, 1, 0]))
+            pca_transform(model, rng.normal(size=(5, 2)))
 
 
 class TestLogistic:
     def test_separable_data(self):
         feats = np.array([[-1.0]] * 50 + [[1.0]] * 50)
-        ds = dataset(feats, [0] * 50 + [1] * 50)
-        model = logistic_fit(ds)
-        pred = model.predict_proba(ds.features) >= 0.5
-        assert np.array_equal(pred.astype(int), ds.target)
+        X, y = arrays(feats, [0] * 50 + [1] * 50)
+        model = logistic_fit(X, y)
+        pred = model.predict_proba(X) >= 0.5
+        assert np.array_equal(pred.astype(int), y)
 
     def test_zero_iterations(self):
-        ds = dataset([[0.5], [-0.5]], [1, 0])
-        model = logistic_fit(ds, iterations=0)
+        X, y = arrays([[0.5], [-0.5]], [1, 0])
+        model = logistic_fit(X, y, iterations=0)
         assert list(model.weights) == [0.0]
         assert model.bias == 0.0
-        assert np.allclose(model.predict_proba(ds.features), 0.5)
+        assert np.allclose(model.predict_proba(X), 0.5)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
-        ds = dataset(rng.normal(size=(40, 3)), [0, 1] * 20)
+        X, y = arrays(rng.normal(size=(40, 3)), [0, 1] * 20)
         l2 = 1e-3
         # analytic gradient at zero weights
         probs = np.full(40, 0.5)
-        grad_w = ds.features.T @ (probs - ds.target) / 40
+        grad_w = X.T @ (probs - y) / 40
         eps = 1e-6
         for j in range(3):
             w_plus = np.zeros(3)
@@ -172,8 +157,8 @@ class TestLogistic:
             w_minus = np.zeros(3)
             w_minus[j] = -eps
             fd = (
-                logistic_loss(ds.features, ds.target, LogisticModel(w_plus, 0.0), l2)
-                - logistic_loss(ds.features, ds.target, LogisticModel(w_minus, 0.0), l2)
+                logistic_loss(X, y, LogisticModel(w_plus, 0.0), l2)
+                - logistic_loss(X, y, LogisticModel(w_minus, 0.0), l2)
             ) / (2 * eps)
             assert fd == pytest.approx(grad_w[j], rel=1e-6, abs=1e-9)
 
@@ -181,23 +166,22 @@ class TestLogistic:
         rng = np.random.default_rng(10)
         feats = rng.normal(size=(60, 4))
         feats = (feats - feats.mean(0)) / feats.std(0, ddof=1)
-        ds = dataset(feats, [0, 1] * 30)
+        X, y = arrays(feats, [0, 1] * 30)
         losses = []
         for iters in (0, 50, 100, 200, 400):
-            model = logistic_fit(ds, iterations=iters)
-            losses.append(logistic_loss(ds.features, ds.target, model, 1e-3))
+            model = logistic_fit(X, y, iterations=iters)
+            losses.append(logistic_loss(X, y, model, 1e-3))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_single_class_rejected(self):
-        ds = dataset([[1.0], [2.0]], [1, 1])
         with pytest.raises(DataError):
-            logistic_fit(ds)
+            logistic_fit(*arrays([[1.0], [2.0]], [1, 1]))
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
-        ds = dataset(rng.normal(size=(30, 3)), [0, 1] * 15)
-        a = logistic_fit(ds)
-        b = logistic_fit(ds)
+        X, y = arrays(rng.normal(size=(30, 3)), [0, 1] * 15)
+        a = logistic_fit(X, y)
+        b = logistic_fit(X, y)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     @pytest.mark.parametrize("l2, iterations, rate", [(1e-3, 500, 0.1), (0.05, 37, 0.7)])
@@ -205,7 +189,7 @@ class TestLogistic:
         rng = np.random.default_rng(12)
         feats = rng.normal(size=(300, 7))
         target = (feats @ rng.normal(size=7) + rng.normal(size=300) > 0).astype(np.int64)
-        model = logistic_fit(dataset(feats, target), l2=l2, iterations=iterations, learning_rate=rate)
+        model = logistic_fit(feats, target, l2=l2, iterations=iterations, learning_rate=rate)
         w, b = np.zeros(7), 0.0
         for _ in range(iterations):
             residual = masked_predict_proba(LogisticModel(w.copy(), b), feats) - target
@@ -249,9 +233,9 @@ class TestPredictProba:
 
 class TestMetrics:
     def test_perfect_ranking(self):
-        ds = dataset([[-2.0], [2.0]], [0, 1])
-        model = logistic_fit(ds, iterations=200)
-        report = evaluate(model, ds, method_name="demo")
+        X, y = arrays([[-2.0], [2.0]], [0, 1])
+        model = logistic_fit(X, y, iterations=200)
+        report = evaluate(model, X, y, "demo")
         assert report.accuracy == 1.0
         assert report.f1 == 1.0
         assert report.auc == 1.0
@@ -285,14 +269,13 @@ class TestMetrics:
     def test_f1_zero_convention(self):
         # model predicts all negatives and no positives exist in predictions
         model = LogisticModel(np.array([0.0]), -5.0)
-        ds = dataset([[1.0], [2.0]], [0, 1])
-        report = evaluate(model, ds, method_name="degenerate")
+        report = evaluate(model, *arrays([[1.0], [2.0]], [0, 1]), "degenerate")
         assert report.f1 == 0.0
 
     def test_comparison_csv(self, tmp_path):
-        ds = dataset([[-1.0], [1.0]] * 10, [0, 1] * 10)
-        model = logistic_fit(ds, iterations=100)
-        report = evaluate(model, ds, method_name="demo")
+        X, y = arrays([[-1.0], [1.0]] * 10, [0, 1] * 10)
+        model = logistic_fit(X, y, iterations=100)
+        report = evaluate(model, X, y, "demo")
         path = tmp_path / "cmp.csv"
         write_comparison_csv(path, [report])
         lines = path.read_text().splitlines()

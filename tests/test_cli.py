@@ -384,6 +384,21 @@ class TestSelectAndCompare:
         assert f"of {rows} sample energies" in capsys.readouterr().err
         assert not (tmp_path / "importance.csv").exists()
 
+    def test_short_feature_names_exit_3(self, sampled, tmp_path, capsys):
+        doc = json.loads((sampled / "coefficients.json").read_text())
+        doc["feature_names"].pop()
+        path = tmp_path / "short_names.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(
+            "select", "--coefficients", path, "--samples", sampled / "samples.csv",
+            "--out", tmp_path,
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "feature_names must be a list of 8 strings" in err and "Traceback" not in err
+        assert not (tmp_path / "importance.csv").exists()
+
     def test_compare_rows(self, sampled, demo_csv):
         assert (
             run_cli(
@@ -410,6 +425,39 @@ class TestSelectAndCompare:
         assert len(methods) == 4
         svg = (sampled / "comparison.svg").read_text()
         assert svg.startswith("<svg") and "ROC-AUC" in svg
+
+    def test_compare_hands_the_fits_c_ordered_rows(self, sampled, demo_csv, monkeypatch):
+        # The fits' bits depend on the layout; a bare column slice is Fortran-ordered.
+        from hubofs import baselines
+
+        layouts = []
+        fit, evaluate = baselines.logistic_fit, baselines.evaluate
+
+        def fit_c(X, y):
+            layouts.append(X.flags.c_contiguous)
+            return fit(X, y)
+
+        def evaluate_c(model, X, y, name):
+            layouts.append(X.flags.c_contiguous)
+            return evaluate(model, X, y, name)
+
+        monkeypatch.setattr(baselines, "logistic_fit", fit_c)
+        monkeypatch.setattr(baselines, "evaluate", evaluate_c)
+        assert (
+            run_cli(
+                "select", "--coefficients", sampled / "coefficients.json",
+                "--samples", sampled / "samples.csv", "--out", sampled,
+            )
+            == 0
+        )
+        assert (
+            run_cli(
+                "compare", "--input", demo_csv, "--target", "label",
+                "--selection", sampled / "importance.csv", "--out", sampled,
+            )
+            == 0
+        )
+        assert layouts == [True] * 8  # selection, all features, k-best, PCA: fit and evaluate
 
     def test_compare_svg_escapes_selection_name(self, sampled, demo_csv):
         run_cli(
@@ -476,6 +524,32 @@ class TestRun:
         assert {r["feature_name"] for r in rows} == {"x", "city=Berlin, DE", "city=Paris"}
         lines = (out / "comparison.csv").read_text().splitlines()
         assert len(lines) >= 5
+
+    def test_line_separators_in_category_values_read_back(self, tmp_path):
+        # U+2028, U+0085 and \x1c break lines for str.splitlines() but not for CSV.
+        rng = np.random.default_rng(1)
+        path = tmp_path / "separators.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("x,tag,label\n")
+            for i in range(120):
+                y = i % 2
+                tag = rng.choice(["a\u2028b", "c\x85d", "e\x1cf"])
+                fh.write(f"{y + rng.normal(0, 0.5):.5f},{tag},{'pos' if y else 'neg'}\n")
+        data = ("--input", path, "--target", "label")
+        out = tmp_path / "out"
+        assert (
+            run_cli(
+                "run", *data, "--sampler", "exhaustive", "--shots", 8,
+                "--rho", 1.0, "--delta", 0.0, "--out", out,
+            )
+            == 0
+        )
+        rows, _ = read_importance_csv(out / "importance.csv")
+        names = ["x", "tag=a\u2028b", "tag=c\x85d", "tag=e\x1cf"]
+        assert [r["feature_name"] for r in rows] == names
+        again = tmp_path / "again"
+        assert run_cli("compare", *data, "--selection", out / "importance.csv", "--out", again) == 0
+        assert (again / "comparison.csv").read_bytes() == (out / "comparison.csv").read_bytes()
 
     def test_full_pipeline_deterministic(self, demo_csv, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]

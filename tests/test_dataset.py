@@ -13,7 +13,6 @@ from hubofs.dataset import (
     standardize,
     stratified_split,
     subset_codes,
-    subset_features,
 )
 from hubofs.errors import CapabilityError, DataError, UsageError
 
@@ -107,20 +106,15 @@ class TestStandardize:
         ds = two_class_dataset([[5.0], [5.0], [5.0]], [0, 1, 0])
         out = standardize(ds)
         assert list(out.features[:, 0]) == [0.0, 0.0, 0.0]
-        assert out.column_stds[0] == 0.0
 
     def test_idempotent_on_non_constant_columns(self):
         rng = np.random.default_rng(3)
         ds = two_class_dataset(rng.normal(2.0, 3.0, (40, 4)), [0, 1] * 20)
         once = standardize(ds)
-        rewrapped = two_class_dataset(once.features, once.target)
-        twice = standardize(rewrapped)
+        twice = standardize(once)
         assert np.allclose(once.features, twice.features, atol=1e-9)
 
-    def test_rejects_double_and_tiny(self):
-        ds = two_class_dataset([[1.0], [2.0]], [0, 1])
-        with pytest.raises(UsageError):
-            standardize(standardize(ds))
+    def test_rejects_too_few_samples(self):
         with pytest.raises(DataError):
             standardize(two_class_dataset([[1.0]], [0]))
 
@@ -185,6 +179,29 @@ class TestStratifiedSplit:
             got = int((test.target == label).sum())
             assert abs(got - round(size * fraction)) <= 1
 
+    @given(
+        target=st.lists(st.integers(0, 1), min_size=4, max_size=80),
+        fraction=st.floats(0.01, 0.99),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_row_rule(self, target, fraction):
+        ds = two_class_dataset(np.arange(float(len(target))).reshape(-1, 1), target)
+        to_test = [False] * len(target)
+        degenerate = False
+        for label in set(target):
+            rows = [i for i, t in enumerate(target) if t == label]
+            for r, row in enumerate(rows):
+                to_test[row] = int((r + 1) * fraction) > int(r * fraction)
+            degenerate |= not 0 < sum(to_test[i] for i in rows) < len(rows)
+        if degenerate:
+            with pytest.raises(DataError):
+                stratified_split(ds, fraction)
+            return
+        train, test = stratified_split(ds, fraction)
+        assert test.features[:, 0].tolist() == [float(i) for i, t in enumerate(to_test) if t]
+        assert train.features[:, 0].tolist() == [float(i) for i, t in enumerate(to_test) if not t]
+        assert test.target.tolist() == [target[i] for i, t in enumerate(to_test) if t]
+
 
 class TestDiscretize:
     @pytest.mark.parametrize(
@@ -217,11 +234,10 @@ class TestDiscretize:
         ds = two_class_dataset(rng.normal(size=(60, 6)).round(1), [0, 1] * 30)
         for indices in ([3, 0, 5], [2], list(range(6))):
             got = subset_codes(discretize(ds, 5), indices)
-            expected = discretize(subset_features(ds, indices), 5)
+            expected = discretize(two_class_dataset(ds.features[:, indices], ds.target), 5)
             assert np.array_equal(got.codes, expected.codes)
             assert np.array_equal(got.bin_counts, expected.bin_counts)
             assert np.array_equal(got.target, expected.target)
-            assert got.source_names == expected.source_names
 
     def test_codes_bounded(self):
         rng = np.random.default_rng(2)
@@ -247,12 +263,3 @@ class TestDiscretize:
         ds = two_class_dataset([[1.0], [2.0]], [0, 1])
         with pytest.raises(UsageError):
             discretize(ds, 1)
-
-
-def test_subset_features():
-    ds = two_class_dataset([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [0, 1])
-    sub = subset_features(ds, [0, 2])
-    assert sub.feature_names == ("f0", "f2")
-    assert list(sub.features[1]) == [4.0, 6.0]
-    with pytest.raises(UsageError):
-        subset_features(ds, [5])

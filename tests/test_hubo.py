@@ -370,6 +370,11 @@ class TestCoefficientIo:
             lambda doc: doc["penalty"].__setitem__("tau", float("nan")),
             lambda doc: doc["penalty"].__setitem__("lambda", "0.5"),
             lambda doc: doc["penalty"].__setitem__("p", True),
+            lambda doc: doc["penalty"].__setitem__("applied", "no"),
+            lambda doc: doc["penalty"].__setitem__("applied", 1),
+            lambda doc: doc.__setitem__("feature_names", ["a", "b"]),
+            lambda doc: doc.__setitem__("feature_names", ["a", "b", 3]),
+            lambda doc: doc.__setitem__("feature_names", "abc"),
         ],
     )
     def test_malformed_file_is_data_error(self, tmp_path, corrupt):

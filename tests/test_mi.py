@@ -96,7 +96,6 @@ def make_dd(codes, target=None):
         codes=codes,
         bin_counts=codes.max(axis=0) + 1,
         target=np.asarray(target, dtype=np.int64),
-        source_names=tuple(f"f{i}" for i in range(n)),
     )
 
 
@@ -275,7 +274,6 @@ def random_dd(rng, n_features, n_samples, max_bins=6):
         codes=codes.astype(np.int64),
         bin_counts=bins.astype(np.int64),
         target=rng.integers(0, rng.integers(1, 3), n_samples),
-        source_names=tuple(f"f{i}" for i in range(n_features)),
     )
 
 
@@ -291,7 +289,6 @@ def structured_dd(seed=0, n_features=12, n_samples=3000, bins=8):
         codes=codes.astype(np.int64),
         bin_counts=np.full(n_features, bins, dtype=np.int64),
         target=(latent[:, 0] + rng.standard_normal(n_samples) > 0).astype(np.int64),
-        source_names=tuple(f"f{i}" for i in range(n_features)),
     )
 
 

@@ -202,15 +202,6 @@ class TestSimulatedAnnealing:
         save_samples(b, simulated_annealing(c, shots=32, sweeps=50, seed=7))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_incremental_delta_validated(self):
-        c = random_instance(12, 6)
-        simulated_annealing(c, shots=8, sweeps=10, seed=2, validate_deltas=True)
-
-    def test_nan_delta_fails_validation(self):
-        c = HuboCoefficients.from_terms(n=2, h=np.array([np.nan, 0.0]), j_terms={}, k_terms={})
-        with pytest.raises(HubofsError):
-            simulated_annealing(c, shots=2, sweeps=2, t_start=1.0, seed=0, validate_deltas=True)
-
     def test_more_sweeps_never_hurts_median_minimum(self):
         short_mins, long_mins = [], []
         for trial in range(20):
@@ -400,16 +391,16 @@ class TestSimulatedAnnealing:
         # Every step that moved a chain gathers twice in the second run.
         assert 0 < gathers[0] < gathers[1]
 
-    def test_incremental_delta_validated_through_dense_steps(self, monkeypatch):
+    def test_dense_steps_equal_gathered_steps_from_a_hot_start(self, monkeypatch):
         # t_start = 1e9 accepts every proposal of the first sweeps: dense steps.
         c = random_instance(13, 6)
         take = np.take
         gathers = []
         monkeypatch.setattr(np, "take", lambda *a, **k: gathers.append(1) or take(*a, **k))
-        got = simulated_annealing(c, 16, sweeps=12, t_start=1e9, seed=2, validate_deltas=True)
+        got = simulated_annealing(c, 16, sweeps=12, t_start=1e9, seed=2)
         dense = len(gathers)
         monkeypatch.setattr(samplers, "_DENSE_SHARE", 2.0)
-        gathered = simulated_annealing(c, 16, sweeps=12, t_start=1e9, seed=2, validate_deltas=True)
+        gathered = simulated_annealing(c, 16, sweeps=12, t_start=1e9, seed=2)
         assert got == gathered
         assert dense < len(gathers) - dense
 
