@@ -65,26 +65,30 @@ def read_terms(rows, order: int) -> list[tuple[tuple[int, ...], float]]:
     return terms
 
 
-def read_tagged(path, schema: str, what: str) -> tuple[dict[str, str], list[str]]:
-    """The ``# key=value`` metadata (``schema`` included) and the non-empty other lines."""
+def read_tagged(path, schema: str, what: str) -> tuple[dict[str, str], list[list[str]]]:
+    """The ``# key=value`` lines that open the file (``schema`` included) and the
+    non-empty CSV rows after them, header first."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # Only "\n" ends a line (the writer's terminator; reading maps "\r\n" to it):
-            # splitlines() would also break inside a field at U+2028, U+0085 or \x1c-\x1e.
-            raw = fh.read().split("\n")
+            # A text file's lines end only at "\n" (the writer's terminator; reading maps
+            # "\r\n" to it): splitlines() would also break at U+2028, U+0085 or \x1c-\x1e.
+            lines = list(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {what} file {path!r}: {exc}") from exc
     meta: dict[str, str] = {}
-    body: list[str] = []
-    for line in raw:
-        if line.startswith("# "):
-            key, _, value = line[2:].partition("=")
-            meta[key] = value
-        elif line:
-            body.append(line)
+    head = 0
+    while head < len(lines) and lines[head].startswith("# "):
+        key, _, value = lines[head][2:].rstrip("\n").partition("=")
+        meta[key] = value
+        head += 1
     if meta.get("schema") != schema:
         raise DataError(f"unknown {what} schema {meta.get('schema')!r} in {path!r}")
-    return meta, body
+    try:
+        # The lines keep their ends, so a quoted field that holds "\n" reads back whole.
+        rows = [row for row in csv.reader(lines[head:]) if row]
+    except csv.Error as exc:
+        raise DataError(f"malformed {what} file {path!r}: {exc}") from exc
+    return meta, rows
 
 
 def write_tagged(path, schema: str, meta, header, rows) -> None:

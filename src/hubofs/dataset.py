@@ -70,7 +70,8 @@ def load_csv(path, target_column: str) -> Dataset:
     remaining values all parse as floats pass through; other columns are
     one-hot expanded into ``"<col>=<value>"`` indicators with values sorted
     lexicographically. The target column must take exactly two distinct raw
-    values; the lexicographically smaller one maps to 0.
+    values; the lexicographically smaller one maps to 0. A feature name
+    (column name or ``"<col>=<value>"``) holding a carriage return is refused.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -129,6 +130,10 @@ def load_csv(path, target_column: str) -> Dataset:
                 names.append(f"{col_name}={level}")
     if len(set(names)) != len(names):
         raise DataError("one-hot expansion produced duplicate feature names")
+    # importance.csv holds the names as CSV fields, and its writer leaves "\r" unquoted.
+    for name in names:
+        if "\r" in name:
+            raise DataError(f"feature name {name!r} holds a carriage return")
 
     features = np.column_stack(columns) if columns else np.empty((len(kept), 0))
     return Dataset(

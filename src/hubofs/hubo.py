@@ -34,8 +34,9 @@ MAX_ALL_STATES_N = 24
 # Rows per energy_many call in energies_all_states: a 2**16 x n int8 block
 # and its per-term temporaries stay cache-sized instead of 2**n long.
 _STATE_BLOCK = 1 << 16
-# Multiply-adds per field GEMM: a quarter of the ~2**20 above which numpy's
-# OpenBLAS was measured to start its second thread.
+# Multiply-adds per field GEMM: a cache block (256 rows of Z and of their product,
+# 128 KiB at n = 32). Unblocked products ran the default SA run slower, also on
+# the one-thread OpenBLAS pool that importing hubofs sets up.
 _GEMM_MACS = 1 << 18
 
 
@@ -283,7 +284,7 @@ def local_fields(h, jmat: np.ndarray, kcube: np.ndarray, spins: np.ndarray) -> n
 
     E is linear in each spin, so flipping spin i changes the energy by
     ``-2 Z_i F_i``. Built one column at a time; the products ``Z K[i]`` run
-    in the one-core row blocks of :func:`_row_blocks`, each into a reused
+    in the cache-sized row blocks of :func:`_row_blocks`, each into a reused
     buffer. The GEMV ``Z J[i]`` stays one call over all rows: blocking it
     moves rows between its unrolled and tail kernels, which round apart.
     """

@@ -8,7 +8,6 @@ importance reaches the inclusive threshold delta.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -132,16 +131,17 @@ def write_importance_csv(
 
 def read_importance_csv(path) -> tuple[list[dict], dict[str, str]]:
     """Rows (as dicts) and '#' metadata of an importance file."""
-    meta, body = read_tagged(path, IMPORTANCE_SCHEMA, "importance")
-    reader = csv.DictReader(body)
+    meta, table = read_tagged(path, IMPORTANCE_SCHEMA, "importance")
+    header = table[0] if table else []
     rows = []
     try:
-        missing = [f for f in IMPORTANCE_FIELDS if f not in (reader.fieldnames or ())]
+        missing = [f for f in IMPORTANCE_FIELDS if f not in header]
         if missing:
             raise ValueError(f"missing column(s) {', '.join(missing)}")
-        for row in reader:
-            if None in row or None in row.values():
-                raise ValueError(f"row {reader.line_num} has the wrong number of fields")
+        for number, values in enumerate(table[1:], 1):
+            if len(values) != len(header):
+                raise ValueError(f"row {number} has the wrong number of fields")
+            row = dict(zip(header, values))
             value = float(row["importance"])
             if not math.isfinite(value):
                 raise ValueError(f"non-finite importance {row['importance']!r}")
@@ -155,6 +155,6 @@ def read_importance_csv(path) -> tuple[list[dict], dict[str, str]]:
                     "selected": row["selected"] == "1",
                 }
             )
-    except (ValueError, csv.Error) as exc:
+    except ValueError as exc:
         raise DataError(f"malformed importance file {path!r}: {exc}") from exc
     return rows, meta

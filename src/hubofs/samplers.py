@@ -30,9 +30,9 @@ for every chain in place and scales each row by ``2 Z_i`` where accepted and
 by 0 elsewhere, so a rejected chain subtracts ±0 and keeps its field (only a
 zero field may change sign, and ``exp(±0) = 1`` accepts either way).
 The products ``Z K[i]`` here and in :func:`hubofs.hubo.local_fields` run as
-GEMMs of at most 2**18 multiply-adds, which the BLAS keeps on one thread (its
-second thread buys nothing at these shapes and competes with concurrent
-runs). No block has one row unless |A| = 1: a 1-row product takes another
+GEMMs of at most 2**18 multiply-adds: cache blocks, run by the one-thread
+OpenBLAS pool that importing :mod:`hubofs` sets up (unblocked products ran
+slower). No block has one row unless |A| = 1: a 1-row product takes another
 BLAS path that rounds differently. At n = 5, 12 and 32 a row's product is
 then bitwise the same in any block, so both step kinds give the fields of
 one |A|-row GEMM; at n = 33 and 57 this OpenBLAS rounds some rows by the
@@ -361,12 +361,12 @@ def save_samples(path, s: SampleSet) -> None:
 
 def load_samples(path) -> SampleSet:
     """Read a sample CSV; the ``# n=`` header fixes the bitstring length."""
-    meta, body = read_tagged(path, SAMPLE_SCHEMA, "sample")
-    if not body or body[0] != "bitstring,count,energy":
+    meta, table = read_tagged(path, SAMPLE_SCHEMA, "sample")
+    if not table or table[0] != ["bitstring", "count", "energy"]:
         raise DataError(f"missing sample header row in {path!r}")
     try:
         n = int(meta.get("n", ""))
-        rows = [line.split(",") for line in body[1:]]
+        rows = table[1:]
         bits = [b for b, _, _ in rows]
         if n < 1 or any(len(b) != n for b in bits):
             raise ValueError(f"need n >= 1 and every bitstring {n} characters long")

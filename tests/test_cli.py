@@ -1,3 +1,4 @@
+import csv
 import json
 from xml.etree import ElementTree
 
@@ -550,6 +551,42 @@ class TestRun:
         again = tmp_path / "again"
         assert run_cli("compare", *data, "--selection", out / "importance.csv", "--out", again) == 0
         assert (again / "comparison.csv").read_bytes() == (out / "comparison.csv").read_bytes()
+
+    @staticmethod
+    def write_tag_table(path, x_name, tags):
+        rng = np.random.default_rng(2)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            # QUOTE_ALL: with a "\n" terminator the writer would leave "\r" unquoted.
+            writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerow([x_name, "tag", "label"])
+            for i in range(120):
+                y = i % 2
+                writer.writerow([f"{y + rng.normal(0, 0.5):.5f}", rng.choice(tags), y])
+
+    def test_newlines_in_feature_names_read_back(self, tmp_path):
+        path = tmp_path / "newlines.csv"
+        self.write_tag_table(path, "x\ny", ["a\nb", "c\n\nd", "e\n# f=g"])
+        data = ("--input", path, "--target", "label")
+        out = tmp_path / "out"
+        args = ("--sampler", "exhaustive", "--shots", 8, "--rho", 1.0, "--delta", 0.0)
+        assert run_cli("run", *data, *args, "--out", out) == 0
+        rows, _ = read_importance_csv(out / "importance.csv")
+        names = ["x\ny", "tag=a\nb", "tag=c\n\nd", "tag=e\n# f=g"]
+        assert [r["feature_name"] for r in rows] == names
+        again = tmp_path / "again"
+        assert run_cli("compare", *data, "--selection", out / "importance.csv", "--out", again) == 0
+        assert (again / "comparison.csv").read_bytes() == (out / "comparison.csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "x_name, tag", [("x", "a\rb"), ("x", "a\r\nb"), ("x\ry", "a")], ids=["cr", "crlf", "header"]
+    )
+    def test_carriage_returns_in_feature_names_exit_3(self, tmp_path, capsys, x_name, tag):
+        path = tmp_path / "returns.csv"
+        self.write_tag_table(path, x_name, [tag, "e"])
+        out = tmp_path / "out"
+        assert run_cli("run", "--input", path, "--target", "label", "--out", out) == 3
+        assert "carriage return" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
     def test_full_pipeline_deterministic(self, demo_csv, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
