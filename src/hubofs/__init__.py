@@ -14,12 +14,10 @@ Importing the package loads numpy with one OpenBLAS thread, unless
 import os
 
 # OpenBLAS sizes its pool once, when numpy loads it, and reads the variable only then,
-# so it is set for that import and removed again: child processes and anything that
-# records the environment see the caller's own. One thread took less CPU time on every
-# table timed, and less wall time on 4601-row ones; compare's products grow with the
-# rows, so large tables can run sooner with a pool (see README). A count the caller
-# set in any of the three variables OpenBLAS reads wins; setdefault would override
-# OMP_NUM_THREADS.
+# so it is set for that import and removed again: child processes see the caller's own.
+# One thread took less CPU time on every table timed and no more wall time (see README).
+# A count the caller set in any of the variables OpenBLAS reads wins; setdefault would
+# override OMP_NUM_THREADS.
 _set_blas_threads = not any(
     os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 )

@@ -281,8 +281,7 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     ds, train, test = splits.ds, splits.train, splits.test
 
     def fit_eval(columns, label) -> baselines.EvalReport:
-        # Copied to C order: a column slice is Fortran-ordered, and the bits of the
-        # fit's matrix-vector products depend on the layout.
+        # C order: a column slice is Fortran-ordered, and a product's bits follow the layout.
         model = baselines.logistic_fit(train.features[:, columns].copy(), train.target)
         return baselines.evaluate(model, test.features[:, columns].copy(), test.target, label)
 
@@ -300,10 +299,8 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
         reports.append(fit_eval(columns, f"select_k_best_{size}"))
     pca = baselines.pca_fit(train.features, PCA_VARIANCE)
     pca_model = baselines.logistic_fit(baselines.pca_transform(pca, train.features), train.target)
-    test_scores = baselines.pca_transform(pca, test.features)
-    reports.append(
-        baselines.evaluate(pca_model, test_scores, test.target, f"pca_var{PCA_VARIANCE:g}")
-    )
+    scores = baselines.pca_transform(pca, test.features)
+    reports.append(baselines.evaluate(pca_model, scores, test.target, f"pca_var{PCA_VARIANCE:g}"))
     out = _out_dir(cfg)
     csv_path = out / "comparison.csv"
     svg_path = out / "comparison.svg"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubofs.baselines import (
+    DEFAULT_L2,
     LogisticModel,
     evaluate,
     logistic_fit,
@@ -135,13 +136,7 @@ class TestLogistic:
         model = logistic_fit(X, y)
         pred = model.predict_proba(X) >= 0.5
         assert np.array_equal(pred.astype(int), y)
-
-    def test_zero_iterations(self):
-        X, y = arrays([[0.5], [-0.5]], [1, 0])
-        model = logistic_fit(X, y, iterations=0)
-        assert list(model.weights) == [0.0]
-        assert model.bias == 0.0
-        assert np.allclose(model.predict_proba(X), 0.5)
+        assert np.linalg.norm(loss_gradient(X, y, model, DEFAULT_L2)) <= 1e-9
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -162,16 +157,50 @@ class TestLogistic:
             ) / (2 * eps)
             assert fd == pytest.approx(grad_w[j], rel=1e-6, abs=1e-9)
 
-    def test_loss_non_increasing(self):
-        rng = np.random.default_rng(10)
-        feats = rng.normal(size=(60, 4))
-        feats = (feats - feats.mean(0)) / feats.std(0, ddof=1)
-        X, y = arrays(feats, [0, 1] * 30)
-        losses = []
-        for iters in (0, 50, 100, 200, 400):
-            model = logistic_fit(X, y, iterations=iters)
-            losses.append(logistic_loss(X, y, model, 1e-3))
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gradient_vanishes_at_the_fit(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n, d = int(rng.integers(20, 400)), int(rng.integers(1, 12))
+        feats = rng.normal(size=(n, d)) * rng.uniform(0.1, 5.0, d)
+        target = (feats @ rng.normal(size=d) + rng.normal(size=n) > 0).astype(np.int64)
+        target[:2] = [0, 1]
+        model = logistic_fit(feats, target)
+        assert np.linalg.norm(loss_gradient(feats, target, model, DEFAULT_L2)) <= 1e-9
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_loss_at_most_that_of_500_gradient_steps(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        feats = rng.normal(size=(300, 7))
+        target = (feats @ rng.normal(size=7) + rng.normal(size=300) > 0).astype(np.int64)
+        w, b = np.zeros(7), 0.0
+        for _ in range(500):  # the evaluator before Newton steps: learning rate 0.1
+            residual = masked_predict_proba(LogisticModel(w.copy(), b), feats) - target
+            w = w - 0.1 * (feats.T @ residual / 300 + DEFAULT_L2 * w)
+            b = b - 0.1 * float(residual.mean())
+        reference = logistic_loss(feats, target, LogisticModel(w, b), DEFAULT_L2)
+        fitted = logistic_loss(feats, target, logistic_fit(feats, target), DEFAULT_L2)
+        assert fitted <= reference
+
+    def test_collinear_and_constant_columns(self):
+        rng = np.random.default_rng(13)
+        base = rng.normal(size=(120, 2))
+        feats = np.column_stack([base, base[:, 0], -2.0 * base[:, 1], np.zeros(120)])
+        target = (base[:, 0] + 0.5 * rng.normal(size=120) > 0).astype(np.int64)
+        model = logistic_fit(feats, target)
+        assert np.linalg.norm(loss_gradient(feats, target, model, DEFAULT_L2)) <= 1e-9
+        assert model.weights[4] == 0.0
+        assert model.weights[0] == pytest.approx(model.weights[2], rel=1e-9)
+
+    def test_singular_hessian_is_a_data_error(self):
+        # Uncentred, the column is 1e8 times the bias column, and after three steps the
+        # Hessian is singular in floating point. compare's rows are z-scored.
+        with pytest.raises(DataError, match="singular Hessian"):
+            logistic_fit(*arrays([[1e8], [1e8 + 1], [1e8 + 2], [1e8 + 3]], [0, 0, 1, 1]))
+
+    @pytest.mark.parametrize("l2", [0.0, -1e-3, float("nan")])
+    def test_l2_must_be_positive(self, l2):
+        with pytest.raises(UsageError):
+            logistic_fit(*arrays([[0.5], [-0.5]], [1, 0]), l2=l2)
 
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
@@ -179,24 +208,17 @@ class TestLogistic:
 
     def test_deterministic(self):
         rng = np.random.default_rng(11)
-        X, y = arrays(rng.normal(size=(30, 3)), [0, 1] * 15)
+        X, y = arrays(rng.normal(size=(300, 9)), [0, 1] * 150)
         a = logistic_fit(X, y)
         b = logistic_fit(X, y)
-        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
 
-    @pytest.mark.parametrize("l2, iterations, rate", [(1e-3, 500, 0.1), (0.05, 37, 0.7)])
-    def test_fit_equals_a_reference_loop_bitwise(self, l2, iterations, rate):
-        rng = np.random.default_rng(12)
-        feats = rng.normal(size=(300, 7))
-        target = (feats @ rng.normal(size=7) + rng.normal(size=300) > 0).astype(np.int64)
-        model = logistic_fit(feats, target, l2=l2, iterations=iterations, learning_rate=rate)
-        w, b = np.zeros(7), 0.0
-        for _ in range(iterations):
-            residual = masked_predict_proba(LogisticModel(w.copy(), b), feats) - target
-            w = w - rate * (feats.T @ residual / 300 + l2 * w)
-            b = b - rate * float(residual.mean())
-        assert model.weights.tobytes() == w.tobytes()
-        assert model.bias == b
+
+def loss_gradient(features, target, model, l2):
+    """The gradient of :func:`logistic_loss` in ``(weights, bias)``."""
+    residual = model.predict_proba(features) - target
+    grad_w = features.T @ residual / features.shape[0] + l2 * model.weights
+    return np.append(grad_w, residual.mean())
 
 
 def masked_predict_proba(model, features):
@@ -234,7 +256,7 @@ class TestPredictProba:
 class TestMetrics:
     def test_perfect_ranking(self):
         X, y = arrays([[-2.0], [2.0]], [0, 1])
-        model = logistic_fit(X, y, iterations=200)
+        model = logistic_fit(X, y)
         report = evaluate(model, X, y, "demo")
         assert report.accuracy == 1.0
         assert report.f1 == 1.0
@@ -256,6 +278,14 @@ class TestMetrics:
             scores = rng.choice([0.1, 0.2, 0.3, 0.5, 0.9], n)
             assert roc_auc(y, scores) == auc_by_pair_enumeration(list(y), list(scores))
 
+    def test_tied_infinities_match_pair_enumeration(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(2, 25))
+            y = rng.integers(0, 2, n)
+            scores = rng.choice([-np.inf, -0.0, 0.0, 0.5, np.inf], n)
+            assert roc_auc(y, scores) == auc_by_pair_enumeration(list(y), list(scores))
+
     @given(st.data())
     @settings(max_examples=50, deadline=None)
     def test_auc_invariant_under_monotone_transforms(self, data):
@@ -274,11 +304,11 @@ class TestMetrics:
 
     def test_comparison_csv(self, tmp_path):
         X, y = arrays([[-1.0], [1.0]] * 10, [0, 1] * 10)
-        model = logistic_fit(X, y, iterations=100)
+        model = logistic_fit(X, y)
         report = evaluate(model, X, y, "demo")
         path = tmp_path / "cmp.csv"
         write_comparison_csv(path, [report])
         lines = path.read_text().splitlines()
-        assert lines[0] == "# schema=hubofs-comparison/1"
+        assert lines[0] == "# schema=hubofs-comparison/2"
         assert lines[1] == "method,n,accuracy,f1,auc"
         assert lines[2].startswith("demo,1,")
