@@ -9,6 +9,7 @@ identical downstream artifacts in any implementation.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -72,7 +73,39 @@ def load_csv(path, target_column: str) -> Dataset:
     lexicographically. The target column must take exactly two distinct raw
     values; the lexicographically smaller one maps to 0. A feature name
     (column name or ``"<col>=<value>"``) holding a carriage return is refused.
+    An all-numeric table is parsed in C, any other by ``csv``: both give one result.
     """
+    return _load_numeric(path, target_column) or _load_rows(path, target_column)
+
+
+def _load_numeric(path, target_column: str) -> Dataset | None:
+    """:func:`load_csv` in one ``np.loadtxt`` pass, or None on a table ``csv`` may read otherwise:
+    a header fault, ragged row, empty or quoted cell, ``1_0``, ``nan``, no rows, not two classes."""
+    ids: dict[str, int] = {}  # target values, numbered as they appear
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader)
+        t_idx = header.index(target_column)
+        with warnings.catch_warnings():  # loadtxt warns on a body with no rows
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                path, delimiter=",", comments=None, ndmin=2, encoding="utf-8",
+                skiprows=reader.line_num, converters={t_idx: lambda v: ids.setdefault(v, len(ids))},
+            )
+    except (OSError, ValueError, csv.Error, StopIteration, UserWarning):
+        return None
+    features = np.delete(table, t_idx, axis=1)
+    if (table.shape[1] != len(header) or len(set(header)) != len(header) or len(ids) != 2
+            or "" in ids or '"' in "".join(ids) or "\r" in "".join(header)
+            or not np.isfinite(features).all()):
+        return None
+    target = (table[:, t_idx] != ids[min(ids)]).astype(np.int64)
+    return Dataset(features, target, tuple(header[:t_idx] + header[t_idx + 1 :]))
+
+
+def _load_rows(path, target_column: str) -> Dataset:
+    """:func:`load_csv` through ``csv.reader``, one Python string per cell."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -196,25 +229,14 @@ def _bin_column(values: np.ndarray, max_bins: int) -> tuple[np.ndarray, int]:
     codes.
     """
     n = values.shape[0]
-    n_distinct = np.unique(values).shape[0]
-    b = min(max_bins, n_distinct)
+    _, inverse, sizes = np.unique(values, return_inverse=True, return_counts=True)  # one sort
+    b = min(max_bins, sizes.shape[0])
     if b <= 1:
         return np.zeros(n, dtype=np.int64), 1
-    order = np.argsort(values, kind="stable")
-    positions = np.arange(n, dtype=np.int64)
-    sorted_vals = values[order]
-    is_start = np.ones(n, dtype=bool)
-    is_start[1:] = sorted_vals[1:] != sorted_vals[:-1]
-    group_start = np.maximum.accumulate(np.where(is_start, positions, 0))
-    is_end = np.ones(n, dtype=bool)
-    is_end[:-1] = is_start[1:]
-    group_end = np.minimum.accumulate(np.where(is_end, positions, n - 1)[::-1])[::-1]
-    representative = (group_start + group_end) // 2
-    tied_bin = np.empty(n, dtype=np.int64)
-    tied_bin[order] = (representative * b) // n
-    used = np.unique(tied_bin)
-    codes = np.searchsorted(used, tied_bin)
-    return codes.astype(np.int64), used.shape[0]
+    # The bin of each tie group's middle position (it ends at cumsum - 1); nondecreasing.
+    group_bin = ((2 * np.cumsum(sizes) - sizes - 1) // 2 * b) // n
+    group_code = np.cumsum(np.r_[True, group_bin[1:] != group_bin[:-1]]) - 1
+    return group_code[inverse], int(group_code[-1]) + 1
 
 
 def discretize(d: Dataset, max_bins: int) -> DiscretizedDataset:

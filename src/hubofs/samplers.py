@@ -231,6 +231,9 @@ def simulated_annealing(
     if t_start is None:
         scale = c.max_abs_coefficient()
         t_start = max(2.0 * c.n * scale if scale > 0.0 else 1.0, t_end)
+        if t_start == math.inf:
+            raise UsageError(f"default t_start 2 * n * max|coefficient| = 2 * {c.n} * {scale:.3g} "
+                             "overflows: set --t-start or smaller --w1/--w2/--w3")
     if not t_end <= t_start < math.inf:
         raise UsageError(f"need finite t_start >= t_end > 0, got ({t_start}, {t_end})")
 

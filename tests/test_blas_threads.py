@@ -71,8 +71,10 @@ def test_the_callers_count_wins(name):
 
 
 def test_artifacts_do_not_depend_on_the_thread_count(tmp_path):
-    # At 10 001 training rows and 48 features, compare's logistic weights already differ
-    # in their last bits between one and two threads; the artifacts must not.
+    # The artifacts of a run must not depend on the caller's OpenBLAS thread count. At
+    # 10 001 training rows and 48 features no artifact is known to differ in its bits
+    # between one thread and two (compare's Newton fit gives equal weights under both), so
+    # this guards the contract end to end rather than a known thread-dependent product.
     table = runpy.run_path(str(ROOT / "perfbench" / "table.py"))  # writes no bytecode
     table["write_table"](tmp_path / "table.csv", seed=5, rows=12500, features=48)
     flags = [

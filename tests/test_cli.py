@@ -140,6 +140,20 @@ def test_non_finite_parameter_exit_code(stage, flags, built, demo_csv, tmp_path,
     assert f"error [{stage}]" in capsys.readouterr().err
 
 
+def test_overflowing_default_t_start_names_its_cause(demo_csv, tmp_path, capsys):
+    # The weights and coefficients are finite; the default t_start, 2 * n * max|c|, is not.
+    out = tmp_path / "run"
+    flags = ["--input", demo_csv, "--target", "label", "--w1", "1e308", "--w2", "1e308"]
+    capsys.readouterr()
+    assert run_cli("run", *flags, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "error [run]" in err and "--t-start" in err and "--w1" in err
+    assert "max|coefficient|" in err and "Traceback" not in err
+    sample = ["sample", "--coefficients", out / "coefficients.json", "--out", tmp_path / "s"]
+    assert run_cli(*sample) == 2
+    assert "--t-start" in capsys.readouterr().err
+
+
 class TestSample:
     def test_sa_writes_samples(self, built):
         assert (

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 from hubofs.dataset import (
     MAX_BINS,
     Dataset,
+    _bin_column,
+    _load_numeric,
+    _load_rows,
     discretize,
     load_csv,
     standardize,
@@ -85,6 +89,118 @@ class TestLoadCsv:
         ds = load_csv(path, "class")
         assert ds.n_features == 57
         assert ds.n_samples == 4601
+
+
+def assert_same_dataset(got: Dataset, want: Dataset):
+    for name in ("features", "target"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.flags.c_contiguous) == (b.dtype, b.shape, b.flags.c_contiguous)
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.feature_names, got.n_dropped_rows) == (want.feature_names, want.n_dropped_rows)
+
+
+def csv_outcome(loader, path):
+    """``loader(path, "label")``, or the message of the DataError it raises."""
+    try:
+        return loader(path, "label")
+    except DataError as exc:
+        return str(exc)
+
+
+def finite_token(value: float, form: tuple) -> str:
+    """``value`` as ``form`` = (format, leading "+", spaces before, spaces after) writes it."""
+    token = {"fixed": "%.6f" % value, "repr": repr(value), "exp": "%.9e" % value}[form[0]]
+    if form[1] and not token.startswith("-"):
+        token = "+" + token
+    return " " * form[2] + token + " " * form[3]
+
+
+class TestNumericFastPath:
+    """An all-numeric table is parsed in C; the csv reader is the reference."""
+
+    @given(
+        data=st.data(),
+        n_rows=st.integers(2, 12),
+        n_features=st.integers(0, 4),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_csv_path(self, tmp_path_factory, data, n_rows, n_features, newline):
+        values = st.floats(-1e300, 1e300)  # "%.9e" of the largest doubles rounds past them
+        forms = st.tuples(st.sampled_from(["fixed", "repr", "exp"]), st.booleans(),
+                          st.integers(0, 2), st.integers(0, 2))
+        classes = data.draw(st.lists(st.sampled_from(["0", "1", "neg", "pos", " a", "a ", "b"]),
+                                     min_size=2, max_size=2, unique=True))
+        labels = data.draw(st.permutations(classes + data.draw(
+            st.lists(st.sampled_from(classes), min_size=n_rows - 2, max_size=n_rows - 2))))
+        t_idx = data.draw(st.integers(0, n_features))
+        names = [f"f{j}" for j in range(n_features)]
+        names.insert(t_idx, "label")
+        lines = [",".join(names)]
+        for label in labels:
+            cells = [finite_token(data.draw(values), data.draw(forms)) for _ in range(n_features)]
+            cells.insert(t_idx, label)
+            lines.append(",".join(cells))
+            lines.extend([""] * data.draw(st.integers(0, 1)))  # blank lines are skipped
+        path = tmp_path_factory.mktemp("numeric") / "t.csv"
+        ending = newline * data.draw(st.integers(0, 2))
+        path.write_bytes((newline.join(lines) + ending).encode())
+        fast = _load_numeric(path, "label")
+        assert fast is not None
+        assert_same_dataset(fast, _load_rows(path, "label"))
+        assert_same_dataset(load_csv(path, "label"), fast)
+
+    def test_target_keeps_its_spaces(self, tmp_path):
+        p = write(tmp_path / "t.csv", "a,label\n1, x\n2,x\n3, x\n")
+        ds = _load_numeric(p, "label")
+        assert ds is not None and ds.target.tolist() == [0, 1, 0]  # " x" < "x"
+        assert_same_dataset(ds, _load_rows(p, "label"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,label\n1,x\n2#3,y\n4,y\n",
+            "a,label\n1,x\n#2,y\n4,y\n",
+            "a,b,label\n1,2,x\n  \n3,4,y\n5,6,y\n",
+            'a,label\n1,x\n"2",y\n3,y\n',
+            'a,label\n1,"b"\n2,a\n3,"b"\n',
+            "a,label\n1_0,x\n2,y\n3,y\n",
+            "a,label\n\u0661,x\n2,y\n3,y\n",
+            "a,label\nnan,x\n2,y\n3,y\n",
+            "a,label\n-inf,x\n2,y\n3,y\n",
+            "a,label\n1e999,x\n2,y\n3,y\n",
+            "a,b,label\n1,,x\n2,3,y\n4,5,x\n6,7,y\n",
+            "a,label\n1,x\n2,\n3,x\n",
+            "a,b,label\n1,2,x\n3,4\n5,6,y\n7,8,x\n",
+            "a,b,label\n1,2,x,\n3,4,y\n5,6,y\n7,8,x\n",
+            "a,label\n",
+            "a,a,label\n1,2,x\n3,4,y\n",
+            "a,b\n1,2\n3,4\n",
+            '"a\rb",label\n1,x\n2,y\n',
+            "a,label\n1,x\n2,x\n",
+            "a,label\n1,x\n2,y\n3,z\n",
+            "a,label\n1,x\n2,y\n3,y\n4,x\n5\n",
+            "a,b,label\n1,2,x,3\n4,5,y,6\n",
+        ],
+        ids=[
+            "hash_in_cell", "hash_line", "whitespace_line", "quoted_number", "quoted_target",
+            "underscore", "non_ascii_digit", "nan", "inf", "overflow", "empty_cell", "empty_target",
+            "ragged_row", "trailing_comma", "header_only", "duplicate_header", "missing_target",
+            "cr_in_name", "one_class", "three_classes", "short_last_row", "wide_rows",
+        ],
+    )
+    def test_falls_back_to_the_csv_path(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _load_numeric(p, "label") is None
+            got, want = csv_outcome(load_csv, p), csv_outcome(_load_rows, p)
+        assert caught == []
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert_same_dataset(got, want)
 
 
 def two_class_dataset(features, target):
@@ -258,6 +374,33 @@ class TestDiscretize:
         dd_a = discretize(ds_a, 4)
         dd_b = discretize(ds_b, 4)
         assert np.array_equal(dd_a.codes, dd_b.codes)
+
+    @given(
+        raw=st.lists(st.integers(-3, 3), min_size=1, max_size=40) | st.lists(
+            st.floats(-1e3, 1e3, allow_subnormal=True), min_size=1, max_size=40),
+        max_bins=st.integers(2, MAX_BINS),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_sort_binning_equals_the_three_sort_rule(self, raw, max_bins):
+        values = np.asarray(raw, dtype=np.float64)
+        n = values.shape[0]
+        b = min(max_bins, np.unique(values).shape[0])
+        if b <= 1:
+            want, want_bins = np.zeros(n, dtype=np.int64), 1
+        else:
+            order = np.argsort(values, kind="stable")
+            sorted_vals = values[order]
+            positions = np.arange(n)
+            is_start = np.r_[True, sorted_vals[1:] != sorted_vals[:-1]]
+            start = np.maximum.accumulate(np.where(is_start, positions, 0))
+            is_end = np.r_[is_start[1:], True]
+            end = np.minimum.accumulate(np.where(is_end, positions, n - 1)[::-1])[::-1]
+            tied_bin = np.empty(n, dtype=np.int64)
+            tied_bin[order] = ((start + end) // 2 * b) // n
+            used = np.unique(tied_bin)
+            want, want_bins = np.searchsorted(used, tied_bin), used.shape[0]
+        codes, bins = _bin_column(values, max_bins)
+        assert codes.dtype == np.int64 and codes.tolist() == want.tolist() and bins == want_bins
 
     def test_rejects_single_bin_request(self):
         ds = two_class_dataset([[1.0], [2.0]], [0, 1])
