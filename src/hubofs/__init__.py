@@ -47,14 +47,7 @@ from .hubo import (
     preselect_top_k,
 )
 from .mi import MiTensors, compute_tensors, cyclic_mi, entropy, mi_joint_pair_single, mi_pair
-from .postselect import (
-    ImportanceScores,
-    SelectionResult,
-    importance,
-    retain_low_energy,
-    threshold_select,
-    threshold_sweep,
-)
+from .postselect import importance, retain_low_energy, threshold_select
 from .samplers import SampleSet, exhaustive_solve, random_sample, simulated_annealing
 
 __version__ = "0.1.0"
@@ -66,10 +59,8 @@ __all__ = [
     "DiscretizedDataset",
     "HubofsError",
     "HuboCoefficients",
-    "ImportanceScores",
     "MiTensors",
     "SampleSet",
-    "SelectionResult",
     "SpinConfig",
     "UsageError",
     "apply_penalty",
@@ -92,5 +83,4 @@ __all__ = [
     "standardize",
     "stratified_split",
     "threshold_select",
-    "threshold_sweep",
 ]

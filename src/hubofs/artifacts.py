@@ -1,5 +1,5 @@
 """The two text formats of the stage artifacts; an unreadable file or another schema
-raises :class:`DataError`.
+raises :class:`DataError`, an unwritable path :class:`UsageError`.
 
 JSON documents carry a ``schema`` key and write each term family as ``[i, ..., value]``
 rows. Tagged CSV files open with ``# key=value`` lines, ``schema`` first, then a header row.
@@ -12,7 +12,7 @@ import io
 import json
 import math
 
-from .errors import DataError
+from .errors import DataError, UsageError
 
 
 def read_json(path, schema: str, what: str) -> dict:
@@ -41,8 +41,7 @@ def write_json(path, doc: dict) -> None:
             items.append(f" {json.dumps(key)}: [\n  [\n   {rows}\n  ]\n ]")
         else:  # nested one level; every newline of JSON text is layout, none is in a string
             items.append(f" {json.dumps(key)}: " + json.dumps(value, indent=1).replace("\n", "\n "))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n")
+    write_text(path, "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n")
 
 
 def json_int(value) -> int:
@@ -108,5 +107,14 @@ def write_tagged(path, schema: str, meta, header, rows) -> None:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(out.getvalue())
+    write_text(path, out.getvalue())
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; a path that cannot be written (a
+    directory, a missing parent, no permission) raises :class:`UsageError`."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc

@@ -1,4 +1,4 @@
-"""Classical reference selectors and a deterministic downstream evaluator.
+"""The PCA baseline and a deterministic downstream evaluator.
 
 The evaluator is L2-regularized logistic regression fitted to its optimum by Newton
 (IRLS) steps from zero weights (Hastie et al., *Elements of Statistical Learning*,
@@ -15,7 +15,6 @@ import numpy as np
 
 from .artifacts import write_tagged
 from .errors import DataError, UsageError
-from .hubo import preselect_top_k
 
 COMPARISON_SCHEMA = "hubofs-comparison/2"
 
@@ -69,11 +68,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     """The logistic of each score, evaluated stably on both signs."""
     e = np.exp(-np.abs(z))  # exp(-z) where z >= 0, exp(z) elsewhere: never overflows
     return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def select_k_best(relevance, k: int) -> list[int]:
-    """Top-k features by MI with the target; the univariate baseline."""
-    return preselect_top_k(relevance, k)
 
 
 def pca_fit(X: np.ndarray, var_threshold: float) -> PcaModel:

@@ -17,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 from . import baselines, dcqo, hubo, mi, postselect, samplers
-from .artifacts import write_tagged
+from .artifacts import write_tagged, write_text
 from .dataset import (
     Dataset,
     DiscretizedDataset,
@@ -68,7 +68,10 @@ class RunConfig:
 
 def _out_dir(cfg: RunConfig) -> Path:
     path = Path(cfg.out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory '{path}': {exc.strerror or exc}") from exc
     return path
 
 
@@ -213,38 +216,39 @@ def _select_inputs(cfg: RunConfig) -> tuple[hubo.HuboCoefficients, list[str], sa
 
 def cmd_select(
     cfg: RunConfig, coeffs: hubo.HuboCoefficients, names: list[str], sample_set: samplers.SampleSet
-) -> postselect.SelectionResult:
+) -> tuple[int, ...]:
     """rho-retention, importance scoring, and delta thresholding/sweeping; the
-    selection at the first delta."""
+    feature indices selected at the first delta."""
     retained = postselect.retain_low_energy(sample_set, cfg.rho)
     scores = postselect.importance(retained)
-    results = postselect.threshold_sweep(scores, cfg.deltas)
+    selections = [postselect.threshold_select(scores, d) for d in cfg.deltas]
+    first, delta = selections[0], cfg.deltas[0]
     out = _out_dir(cfg)
     importance_path = out / "importance.csv"
-    postselect.write_importance_csv(
-        importance_path,
-        scores,
-        names,
-        results[0],
-        extra_metadata={"sampler": sample_set.sampler_name, "seed": str(sample_set.seed)},
-    )
-    if len(results) > 1:
+    meta = [
+        ("rho", f"{cfg.rho:.12g}"),
+        ("retained", retained.total_shots),
+        ("delta", f"{delta:.12g}"),
+        ("sampler", sample_set.sampler_name),
+        ("seed", sample_set.seed),
+    ]
+    postselect.write_importance_csv(importance_path, scores, names, first, meta)
+    if len(selections) > 1:
         sweep_path = out / "sweep.csv"
         rows = (
-            [f"{r.delta:.12g}", len(r.selected), ";".join(names[i] for i in r.selected)]
-            for r in results
+            [f"{d:.12g}", len(chosen), ";".join(names[i] for i in chosen)]
+            for d, chosen in zip(cfg.deltas, selections)
         )
         header = ("delta", "n_selected", "selected_features")
         write_tagged(sweep_path, "hubofs-sweep/1", [], header, rows)
-        print(f"select: wrote {sweep_path} ({len(results)} thresholds)")
-    first = results[0]
+        print(f"select: wrote {sweep_path} ({len(selections)} thresholds)")
     print(
-        f"select: rho={cfg.rho:g} delta={first.delta:g} kept {scores.retained_count} shots, "
-        f"selected {len(first.selected)}/{coeffs.n} features -> {importance_path}"
+        f"select: rho={cfg.rho:g} delta={delta:g} kept {retained.total_shots} shots, "
+        f"selected {len(first)}/{coeffs.n} features -> {importance_path}"
     )
     problems = []
-    if not first.selected:
-        problems.append(f"the selection at delta={first.delta:g} is empty")
+    if not first:
+        problems.append(f"the selection at delta={delta:g} is empty")
     if len(retained.counts) == 1:
         problems.append("the retained shots are a single state")
     if problems:
@@ -275,7 +279,7 @@ def _read_selection(path: str, ds: Dataset) -> tuple[str, list[int]]:
 
 def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     """Evaluate ``(label, columns)`` selections against all-features, matched
-    k-best, and PCA."""
+    k-best (top relevance), and PCA."""
     if not selections:
         raise UsageError("compare needs at least one --selection file")
     ds, train, test = splits.ds, splits.train, splits.test
@@ -295,7 +299,7 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
         matched_sizes.append(len(columns))
     reports.append(fit_eval(list(range(ds.n_features)), "all_features"))
     for size in matched_sizes:
-        columns = baselines.select_k_best(splits.relevance, size)
+        columns = hubo.preselect_top_k(splits.relevance, size)
         reports.append(fit_eval(columns, f"select_k_best_{size}"))
     pca = baselines.pca_fit(train.features, PCA_VARIANCE)
     pca_model = baselines.logistic_fit(baselines.pca_transform(pca, train.features), train.target)
@@ -341,7 +345,7 @@ def _write_auc_svg(path, reports) -> None:
             f'<text x="{left + bar + 6}" y="{y + bar_h - 8}">{r.auc:.4f}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def cmd_run(cfg: RunConfig) -> None:
@@ -353,8 +357,8 @@ def cmd_run(cfg: RunConfig) -> None:
     samples_path = cmd_sample(cfg, coeffs)
     # Read back on purpose: select ranks the 12-digit energies of the file, as the
     # stand-alone select does, so states that tie at 12 digits rank the same way.
-    selection = cmd_select(cfg, coeffs, names, samplers.load_samples(samples_path))
-    picked = [names[i] for i in selection.selected]
+    selected = cmd_select(cfg, coeffs, names, samplers.load_samples(samples_path))
+    picked = [names[i] for i in selected]
     cmd_compare(cfg, splits, [("importance", _columns(splits.ds, picked, "importance.csv"))])
 
 

@@ -57,14 +57,20 @@ _NORM_TOL = 1e-9
 class CdSchedule:
     """Interpolation values l and dl/dt at the Trotter step midpoints."""
 
-    steps: int
     lambda_values: np.ndarray
     lambda_dot_values: np.ndarray
     total_time: float
 
     def __post_init__(self):
+        lam, lam_dot = self.lambda_values, self.lambda_dot_values
+        if lam.ndim != 1 or not lam.size or lam_dot.shape != lam.shape:
+            raise UsageError("lambda and lambda_dot must be non-empty 1-D arrays of one length")
         self.lambda_values.setflags(write=False)
         self.lambda_dot_values.setflags(write=False)
+
+    @property
+    def steps(self) -> int:
+        return len(self.lambda_values)
 
     @property
     def dt(self) -> float:
@@ -96,7 +102,6 @@ def build_schedule(steps: int, total_time: float) -> CdSchedule:
         raise UsageError(f"total_time must be finite and > 0, got {total_time}")
     midpoints = [(m + 0.5) * total_time / steps for m in range(steps)]
     return CdSchedule(
-        steps=steps,
         lambda_values=np.array([schedule_lambda(t, total_time) for t in midpoints]),
         lambda_dot_values=np.array([schedule_lambda_dot(t, total_time) for t in midpoints]),
         total_time=total_time,

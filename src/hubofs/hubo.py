@@ -171,10 +171,8 @@ def build_coefficients(
 
 
 def _hinge_power(ratio: float, p: float) -> float:
-    if p == 2.0:
+    if p == 2.0:  # ratio**2.0 rounds differently from ratio * ratio
         return ratio * ratio
-    if float(p).is_integer():
-        return ratio ** int(p)
     return ratio**p
 
 

@@ -9,7 +9,6 @@ importance reaches the inclusive threshold delta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,33 +18,6 @@ from .samplers import SampleSet
 
 IMPORTANCE_SCHEMA = "hubofs-importance/1"
 IMPORTANCE_FIELDS = ("feature_index", "feature_name", "importance", "selected")
-
-
-@dataclass(frozen=True)
-class ImportanceScores:
-    """Per-feature selection frequencies within the retained low-energy shots."""
-
-    scores: np.ndarray
-    retained_count: int
-    rho: float
-
-    def __post_init__(self):
-        self.scores.setflags(write=False)
-        if self.retained_count < 1:
-            raise DataError("retained_count must be >= 1")
-        if self.scores.size and (self.scores.min() < 0.0 or self.scores.max() > 1.0):
-            raise DataError("importance scores must lie in [0, 1]")
-
-    @property
-    def n(self) -> int:
-        return int(self.scores.shape[0])
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    selected: tuple[int, ...]
-    delta: float
-    scores: ImportanceScores
 
 
 def retain_low_energy(s: SampleSet, rho: float) -> SampleSet:
@@ -63,69 +35,40 @@ def retain_low_energy(s: SampleSet, rho: float) -> SampleSet:
     counts = s.counts[order]
     before = np.cumsum(counts) - counts  # shots ranked ahead of each row
     keep = before < k
-    metadata = dict(s.metadata)
-    metadata["rho"] = f"{rho:.12g}"
     return SampleSet(
         spins=s.spins[order[keep]],
         counts=np.minimum(counts[keep], k - before[keep]),
         energies=s.energies[order[keep]],
-        total_shots=k,
         sampler_name=s.sampler_name,
         seed=s.seed,
-        metadata=metadata,
+        metadata=dict(s.metadata),
     )
 
 
-def importance(s_retained: SampleSet) -> ImportanceScores:
-    """Count-weighted mean of the binary selection variables x_i = (Z_i < 0).
-
-    The rho recorded by :func:`retain_low_energy` is carried through; a raw
-    (unretained) sample set scores with rho = 1.
-    """
+def importance(s_retained: SampleSet) -> np.ndarray:
+    """Count-weighted mean of the binary selection variables x_i = (Z_i < 0): one
+    float64 score in [0, 1] per feature."""
     if not s_retained.counts.size:
         raise DataError("cannot score an empty sample set")
-    return ImportanceScores(
-        scores=(s_retained.counts @ (s_retained.spins < 0)) / s_retained.total_shots,
-        retained_count=s_retained.total_shots,
-        rho=float(s_retained.metadata.get("rho", 1.0)),
-    )
+    return (s_retained.counts @ (s_retained.spins < 0)) / s_retained.total_shots
 
 
-def threshold_select(scores: ImportanceScores, delta: float) -> SelectionResult:
+def threshold_select(scores: np.ndarray, delta: float) -> tuple[int, ...]:
     """All features with importance >= delta (inclusive), ascending indices."""
     if not 0.0 <= delta <= 1.0:
         raise UsageError(f"delta must be in [0, 1], got {delta}")
-    selected = tuple(i for i in range(scores.n) if scores.scores[i] >= delta)
-    return SelectionResult(selected=selected, delta=delta, scores=scores)
+    return tuple(np.flatnonzero(scores >= delta).tolist())
 
 
-def threshold_sweep(scores: ImportanceScores, deltas) -> list[SelectionResult]:
-    deltas = list(deltas)
-    if not deltas:
-        raise UsageError("delta sweep needs at least one value")
-    return [threshold_select(scores, d) for d in deltas]
-
-
-def write_importance_csv(
-    path,
-    scores: ImportanceScores,
-    feature_names,
-    selection: SelectionResult,
-    extra_metadata: dict[str, str] | None = None,
-) -> None:
-    """Importance table sorted by importance descending, ties by index."""
+def write_importance_csv(path, scores: np.ndarray, feature_names, selected, meta) -> None:
+    """Importance table sorted by importance descending, ties by index, under the
+    ``(key, value)`` lines of ``meta``."""
     names = list(feature_names)
-    if len(names) != scores.n:
-        raise UsageError(f"{len(names)} names for {scores.n} scores")
-    chosen = set(selection.selected)
-    order = sorted(range(scores.n), key=lambda i: (-scores.scores[i], i))
-    meta = [
-        ("rho", f"{scores.rho:.12g}"),
-        ("retained", scores.retained_count),
-        ("delta", f"{selection.delta:.12g}"),
-        *sorted((extra_metadata or {}).items()),
-    ]
-    rows = ([i, names[i], f"{scores.scores[i]:.12g}", int(i in chosen)] for i in order)
+    if len(names) != len(scores):
+        raise UsageError(f"{len(names)} names for {len(scores)} scores")
+    chosen = set(selected)
+    order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
+    rows = ([i, names[i], f"{scores[i]:.12g}", int(i in chosen)] for i in order)
     write_tagged(path, IMPORTANCE_SCHEMA, meta, IMPORTANCE_FIELDS, rows)
 
 

@@ -109,7 +109,6 @@ class SampleSet:
     spins: np.ndarray
     counts: np.ndarray
     energies: np.ndarray
-    total_shots: int
     sampler_name: str
     seed: int
     metadata: dict[str, str] = field(default_factory=dict)
@@ -124,8 +123,6 @@ class SampleSet:
             raise DataError("spins, counts and energies of a sample set disagree in shape")
         if not np.isin(self.spins, (-1, 1)).all():
             raise DataError("spins must be -1 or +1")
-        if int(self.counts.sum()) != self.total_shots:
-            raise DataError("entry counts do not sum to total_shots")
         if np.any(self.counts < 1):
             raise DataError("entry counts must be positive")
         if len(self.counts) > 1 and len(np.unique(self.spins, axis=0)) != len(self.counts):
@@ -136,13 +133,17 @@ class SampleSet:
             return NotImplemented
         arrays = ("spins", "counts", "energies")
         return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in arrays) and (
-            (self.total_shots, self.sampler_name, self.seed, self.metadata)
-            == (other.total_shots, other.sampler_name, other.seed, other.metadata)
+            (self.sampler_name, self.seed, self.metadata)
+            == (other.sampler_name, other.seed, other.metadata)
         )
 
     @property
     def n(self) -> int:
         return self.spins.shape[1]
+
+    @property
+    def total_shots(self) -> int:
+        return int(self.counts.sum())
 
     @property
     def entries(self) -> tuple[SampleEntry, ...]:
@@ -171,7 +172,6 @@ def _aggregate(
         spins=uniq[order],
         counts=counts[order],
         energies=energies[order],
-        total_shots=int(spin_matrix.shape[0]),
         sampler_name=sampler_name,
         seed=seed,
         metadata={**(metadata or {}), "distinct_states": str(len(order))},
@@ -198,7 +198,6 @@ def exhaustive_solve(c: HuboCoefficients, keep: int) -> SampleSet:
         spins=states_to_spins(order, c.n),
         counts=np.ones(keep, dtype=np.int64),
         energies=energies[order],
-        total_shots=keep,
         sampler_name="exhaustive",
         seed=0,
         metadata={"distinct_states": str(keep)},
@@ -387,12 +386,13 @@ def load_samples(path) -> SampleSet:
     total = sum(counts.tolist())
     if declared and declared != total:
         raise DataError(f"total_shots mismatch in {path!r}: header {declared}, rows {total}")
+    if total > np.iinfo(np.int64).max:  # SampleSet.total_shots sums in int64
+        raise DataError(f"{path!r} holds {total} shots, more than an int64 count")
     known = {"schema", "sampler", "seed", "n", "total_shots"}
     return SampleSet(
         spins=1 - 2 * (codes == ord("1")),
         counts=counts,
         energies=energies,
-        total_shots=total,
         sampler_name=meta.get("sampler", "unknown"),
         seed=seed,
         metadata={k: v for k, v in meta.items() if k not in known},

@@ -9,12 +9,7 @@ from conftest import random_instance
 from hubofs.errors import HubofsError
 from hubofs.hubo import load_coefficients, save_coefficients
 from hubofs.mi import MiTensors, load_tensors, save_tensors
-from hubofs.postselect import (
-    ImportanceScores,
-    read_importance_csv,
-    threshold_select,
-    write_importance_csv,
-)
+from hubofs.postselect import read_importance_csv, threshold_select, write_importance_csv
 from hubofs.samplers import load_samples, save_samples, simulated_annealing
 
 LOADERS = {
@@ -44,8 +39,11 @@ def artifacts(tmp_path_factory):
             triadic={(0, 1, 2): 0.05},
         ),
     )
-    scores = ImportanceScores(scores=np.array([0.75, 0.25]), retained_count=4, rho=0.5)
-    write_importance_csv(root / "importance", scores, ("a", "b,c"), threshold_select(scores, 0.5))
+    scores = np.array([0.75, 0.25])
+    meta = [("rho", "0.5"), ("retained", 4), ("delta", "0.5")]
+    write_importance_csv(
+        root / "importance", scores, ("a", "b,c"), threshold_select(scores, 0.5), meta
+    )
     return {kind: (root / kind).read_bytes() for kind in LOADERS}, root / "mutant"
 
 

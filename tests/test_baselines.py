@@ -12,7 +12,6 @@ from hubofs.baselines import (
     pca_fit,
     pca_transform,
     roc_auc,
-    select_k_best,
     write_comparison_csv,
 )
 from hubofs.errors import DataError, UsageError
@@ -36,22 +35,6 @@ def auc_by_pair_enumeration(y, scores):
             elif p == q:
                 total += 0.5
     return total / (len(pos) * len(neg))
-
-
-class TestSelectKBest:
-    def test_matches_preselect_rule(self):
-        assert select_k_best([0.1, 0.9, 0.5], 2) == [1, 2]
-        assert select_k_best([0.4, 0.4], 1) == [0]
-
-    def test_nesting(self):
-        rng = np.random.default_rng(0)
-        rel = rng.uniform(0, 1, 12)
-        for k in range(1, 12):
-            assert set(select_k_best(rel, k)) <= set(select_k_best(rel, k + 1))
-
-    def test_range(self):
-        with pytest.raises(UsageError):
-            select_k_best([0.1], 2)
 
 
 class TestPca:

@@ -316,6 +316,55 @@ class TestSelectAndCompare:
         sizes = [int(line.split(",")[1]) for line in lines[2:]]
         assert sizes == sorted(sizes, reverse=True)
 
+    def test_select_writes_rho_at_12_significant_digits(self, sampled):
+        assert (
+            run_cli(
+                "select", "--coefficients", sampled / "coefficients.json",
+                "--samples", sampled / "samples.csv",
+                "--rho", "0.123456789012345", "--out", sampled,
+            )
+            == 0
+        )
+        lines = (sampled / "importance.csv").read_text().splitlines()
+        assert lines[1:4] == ["# rho=0.123456789012", "# retained=49", "# delta=0.5"]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "build_out_is_a_file",
+            "sample_out_under_a_file",
+            "samples_csv_is_a_directory",
+            "comparison_svg_is_a_directory",
+        ],
+    )
+    def test_unwritable_output_exit_2(self, sampled, demo_csv, tmp_path, capsys, case):
+        blocker = tmp_path / "blocker"
+        sample = ["--coefficients", sampled / "coefficients.json", "--shots", 8]
+        if case == "build_out_is_a_file":
+            blocker.write_text("")
+            stage, args = "build", ["--input", demo_csv, "--target", "label", "--out", blocker]
+        elif case == "sample_out_under_a_file":
+            blocker.write_text("")
+            stage, args = "sample", [*sample, "--out", blocker / "sub"]
+        elif case == "samples_csv_is_a_directory":
+            (blocker / "samples.csv").mkdir(parents=True)
+            stage, args = "sample", [*sample, "--out", blocker]
+        else:
+            select = ["--coefficients", sampled / "coefficients.json"]
+            assert run_cli("select", *select, "--samples", sampled / "samples.csv",
+                           "--out", sampled) == 0
+            (blocker / "comparison.svg").mkdir(parents=True)
+            stage, args = "compare", [
+                "--input", demo_csv, "--target", "label",
+                "--selection", sampled / "importance.csv", "--out", blocker,
+            ]
+        capsys.readouterr()
+        assert run_cli(stage, *args) == 2
+        err = capsys.readouterr().err
+        assert f"error [{stage}]: cannot " in err
+        assert str(blocker) in err
+        assert "Traceback" not in err
+
     def test_select_rho_one_delta_zero_selects_all(self, sampled):
         assert (
             run_cli(

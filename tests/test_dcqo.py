@@ -101,6 +101,25 @@ class TestSchedule:
     def test_steps_at_the_cap_build(self):
         assert build_schedule(MAX_STEPS, 1.0).lambda_values.shape == (MAX_STEPS,)
 
+    def test_steps_and_dt_follow_the_arrays(self):
+        sched = build_schedule(12, 3.0)
+        assert sched.steps == 12
+        assert sched.dt == 3.0 / 12
+
+    @pytest.mark.parametrize(
+        "lam,lam_dot",
+        [
+            (np.zeros(3), np.zeros(4)),
+            (np.zeros((2, 3)), np.zeros((2, 3))),
+            (np.zeros(3), np.zeros((3, 1))),
+            (np.zeros(0), np.zeros(0)),
+        ],
+        ids=["unequal_length", "two_dimensional", "unequal_rank", "empty"],
+    )
+    def test_arrays_of_other_shapes_refused(self, lam, lam_dot):
+        with pytest.raises(UsageError):
+            CdSchedule(lambda_values=lam, lambda_dot_values=lam_dot, total_time=1.0)
+
 
 class TestEvolution:
     def test_zero_hamiltonian_stays_uniform(self):
@@ -262,7 +281,6 @@ class TestEvolution:
         c = random_instance(8, 5)
         sched = build_schedule(40, 6.0)
         reversed_sched = CdSchedule(
-            steps=sched.steps,
             lambda_values=sched.lambda_values[::-1].copy(),
             lambda_dot_values=sched.lambda_dot_values[::-1].copy(),
             total_time=sched.total_time,

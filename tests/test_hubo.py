@@ -58,6 +58,12 @@ class TestPreselect:
         with pytest.raises(UsageError):
             preselect_top_k([0.1, 0.2], 0)
 
+    def test_nesting(self):
+        rng = np.random.default_rng(0)
+        rel = rng.uniform(0, 1, 12)
+        for k in range(1, 12):
+            assert set(preselect_top_k(rel, k)) <= set(preselect_top_k(rel, k + 1))
+
 
 class TestNormalizeGlobal:
     def test_min_max_endpoints(self):
@@ -150,6 +156,14 @@ class TestPenalty:
         assert hinge_delta(tau, lam, tau, 2.0) == 0.0
         assert hinge_delta(0.0, lam, tau, 2.0) == -lam
         assert hinge_delta(tau / 2, lam, tau, 2.0) == -lam / 4
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0, 4.0, 5.0, 7.0, 10.0, 17.0, 2.5])
+    def test_power_is_bitwise_the_formula(self, p):
+        lam, tau = 0.7, 0.3
+        for c in np.linspace(0.0, tau, 1000, endpoint=False).tolist():
+            ratio = (tau - c) / tau
+            expected = -lam * (ratio * ratio) if p == 2.0 else -lam * ratio**p
+            assert hinge_delta(c, lam, tau, p) == expected
 
     def test_monotone_in_relevance(self):
         lam, tau, p = 0.5, 0.2, 2.0

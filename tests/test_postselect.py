@@ -4,12 +4,10 @@ import pytest
 from conftest import random_instance
 from hubofs.errors import DataError, UsageError
 from hubofs.postselect import (
-    ImportanceScores,
     importance,
     read_importance_csv,
     retain_low_energy,
     threshold_select,
-    threshold_sweep,
     write_importance_csv,
 )
 from hubofs.samplers import SampleSet, random_sample
@@ -22,31 +20,35 @@ def sample_set(rows, sampler="test", seed=0, metadata=None):
         spins=1 - 2 * np.array(bits).reshape(len(rows), -1),
         counts=np.array(counts),
         energies=np.array(energies, dtype=np.float64),
-        total_shots=sum(counts),
         sampler_name=sampler,
         seed=seed,
         metadata=metadata or {},
     )
 
 
+def rows_of(s):
+    """(spins tuple, count, energy) per row of a sample set."""
+    return list(zip(map(tuple, s.spins.tolist()), s.counts.tolist(), s.energies.tolist()))
+
+
 def reference_retain(s, rho):
-    """The per-entry loop: rank by (energy, spins), take shots until k."""
+    """The per-row loop: rank by (energy, spins), take shots until k."""
     k = max(1, int(np.floor(rho * s.total_shots)))
     kept, remaining = [], k
-    for e in sorted(s.entries, key=lambda e: (e.energy, e.spins)):
+    for spins, count, energy in sorted(rows_of(s), key=lambda r: (r[2], r[0])):
         if remaining <= 0:
             break
-        take = min(e.count, remaining)
-        kept.append((tuple((1 - z) // 2 for z in e.spins.spins), take, e.energy))
+        take = min(count, remaining)
+        kept.append((tuple((1 - z) // 2 for z in spins), take, energy))
         remaining -= take
-    return sample_set(kept, s.sampler_name, s.seed, {**s.metadata, "rho": f"{rho:.12g}"})
+    return sample_set(kept, s.sampler_name, s.seed, s.metadata)
 
 
 def reference_importance(s):
-    """The per-entry loop: float64 sum of count * x over the entries."""
+    """The per-row loop: float64 sum of count * x over the rows."""
     totals = np.zeros(s.n, dtype=np.float64)
-    for e in s.entries:
-        totals += e.count * np.array([(1 - z) // 2 for z in e.spins.spins], dtype=np.float64)
+    for spins, count, _ in rows_of(s):
+        totals += count * np.array([(1 - z) // 2 for z in spins], dtype=np.float64)
     return totals / s.total_shots
 
 
@@ -57,7 +59,8 @@ def random_sample_set(rng):
     states = rng.choice(1 << n, rows, replace=False)
     bits = (states[:, None] >> np.arange(n)) & 1
     return sample_set(
-        [(b, int(rng.integers(1, 6)), float(rng.integers(-1, 2)) / 2) for b in bits]
+        [(b, int(rng.integers(1, 6)), float(rng.integers(-1, 2)) / 2) for b in bits],
+        metadata={"distinct_states": str(rows)},
     )
 
 
@@ -66,15 +69,14 @@ class TestRetain:
         s = sample_set([((0, 1), 3, -1.0), ((1, 0), 5, 2.0)])
         out = retain_low_energy(s, 1.0)
         assert out.total_shots == 8
-        assert [(e.spins, e.count) for e in out.entries] == [
-            (e.spins, e.count) for e in s.entries
-        ]
+        assert np.array_equal(out.spins, s.spins)
+        assert np.array_equal(out.counts, s.counts)
 
     def test_quarter_of_eight_distinct(self):
         s = sample_set([(tuple(int(b) for b in f"{i:03b}"), 1, float(i)) for i in range(8)])
         out = retain_low_energy(s, 0.25)
         assert out.total_shots == 2
-        assert [e.energy for e in out.entries] == [0.0, 1.0]
+        assert out.energies.tolist() == [0.0, 1.0]
 
     def test_equal_energy_tie_breaks_lexicographically(self):
         s = sample_set(
@@ -83,26 +85,23 @@ class TestRetain:
         out = retain_low_energy(s, 0.5)
         assert out.total_shots == 2
         # spins lex: (-1,-1) < (-1,+1), i.e. bits (1,1) then (1,0)
-        assert [e.spins.spins for e in out.entries] == [(-1, -1), (-1, 1)]
+        assert out.spins.tolist() == [[-1, -1], [-1, 1]]
 
     def test_boundary_entry_truncated(self):
         s = sample_set([((0, 0), 4, -1.0), ((1, 1), 4, 0.0)])
         out = retain_low_energy(s, 0.75)
         assert out.total_shots == 6
-        assert [(e.count, e.energy) for e in out.entries] == [(4, -1.0), (2, 0.0)]
+        assert list(zip(out.counts.tolist(), out.energies.tolist())) == [(4, -1.0), (2, 0.0)]
 
     def test_max_retained_below_min_discarded(self):
         c = random_instance(3, 6)
         s = random_sample(c, 500, seed=8)
         out = retain_low_energy(s, 0.3)
-        kept = {e.spins: e.count for e in out.entries}
-        max_kept = max(e.energy for e in out.entries)
+        kept = {spins: count for spins, count, _ in rows_of(out)}
         discarded = [
-            e.energy
-            for e in s.entries
-            if e.spins not in kept or kept[e.spins] < e.count
+            energy for spins, count, energy in rows_of(s) if kept.get(spins, 0) < count
         ]
-        assert max_kept <= min(discarded) + 1e-12
+        assert out.energies.max() <= min(discarded) + 1e-12
 
     def test_floor_with_minimum_one(self):
         s = sample_set([((0, 1), 3, 1.0)])
@@ -115,6 +114,12 @@ class TestRetain:
         with pytest.raises(UsageError):
             retain_low_energy(s, 1.5)
 
+    def test_metadata_passes_unchanged(self):
+        s = sample_set([((0, 1), 4, 1.0), ((1, 0), 4, 2.0)], metadata={"sweeps": "5"})
+        out = retain_low_energy(s, 0.5)
+        assert out.metadata == {"sweeps": "5"}
+        assert (out.sampler_name, out.seed) == (s.sampler_name, s.seed)
+
     def test_matches_per_entry_reference(self):
         rng = np.random.default_rng(17)
         truncated = ties = unsorted = 0
@@ -125,7 +130,7 @@ class TestRetain:
             for rho in (0.01, 0.25, 0.5, 0.77, 1.0):
                 out = retain_low_energy(s, rho)
                 assert out == reference_retain(s, rho)
-                assert np.array_equal(importance(out).scores, reference_importance(out))
+                assert np.array_equal(importance(out), reference_importance(out))
                 kept = dict(zip(map(tuple, s.spins.tolist()), s.counts.tolist()))
                 truncated += out.counts[-1] < kept[tuple(out.spins[-1].tolist())]
         assert min(truncated, ties, unsorted) > 20
@@ -135,78 +140,74 @@ class TestImportance:
     def test_always_and_never_selected(self):
         s = sample_set([((1, 0, 1), 2, -2.0), ((1, 0, 0), 2, -1.0)])
         scores = importance(s)
-        assert scores.scores[0] == 1.0
-        assert scores.scores[1] == 0.0
-        assert scores.retained_count == 4
+        assert scores.dtype == np.float64
+        assert scores.shape == (3,)
+        assert scores.tolist() == [1.0, 0.0, 0.5]
 
     def test_weighted_mean(self):
         s = sample_set([((1, 0), 3, -1.0), ((0, 1), 1, 0.0)])
-        scores = importance(s)
-        assert list(scores.scores) == [0.75, 0.25]
+        assert importance(s).tolist() == [0.75, 0.25]
 
-    def test_rho_carried_from_retention(self):
-        s = sample_set([((0, 1), 4, 1.0), ((1, 0), 4, 2.0)])
-        scores = importance(retain_low_energy(s, 0.5))
-        assert scores.rho == 0.5
-        assert scores.retained_count == 4
+    def test_empty_set_is_data_error(self):
+        empty = SampleSet(
+            spins=np.empty((0, 2)), counts=np.empty(0), energies=np.empty(0),
+            sampler_name="test", seed=0,
+        )
+        with pytest.raises(DataError):
+            importance(empty)
 
     def test_full_set_importance_is_plain_mean(self):
         c = random_instance(5, 5)
         s = random_sample(c, 300, seed=2)
-        direct = np.zeros(5)
-        for e in s.entries:
-            direct += e.count * (np.array(e.spins.spins) == -1)
-        direct /= s.total_shots
-        assert np.allclose(importance(retain_low_energy(s, 1.0)).scores, direct, atol=0)
+        direct = (s.counts[:, None] * (s.spins == -1)).sum(axis=0) / s.total_shots
+        assert np.array_equal(importance(retain_low_energy(s, 1.0)), direct)
 
 
 class TestThreshold:
-    def scores(self, values, rho=1.0):
-        return ImportanceScores(scores=np.array(values), retained_count=10, rho=rho)
-
     def test_zero_selects_all(self):
-        res = threshold_select(self.scores([0.2, 0.0, 0.9]), 0.0)
-        assert res.selected == (0, 1, 2)
+        assert threshold_select(np.array([0.2, 0.0, 0.9]), 0.0) == (0, 1, 2)
 
     def test_boundary_inclusive(self):
-        res = threshold_select(self.scores([0.9, 0.5, 0.1]), 0.5)
-        assert res.selected == (0, 1)
+        selected = threshold_select(np.array([0.9, 0.5, 0.1]), 0.5)
+        assert selected == (0, 1)
+        assert all(type(i) is int for i in selected)
 
     def test_sweep_monotone_and_pure(self):
-        scores = self.scores([0.9, 0.7, 0.5, 0.3, 0.1])
+        scores = np.array([0.9, 0.7, 0.5, 0.3, 0.1])
         deltas = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 0.4]
-        results = threshold_sweep(scores, deltas)
-        sizes = [len(r.selected) for r in results[:6]]
+        results = [threshold_select(scores, d) for d in deltas]
+        sizes = [len(r) for r in results[:6]]
         assert sizes == sorted(sizes, reverse=True)
-        assert results[2].selected == results[6].selected
+        assert results[2] == results[6]
         # nestedness
-        assert set(results[3].selected) <= set(results[1].selected)
+        assert set(results[3]) <= set(results[1])
 
     def test_extreme_deltas(self):
-        scores = self.scores([1.0, 0.5, 0.0])
-        assert threshold_select(scores, 0.0).selected == (0, 1, 2)
-        assert threshold_select(scores, 1.0).selected == (0,)
+        scores = np.array([1.0, 0.5, 0.0])
+        assert threshold_select(scores, 0.0) == (0, 1, 2)
+        assert threshold_select(scores, 1.0) == (0,)
 
     def test_validation(self):
-        with pytest.raises(UsageError):
-            threshold_select(self.scores([0.5]), 1.5)
-        with pytest.raises(UsageError):
-            threshold_sweep(self.scores([0.5]), [])
+        for delta in (1.5, -0.1, float("nan")):
+            with pytest.raises(UsageError):
+                threshold_select(np.array([0.5]), delta)
 
 
 class TestImportanceCsv:
+    META = [("rho", "0.25"), ("retained", 20), ("delta", "0.5")]
+
     def test_round_trip_sorted_by_importance(self, tmp_path):
-        scores = ImportanceScores(
-            scores=np.array([0.25, 0.8, 0.8, 0.1]), retained_count=20, rho=0.25
-        )
-        selection = threshold_select(scores, 0.5)
+        scores = np.array([0.25, 0.8, 0.8, 0.1])
         path = tmp_path / "importance.csv"
-        write_importance_csv(path, scores, ("w", "x", "y", "z"), selection)
+        write_importance_csv(path, scores, ("w", "x", "y", "z"), threshold_select(scores, 0.5),
+                             self.META)
         rows, meta = read_importance_csv(path)
-        assert meta["rho"] == "0.25"
-        assert meta["delta"] == "0.5"
+        assert path.read_text().splitlines()[:4] == [
+            "# schema=hubofs-importance/1", "# rho=0.25", "# retained=20", "# delta=0.5",
+        ]
         assert [r["feature_index"] for r in rows] == [1, 2, 0, 3]
         assert [r["selected"] for r in rows] == [True, True, False, False]
+        assert [r["importance"] for r in rows] == [0.8, 0.8, 0.25, 0.1]
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -215,10 +216,10 @@ class TestImportanceCsv:
             read_importance_csv(path)
 
     def test_name_count_mismatch(self, tmp_path):
-        scores = ImportanceScores(scores=np.array([0.5]), retained_count=1, rho=1.0)
+        scores = np.array([0.5])
         with pytest.raises(UsageError):
             write_importance_csv(
-                tmp_path / "x.csv", scores, ("a", "b"), threshold_select(scores, 0.5)
+                tmp_path / "x.csv", scores, ("a", "b"), threshold_select(scores, 0.5), self.META
             )
 
     @pytest.mark.parametrize(
@@ -249,10 +250,10 @@ class TestImportanceCsv:
             read_importance_csv(path)
 
     def test_names_with_commas_survive_round_trip(self, tmp_path):
-        scores = ImportanceScores(scores=np.array([0.9, 0.2]), retained_count=4, rho=1.0)
+        scores = np.array([0.9, 0.2])
         names = ('city=Berlin, DE', 'plain')
         path = tmp_path / "importance.csv"
-        write_importance_csv(path, scores, names, threshold_select(scores, 0.5))
+        write_importance_csv(path, scores, names, threshold_select(scores, 0.5), self.META)
         rows, _ = read_importance_csv(path)
         assert rows[0]["feature_name"] == "city=Berlin, DE"
         assert rows[1]["feature_name"] == "plain"

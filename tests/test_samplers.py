@@ -488,7 +488,7 @@ class TestSampleFile:
         # "1" = selected (Z = -1), feature 0 leftmost.
         one = SampleSet(
             spins=np.array([[-1, 1, -1]]), counts=np.array([1]), energies=np.array([0.5]),
-            total_shots=1, sampler_name="test", seed=0,
+            sampler_name="test", seed=0,
         )
         path = tmp_path / "samples.csv"
         save_samples(path, one)
@@ -557,6 +557,15 @@ class TestSampleFile:
         path = tmp_path / "bad.csv"
         header = "" if n is None else f"# n={n}\n"
         path.write_text(f"# schema={SAMPLE_SCHEMA}\n{header}bitstring,count,energy\n{rows}\n")
+        with pytest.raises(DataError):
+            load_samples(path)
+
+    def test_shots_past_int64_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        big = 1 << 62
+        path.write_text(
+            f"# schema={SAMPLE_SCHEMA}\n# n=1\nbitstring,count,energy\n0,{big},0\n1,{big},1\n"
+        )
         with pytest.raises(DataError):
             load_samples(path)
 
