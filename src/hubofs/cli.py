@@ -112,6 +112,7 @@ def _load_splits(cfg: RunConfig) -> _Splits:
 def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, list[str]]:
     """discretize -> relevance -> preselect -> MI -> HUBO; the coefficients and the
     names of their features."""
+    out = _out_dir(cfg)
     ds, train = splits.ds, splits.train
     if ds.n_features > cfg.preselect_k:
         indices = hubo.preselect_top_k(splits.relevance, cfg.preselect_k)
@@ -147,7 +148,6 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
             "p": cfg.p,
         },
     }
-    out = _out_dir(cfg)
     tensors_path = out / "mi_tensors.json"
     coeffs_path = out / "coefficients.json"
     mi.save_tensors(tensors_path, tensors, provenance)
@@ -164,6 +164,7 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
 
 def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> Path:
     """Dispatch to the named sampler and write the sample CSV."""
+    out = _out_dir(cfg)
     if cfg.sampler == "exhaustive":
         keep = cfg.shots
         if coeffs.n <= hubo.MAX_ALL_STATES_N and keep > (1 << coeffs.n):
@@ -181,7 +182,6 @@ def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> Path:
         result = samplers.random_sample(coeffs, cfg.shots, cfg.seed)
     else:
         raise UsageError(f"unknown sampler {cfg.sampler!r}")
-    out = _out_dir(cfg)
     path = out / "samples.csv"
     samplers.save_samples(path, result)
     print(
@@ -219,11 +219,11 @@ def cmd_select(
 ) -> tuple[int, ...]:
     """rho-retention, importance scoring, and delta thresholding/sweeping; the
     feature indices selected at the first delta."""
+    out = _out_dir(cfg)
     retained = postselect.retain_low_energy(sample_set, cfg.rho)
     scores = postselect.importance(retained)
     selections = [postselect.threshold_select(scores, d) for d in cfg.deltas]
     first, delta = selections[0], cfg.deltas[0]
-    out = _out_dir(cfg)
     importance_path = out / "importance.csv"
     meta = [
         ("rho", f"{cfg.rho:.12g}"),
@@ -282,6 +282,7 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     k-best (top relevance), and PCA."""
     if not selections:
         raise UsageError("compare needs at least one --selection file")
+    out = _out_dir(cfg)
     ds, train, test = splits.ds, splits.train, splits.test
 
     def fit_eval(columns, label) -> baselines.EvalReport:
@@ -305,7 +306,6 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     pca_model = baselines.logistic_fit(baselines.pca_transform(pca, train.features), train.target)
     scores = baselines.pca_transform(pca, test.features)
     reports.append(baselines.evaluate(pca_model, scores, test.target, f"pca_var{PCA_VARIANCE:g}"))
-    out = _out_dir(cfg)
     csv_path = out / "comparison.csv"
     svg_path = out / "comparison.svg"
     baselines.write_comparison_csv(csv_path, reports)

@@ -9,6 +9,8 @@ identical downstream artifacts in any implementation.
 from __future__ import annotations
 
 import csv
+import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -70,7 +72,8 @@ def load_csv(path, target_column: str) -> Dataset:
     Rows with any empty cell are dropped (and counted). Feature columns whose
     remaining values all parse as floats pass through; other columns are
     one-hot expanded into ``"<col>=<value>"`` indicators with values sorted
-    lexicographically. The target column must take exactly two distinct raw
+    lexicographically; one that also holds numbers is named in a ``note [build]:``
+    line on stderr. The target column must take exactly two distinct raw
     values; the lexicographically smaller one maps to 0. A feature name
     (column name or ``"<col>=<value>"``) holding a carriage return is refused.
     An all-numeric table is parsed in C, any other by ``csv``: both give one result.
@@ -158,7 +161,15 @@ def _load_rows(path, target_column: str) -> Dataset:
             columns.append(parsed)
             names.append(col_name)
         else:
-            for level in sorted(set(values)):
+            levels = sorted(set(values))
+            if any(map(_finite, values)):  # a column of numbers with a stray token
+                token = next(v for v in values if not _finite(v))
+                print(
+                    f"note [build]: column {col_name!r} holds numbers and {token!r}, which is "
+                    f"not a finite number; it became {len(levels)} one-hot indicators",
+                    file=sys.stderr,
+                )
+            for level in levels:
                 columns.append(np.array([1.0 if v == level else 0.0 for v in values]))
                 names.append(f"{col_name}={level}")
     if len(set(names)) != len(names):
@@ -175,6 +186,13 @@ def _load_rows(path, target_column: str) -> Dataset:
         feature_names=tuple(names),
         n_dropped_rows=dropped,
     )
+
+
+def _finite(token: str) -> bool:
+    try:
+        return math.isfinite(float(token))
+    except ValueError:
+        return False
 
 
 def standardize(d: Dataset) -> Dataset:

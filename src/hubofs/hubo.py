@@ -216,17 +216,26 @@ def energy(c: HuboCoefficients, z) -> float:
 
 
 def energy_many(c: HuboCoefficients, spins: np.ndarray) -> np.ndarray:
-    """Energies of a (S, n) matrix of spin rows, terms in ascending tuple order."""
+    """Energies of a (S, n) matrix of spin rows, terms in ascending tuple order.
+
+    The spins are read spin-major, one contiguous row ``Z_i`` per spin. A
+    pair's triples are consecutive, so ``Z_i Z_j`` is formed once for all of
+    them; each triple is still ``(Z_i Z_j) Z_k``.
+    """
     spins = np.asarray(spins)
     if spins.ndim != 2 or spins.shape[1] != c.n:
         raise UsageError(f"spin matrix must be (S, {c.n}), got {spins.shape}")
+    rows = np.ascontiguousarray(spins.T)
     acc = np.zeros(spins.shape[0], dtype=np.float64)
     for i, v in enumerate(c.h.tolist()):
-        acc += v * spins[:, i]
+        acc += v * rows[i]
     for (i, j), v in zip(c.pairs.tolist(), c.j.tolist()):
-        acc += v * (spins[:, i] * spins[:, j])
+        acc += v * (rows[i] * rows[j])
+    pair = None
     for (i, j, k), v in zip(c.triples.tolist(), c.k.tolist()):
-        acc += v * (spins[:, i] * spins[:, j] * spins[:, k])
+        if pair != (i, j):
+            pair, product = (i, j), rows[i] * rows[j]
+        acc += v * (product * rows[k])
     return acc + c.constant
 
 

@@ -8,22 +8,28 @@ exactly 0.0 because every log argument is exactly 1. Negative rounding
 residue is clamped to 0 so downstream coefficient building can rely on
 non-negativity.
 
-Every MI goes through one kernel, ``_mi_tables``, which takes a ``(T, R, C)``
-stack of count tables. Relevance is one ``bincount`` per chunk of features,
-pairs one per feature i over every j > i, and triples one per pair (i, j)
-over every k > j, each such histogram read as the three pair-vs-single
-groupings. Features are padded to the largest bin count; empty cells add no
-term. A call takes as many tables as keep both its count stack and its
-``(tables, N)`` index array within ``MAX_CELLS`` entries, and at least one
-table (or one triple's three groupings), so the scratch of one call does not
-grow with the number of features, and with the number of samples N only as
-a single table's index array does.
+Every MI goes through one kernel, ``_mi_sums``, which takes a ``(T, ...)``
+stack of count tables and reads each table G ways, each grouping with its own
+row and column margins. Relevance is one ``bincount`` per chunk of features,
+and the pair tables one per feature i over every j > i; a pair table is read
+once, with its own margins. The triples are taken in ascending order, in
+batches that cross pair boundaries: a batch is one ``bincount`` into
+``(t, b, b, b)`` histograms, each read as the three pair-vs-single groupings,
+whose margins are the pair tables and the single-feature counts counted once
+per call of :func:`compute_tensors`. Features are padded to the largest bin
+count b; empty cells add no term. A call takes as many tables as keep its
+``(tables, N)`` index array and its term stack (G terms per cell) within
+``MAX_CELLS`` entries, and at least one table, so the scratch of one call does
+not grow with the number of features, and with the number of samples N only
+as a single table's index array does. The pair tables held for the triples
+take ``C(n, 2) * b * b`` counts.
 
 Each table's terms are summed in ascending order, which makes MI(a, b) ==
-MI(b, a) bitwise. The kernel sorts every table's terms at once and sums the
-tables with the same number L of terms as the rows of one ``(count, L)``
-array: numpy sums each row exactly as it sums a 1-D array of length L, so
-batched values equal per-table values bitwise. ``np.add.reduceat`` over the
+MI(b, a) bitwise and lets a grouping's terms lie in any layout. The kernel
+sorts every table's terms at once and sums the tables with the same number L
+of terms, in all G groupings, as the rows of one ``(G, count, L)`` slice:
+numpy sums each row exactly as it sums a 1-D array of length L, so batched
+values equal per-table values bitwise. ``np.add.reduceat`` over the
 concatenated terms does not (it gave other bits for most tables tried).
 """
 
@@ -40,9 +46,8 @@ from .errors import DataError, UsageError
 
 TENSOR_SCHEMA = "hubofs-mi-tensors/2"
 
-# Cells per count-table stack, and entries per index array, of one MI kernel
-# call; a single table (or one triple's three groupings) larger than this goes
-# alone.
+# Terms per term stack, and entries per index array, of one MI kernel call; a
+# single table (or one triple's three groupings) larger than this goes alone.
 MAX_CELLS = 1 << 17
 
 
@@ -118,29 +123,46 @@ class MiTensors:
 
 
 def _mi_tables(joint: np.ndarray) -> np.ndarray:
-    """Plug-in MI (bits, clamped at 0) of each table of a ``(T, R, C)`` count stack.
+    """Plug-in MI (bits, clamped at 0) of each table of a ``(T, R, C)`` count stack."""
+    row = np.einsum("trc->tr", joint)[:, :, None]
+    col = np.einsum("trc->tc", joint)[:, None, :]
+    return _mi_sums(joint, [(row, col)])[0]
+
+
+def _mi_sums(joint: np.ndarray, margins) -> np.ndarray:
+    """``(G, T)`` plug-in MI (bits, clamped at 0) of a ``(T, ...)`` count stack read
+    G ways: grouping g's margins are the count arrays ``margins[g] = (row, col)``,
+    each with the stack's leading axis, whose product broadcasts to its shape.
 
     Per nonzero cell: ``(cells / total) * log2(cells * total / (row * col))``.
     Each table's terms are sorted (empty cells pad with +inf, which sorts
     last) and summed in that order, so a value depends only on the table's
-    term multiset: MI(a, b) == MI(b, a) bitwise, and empty padding rows or
-    columns change nothing.
+    term multiset: MI(a, b) == MI(b, a) bitwise, the cells may lie in any
+    layout, and empty padding rows or columns change nothing.
     """
     t = len(joint)
-    row = np.einsum("trc->tr", joint)[:, :, None]
-    col = np.einsum("trc->tc", joint)[:, None, :]
-    total = row.sum(axis=1, keepdims=True).astype(np.float64)
-    cells = joint.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):  # empty cells, replaced below
-        terms = (cells / total) * np.log2(cells * total / (row * col).astype(np.float64))
-    terms = np.where(joint > 0, terms, np.inf).reshape(t, -1)
-    terms.sort(axis=1)
     lengths = np.count_nonzero(joint.reshape(t, -1), axis=1)
-    sums = np.empty(t)
-    for length in np.unique(lengths):
-        rows = lengths == length
-        sums[rows] = terms[rows, :length].sum(axis=1)
-    return np.where(sums < 0.0, 0.0, sums)
+    order = np.argsort(lengths, kind="stable")  # equal lengths are summed as one slice
+    joint, lengths = joint[order], lengths[order]
+    margins = [(row[order], col[order]) for row, col in margins]
+    total = margins[0][0].sum(axis=tuple(range(1, joint.ndim)), keepdims=True).astype(np.float64)
+    cells = np.where(joint > 0, joint, np.inf)  # an empty cell's term comes out +inf
+    terms = np.empty((len(margins),) + joint.shape)
+    with np.errstate(invalid="ignore"):  # a table with no counts (total 0) comes out NaN
+        scaled, share = cells * total, np.divide(cells, total, out=cells)
+        for out, (row, col) in zip(terms, margins):
+            np.multiply(row, col, out=out)
+            np.divide(scaled, out, out=out)
+        np.log2(terms, out=terms)
+        terms *= share
+    terms = terms.reshape(len(margins), t, -1)
+    terms.sort(axis=2)
+    sums = np.empty((len(margins), t))
+    bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), t]
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.add.reduce(terms[:, lo:hi, : lengths[lo]], axis=2, out=sums[:, lo:hi])
+    sums[:, order] = np.where(sums < 0.0, 0.0, sums)
+    return sums
 
 
 def _counts(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
@@ -160,24 +182,56 @@ def _mi_columns(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarr
     )
 
 
-def _cyclic_columns(pair: np.ndarray, cols: np.ndarray, b: int) -> np.ndarray:
-    """Cyclic MI of (X_i, X_j, X_k) for each row X_k of ``cols (m, N)``.
+def _pair_tables(cols: np.ndarray, b: int) -> np.ndarray:
+    """``(C(n, 2), b, b)`` count tables of the ascending feature pairs of ``cols (n, N)``."""
+    n, size = cols.shape
+    step = max(1, MAX_CELLS // max(b * b, size))
+    chunks = [(i, s) for i in range(n) for s in range(i + 1, n, step)]
+    return np.concatenate(
+        [np.empty((0, b, b), dtype=np.int64)]
+        + [_counts(cols[i], b, cols[s : s + step], b) for i, s in chunks]
+    )
 
-    Every feature is padded to ``b`` bins and ``pair`` is ``code_i * b +
-    code_j``. One ``(m, b, b, b)`` histogram per chunk is read as the three
-    pair-vs-single groupings.
+
+def _cyclic(cols: np.ndarray, b: int, tables: np.ndarray, triples: np.ndarray) -> np.ndarray:
+    """Cyclic MI of each ascending triple (i, j, k) of ``triples`` over rows of ``cols (n, N)``.
+
+    Every feature is padded to ``b`` bins and ``tables`` holds the pair tables
+    of :func:`_pair_tables`. A batch of triples is counted by one ``bincount``
+    into ``(t, b, b, b)`` histograms, each read as the three pair-vs-single
+    groupings with the pair tables and single counts as margins.
     """
-    step = max(1, MAX_CELLS // max(3 * b**3, len(pair)))
+    n, size = cols.shape
+    cube = b**3
+    step = max(1, MAX_CELLS // max(3 * cube, size))
+    codes = cols.astype(np.min_scalar_type(step * cube - 1))  # the smallest type that holds a key
+    keys = np.empty((step, size), dtype=codes.dtype)
+    offsets = np.arange(0, step * cube, cube, dtype=codes.dtype)[:, None]
+    singles = np.stack([np.bincount(col, minlength=b) for col in cols]).astype(np.float64)
+    pair_row = np.zeros((n, n), dtype=np.int64)
+    pair_row[tuple(_combinations(n, 2).T)] = np.arange(len(tables))
     out = [np.empty(0)]
-    for s in range(0, len(cols), step):
-        cube = _counts(pair, b * b, cols[s : s + step], b).reshape(-1, b, b, b)
-        m = len(cube)
-        groupings = [
-            cube.reshape(m, b * b, b),  # (i, j) vs k
-            cube.transpose(0, 1, 3, 2).reshape(m, b * b, b),  # (i, k) vs j
-            cube.transpose(0, 2, 3, 1).reshape(m, b * b, b),  # (j, k) vs i
-        ]
-        mi = _mi_tables(np.concatenate(groupings)).reshape(3, m)
+    for s in range(0, len(triples), step):
+        batch = triples[s : s + step]
+        t = len(batch)
+        # A pair's triples are consecutive, k rising by one: each run adds the pair's
+        # code to a slice of rows.
+        cuts = (np.flatnonzero(np.diff(batch[:, 2]) != 1) + 1).tolist()
+        for lo, hi in zip([0, *cuts], [*cuts, t]):
+            i, j, k = batch[lo].tolist()
+            np.add(codes[k : k + hi - lo], (codes[i] * b + codes[j]) * b, out=keys[lo:hi])
+        keys[:t] += offsets[:t]
+        hist = np.bincount(keys[:t].ravel(), minlength=t * cube).reshape(t, b, b, b)
+        i, j, k = batch.T
+        ij, ik, jk = tables[pair_row[[i, i, j], [j, k, k]]].astype(np.float64)
+        mi = _mi_sums(
+            hist,
+            [
+                (ij[:, :, :, None], singles[k][:, None, None, :]),  # (i, j) vs k
+                (ik[:, :, None, :], singles[j][:, None, :, None]),  # (i, k) vs j
+                (jk[:, None, :, :], singles[i][:, :, None, None]),  # (j, k) vs i
+            ],
+        )
         out.append((mi[0] + mi[1] + mi[2]) / 3.0)
     return np.concatenate(out)
 
@@ -238,10 +292,10 @@ def cyclic_mi(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
     of the same triple returns the exact same float.
     """
     _check_triple(dd, i, j, k)
-    i, j, k = sorted((i, j, k))
-    b = int(dd.bin_counts[[i, j, k]].max())
-    pair = dd.codes[:, i] * b + dd.codes[:, j]
-    return float(_cyclic_columns(pair, dd.codes[:, k][None], b)[0])
+    index = sorted((i, j, k))
+    cols = np.ascontiguousarray(dd.codes[:, index].T)
+    b = int(dd.bin_counts[index].max())
+    return float(_cyclic(cols, b, _pair_tables(cols, b), _combinations(3, 3))[0])
 
 
 def relevance(dd: DiscretizedDataset) -> np.ndarray:
@@ -261,14 +315,17 @@ def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
         raise DataError("need at least one feature")
     cols = np.ascontiguousarray(dd.codes.T)
     b = int(dd.bin_counts.max())
-    pairs = _combinations(n, 2)
-    triadic = [_cyclic_columns(cols[i] * b + cols[j], cols[j + 1 :], b) for i, j in pairs.tolist()]
+    tables = _pair_tables(cols, b)
+    step = max(1, MAX_CELLS // (b * b))
+    triples = _combinations(n, 3)
     return MiTensors(
         relevance=relevance(dd),
-        pairs=pairs,
-        redundancy=np.concatenate([_mi_columns(cols[i], b, cols[i + 1 :], b) for i in range(n)]),
-        triples=_combinations(n, 3),
-        triadic=np.concatenate([np.empty(0)] + triadic),
+        pairs=_combinations(n, 2),
+        redundancy=np.concatenate(
+            [np.empty(0)] + [_mi_tables(tables[s : s + step]) for s in range(0, len(tables), step)]
+        ),
+        triples=triples,
+        triadic=_cyclic(cols, b, tables, triples),
     )
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import term_dict
-from hubofs import dcqo, samplers
+from hubofs import baselines, dcqo, mi, samplers
 from hubofs.cli import main
 from hubofs.dataset import MAX_BINS, discretize, load_csv, standardize, stratified_split
 from hubofs.hubo import (
@@ -90,6 +90,20 @@ class TestBuild:
         assert np.array_equal(coeffs.h, ref.h)
         assert coeffs.j_terms == ref.j_terms
         assert coeffs.k_terms == ref.k_terms
+
+    def test_mixed_column_is_named_in_one_note(self, tmp_path, capsys):
+        rows = ["a,b,c,label"]
+        for r in range(40):
+            b = {5: "nan", 9: "?"}.get(r, str(r % 7))
+            rows.append(f"{r * 0.5},{b},{'xy'[r % 3 % 2]},{r % 2}")
+        path = tmp_path / "mixed.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert run_cli("build", "--input", path, "--target", "label", "--out", tmp_path) == 0
+        notes = [line for line in capsys.readouterr().err.splitlines() if "one-hot" in line]
+        assert notes == [
+            "note [build]: column 'b' holds numbers and 'nan', which is not a finite number; "
+            "it became 9 one-hot indicators"
+        ]
 
     def test_rerun_byte_identical(self, demo_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -363,6 +377,34 @@ class TestSelectAndCompare:
         err = capsys.readouterr().err
         assert f"error [{stage}]: cannot " in err
         assert str(blocker) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["build", "sample", "compare", "run"])
+    def test_unwritable_output_found_before_any_work(
+        self, sampled, demo_csv, tmp_path, capsys, monkeypatch, stage
+    ):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for module, name in ((mi, "compute_tensors"), (samplers, "simulated_annealing"),
+                             (baselines, "logistic_fit")):
+            monkeypatch.setattr(module, name, unreachable)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        data = ["--input", demo_csv, "--target", "label"]
+        args = {
+            "build": data,
+            "sample": ["--coefficients", sampled / "coefficients.json"],
+            "compare": [*data, "--selection", sampled / "importance.csv"],
+            "run": data,
+        }[stage]
+        if stage == "compare":
+            assert run_cli("select", "--coefficients", sampled / "coefficients.json",
+                           "--samples", sampled / "samples.csv", "--out", sampled) == 0
+        capsys.readouterr()
+        assert run_cli(stage, *args, "--out", blocker) == 2
+        err = capsys.readouterr().err
+        assert f"error [{stage}]: cannot create output directory '{blocker}'" in err
         assert "Traceback" not in err
 
     def test_select_rho_one_delta_zero_selects_all(self, sampled):

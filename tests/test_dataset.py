@@ -60,6 +60,20 @@ class TestLoadCsv:
         assert ds.feature_names == names
         assert np.isfinite(ds.features).all()
 
+    def test_mixed_column_is_noted_once_with_its_first_non_number(self, tmp_path, capsys):
+        p = write(tmp_path / "t.csv", "a,b,c,label\n1,x,2,neg\n?,y,3,pos\nnan,x,4,pos\n4,y,5,neg\n")
+        ds = load_csv(p, "label")
+        assert capsys.readouterr().err.splitlines() == [
+            "note [build]: column 'a' holds numbers and '?', which is not a finite number; "
+            "it became 4 one-hot indicators"
+        ]
+        assert ds.feature_names == ("a=1", "a=4", "a=?", "a=nan", "b=x", "b=y", "c")
+
+    def test_wholly_categorical_column_is_not_noted(self, tmp_path, capsys):
+        p = write(tmp_path / "t.csv", "a,b,label\nx,1,neg\ny,2,pos\nnan,3,pos\n")
+        assert load_csv(p, "label").feature_names == ("a=nan", "a=x", "a=y", "b")
+        assert capsys.readouterr().err == ""
+
     def test_errors(self, tmp_path):
         with pytest.raises(DataError):
             load_csv(tmp_path / "absent.csv", "y")

@@ -211,6 +211,18 @@ class TestPenalty:
             apply_penalty(c, t.relevance, 0.5, 0.2, 0.5)
 
 
+def per_term_energies(c: HuboCoefficients, spins: np.ndarray) -> np.ndarray:
+    """The column-per-term evaluator: every term's product formed from spin columns."""
+    acc = np.zeros(spins.shape[0], dtype=np.float64)
+    for i, v in enumerate(c.h.tolist()):
+        acc += v * spins[:, i]
+    for (i, j), v in zip(c.pairs.tolist(), c.j.tolist()):
+        acc += v * (spins[:, i] * spins[:, j])
+    for (i, j, k), v in zip(c.triples.tolist(), c.k.tolist()):
+        acc += v * (spins[:, i] * spins[:, j] * spins[:, k])
+    return acc + c.constant
+
+
 class TestEnergy:
     def test_two_spin_example(self):
         c = HuboCoefficients.from_terms(
@@ -238,6 +250,40 @@ class TestEnergy:
         batch = energy_many(c, spins)
         for row in range(50):
             assert batch[row] == energy(c, spins[row])
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
+    def test_spin_major_rows_keep_the_per_term_bits(self, dtype):
+        # Sparse families, a family left empty, pairs without triples, and values
+        # other than +-1 (int8 products wrap) against the column-per-term loop.
+        rng = np.random.default_rng(np.dtype(dtype).num)
+        for n in range(1, 13):
+            for density, constant in ((0.0, -0.0), (0.3, 0.25), (1.0, -0.0)):
+                c = HuboCoefficients.from_terms(
+                    n=n,
+                    h=rng.uniform(-1, 1, n),
+                    j_terms={p: rng.uniform(-1, 1) for p in itertools.combinations(range(n), 2)
+                             if rng.random() < density},
+                    k_terms={t: rng.uniform(-1, 1) for t in itertools.combinations(range(n), 3)
+                             if rng.random() < density},
+                    constant=constant,
+                )
+                for rows in (1, 40):
+                    if dtype == np.float64:
+                        spins = 3.0 * rng.standard_normal((rows, n))
+                    else:
+                        spins = rng.integers(-100, 101, (rows, n)).astype(dtype)
+                    spins[0] = rng.choice([-1, 1], n)
+                    assert energy_many(c, spins).tobytes() == per_term_energies(c, spins).tobytes()
+
+    def test_consecutive_triples_of_other_pairs(self):
+        # (0, 1, 2) -> (0, 2, 3): k rises by one across a change of pair;
+        # (0, 2, 3) -> (1, 2, 3): only i changes.
+        c = HuboCoefficients.from_terms(
+            n=4, h=np.zeros(4), j_terms={},
+            k_terms={(0, 1, 2): 0.3, (0, 2, 3): -0.7, (1, 2, 3): 1.9},
+        )
+        spins = np.array(list(itertools.product([-1, 1], repeat=4)), dtype=np.int8)
+        assert energy_many(c, spins).tobytes() == per_term_energies(c, spins).tobytes()
 
     @pytest.mark.parametrize("block", [hubo._STATE_BLOCK, 64, 7])
     def test_all_states_bitwise_equal(self, monkeypatch, block):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import term_dict
 from hubofs import mi
-from hubofs.dataset import DiscretizedDataset
+from hubofs.dataset import MAX_BINS, DiscretizedDataset
 from hubofs.errors import DataError, UsageError
 from hubofs.mi import (
     compute_tensors,
@@ -346,27 +346,59 @@ class TestBatchedKernel:
     def test_scratch_per_call_is_bounded(self, monkeypatch):
         # More features or more rows mean more kernel calls, not larger ones:
         # each call's index array (tables x N) and count stack stay within
-        # MAX_CELLS while one table fits.
+        # MAX_CELLS while one table fits; so does the triadic term stack, one
+        # term per cell of each of a histogram's three groupings.
         monkeypatch.setattr(mi, "MAX_CELLS", 2000)
         sizes = []
-        counts, tables = mi._counts, mi._mi_tables
+        counts, sums = mi._counts, mi._mi_sums
 
         def spy_counts(a, n_a, cols, n_b):
             sizes.append(cols.size)
             return counts(a, n_a, cols, n_b)
 
-        def spy_tables(joint):
-            sizes.append(joint.size)
-            return tables(joint)
+        def spy_sums(joint, margins):
+            sizes.append(len(margins) * joint.size)
+            return sums(joint, margins)
 
         monkeypatch.setattr(mi, "_counts", spy_counts)
-        monkeypatch.setattr(mi, "_mi_tables", spy_tables)
+        monkeypatch.setattr(mi, "_mi_sums", spy_sums)
         dd = structured_dd(n_features=12, n_samples=500, bins=3)
         assert_matches_reference(dd)
         assert max(sizes) <= 2000
         sizes.clear()
         relevance(dd)
         assert sizes == [4 * 500, 4 * 2 * 3] * 3  # 4 features per call at N = 500
+
+    @pytest.mark.parametrize("cells, batch", [(700, 8), (200, 2)])
+    def test_triple_batches_cross_and_split_pairs(self, monkeypatch, cells, batch):
+        # 7 features at 3 bins and 60 rows: a call takes MAX_CELLS // 81 triples.
+        # Pair (0, 1) has 5 triples, so 8 per call take triples of two pairs and
+        # split (0, 2)'s; 2 per call split every pair with more than 2 triples.
+        monkeypatch.setattr(mi, "MAX_CELLS", cells)
+        batches = []
+        sums = mi._mi_sums
+
+        def spy_sums(joint, margins):
+            if len(margins) == 3:
+                batches.append(len(joint))
+            return sums(joint, margins)
+
+        monkeypatch.setattr(mi, "_mi_sums", spy_sums)
+        rng = np.random.default_rng(cells)
+        dd = make_dd(rng.integers(0, 3, (60, 7)))
+        compute_tensors(dd)
+        assert batches == [batch] * (35 // batch) + [35 % batch] * (35 % batch > 0)
+        monkeypatch.setattr(mi, "_mi_sums", sums)
+        assert_matches_reference(dd)
+
+    def test_unequal_bins_padded_up_to_max_bins(self):
+        # One 64-bin feature pads every histogram to 64**3 cells: one triple per call.
+        rng = np.random.default_rng(64)
+        bins = np.array([3, MAX_BINS, 17, 2, 40])
+        codes = np.column_stack([rng.integers(0, b, 300) for b in bins])
+        codes[: len(bins), :] = bins - 1  # every bin count is reached
+        dd = DiscretizedDataset(codes=codes, bin_counts=bins, target=rng.integers(0, 2, 300))
+        assert_matches_reference(dd)
 
     def test_kernel_matches_reference_across_summation_blocks(self):
         # Tables whose nonzero counts straddle numpy's pairwise-summation
