@@ -4,11 +4,12 @@
 
 Writes the benchmark table for TABLE_SEED (default 3) with ``perfbench/table.py``,
 then runs ``python -m hubofs.cli run --seed 7`` once from this tree's ``src`` and
-once from BASE_TREE's ``src``, under the flags of each benchmark workload and
-under ``--preselect-k 57 --sweeps 5 --t-end 16``. Every artifact whose schema tag
-is the same on both sides must have the same bytes. An artifact whose schema
-changed (a deliberate format change) is reported and skipped; ``comparison.svg``
-carries no tag and follows ``comparison.csv``'s. Exits 1 on any difference.
+once from BASE_TREE's ``src``, under the flags of each benchmark workload and of
+the runs no workload makes (FLAG_SETS). Every artifact whose schema tag is the
+same on both sides must have the same bytes, and a file that only one side
+wrote is a difference. An artifact whose schema changed (a deliberate format
+change) is reported and skipped; ``comparison.svg`` carries no tag and follows
+``comparison.csv``'s. Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -26,9 +27,17 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import run  # noqa: E402  (perfbench/run.py: the workloads' flags)
 import table  # noqa: E402
 
+SHALLOW = ["--sweeps", "5", "--t-end", "16"]
 FLAG_SETS = {
     **{name: list(w.flags) for name, w in run.WORKLOADS.items()},
-    "k57_shallow": ["--preselect-k", "57", "--sweeps", "5", "--t-end", "16"],
+    "k57_shallow": ["--preselect-k", "57", *SHALLOW],
+    # At n = 33 this OpenBLAS rounds a row by the product's row count.
+    "k33_shallow": ["--preselect-k", "33", *SHALLOW],
+    "exhaustive_k12": ["--sampler", "exhaustive", "--preselect-k", "12"],
+    "random": ["--sampler", "random", "--delta", "0.4"],
+    "dcqo_cd_only_k12": ["--sampler", "dcqo", "--preselect-k", "12", "--mode", "cd_only",
+                         "--steps", "5"],
+    "shallow_sweep": [*SHALLOW, "--delta", "0.3", "--delta", "0.5"],  # writes sweep.csv
 }
 TAG_FROM = {"comparison.svg": "comparison.csv"}
 
@@ -68,7 +77,10 @@ def main(argv: list[str]) -> int:
             for file in sorted({p.name for out in outs for p in out.iterdir()}):
                 head, other = (out / file for out in outs)
                 tags = (schema(head), schema(other))
-                if not (head.exists() and other.exists()) or tags[0] != tags[1]:
+                if not (head.exists() and other.exists()):
+                    print(f"{name}: {file} written by {'head' if head.exists() else 'base'} only")
+                    differ += 1
+                elif tags[0] != tags[1]:
                     print(f"{name}: {file} skipped, schema {tags[1]} -> {tags[0]}")
                 elif head.read_bytes() != other.read_bytes():
                     print(f"{name}: {file} DIFFERS")

@@ -133,10 +133,11 @@ def logistic_fit(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2) -> Logist
     design = np.hstack([X, np.ones((n, 1))])
     ridge = np.append(np.full(d, l2), 0.0)  # the bias is not regularized
     theta = np.zeros(d + 1)
+    scaled = np.empty_like(design)
     for _ in range(NEWTON_MAX_STEPS):
         probs = _sigmoid(design @ theta)
         grad = design.T @ (probs - y) / n + ridge * theta
-        scaled = design * np.sqrt(probs * (1.0 - probs) / n)[:, None]
+        np.multiply(design, np.sqrt(probs * (1.0 - probs) / n)[:, None], out=scaled)
         hessian = scaled.T @ scaled + np.diag(ridge)
         try:
             step = np.linalg.solve(hessian, grad)

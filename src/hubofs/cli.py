@@ -66,13 +66,24 @@ class RunConfig:
     selections: list[str] = field(default_factory=list)
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    path = Path(cfg.out)
+def _out_dir(cfg: RunConfig, *names: str) -> list[Path]:
+    """The paths of the artifacts ``names`` in ``--out``, which is created; one that is a
+    directory raises :class:`UsageError` here, before the stage does any work."""
+    out = Path(cfg.out)
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise UsageError(f"cannot create output directory '{path}': {exc.strerror or exc}") from exc
-    return path
+        raise UsageError(f"cannot create output directory '{out}': {exc.strerror or exc}") from exc
+    paths = [out / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise UsageError(f"cannot write '{path}': it is a directory")
+    return paths
+
+
+def _select_names(cfg: RunConfig) -> tuple[str, ...]:
+    """What ``select`` writes: ``sweep.csv`` too when ``--delta`` is repeated."""
+    return ("importance.csv", "sweep.csv") if len(cfg.deltas) > 1 else ("importance.csv",)
 
 
 def _dataset_sha256(path: str) -> str:
@@ -112,7 +123,7 @@ def _load_splits(cfg: RunConfig) -> _Splits:
 def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, list[str]]:
     """discretize -> relevance -> preselect -> MI -> HUBO; the coefficients and the
     names of their features."""
-    out = _out_dir(cfg)
+    tensors_path, coeffs_path = _out_dir(cfg, "mi_tensors.json", "coefficients.json")
     ds, train = splits.ds, splits.train
     if ds.n_features > cfg.preselect_k:
         indices = hubo.preselect_top_k(splits.relevance, cfg.preselect_k)
@@ -148,8 +159,6 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
             "p": cfg.p,
         },
     }
-    tensors_path = out / "mi_tensors.json"
-    coeffs_path = out / "coefficients.json"
     mi.save_tensors(tensors_path, tensors, provenance)
     hubo.save_coefficients(
         coeffs_path,
@@ -164,7 +173,7 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
 
 def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> Path:
     """Dispatch to the named sampler and write the sample CSV."""
-    out = _out_dir(cfg)
+    (path,) = _out_dir(cfg, "samples.csv")
     if cfg.sampler == "exhaustive":
         keep = cfg.shots
         if coeffs.n <= hubo.MAX_ALL_STATES_N and keep > (1 << coeffs.n):
@@ -182,7 +191,6 @@ def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> Path:
         result = samplers.random_sample(coeffs, cfg.shots, cfg.seed)
     else:
         raise UsageError(f"unknown sampler {cfg.sampler!r}")
-    path = out / "samples.csv"
     samplers.save_samples(path, result)
     print(
         f"sample: {result.sampler_name} wrote {path} "
@@ -219,12 +227,11 @@ def cmd_select(
 ) -> tuple[int, ...]:
     """rho-retention, importance scoring, and delta thresholding/sweeping; the
     feature indices selected at the first delta."""
-    out = _out_dir(cfg)
+    importance_path, *sweep = _out_dir(cfg, *_select_names(cfg))
     retained = postselect.retain_low_energy(sample_set, cfg.rho)
     scores = postselect.importance(retained)
     selections = [postselect.threshold_select(scores, d) for d in cfg.deltas]
     first, delta = selections[0], cfg.deltas[0]
-    importance_path = out / "importance.csv"
     meta = [
         ("rho", f"{cfg.rho:.12g}"),
         ("retained", retained.total_shots),
@@ -233,8 +240,8 @@ def cmd_select(
         ("seed", sample_set.seed),
     ]
     postselect.write_importance_csv(importance_path, scores, names, first, meta)
-    if len(selections) > 1:
-        sweep_path = out / "sweep.csv"
+    if sweep:
+        (sweep_path,) = sweep
         rows = (
             [f"{d:.12g}", len(chosen), ";".join(names[i] for i in chosen)]
             for d, chosen in zip(cfg.deltas, selections)
@@ -282,7 +289,7 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     k-best (top relevance), and PCA."""
     if not selections:
         raise UsageError("compare needs at least one --selection file")
-    out = _out_dir(cfg)
+    csv_path, svg_path = _out_dir(cfg, "comparison.csv", "comparison.svg")
     ds, train, test = splits.ds, splits.train, splits.test
 
     def fit_eval(columns, label) -> baselines.EvalReport:
@@ -306,8 +313,6 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     pca_model = baselines.logistic_fit(baselines.pca_transform(pca, train.features), train.target)
     scores = baselines.pca_transform(pca, test.features)
     reports.append(baselines.evaluate(pca_model, scores, test.target, f"pca_var{PCA_VARIANCE:g}"))
-    csv_path = out / "comparison.csv"
-    svg_path = out / "comparison.svg"
     baselines.write_comparison_csv(csv_path, reports)
     _write_auc_svg(svg_path, reports)
     for r in reports:
@@ -351,7 +356,10 @@ def _write_auc_svg(path, reports) -> None:
 def cmd_run(cfg: RunConfig) -> None:
     """All four stages in sequence, artifacts under --out, each stage handed the
     values of the one before: the CSV is loaded, the train rows binned and
-    scored for relevance, and the coefficients built, once."""
+    scored for relevance, and the coefficients built, once. Every artifact path
+    is checked first."""
+    _out_dir(cfg, "mi_tensors.json", "coefficients.json", "samples.csv", *_select_names(cfg),
+             "comparison.csv", "comparison.svg")
     splits = _load_splits(cfg)
     coeffs, names = cmd_build(cfg, splits)
     samples_path = cmd_sample(cfg, coeffs)

@@ -34,9 +34,9 @@ MAX_ALL_STATES_N = 24
 # Rows per energy_many call in energies_all_states: a 2**16 x n int8 block
 # and its per-term temporaries stay cache-sized instead of 2**n long.
 _STATE_BLOCK = 1 << 16
-# Multiply-adds per field GEMM: a cache block (256 rows of Z and of their product,
-# 128 KiB at n = 32). Unblocked products ran the default SA run slower, also on
-# the one-thread OpenBLAS pool that importing hubofs sets up.
+# Multiply-adds per GEMM of k_products: a cache block (256 rows of Z and of their
+# product, 128 KiB at n = 32). Unblocked products ran the default SA run slower,
+# also on the one-thread OpenBLAS pool that importing hubofs sets up.
 _GEMM_MACS = 1 << 18
 
 
@@ -290,37 +290,33 @@ def local_fields(h, jmat: np.ndarray, kcube: np.ndarray, spins: np.ndarray) -> n
     """``F[s, i] = dE/dZ_i`` at row ``s`` of a (S, n) spin matrix.
 
     E is linear in each spin, so flipping spin i changes the energy by
-    ``-2 Z_i F_i``. Built one column at a time; the products ``Z K[i]`` run
-    in the cache-sized row blocks of :func:`_row_blocks`, each into a reused
-    buffer. The GEMV ``Z J[i]`` stays one call over all rows: blocking it
-    moves rows between its unrolled and tail kernels, which round apart.
+    ``-2 Z_i F_i``. Built one column at a time from the products ``Z K[i]``
+    of :func:`k_products`. The GEMV ``Z J[i]`` stays one call over all rows:
+    blocking it moves rows between its unrolled and tail kernels, which
+    round apart.
     """
     spins = np.asarray(spins, dtype=np.float64)
-    size, n = spins.shape
     fields = np.empty_like(spins)
-    rows = max(3, _GEMM_MACS // (n * n))
-    bounds = _row_blocks(size, rows)
-    product = np.empty((min(size, rows), n))
-    for a in range(n):
-        column = h[a] + spins @ jmat[a]
-        for lo, hi in zip(bounds, bounds[1:]):
-            block = spins[lo:hi]
-            kz = np.matmul(block, kcube[a], out=product[: hi - lo])
-            fields[lo:hi, a] = column[lo:hi] + 0.5 * np.einsum("sj,sj->s", kz, block)
+    product = np.empty_like(spins)
+    for a in range(spins.shape[1]):
+        kz = k_products(spins, kcube[a], product)
+        fields[:, a] = h[a] + spins @ jmat[a] + 0.5 * np.einsum("sj,sj->s", kz, spins)
     return fields
 
 
-def _row_blocks(k: int, rows: int) -> list[int]:
-    """Bounds of consecutive blocks of at most ``rows`` (>= 3) of k rows.
+def k_products(rows: np.ndarray, k_a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:len(rows)] = rows @ k_a``, the ``Z K[i]`` of every local field; returns that slice.
 
-    A 1-row product takes another BLAS path that rounds differently, so a
-    1-row tail takes a row from the block before it: only k = 1 makes a
-    1-row block.
-    """
-    bounds = [*range(0, k, rows), k]
-    if k > 1 and k - bounds[-2] == 1:
+    Run as cache blocks of at most :data:`_GEMM_MACS` multiply-adds and at least 3 rows. A
+    1-row product takes another BLAS path that rounds differently, so a 1-row tail takes a
+    row from the block before it: only a single row makes a 1-row block."""
+    size = len(rows)
+    bounds = [*range(0, size, max(3, _GEMM_MACS // k_a.size)), size]
+    if size > 1 and size - bounds[-2] == 1:
         bounds[-2] -= 1
-    return bounds
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(rows[lo:hi], k_a, out=out[lo:hi])
+    return out[:size]
 
 
 def save_coefficients(

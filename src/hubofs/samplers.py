@@ -29,14 +29,14 @@ back. A hot step (``2|A| >= shots``) skips the gathers: it forms the product
 for every chain in place and scales each row by ``2 Z_i`` where accepted and
 by 0 elsewhere, so a rejected chain subtracts ±0 and keeps its field (only a
 zero field may change sign, and ``exp(±0) = 1`` accepts either way).
-The products ``Z K[i]`` here and in :func:`hubofs.hubo.local_fields` run as
-GEMMs of at most 2**18 multiply-adds: cache blocks, run by the one-thread
-OpenBLAS pool that importing :mod:`hubofs` sets up (unblocked products ran
-slower). No block has one row unless |A| = 1: a 1-row product takes another
-BLAS path that rounds differently. At n = 5, 12 and 32 a row's product is
-then bitwise the same in any block, so both step kinds give the fields of
-one |A|-row GEMM; at n = 33 and 57 this OpenBLAS rounds some rows by the
-product's row count.
+Both step kinds, and :func:`hubofs.hubo.local_fields`, form the products
+``Z K[i]`` with :func:`hubofs.hubo.k_products`: GEMMs of at most 2**18
+multiply-adds, cache blocks run by the one-thread OpenBLAS pool that
+importing :mod:`hubofs` sets up (unblocked products ran slower). No block
+has one row unless |A| = 1: a 1-row product takes another BLAS path that
+rounds differently. At n = 5, 12 and 32 a row's product is then bitwise the
+same in any block, so both step kinds give the fields of one |A|-row GEMM;
+at n = 33 and 57 this OpenBLAS rounds some rows by the product's row count.
 After the last sweep the fields are evaluated afresh and a gap beyond a
 rounding bound raises :class:`~hubofs.errors.HubofsError`. SA sample
 metadata records the acceptance rate in each tenth of the proposals
@@ -70,14 +70,13 @@ import numpy as np
 from .artifacts import read_tagged, write_tagged
 from .errors import CapabilityError, DataError, HubofsError, UsageError
 from .hubo import (
-    _GEMM_MACS,
     MAX_ALL_STATES_N,
     HuboCoefficients,
     SpinConfig,
-    _row_blocks,
     dense_couplings,
     energies_all_states,
     energy_many,
+    k_products,
     local_fields,
     states_to_spins,
 )
@@ -252,8 +251,6 @@ def simulated_annealing(
     fields = local_fields(c.h, jmat, kcube, spins)
     accepted = np.zeros(sweeps * n, dtype=np.int64)
     moved_buf, update_buf, field_buf = (np.empty((shots, n)) for _ in range(3))
-    rows = max(3, _GEMM_MACS // (n * n))
-    all_rows = _row_blocks(shots, rows)
     scale_buf = np.empty(shots)
     frozen = False
     for sweep, temp in enumerate(temps):
@@ -267,8 +264,7 @@ def simulated_annealing(
             k = int(np.count_nonzero(accept))
             if k >= _DENSE_SHARE * shots:
                 # Every chain at once; a rejected chain's row is scaled by 0 and subtracts ±0.
-                for lo, hi in zip(all_rows, all_rows[1:]):
-                    np.matmul(spins[lo:hi], kcube[i], out=update_buf[lo:hi])
+                k_products(spins, kcube[i], update_buf)
                 update_buf += jmat[i]
                 np.multiply(spins[:, i], 2.0, out=scale_buf)
                 scale_buf *= accept
@@ -279,10 +275,7 @@ def simulated_annealing(
                 flips = np.flatnonzero(accept)
                 # mode="clip" lets take write straight into out= (flips are in range).
                 moved = np.take(spins, flips, axis=0, out=moved_buf[:k], mode="clip")
-                update = update_buf[:k]
-                bounds = _row_blocks(k, rows)
-                for lo, hi in zip(bounds, bounds[1:]):
-                    np.matmul(moved[lo:hi], kcube[i], out=update[lo:hi])
+                update = k_products(moved, kcube[i], update_buf)
                 update += jmat[i]
                 update *= np.multiply(moved[:, i], 2.0, out=scale_buf[:k])[:, None]
                 moved_fields = np.take(fields, flips, axis=0, out=field_buf[:k], mode="clip")

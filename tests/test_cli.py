@@ -379,7 +379,7 @@ class TestSelectAndCompare:
         assert str(blocker) in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("stage", ["build", "sample", "compare", "run"])
+    @pytest.mark.parametrize("stage", ["build", "sample", "select", "compare", "run"])
     def test_unwritable_output_found_before_any_work(
         self, sampled, demo_csv, tmp_path, capsys, monkeypatch, stage
     ):
@@ -389,23 +389,41 @@ class TestSelectAndCompare:
         for module, name in ((mi, "compute_tensors"), (samplers, "simulated_annealing"),
                              (baselines, "logistic_fit")):
             monkeypatch.setattr(module, name, unreachable)
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
         data = ["--input", demo_csv, "--target", "label"]
-        args = {
-            "build": data,
-            "sample": ["--coefficients", sampled / "coefficients.json"],
-            "compare": [*data, "--selection", sampled / "importance.csv"],
-            "run": data,
+        coefficients = ["--coefficients", sampled / "coefficients.json"]
+        sweep = ["--delta", 0.3, "--delta", 0.5]
+        args, last = {
+            "build": (data, "coefficients.json"),
+            "sample": (coefficients, "samples.csv"),
+            "select": ([*coefficients, "--samples", sampled / "samples.csv", *sweep], "sweep.csv"),
+            "compare": ([*data, "--selection", sampled / "importance.csv"], "comparison.svg"),
+            "run": ([*data, *sweep], "comparison.svg"),
         }[stage]
         if stage == "compare":
-            assert run_cli("select", "--coefficients", sampled / "coefficients.json",
-                           "--samples", sampled / "samples.csv", "--out", sampled) == 0
-        capsys.readouterr()
-        assert run_cli(stage, *args, "--out", blocker) == 2
-        err = capsys.readouterr().err
-        assert f"error [{stage}]: cannot create output directory '{blocker}'" in err
-        assert "Traceback" not in err
+            assert run_cli("select", *coefficients, "--samples", sampled / "samples.csv",
+                           "--out", sampled) == 0
+        # --out a file, then --out a directory with a directory at the stage's last artifact.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = tmp_path / "out"
+        (out / last).mkdir(parents=True)
+        for target, error in (
+            (blocker, f"cannot create output directory '{blocker}'"),
+            (out, f"cannot write '{out / last}': it is a directory"),
+        ):
+            capsys.readouterr()
+            assert run_cli(stage, *args, "--out", target) == 2
+            err = capsys.readouterr().err
+            assert f"error [{stage}]: {error}" in err
+            assert "Traceback" not in err
+        assert [path.name for path in out.iterdir()] == [last]
+
+    def test_sweep_path_checked_only_for_a_sweep(self, sampled, tmp_path):
+        (tmp_path / "sweep.csv").mkdir()
+        inputs = ["--coefficients", sampled / "coefficients.json", "--samples",
+                  sampled / "samples.csv", "--out", tmp_path]
+        assert run_cli("select", *inputs, "--delta", 0.3) == 0
+        assert run_cli("select", *inputs, "--delta", 0.3, "--delta", 0.5) == 2
 
     def test_select_rho_one_delta_zero_selects_all(self, sampled):
         assert (

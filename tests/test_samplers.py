@@ -5,7 +5,7 @@ from conftest import random_instance
 from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
 from hubofs.dcqo import build_schedule, evolve_and_sample
 from hubofs.hubo import HuboCoefficients, energy
-from hubofs import dcqo, rng, samplers
+from hubofs import dcqo, hubo, rng, samplers
 from hubofs.samplers import (
     SAMPLE_SCHEMA,
     SampleSet,
@@ -307,8 +307,27 @@ class TestSimulatedAnnealing:
             (12, [0, 5, 10, 12]),
         ],
     )
-    def test_row_blocks_fold_a_one_row_tail(self, k, bounds):
-        assert samplers._row_blocks(k, 5) == bounds
+    def test_row_blocks_fold_a_one_row_tail(self, monkeypatch, k, bounds):
+        # Five rows fill a block; small integers keep every product exact.
+        n = 4
+        monkeypatch.setattr(hubo, "_GEMM_MACS", 5 * n * n)
+        gen = np.random.default_rng(k)
+        rows, k_a = gen.choice([-1.0, 1.0], (k, n)), gen.integers(-3, 4, (n, n)).astype(float)
+        out = np.full((k + 2, n), np.nan)
+        sizes = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            sizes.append(len(a))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        product = hubo.k_products(rows, k_a, out)
+        monkeypatch.undo()
+        assert sizes == np.diff(bounds).tolist()
+        assert product.shape == (k, n) and np.shares_memory(product, out)
+        assert np.array_equal(product, rows @ k_a)
+        assert np.isnan(out[k:]).all()
 
     @pytest.mark.parametrize("n", [5, 12, 32])
     def test_update_gemms_fit_one_core_and_never_take_one_row(self, monkeypatch, n):
@@ -354,13 +373,39 @@ class TestSimulatedAnnealing:
 
         monkeypatch.setattr(samplers, "_check_fields", recording)
         if macs:
-            monkeypatch.setattr(samplers, "_GEMM_MACS", macs)
+            monkeypatch.setattr(hubo, "_GEMM_MACS", macs)
         blocked = simulated_annealing(c, shots, sweeps=30, t_start=1e9, seed=4)
-        # Blocks above shots: one GEMM per step, the unblocked kernel.
-        monkeypatch.setattr(samplers, "_GEMM_MACS", (shots + 1) * n * n)
+        # Blocks above shots: one GEMM per product, the unblocked kernel and fields.
+        monkeypatch.setattr(hubo, "_GEMM_MACS", (shots + 1) * n * n)
         whole = simulated_annealing(c, shots, sweeps=30, t_start=1e9, seed=4)
         assert blocked == whole
         assert fields[0].tobytes() == fields[1].tobytes()
+
+    def test_one_constant_blocks_the_fields_and_both_step_kinds(self, monkeypatch):
+        # Five rows fill a block. The first n and the last n products build the
+        # initial and the checked fields; the others update the accepted chains.
+        n, shots = 8, 40
+        monkeypatch.setattr(hubo, "_GEMM_MACS", 5 * n * n)
+        products = []
+        matmul = np.matmul
+
+        def spy(a, b, out):
+            if out.ctypes.data == out.base.ctypes.data:  # the first block of a product
+                products.append([])
+            products[-1].append(len(a))
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        simulated_annealing(random_instance(n, n), shots, sweeps=12, seed=4)
+        monkeypatch.undo()
+        fields, steps = products[:n] + products[-n:], products[n:-n]
+        assert fields == [[5] * 8] * (2 * n)
+        dense = [blocks for blocks in steps if sum(blocks) == shots]
+        gather = [blocks for blocks in steps if sum(blocks) < shots]
+        assert dense and dense == [[5] * 8] * len(dense)
+        assert any(sum(blocks) > 5 for blocks in gather)
+        for blocks in gather:
+            assert max(blocks) <= 5 and (min(blocks) >= 2 or blocks == [1])
 
     @pytest.mark.parametrize("n, shots", [(5, 300), (12, 301), (32, 300)])
     def test_dense_steps_equal_gather_steps_bitwise(self, monkeypatch, n, shots):
