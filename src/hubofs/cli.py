@@ -171,8 +171,8 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
     return coeffs, names
 
 
-def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> Path:
-    """Dispatch to the named sampler and write the sample CSV."""
+def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> samplers.SampleSet:
+    """Dispatch to the named sampler, write the sample CSV and return the samples."""
     (path,) = _out_dir(cfg, "samples.csv")
     if cfg.sampler == "exhaustive":
         keep = cfg.shots
@@ -196,7 +196,7 @@ def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> Path:
         f"sample: {result.sampler_name} wrote {path} "
         f"({result.total_shots} shots, min energy {result.min_energy():.6g})"
     )
-    return path
+    return result
 
 
 def _select_inputs(cfg: RunConfig) -> tuple[hubo.HuboCoefficients, list[str], samplers.SampleSet]:
@@ -362,10 +362,9 @@ def cmd_run(cfg: RunConfig) -> None:
              "comparison.csv", "comparison.svg")
     splits = _load_splits(cfg)
     coeffs, names = cmd_build(cfg, splits)
-    samples_path = cmd_sample(cfg, coeffs)
-    # Read back on purpose: select ranks the 12-digit energies of the file, as the
+    # select ranks the energies as samples.csv holds them, to 12 digits, as the
     # stand-alone select does, so states that tie at 12 digits rank the same way.
-    selected = cmd_select(cfg, coeffs, names, samplers.load_samples(samples_path))
+    selected = cmd_select(cfg, coeffs, names, samplers.as_saved(cmd_sample(cfg, coeffs)))
     picked = [names[i] for i in selected]
     cmd_compare(cfg, splits, [("importance", _columns(splits.ds, picked, "importance.csv"))])
 

@@ -25,7 +25,7 @@ from .artifacts import json_int, json_number, read_json, read_terms, term_rows, 
 from .errors import CapabilityError, DataError, UsageError
 from .mi import MiTensors, check_terms, sort_terms
 
-COEFF_SCHEMA = "hubofs-coefficients/1"
+COEFF_SCHEMA = "hubofs-coefficients/2"
 
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.3)
 DEFAULT_PENALTY = (0.5, 0.2, 2.0)  # (lambda, tau, p)

@@ -1,41 +1,41 @@
 """Plug-in (histogram) entropy and mutual information on discretized features.
 
-All quantities are in bits. MI is computed in the ratio form
-``sum_ab p(a,b) * log2(c_ab * N / (c_a * c_b))`` over contingency counts:
-mathematically identical to ``H(a) + H(b) - H(a,b)``, but an exactly
-independent empirical table (``c_ab * N == c_a * c_b`` cell-wise) yields
-exactly 0.0 because every log argument is exactly 1. Negative rounding
-residue is clamped to 0 so downstream coefficient building can rely on
-non-negativity.
+All quantities are in bits. Every MI is a sum of entropies,
+``I(A; B) = (H(A) + H(B)) - H(A, B)``, and every plug-in entropy of N samples
+is read from its count table as ``H = (xlogx[N] - sum_c xlogx[c]) / N``, with
+``xlogx[c] = c * log2(c)`` one table for c = 0..N built once per call (Cover &
+Thomas, *Elements of Information Theory*, 2nd ed. (2006), ch. 2). No cell
+takes a log, a division or a float sort. Two contracts hold:
 
-Every MI goes through one kernel, ``_mi_sums``, which takes a ``(T, ...)``
-stack of count tables and reads each table G ways, each grouping with its own
-row and column margins. Relevance is one ``bincount`` per chunk of features,
-and the pair tables one per feature i over every j > i; a pair table is read
-once, with its own margins. The triples are taken in ascending order, in
-batches that cross pair boundaries: a batch is one ``bincount`` into
-``(t, b, b, b)`` histograms, each read as the three pair-vs-single groupings,
-whose margins are the pair tables and the single-feature counts counted once
-per call of :func:`compute_tensors`. Features are padded to the largest bin
-count b; empty cells add no term. A call takes as many tables as keep its
-``(tables, N)`` index array and its term stack (G terms per cell) within
-``MAX_CELLS`` entries, and at least one table, so the scratch of one call does
-not grow with the number of features, and with the number of samples N only
-as a single table's index array does. The pair tables held for the triples
-take ``C(n, 2) * b * b`` counts.
+* An entropy depends only on the multiset of its nonzero counts: a table's
+  counts are sorted as integers and their terms added one by one, empty cells
+  first, each adding exactly 0.0. So MI(a, b) == MI(b, a) bitwise, a cyclic MI
+  is the same for every order of its triple, a triadic value is bitwise the
+  mean of its three :func:`mi_joint_pair_single` values, and padding a feature
+  to more bins changes nothing.
+* An exactly independent empirical table (``c_ab * N == c_a * c_b`` on every
+  cell) gives exactly 0.0. The entropies alone leave a rounding residue of
+  either sign there, so a value below a rounding gate is checked in int64 and
+  set to 0.0 when its table is independent. Any other negative residue is
+  clamped to 0, so coefficient building can rely on non-negativity.
 
-Each table's terms are summed in ascending order, which makes MI(a, b) ==
-MI(b, a) bitwise and lets a grouping's terms lie in any layout. The kernel
-sorts every table's terms at once and sums the tables with the same number L
-of terms, in all G groupings, as the rows of one ``(G, count, L)`` slice:
-numpy sums each row exactly as it sums a 1-D array of length L, so batched
-values equal per-table values bitwise. ``np.add.reduceat`` over the
-concatenated terms does not (it gave other bits for most tables tried).
+Relevance is one ``bincount`` per chunk of features, and the pair tables one
+per feature i over every j > i; the singles' and the pairs' entropies are
+computed once per call of :func:`compute_tensors`. The triples are taken in
+ascending order, in batches that cross pair boundaries, each one ``bincount``
+into ``(t, b, b, b)`` histograms (features padded to the largest bin count b).
+Each triple adds one entropy, H_ijk, for its three groupings such as
+``(H_ij + H_k) - H_ijk``. A call takes as many tables as keep its
+``(tables, N)`` index array and its entropy terms (one per cell) within
+``MAX_CELLS`` entries, and at least one, so its scratch grows with neither the
+number of features nor, beyond one table's index array, N. The pair tables
+held for the triples take ``C(n, 2) * b * b`` counts.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +44,10 @@ from .artifacts import json_number, read_json, read_terms, term_rows, write_json
 from .dataset import DiscretizedDataset
 from .errors import DataError, UsageError
 
-TENSOR_SCHEMA = "hubofs-mi-tensors/2"
+TENSOR_SCHEMA = "hubofs-mi-tensors/3"
 
-# Terms per term stack, and entries per index array, of one MI kernel call; a
-# single table (or one triple's three groupings) larger than this goes alone.
+# Entropy terms, and entries per index array, of one MI kernel call; a single
+# table larger than this goes alone.
 MAX_CELLS = 1 << 17
 
 
@@ -122,47 +122,48 @@ class MiTensors:
         return np.concatenate([self.relevance, self.redundancy, self.triadic])
 
 
-def _mi_tables(joint: np.ndarray) -> np.ndarray:
-    """Plug-in MI (bits, clamped at 0) of each table of a ``(T, R, C)`` count stack."""
-    row = np.einsum("trc->tr", joint)[:, :, None]
-    col = np.einsum("trc->tc", joint)[:, None, :]
-    return _mi_sums(joint, [(row, col)])[0]
+def _xlogx(total: int) -> np.ndarray:
+    """``c * log2(c)`` for c = 0..total (0 at c = 0): the one log table of a call."""
+    c = np.arange(total + 1, dtype=np.float64)
+    return c * np.log2(np.maximum(c, 1.0))
 
 
-def _mi_sums(joint: np.ndarray, margins) -> np.ndarray:
-    """``(G, T)`` plug-in MI (bits, clamped at 0) of a ``(T, ...)`` count stack read
-    G ways: grouping g's margins are the count arrays ``margins[g] = (row, col)``,
-    each with the stack's leading axis, whose product broadcasts to its shape.
+def _entropies(tables: np.ndarray, xlogx: np.ndarray) -> np.ndarray:
+    """Plug-in entropy (bits) ``(xlogx[N] - sum_c xlogx[c]) / N`` of each table of a
+    ``(T, ...)`` count stack of N = ``len(xlogx) - 1`` samples each, its counts sorted
+    as integers and their terms added one by one, empty cells (0.0 each) first."""
+    total = len(xlogx) - 1
+    counts = tables.reshape(len(tables), -1).astype(np.min_scalar_type(total))
+    counts.sort(axis=1)
+    if len(counts) == 1:  # numpy adds a lone row pairwise: keep a second column
+        counts = np.repeat(counts, 2, axis=0)
+    # A reduction over the outer axis of a C-ordered (cells, T) array adds cell by cell.
+    sums = np.add.reduce(xlogx.take(counts.T), axis=0)[: len(tables)]
+    return (xlogx[total] - sums) / total
 
-    Per nonzero cell: ``(cells / total) * log2(cells * total / (row * col))``.
-    Each table's terms are sorted (empty cells pad with +inf, which sorts
-    last) and summed in that order, so a value depends only on the table's
-    term multiset: MI(a, b) == MI(b, a) bitwise, the cells may lie in any
-    layout, and empty padding rows or columns change nothing.
+
+def _mi(h_sum: np.ndarray, h_joint: np.ndarray, joint: np.ndarray, b_axis: int, total: int):
+    """``(H(A) + H(B)) - H(A, B)`` from ``h_sum`` and ``h_joint`` for each table of a
+    ``(T, ...)`` count stack ``joint`` of ``total`` samples each, B on ``b_axis`` and A
+    on its other table axes; clamped at 0, and exactly 0.0 for an independent table.
+
+    Rounding leaves an independent table (``c_ab * N == c_a * c_b`` on every cell)
+    a residue of either sign, so a value below the gate is checked in int64. With
+    u = 2**-53, L = log2(N) and to first order in N*u: np.log2 is within 2 ulp, so
+    each ``xlogx[c]`` is within 5u of c*log2(c); the sum S <= N*L of at most N
+    nonzero terms is within (N + 5)u*S; ``xlogx[N] - S`` and the division add 2u*L,
+    so an entropy is within (N + 12)u*L; an MI of three entropies and two roundings
+    of values up to 2L is within (3N + 40)u*L. The gate, 64(N + 32)u*L (3.1e-10 at
+    N = 3681), is over 20 times that.
     """
-    t = len(joint)
-    lengths = np.count_nonzero(joint.reshape(t, -1), axis=1)
-    order = np.argsort(lengths, kind="stable")  # equal lengths are summed as one slice
-    joint, lengths = joint[order], lengths[order]
-    margins = [(row[order], col[order]) for row, col in margins]
-    total = margins[0][0].sum(axis=tuple(range(1, joint.ndim)), keepdims=True).astype(np.float64)
-    cells = np.where(joint > 0, joint, np.inf)  # an empty cell's term comes out +inf
-    terms = np.empty((len(margins),) + joint.shape)
-    with np.errstate(invalid="ignore"):  # a table with no counts (total 0) comes out NaN
-        scaled, share = cells * total, np.divide(cells, total, out=cells)
-        for out, (row, col) in zip(terms, margins):
-            np.multiply(row, col, out=out)
-            np.divide(scaled, out, out=out)
-        np.log2(terms, out=terms)
-        terms *= share
-    terms = terms.reshape(len(margins), t, -1)
-    terms.sort(axis=2)
-    sums = np.empty((len(margins), t))
-    bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), t]
-    for lo, hi in zip(bounds, bounds[1:]):
-        np.add.reduce(terms[:, lo:hi, : lengths[lo]], axis=2, out=sums[:, lo:hi])
-    sums[:, order] = np.where(sums < 0.0, 0.0, sums)
-    return sums
+    mi = h_sum - h_joint
+    near = np.flatnonzero(mi < (total + 32) * math.log2(max(total, 2)) * 2.0**-47)
+    if near.size:
+        cells, axes = joint[near], tuple(range(1, joint.ndim))
+        a_axes = tuple(axis for axis in axes if axis != b_axis)
+        margins = cells.sum(axis=a_axes, keepdims=True) * cells.sum(axis=b_axis, keepdims=True)
+        mi[near[(cells * total == margins).all(axis=axes)]] = 0.0
+    return np.where(mi < 0.0, 0.0, mi)
 
 
 def _counts(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
@@ -175,11 +176,15 @@ def _counts(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
 
 def _mi_columns(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
     """MI of codes ``a`` against each row of ``cols (m, N)`` (codes below ``n_b``)."""
+    xlogx = _xlogx(len(a))
+    h_a = _entropies(np.bincount(a, minlength=n_a)[None], xlogx)[0]
     step = max(1, MAX_CELLS // max(n_a * n_b, len(a)))
-    return np.concatenate(
-        [np.empty(0)]
-        + [_mi_tables(_counts(a, n_a, cols[s : s + step], n_b)) for s in range(0, len(cols), step)]
-    )
+    out = [np.empty(0)]
+    for s in range(0, len(cols), step):
+        joint = _counts(a, n_a, cols[s : s + step], n_b)
+        h_b = _entropies(joint.sum(axis=1), xlogx)
+        out.append(_mi(h_a + h_b, _entropies(joint, xlogx), joint, 2, len(a)))
+    return np.concatenate(out)
 
 
 def _pair_tables(cols: np.ndarray, b: int) -> np.ndarray:
@@ -193,23 +198,32 @@ def _pair_tables(cols: np.ndarray, b: int) -> np.ndarray:
     )
 
 
-def _cyclic(cols: np.ndarray, b: int, tables: np.ndarray, triples: np.ndarray) -> np.ndarray:
-    """Cyclic MI of each ascending triple (i, j, k) of ``triples`` over rows of ``cols (n, N)``.
-
-    Every feature is padded to ``b`` bins and ``tables`` holds the pair tables
-    of :func:`_pair_tables`. A batch of triples is counted by one ``bincount``
-    into ``(t, b, b, b)`` histograms, each read as the three pair-vs-single
-    groupings with the pair tables and single counts as margins.
-    """
+def _pairs_and_triples(binned: np.ndarray, b: int, triples: np.ndarray):
+    """MI of every ascending feature pair of ``binned (N, n)``, and the cyclic MI of each
+    ascending triple (i, j, k) of ``triples``; every feature is padded to ``b`` bins."""
+    cols = np.ascontiguousarray(binned.T)
     n, size = cols.shape
+    xlogx = _xlogx(size)
+    singles = np.stack([np.bincount(col, minlength=b) for col in cols])
+    h = _entropies(singles, xlogx)
+    tables = _pair_tables(cols, b)
+    step = max(1, MAX_CELLS // (b * b))
+    h_pairs = np.concatenate(
+        [np.empty(0)]
+        + [_entropies(tables[s : s + step], xlogx) for s in range(0, len(tables), step)]
+    )
+    first, second = _combinations(n, 2).T
+    redundancy = _mi(h[first] + h[second], h_pairs, tables, 2, size)
+    pair_row = np.zeros((n, n), dtype=np.int64)
+    pair_row[first, second] = np.arange(len(tables))
+    i, j, k = triples.T
+    h_sums = [h_pairs[pair_row[p, q]] + h[r] for p, q, r in ((i, j, k), (i, k, j), (j, k, i))]
     cube = b**3
-    step = max(1, MAX_CELLS // max(3 * cube, size))
+    step = max(1, MAX_CELLS // max(cube, size))
     codes = cols.astype(np.min_scalar_type(step * cube - 1))  # the smallest type that holds a key
+    high, mid = codes * (b * b), codes * b
     keys = np.empty((step, size), dtype=codes.dtype)
     offsets = np.arange(0, step * cube, cube, dtype=codes.dtype)[:, None]
-    singles = np.stack([np.bincount(col, minlength=b) for col in cols]).astype(np.float64)
-    pair_row = np.zeros((n, n), dtype=np.int64)
-    pair_row[tuple(_combinations(n, 2).T)] = np.arange(len(tables))
     out = [np.empty(0)]
     for s in range(0, len(triples), step):
         batch = triples[s : s + step]
@@ -219,21 +233,16 @@ def _cyclic(cols: np.ndarray, b: int, tables: np.ndarray, triples: np.ndarray) -
         cuts = (np.flatnonzero(np.diff(batch[:, 2]) != 1) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, t]):
             i, j, k = batch[lo].tolist()
-            np.add(codes[k : k + hi - lo], (codes[i] * b + codes[j]) * b, out=keys[lo:hi])
+            np.add(codes[k : k + hi - lo], high[i] + mid[j], out=keys[lo:hi])
         keys[:t] += offsets[:t]
         hist = np.bincount(keys[:t].ravel(), minlength=t * cube).reshape(t, b, b, b)
-        i, j, k = batch.T
-        ij, ik, jk = tables[pair_row[[i, i, j], [j, k, k]]].astype(np.float64)
-        mi = _mi_sums(
-            hist,
-            [
-                (ij[:, :, :, None], singles[k][:, None, None, :]),  # (i, j) vs k
-                (ik[:, :, None, :], singles[j][:, None, :, None]),  # (i, k) vs j
-                (jk[:, None, :, :], singles[i][:, :, None, None]),  # (j, k) vs i
-            ],
+        h_ijk = _entropies(hist, xlogx)
+        g0, g1, g2 = (  # (i, j) vs k, (i, k) vs j, (j, k) vs i
+            _mi(h_sum[s : s + step], h_ijk, hist, axis, size)
+            for h_sum, axis in zip(h_sums, (3, 2, 1))
         )
-        out.append((mi[0] + mi[1] + mi[2]) / 3.0)
-    return np.concatenate(out)
+        out.append((g0 + g1 + g2) / 3.0)
+    return redundancy, np.concatenate(out)
 
 
 def _compress(codes) -> tuple[np.ndarray, int]:
@@ -244,12 +253,10 @@ def _compress(codes) -> tuple[np.ndarray, int]:
 
 def entropy(codes) -> float:
     """Shannon entropy (bits) of the empirical distribution of ``codes``."""
-    arr = np.asarray(codes)
+    arr = np.asarray(codes).ravel()
     if arr.size == 0:
         raise DataError("entropy of an empty vector is undefined")
-    _, counts = np.unique(arr, return_counts=True)
-    total = float(counts.sum())
-    return float(np.sum((counts / total) * np.log2(total / counts)))
+    return float(_entropies(np.bincount(_compress(arr)[0])[None], _xlogx(arr.size))[0])
 
 
 def mi_pair(a, b) -> float:
@@ -293,9 +300,8 @@ def cyclic_mi(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
     """
     _check_triple(dd, i, j, k)
     index = sorted((i, j, k))
-    cols = np.ascontiguousarray(dd.codes[:, index].T)
     b = int(dd.bin_counts[index].max())
-    return float(_cyclic(cols, b, _pair_tables(cols, b), _combinations(3, 3))[0])
+    return float(_pairs_and_triples(dd.codes[:, index], b, _combinations(3, 3))[1][0])
 
 
 def relevance(dd: DiscretizedDataset) -> np.ndarray:
@@ -313,20 +319,9 @@ def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
     n = dd.n_features
     if n < 1:
         raise DataError("need at least one feature")
-    cols = np.ascontiguousarray(dd.codes.T)
-    b = int(dd.bin_counts.max())
-    tables = _pair_tables(cols, b)
-    step = max(1, MAX_CELLS // (b * b))
     triples = _combinations(n, 3)
-    return MiTensors(
-        relevance=relevance(dd),
-        pairs=_combinations(n, 2),
-        redundancy=np.concatenate(
-            [np.empty(0)] + [_mi_tables(tables[s : s + step]) for s in range(0, len(tables), step)]
-        ),
-        triples=triples,
-        triadic=_cyclic(cols, b, tables, triples),
-    )
+    redundancy, triadic = _pairs_and_triples(dd.codes, int(dd.bin_counts.max()), triples)
+    return MiTensors(relevance(dd), _combinations(n, 2), redundancy, triples, triadic)
 
 
 def _combinations(n: int, r: int) -> np.ndarray:

@@ -63,7 +63,7 @@ rows as :class:`SampleEntry` objects, built from the arrays on each access.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -352,6 +352,11 @@ def save_samples(path, s: SampleSet) -> None:
     energies = (f"{energy:.12g}" for energy in s.energies.tolist())
     rows = zip(bits, s.counts.tolist(), energies)
     write_tagged(path, SAMPLE_SCHEMA, meta, ("bitstring", "count", "energy"), rows)
+
+
+def as_saved(s: SampleSet) -> SampleSet:
+    """``s`` with its energies as :func:`save_samples` writes them, to 12 significant digits."""
+    return replace(s, energies=[float(f"{energy:.12g}") for energy in s.energies.tolist()])
 
 
 def load_samples(path) -> SampleSet:

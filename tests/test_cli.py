@@ -5,7 +5,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from conftest import term_dict
+from conftest import random_instance, term_dict
 from hubofs import baselines, dcqo, mi, samplers
 from hubofs.cli import main
 from hubofs.dataset import MAX_BINS, discretize, load_csv, standardize, stratified_split
@@ -36,7 +36,7 @@ class TestBuild:
         assert coeffs.penalty_applied
         assert extras["feature_names"][0] == "strong_a"
         doc = json.loads((out / "mi_tensors.json").read_text())
-        assert doc["schema"] == "hubofs-mi-tensors/2"
+        assert doc["schema"] == "hubofs-mi-tensors/3"
         assert len(doc["relevance"]) == coeffs.n
         assert "input_sha256" in doc["provenance"]
 
@@ -771,6 +771,48 @@ class TestRun:
             tmp_path / "importance.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            ("sa", "--sweeps", 5),
+            ("dcqo", "--steps", 4),
+            ("random",),
+            ("exhaustive", "--preselect-k", 6),
+        ],
+    )
+    def test_run_hands_select_the_samples_as_saved(self, demo_csv, tmp_path, monkeypatch, sampler):
+        import hubofs.cli as cli
+
+        handed = []
+        select = cli.cmd_select
+        monkeypatch.setattr(cli, "cmd_select", lambda *a: handed.append(a[3]) or select(*a))
+        data = ("--input", demo_csv, "--target", "label", "--shots", 200)
+        assert run_cli("run", *data, "--sampler", *sampler, "--out", tmp_path) == 0
+        assert handed == [load_samples(tmp_path / "samples.csv")]
+
+    def test_run_ranks_near_ties_as_select_reads_them(self, tmp_path):
+        # Two states whose energies differ in the 13th digit tie in samples.csv, where
+        # the lexicographically smaller one ranks first: run hands select the samples
+        # rounded as the file holds them, so it keeps the same shot as select does.
+        import hubofs.cli as cli
+
+        coeffs, names = random_instance(0, 3), ["a", "b", "c"]
+        exact = samplers.SampleSet(
+            spins=[[1, -1, 1], [-1, 1, -1]], counts=[1, 1], energies=[1.0, 1.0 + 3e-13],
+            sampler_name="sa", seed=1,
+        )
+        samplers.save_samples(tmp_path / "samples.csv", exact)
+        inputs = {
+            "run": samplers.as_saved(exact),
+            "select": load_samples(tmp_path / "samples.csv"),
+            "exact": exact,
+        }
+        for label, sample_set in inputs.items():
+            cfg = cli.RunConfig(rho=0.5, out=str(tmp_path / label))
+            cli.cmd_select(cfg, coeffs, names, sample_set)
+        written = {label: (tmp_path / label / "importance.csv").read_bytes() for label in inputs}
+        assert written["run"] == written["select"] != written["exact"]
+
     def test_bins_past_the_cap_exit_4_before_binning(
         self, demo_csv, tmp_path, monkeypatch, capsys
     ):
@@ -815,9 +857,9 @@ class TestRun:
         deltas = ("--delta", 0.3, "--delta", 0.1)
         chained, staged = tmp_path / "run", tmp_path / "stages"
         assert run_cli("run", *data, *sampler, *deltas, "--out", chained) == 0
-        # run reads back only samples.csv, on purpose (see cmd_run).
+        # run reads back none of its artifacts.
         assert calls == {
-            "load_csv": 1, "load_coefficients": 0, "read_importance_csv": 0, "load_samples": 1
+            "load_csv": 1, "load_coefficients": 0, "read_importance_csv": 0, "load_samples": 0
         }
         coefficients = staged / "coefficients.json"
         assert run_cli("build", *data, "--out", staged) == 0

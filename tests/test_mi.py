@@ -37,17 +37,31 @@ def oracle_mi(a, b) -> float:
     return oracle_entropy(list(a)) + oracle_entropy(list(b)) - oracle_entropy(list(zip(a, b)))
 
 
+def _xlogx(total: int) -> np.ndarray:
+    c = np.arange(1, total + 1, dtype=np.float64)
+    return np.concatenate([[0.0], c * np.log2(c)])
+
+
+def _entropy_of(counts: np.ndarray, xlogx: np.ndarray) -> float:
+    """Per-table reference: plug-in entropy (bits) of one count table, its nonzero
+    counts' ``c * log2(c)`` added one by one in ascending order."""
+    total = int(counts.sum())
+    acc = 0.0
+    for c in sorted(counts[counts > 0].tolist()):
+        acc += xlogx[c]
+    return float((xlogx[total] - acc) / total)
+
+
 def _mi_from_joint(joint: np.ndarray) -> float:
-    """Per-table reference: plug-in MI (bits) of one 2-D count table, clamped at 0."""
-    total = float(joint.sum())
-    row = joint.sum(axis=1, keepdims=True).astype(np.float64)
-    col = joint.sum(axis=0, keepdims=True).astype(np.float64)
-    cells = joint.astype(np.float64)
-    mask = cells > 0
-    ratio = np.ones_like(cells)
-    np.divide(cells * total, row * col, out=ratio, where=mask)
-    terms = (cells[mask] / total) * np.log2(ratio[mask])
-    return max(float(np.sort(terms).sum()), 0.0)
+    """Per-table reference: ``(H(rows) + H(cols)) - H(cells)`` of one 2-D count
+    table, clamped at 0, and exactly 0 for an exactly independent table."""
+    total = int(joint.sum())
+    row, col = joint.sum(axis=1), joint.sum(axis=0)
+    if np.array_equal(joint * total, np.outer(row, col)):
+        return 0.0
+    xlogx = _xlogx(total)
+    value = (_entropy_of(row, xlogx) + _entropy_of(col, xlogx)) - _entropy_of(joint, xlogx)
+    return max(value, 0.0)
 
 
 def _joint(a, n_a, b, n_b):
@@ -346,49 +360,53 @@ class TestBatchedKernel:
     def test_scratch_per_call_is_bounded(self, monkeypatch):
         # More features or more rows mean more kernel calls, not larger ones:
         # each call's index array (tables x N) and count stack stay within
-        # MAX_CELLS while one table fits; so does the triadic term stack, one
-        # term per cell of each of a histogram's three groupings.
+        # MAX_CELLS while one table fits; so do the entropy kernel's terms, one
+        # per cell of the tables it is handed.
         monkeypatch.setattr(mi, "MAX_CELLS", 2000)
         sizes = []
-        counts, sums = mi._counts, mi._mi_sums
+        counts, entropies = mi._counts, mi._entropies
 
         def spy_counts(a, n_a, cols, n_b):
             sizes.append(cols.size)
             return counts(a, n_a, cols, n_b)
 
-        def spy_sums(joint, margins):
-            sizes.append(len(margins) * joint.size)
-            return sums(joint, margins)
+        def spy_entropies(tables, xlogx):
+            sizes.append(tables.size)
+            return entropies(tables, xlogx)
 
         monkeypatch.setattr(mi, "_counts", spy_counts)
-        monkeypatch.setattr(mi, "_mi_sums", spy_sums)
+        monkeypatch.setattr(mi, "_entropies", spy_entropies)
         dd = structured_dd(n_features=12, n_samples=500, bins=3)
         assert_matches_reference(dd)
         assert max(sizes) <= 2000
         sizes.clear()
         relevance(dd)
-        assert sizes == [4 * 500, 4 * 2 * 3] * 3  # 4 features per call at N = 500
+        # The target's 2 counts, then 4 features per call at N = 500: their index
+        # array, their 3 bin counts and their (2, 3) tables.
+        assert sizes == [2] + [4 * 500, 4 * 3, 4 * 2 * 3] * 3
 
-    @pytest.mark.parametrize("cells, batch", [(700, 8), (200, 2)])
+    @pytest.mark.parametrize("cells, batch", [(700, 11), (200, 3)])
     def test_triple_batches_cross_and_split_pairs(self, monkeypatch, cells, batch):
-        # 7 features at 3 bins and 60 rows: a call takes MAX_CELLS // 81 triples.
-        # Pair (0, 1) has 5 triples, so 8 per call take triples of two pairs and
-        # split (0, 2)'s; 2 per call split every pair with more than 2 triples.
+        # 7 features at 3 bins and 60 rows: a call takes MAX_CELLS // max(3**3, 60)
+        # triples, its index array being larger than its 27-cell histograms. Pairs
+        # (0, 1), (0, 2) and (0, 3) have 5, 4 and 3 triples, so 11 per call take
+        # triples of two pairs and split (0, 3)'s; 3 per call split every pair with
+        # more than 3 triples.
         monkeypatch.setattr(mi, "MAX_CELLS", cells)
         batches = []
-        sums = mi._mi_sums
+        entropies = mi._entropies
 
-        def spy_sums(joint, margins):
-            if len(margins) == 3:
-                batches.append(len(joint))
-            return sums(joint, margins)
+        def spy_entropies(tables, xlogx):
+            if tables.ndim == 4:
+                batches.append(len(tables))
+            return entropies(tables, xlogx)
 
-        monkeypatch.setattr(mi, "_mi_sums", spy_sums)
+        monkeypatch.setattr(mi, "_entropies", spy_entropies)
         rng = np.random.default_rng(cells)
         dd = make_dd(rng.integers(0, 3, (60, 7)))
         compute_tensors(dd)
         assert batches == [batch] * (35 // batch) + [35 % batch] * (35 % batch > 0)
-        monkeypatch.setattr(mi, "_mi_sums", sums)
+        monkeypatch.setattr(mi, "_entropies", entropies)
         assert_matches_reference(dd)
 
     def test_unequal_bins_padded_up_to_max_bins(self):
@@ -401,12 +419,77 @@ class TestBatchedKernel:
         assert_matches_reference(dd)
 
     def test_kernel_matches_reference_across_summation_blocks(self):
-        # Tables whose nonzero counts straddle numpy's pairwise-summation
-        # block sizes (8 and 128 terms), several counts per call.
+        # Tables of 1 to 150 rows against 2 columns, 40 per call: their nonzero
+        # counts straddle numpy's pairwise-summation block sizes (8 and 128 terms),
+        # which must not reach the one-by-one entropy sums.
         rng = np.random.default_rng(2)
         for rows in (1, 4, 5, 63, 64, 65, 150):
-            joint = rng.integers(0, 3, (40, rows, 2))
-            assert mi._mi_tables(joint).tolist() == [_mi_from_joint(table) for table in joint]
+            a = rng.integers(0, rows, 400)
+            cols = rng.integers(0, 2, (40, 400))
+            expect = [_mi_from_joint(_joint(a, rows, col, 2)) for col in cols]
+            assert mi._mi_columns(a, rows, cols, 2).tolist() == expect
+
+
+def codes_of(table: np.ndarray, rng) -> np.ndarray:
+    """``(N, table.ndim)`` codes, in shuffled rows, whose count table is ``table``."""
+    cells = np.repeat(np.arange(table.size), table.ravel())
+    return np.column_stack(np.unravel_index(rng.permutation(cells), table.shape))
+
+
+class TestEntropyForm:
+    """The two contracts of the entropy form."""
+
+    def test_product_tables_are_exactly_zero(self):
+        # c_ab = x_a * y_b makes c_ab * N == c_a * c_b on every cell; the entropy
+        # sums alone leave a residue on many such tables.
+        rng = np.random.default_rng(31)
+        for _ in range(2000):
+            x, y, z = (rng.integers(0, 4, rng.integers(1, 5)) for _ in range(3))
+            x[0] = y[0] = z[0] = 1 + rng.integers(0, 3)  # at least one sample
+            pair = codes_of(np.multiply.outer(x, y), rng)
+            assert mi_pair(pair[:, 0], pair[:, 1]) == 0.0
+            # pair-vs-single: an arbitrary (i, j) table times z
+            joint = rng.integers(0, 3, (len(x), len(y)))
+            joint[0, 0] += 1
+            dd = make_dd(codes_of(np.multiply.outer(joint, z), rng))
+            assert mi_joint_pair_single(dd, 0, 1, 2) == 0.0
+            # three-way product: every pair and every grouping of the triple
+            dd = make_dd(codes_of(np.multiply.outer(np.multiply.outer(x, y), z), rng))
+            assert cyclic_mi(dd, 2, 0, 1) == 0.0
+            t = compute_tensors(dd)
+            assert t.redundancy.tolist() == [0.0] * 3 and t.triadic.tolist() == [0.0]
+
+    def test_entropy_depends_on_the_count_multiset_alone(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            shape = tuple(rng.integers(1, 20, 2))
+            table = rng.integers(0, rng.integers(1, 300), shape)
+            table[0, 0] += 1
+            xlogx = mi._xlogx(int(table.sum()))
+            padded = np.zeros((MAX_BINS, MAX_BINS), dtype=table.dtype)
+            padded[: shape[0], : shape[1]] = table
+            variants = [table, table.T, rng.permutation(table.ravel()).reshape(shape), padded]
+            values = [mi._entropies(v[None], xlogx)[0] for v in variants]
+            stacked = mi._entropies(np.stack([padded, padded.T]), xlogx)
+            assert len(set(values + stacked.tolist())) == 1
+            assert values[0] == _entropy_of(table, xlogx)
+
+    def test_no_log_longer_than_the_table_of_counts(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        dd = structured_dd(n_features=5, n_samples=300)
+        log2, sizes = np.log2, []
+
+        def spy_log2(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return log2(x, *args, **kwargs)
+
+        monkeypatch.setattr(mi.np, "log2", spy_log2)
+        compute_tensors(dd)
+        cyclic_mi(dd, 0, 1, 2)
+        mi_joint_pair_single(dd, 0, 1, 2)
+        mi_pair(dd.codes[:, 0], rng.integers(0, 9, 300))
+        entropy(dd.codes[:, 1])
+        assert sizes and max(sizes) <= 300 + 1
 
 
 class TestTensorIo:
