@@ -8,7 +8,9 @@ once from BASE_TREE's ``src``, under the flags of each benchmark workload and of
 the runs no workload makes (FLAG_SETS). Every artifact whose schema tag is the
 same on both sides must have the same bytes, and a file that only one side
 wrote is a difference. An artifact whose schema changed (a deliberate format
-change) is reported and skipped; ``comparison.svg`` carries no tag and follows
+change) is reported and does not count as a difference; for a CSV the report
+says whether its rows below the ``#`` lines are identical, or shows the first
+row that differs. ``comparison.svg`` carries no tag and follows
 ``comparison.csv``'s. ``samples.csv`` derives from ``coefficients.json``: when
 only the coefficients' tag moved, its energies may move in their last digits,
 so it is compared on its bitstring and count columns in row order, and the
@@ -22,6 +24,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,10 +61,21 @@ def schema(path: Path) -> str | None:
     return first[len("# schema=") :] if first.startswith("# schema=") else None
 
 
+def body(path: Path) -> list[str]:
+    """The lines of a tagged CSV below its ``#`` lines, header row first."""
+    return [line for line in path.read_text(encoding="utf-8").splitlines() if line[:1] != "#"]
+
+
+def retagged_rows(head: Path, base: Path) -> str:
+    """'rows identical', or the first row of ``base`` that ``head`` changed."""
+    pairs = enumerate(zip_longest(body(base), body(head), fillvalue="<none>"))
+    first = next(((i, old, new) for i, (old, new) in pairs if old != new), None)
+    return "rows identical" if first is None else "row {} differs: {!r} -> {!r}".format(*first)
+
+
 def sample_rows(path: Path) -> tuple[list[list[str]], list[float]]:
     """The ``[bitstring, count]`` rows of a sample file, in order, and their energies."""
-    lines = [line for line in path.read_text(encoding="utf-8").splitlines() if line[:1] != "#"]
-    rows = [line.split(",") for line in lines[1:]]
+    rows = [line.split(",") for line in body(path)[1:]]
     return [row[:2] for row in rows], [float(row[2]) for row in rows]
 
 
@@ -92,7 +106,8 @@ def main(argv: list[str]) -> int:
                     print(f"{name}: {file} written by {'head' if head.exists() else 'base'} only")
                     differ += 1
                 elif tags[0] != tags[1]:
-                    print(f"{name}: {file} skipped, schema {tags[1]} -> {tags[0]}")
+                    rows = f", {retagged_rows(head, other)}" if file.endswith(".csv") else ""
+                    print(f"{name}: {file} skipped, schema {tags[1]} -> {tags[0]}{rows}")
                 elif file in DERIVED and len({schema(out / DERIVED[file]) for out in outs}) > 1:
                     (states, energies), (old_states, old) = map(sample_rows, (head, other))
                     if states != old_states:

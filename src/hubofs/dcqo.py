@@ -65,6 +65,8 @@ class CdSchedule:
         lam, lam_dot = self.lambda_values, self.lambda_dot_values
         if lam.ndim != 1 or not lam.size or lam_dot.shape != lam.shape:
             raise UsageError("lambda and lambda_dot must be non-empty 1-D arrays of one length")
+        if not np.isfinite(lam_dot).all():
+            raise UsageError(f"total_time={self.total_time:.12g} is too small: dl/dt overflows")
         self.lambda_values.setflags(write=False)
         self.lambda_dot_values.setflags(write=False)
 
@@ -228,7 +230,7 @@ def evolve_and_sample(
 
     Shot s takes the uniform of word s of the stream keyed ``seed`` (see
     :mod:`hubofs.rng`) and lands on the first basis state whose cumulative
-    probability exceeds it (the last state if rounding leaves none).
+    probability reaches it (the last state if rounding leaves none).
     """
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
@@ -236,7 +238,7 @@ def evolve_and_sample(
     amplitudes, drift = evolve_statevector(c, sched, mode)
     cumulative = np.cumsum(np.abs(amplitudes) ** 2)
     draws = uniforms(stream(seed).random_raw(shots))
-    idx = np.minimum(np.searchsorted(cumulative, draws, side="right"), (1 << c.n) - 1)
+    idx = np.minimum(np.searchsorted(cumulative, draws, side="left"), (1 << c.n) - 1)
     metadata = {
         "steps": str(sched.steps),
         "total_time": f"{sched.total_time:.12g}",

@@ -18,9 +18,9 @@ and key ``(k0, k1)``, with 128-bit products ``hi:lo``, to::
     (c0, c1, c2, c3) = (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
     k0 += 0x9E3779B97F4A7C15;  k1 += 0xBB67AE8584CAA73B   (mod 2**64)
 
-A word ``w`` gives the uniform ``(w >> 11) * 2**-53`` in [0, 1) and the bit
-``w >> 63`` (bit 1 is x=1, selected, spin -1). The samplers read one stream,
-keyed by their ``seed``, at fixed positions:
+A word ``w`` gives the uniform ``((w >> 11) + 1) * 2**-53`` in (0, 1] and the
+bit ``w >> 63`` (bit 1 is x=1, selected, spin -1). The samplers read one
+stream, keyed by their ``seed``, at fixed positions:
 
 * simulated annealing with n spins and ``shots`` chains: the bit of word
   ``i*shots + c`` is chain c's initial spin i; the uniform of word
@@ -52,8 +52,8 @@ def stream(seed: int) -> np.random.Philox:
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:
-    """``(w >> 11) * 2**-53`` per word: float64 in [0, 1) with 53 random bits."""
-    return (words >> np.uint64(11)) * _INV_2_53
+    """``((w >> 11) + 1) * 2**-53`` per word: float64 in (0, 1] with 53 random bits."""
+    return ((words >> np.uint64(11)) + np.uint64(1)) * _INV_2_53
 
 
 def spins_from_bits(words: np.ndarray) -> np.ndarray:

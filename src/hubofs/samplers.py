@@ -8,13 +8,14 @@ Philox4x64-10 stream keyed ``seed mod 2**64``, at the word positions that
 * simulated annealing draws the initial spins of all chains from the first
   ``n*shots`` words, then one block of ``n*shots`` words per sweep; in
   sweep-major, spin-minor order, chain c's proposal to flip spin i is
-  accepted when ``delta <= 0`` or ``u < exp(-delta / T)``, with u the
-  uniform of that proposal's word. Every proposal has its word, so stream
-  position never depends on the data.
+  accepted when ``u <= exp(min(-delta / T, 0))`` (always if ``delta <= 0``),
+  with u in (0, 1] the uniform of that proposal's word. Every proposal has
+  its word, so no word position depends on the data.
 * random sampling draws n top bits per shot (shot-major, spin-minor).
 
 One draw takes at most :data:`MAX_WORDS` = 2**24 words: ``n*shots`` per SA
-sweep or random run, ``shots`` for DCQO. A larger request raises
+sweep or random run, ``shots`` for DCQO; an SA run makes at most as many
+proposal steps (``sweeps*n``). A larger request raises
 :class:`~hubofs.errors.CapabilityError` before anything is allocated.
 
 SA kernel: every chain keeps its local fields ``F_i = dE/dZ_i = h_i +
@@ -40,16 +41,13 @@ at n = 33 and 57 this OpenBLAS rounds some rows by the product's row count.
 After the last sweep the fields are evaluated afresh and a gap beyond a
 rounding bound raises :class:`~hubofs.errors.HubofsError`. SA sample
 metadata records the acceptance rate in each tenth of the proposals
-(``sa_acceptance``).
+(``sa_acceptance``) and the sweeps run (``sa_sweeps_run``).
 
 Frozen exit: once a sweep accepts no flip and every acceptance probability
-at the next temperature is below 2**-54, no chain can move again except on
-a uniform of exactly 0 (a word below 2**11): the fields stay fixed while no
-spin flips, the temperature only falls, and the smallest nonzero uniform is
-2**-53, twice the bound (a margin for ``exp`` rounding). From then on a
-sweep draws its block and is skipped unless one of its words is below
-2**11, so the samples and metadata equal those of the plain loop, and the
-skipped proposals count as rejected.
+at the next temperature is below 2**-54, no chain can move again (the
+fields stay fixed while no spin flips, the temperature only falls, and the
+smallest uniform 2**-53 is twice the bound, a margin for ``exp`` rounding).
+SA then stops and reads no further word; unmade proposals count as rejected.
 
 A :class:`SampleSet` is three arrays: ``spins`` (distinct configurations x n,
 int8, one row each), ``counts`` (int64, shots per row) and ``energies``
@@ -82,15 +80,14 @@ from .hubo import (
 )
 from .rng import spins_from_bits, stream, uniforms
 
-SAMPLE_SCHEMA = "hubofs-samples/3"
+SAMPLE_SCHEMA = "hubofs-samples/4"
 DEFAULT_T_END = 0.01
-# Words below this give the uniform 0.0; a frozen sweep without one is skipped.
-_ZERO_WORD = np.uint64(1 << 11)
-# Half the smallest nonzero uniform: the frozen bound, with a margin for exp rounding.
+# Half the smallest uniform: the frozen bound, with a margin for exp rounding.
 _FROZEN_P = 2.0**-54
 # Share of the chains from which a step updates every chain in place (dense).
 _DENSE_SHARE = 0.5
-# Stream words one draw may take: n*shots per SA sweep or random run, shots for dcqo.
+# Cap on the stream words of one draw (n*shots per SA sweep or random run, shots for
+# dcqo), and on the proposal steps (sweeps*n) of one SA run.
 MAX_WORDS = 1 << 24
 
 
@@ -214,16 +211,18 @@ def simulated_annealing(
     """Independent single-spin Metropolis chains under geometric cooling.
 
     Each of ``shots`` chains starts uniformly at random, performs ``sweeps``
-    full sweeps (spins in index order), and reports its final configuration.
-    ``t_start`` defaults to 2 * n * max|coefficient| (1.0 on an all-zero
-    instance). A tenth of the proposals that is empty (``sweeps * n < 10``)
-    reads ``nan`` in ``sa_acceptance``.
+    full sweeps (spins in index order; fewer once frozen) and reports its
+    final configuration. ``t_start`` defaults to 2 * n * max|coefficient|
+    (1.0 on an all-zero instance). A tenth of the proposals that is empty
+    (``sweeps * n < 10``) reads ``nan`` in ``sa_acceptance``.
     """
     if shots < 1:
         raise UsageError(f"shots must be >= 1, got {shots}")
     if sweeps < 1:
         raise UsageError(f"sweeps must be >= 1, got {sweeps}")
     _check_words(c.n * shots, "sa n*shots")
+    if sweeps * c.n > MAX_WORDS:
+        raise CapabilityError(f"sa sweeps*n must be <= {MAX_WORDS}, got {sweeps} sweeps * {c.n}")
     if not 0.0 < t_end < math.inf:
         raise UsageError(f"t_end must be finite and > 0, got {t_end}")
     if t_start is None:
@@ -240,27 +239,24 @@ def simulated_annealing(
     else:
         ratio = (t_end / t_start) ** (1.0 / (sweeps - 1))
         temps = t_start * ratio ** np.arange(sweeps)
+    if not temps[-1] > 0.0:
+        raise UsageError(f"schedule underflows to T = 0 (t_start={t_start:.3g}, sweeps={sweeps})")
 
     n = c.n
     block = n * shots
     gen = stream(seed)
-    words = gen.random_raw(block).reshape(n, shots)
-    spins = spins_from_bits(words).T.astype(np.float64, order="C")
+    spins = spins_from_bits(gen.random_raw(block)).reshape(n, shots).T.astype(np.float64, order="C")
 
     jmat, kcube = dense_couplings(c)
     fields = local_fields(c.h, jmat, kcube, spins)
     accepted = np.zeros(sweeps * n, dtype=np.int64)
     moved_buf, update_buf, field_buf = (np.empty((shots, n)) for _ in range(3))
     scale_buf = np.empty(shots)
-    frozen = False
     for sweep, temp in enumerate(temps):
-        words = gen.random_raw(block)
-        if frozen and words.min() >= _ZERO_WORD:
-            continue
-        u = uniforms(words).reshape(n, shots)
+        u = uniforms(gen.random_raw(block)).reshape(n, shots)
         for i in range(n):
             delta = -2.0 * spins[:, i] * fields[:, i]
-            accept = u[i] < np.exp(np.minimum(-delta / temp, 0.0))
+            accept = u[i] <= np.exp(np.minimum(-delta / temp, 0.0))
             k = int(np.count_nonzero(accept))
             if k >= _DENSE_SHARE * shots:
                 # Every chain at once; a rejected chain's row is scaled by 0 and subtracts ±0.
@@ -283,10 +279,10 @@ def simulated_annealing(
                 fields[flips] = moved_fields
                 spins[flips, i] = -moved[:, i]
             accepted[sweep * n + i] = k
-        frozen = sweep + 1 < sweeps and not accepted[sweep * n : (sweep + 1) * n].any()
-        if frozen:
+        if sweep + 1 < sweeps and not accepted[sweep * n : (sweep + 1) * n].any():
             top = np.exp(np.minimum(2.0 * spins * fields / temps[sweep + 1], 0.0)).max()
-            frozen = bool(top < _FROZEN_P)
+            if top < _FROZEN_P:
+                break  # frozen: no uniform (>= 2**-53) accepts again
 
     _check_fields(c, jmat, kcube, spins, fields, sweeps)
     tenth = np.arange(sweeps * n) * 10 // (sweeps * n)
@@ -304,6 +300,7 @@ def simulated_annealing(
             "t_start": f"{t_start:.12g}",
             "t_end": f"{t_end:.12g}",
             "sa_acceptance": ",".join(f"{r:.6g}" for r in rates),
+            "sa_sweeps_run": str(sweep + 1),
         },
     )
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from xml.etree import ElementTree
 
 import numpy as np
@@ -243,6 +244,40 @@ class TestSample:
         )
         assert code == 4
         assert f"<= {samplers.MAX_WORDS} stream words" in capsys.readouterr().err
+
+    def test_sweeps_past_the_cap_exit_4(self, built, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stream drawn past the sweeps cap")
+
+        monkeypatch.setattr(samplers, "stream", refuse)
+        sweeps = samplers.MAX_WORDS // 8 + 1  # the demo build has n = 8
+        code = run_cli(
+            "sample", "--coefficients", built / "coefficients.json",
+            "--sampler", "sa", "--sweeps", sweeps, "--out", built,
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert f"sweeps*n must be <= {samplers.MAX_WORDS}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flags, cause",
+        [
+            (["--t-start", "1e300", "--t-end", "1e-300", "--sweeps", "3"], "underflows"),
+            (["--sampler", "dcqo", "--total-time", "1e-310"], "dl/dt overflows"),
+        ],
+        ids=["sa_temperature_underflow", "dcqo_rate_overflow"],
+    )
+    def test_degenerate_schedule_exit_2_without_warnings(self, built, tmp_path, capsys,
+                                                          flags, cause):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # print each warning, as a plain CLI run does
+            code = run_cli("sample", "--coefficients", built / "coefficients.json", *flags,
+                           "--out", tmp_path / "rejected")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert cause in err and "Warning" not in err and "Traceback" not in err
+        assert not (tmp_path / "rejected" / "samples.csv").exists()
 
     @pytest.mark.parametrize("sampler", ["sa", "random", "dcqo", "exhaustive"])
     def test_zero_spins_exit_3(self, built, tmp_path, capsys, sampler):

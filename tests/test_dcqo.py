@@ -89,6 +89,13 @@ class TestSchedule:
         with pytest.raises(UsageError):
             build_schedule(10, float("nan"))
 
+    def test_total_time_whose_rate_overflows_refused(self):
+        # pi**2 / (4 T) overflows to inf below T of about 2.5e-308.
+        with pytest.raises(UsageError, match="dl/dt overflows") as info:
+            build_schedule(10, 1e-310)
+        assert info.value.exit_code == 2
+        assert np.isfinite(build_schedule(10, 1e-300).lambda_dot_values).all()
+
     def test_steps_past_the_cap_refused_before_the_schedule(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("schedule built past the cap")
@@ -270,7 +277,8 @@ class TestEvolution:
         words = np.random.Philox(key=seed).random_raw(shots).tolist()
         spins = np.empty((shots, c.n), dtype=np.int8)
         for s in range(shots):
-            idx = int(np.searchsorted(cumulative, (words[s] >> 11) * 2.0**-53, side="right"))
+            u = ((words[s] >> 11) + 1) * 2.0**-53
+            idx = int(np.searchsorted(cumulative, u, side="left"))
             idx = min(idx, (1 << c.n) - 1)
             for i in range(c.n):
                 spins[s, i] = 1 - 2 * ((idx >> (c.n - 1 - i)) & 1)

@@ -48,9 +48,9 @@ def test_stream_key_is_seed_mod_2_64():
 
 def test_word_maps_to_uniform_and_spin():
     words = np.array([0, (1 << 11) - 1, 1 << 11, 1 << 63, MASK64], dtype=np.uint64)
-    assert uniforms(words).tolist() == [(int(w) >> 11) * 2.0**-53 for w in words]
-    assert uniforms(words).tolist()[:3] == [0.0, 0.0, 2.0**-53]
-    assert float(uniforms(words).max()) < 1.0
+    assert uniforms(words).tolist() == [((int(w) >> 11) + 1) * 2.0**-53 for w in words]
+    assert uniforms(words).tolist()[:3] == [2.0**-53, 2.0**-53, 2.0**-52]
+    assert uniforms(words).tolist()[-1] == 1.0
     assert spins_from_bits(words).tolist() == [1, 1, 1, -1, -1]
     assert spins_from_bits(words).dtype == np.int8
 

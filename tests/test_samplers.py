@@ -42,13 +42,16 @@ MALFORMED = [
 ]
 
 
+MASK64 = np.uint64(2**64 - 1)
+
+
 def zero_instance(n):
     return HuboCoefficients.from_terms(n=n, h=np.zeros(n), j_terms={}, k_terms={})
 
 
 class RecordingStream:
     """A stream keyed ``seed`` that keeps every block it hands out; words
-    below ``zero_below`` are handed out as 0, the word of the uniform 0.0."""
+    below ``zero_below`` are handed out as 0, the word of the smallest uniform 2**-53."""
 
     def __init__(self, seed, zero_below=0):
         self.gen = rng.stream(seed)
@@ -75,7 +78,8 @@ def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0, gen=Non
     """Reference SA: the same stream contract and acceptance rule, but every
     proposal re-gathers all pair and triple partners of spin i from the
     chains' current spins instead of reading a maintained local field, and
-    every sweep runs (no frozen exit)."""
+    every sweep runs: the freeze test only sets ``sa_sweeps_run``, the first
+    sweep after which it holds."""
     if t_start is None:
         scale = c.max_abs_coefficient()
         t_start = max(2.0 * c.n * scale if scale > 0.0 else 1.0, t_end)
@@ -99,21 +103,32 @@ def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0, gen=Non
         for i, rest in ((a, (b, d)), (b, (a, d)), (d, (a, b))):
             tris[i][0].append(rest)
             tris[i][1].append(v)
+
+    def local(i):
+        field = np.full(shots, float(c.h[i]))
+        if pairs[i][0]:
+            field += spins[:, pairs[i][0]] @ np.array(pairs[i][1])
+        if tris[i][0]:
+            partner = np.array(tris[i][0])
+            field += (spins[:, partner[:, 0]] * spins[:, partner[:, 1]]) @ np.array(tris[i][1])
+        return field
+
     accepted = []
-    for temp in temps:
+    sweeps_run = sweeps
+    for sweep, temp in enumerate(temps):
         words = gen.random_raw(n * shots).reshape(n, shots)
         for i in range(n):
-            local = np.full(shots, float(c.h[i]))
-            if pairs[i][0]:
-                local += spins[:, pairs[i][0]] @ np.array(pairs[i][1])
-            if tris[i][0]:
-                partner = np.array(tris[i][0])
-                local += (spins[:, partner[:, 0]] * spins[:, partner[:, 1]]) @ np.array(tris[i][1])
-            delta = -2.0 * spins[:, i] * local
-            u = (words[i] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-            accept = u < np.exp(np.minimum(-delta / temp, 0.0))
+            delta = -2.0 * spins[:, i] * local(i)
+            u = ((words[i] >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+            accept = u <= np.exp(np.minimum(-delta / temp, 0.0))
             np.negative(spins[:, i], where=accept, out=spins[:, i])
             accepted.append(int(accept.sum()))
+        if sweeps_run == sweeps and sweep + 1 < sweeps and not any(accepted[-n:]):
+            nxt = temps[sweep + 1]
+            top = max(np.exp(np.minimum(2.0 * spins[:, i] * local(i) / nxt, 0.0)).max()
+                      for i in range(n))
+            if top < samplers._FROZEN_P:
+                sweeps_run = sweep + 1
     total = sweeps * n
     rates = []
     for tenth in range(10):
@@ -124,6 +139,7 @@ def gather_annealing(c, shots, sweeps, t_start=None, t_end=0.01, seed=0, gen=Non
         "t_start": f"{t_start:.12g}",
         "t_end": f"{t_end:.12g}",
         "sa_acceptance": ",".join(f"{r:.6g}" for r in rates),
+        "sa_sweeps_run": str(sweeps_run),
         "distinct_states": str(len(np.unique(spins, axis=0))),
     }
     return _aggregate(c, spins, "sa", seed, metadata)
@@ -263,16 +279,32 @@ class TestSimulatedAnnealing:
         assert got == expected
         assert float(got.metadata["sa_acceptance"].split(",")[6]) > 0.0
 
-    def test_zero_uniform_moves_a_frozen_chain(self, monkeypatch):
-        # A uniform of exactly 0 is the one way out of the frozen state: hand
-        # out 1 word in 256 as 0 and the skipped sweeps must run again.
+    def test_zero_words_leave_a_frozen_chain_frozen(self, monkeypatch):
+        # Word 0 gives the smallest uniform, 2**-53, which no frozen chain
+        # accepts: with 1 word in 256 handed out as 0, SA still stops early and
+        # equals the reference, which reads zero words after the freeze too.
         c = frozen_instance()
         monkeypatch.setattr(samplers, "stream", lambda seed: RecordingStream(seed, 1 << 56))
         got = simulated_annealing(c, shots=64, sweeps=80, seed=3)
         gen = RecordingStream(3, 1 << 56)
         expected = gather_annealing(c, shots=64, sweeps=80, seed=3, gen=gen)
         assert got == expected
-        assert float(got.metadata["sa_acceptance"].split(",")[-1]) > 0.0
+        run = int(got.metadata["sa_sweeps_run"])
+        assert run < 80
+        assert any((block == 0).any() for block in gen.blocks[1 + run :])
+
+    @pytest.mark.parametrize(
+        "c, sweeps, frozen",
+        [(frozen_instance(), 80, True), (random_instance(34, 12), 300, True),
+         (zero_instance(4), 30, False)],
+        ids=["frozen4", "random12", "flat"],
+    )
+    def test_no_word_is_read_after_the_freeze(self, monkeypatch, c, sweeps, frozen):
+        spy = RecordingStream(3)
+        monkeypatch.setattr(samplers, "stream", lambda seed: spy)
+        run = int(simulated_annealing(c, shots=64, sweeps=sweeps, seed=3).metadata["sa_sweeps_run"])
+        assert [len(block) for block in spy.blocks] == [c.n * 64] * (1 + run)
+        assert (run < sweeps) == frozen
 
     def test_seeds_share_no_chain(self, monkeypatch):
         c = random_instance(40, 6)
@@ -283,14 +315,13 @@ class TestSimulatedAnnealing:
             return words[seed]
 
         monkeypatch.setattr(samplers, "stream", recording)
-        for seed in (7, 8):
-            simulated_annealing(c, shots=200, sweeps=20, seed=seed)
+        runs = {seed: simulated_annealing(c, shots=200, sweeps=20, seed=seed) for seed in (7, 8)}
         # Chain c reads column c of every (n, shots) block: its initial spins, then its uniforms.
         chains = {
             seed: {col.tobytes() for col in np.vstack([b.reshape(c.n, 200) for b in rec.blocks]).T}
             for seed, rec in words.items()
         }
-        assert len(words[7].blocks) == 21
+        assert len(words[7].blocks) == 1 + int(runs[7].metadata["sa_sweeps_run"])
         assert len(chains[7]) == len(chains[8]) == 200
         assert not chains[7] & chains[8]
         seven, eight = (np.concatenate(words[seed].blocks) for seed in (7, 8))
@@ -462,6 +493,7 @@ class TestSimulatedAnnealing:
         assert len(rates) == 10
         assert all(0.0 <= r <= 1.0 for r in rates)
         assert res.metadata["distinct_states"] == str(len(res.entries))
+        assert 1 <= int(res.metadata["sa_sweeps_run"]) <= 30
         path = tmp_path / "samples.csv"
         save_samples(path, res)
         assert load_samples(path).metadata == res.metadata
@@ -469,6 +501,23 @@ class TestSimulatedAnnealing:
     def test_flat_landscape_accepts_every_proposal(self):
         res = simulated_annealing(zero_instance(3), shots=8, sweeps=10, seed=0)
         assert res.metadata["sa_acceptance"] == ",".join(["1"] * 10)
+        assert res.metadata["sa_sweeps_run"] == "10"
+
+    def test_uniform_of_one_accepts_a_level_move(self, monkeypatch):
+        # The largest word gives u = 1.0 exactly; a move with delta = 0 has p = 1.
+        class Ones:
+            def random_raw(self, size):
+                return np.full(size, MASK64)
+
+        monkeypatch.setattr(samplers, "stream", lambda seed: Ones())
+        res = simulated_annealing(zero_instance(3), shots=8, sweeps=10, seed=0)
+        assert res.metadata["sa_acceptance"] == ",".join(["1"] * 10)
+
+    def test_schedule_underflowing_to_zero_refused(self):
+        # (1e-300 / 1e300) ** 0.5 underflows to 0: temperatures [1e300, 0, 0].
+        with pytest.raises(UsageError, match="underflows to T = 0") as info:
+            simulated_annealing(zero_instance(3), 1, sweeps=3, t_start=1e300, t_end=1e-300)
+        assert info.value.exit_code == 2
 
     def test_auto_schedule_handles_tiny_coefficients(self):
         tiny = HuboCoefficients.from_terms(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
@@ -494,6 +543,19 @@ class TestShotsCap:
         }[sampler]
         with pytest.raises(CapabilityError, match=f"<= {samplers.MAX_WORDS} stream words"):
             draw()
+
+    def test_sweeps_past_the_cap_refused_before_allocating(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated the schedule or drew words")
+
+        c = zero_instance(32)
+        monkeypatch.setattr(np, "arange", refuse)
+        monkeypatch.setattr(samplers, "stream", refuse)
+        sweeps = samplers.MAX_WORDS // c.n
+        with pytest.raises(CapabilityError, match=rf"sweeps\*n must be <= {samplers.MAX_WORDS}"):
+            simulated_annealing(c, 1, sweeps + 1)
+        with pytest.raises(AssertionError, match="allocated the schedule"):
+            simulated_annealing(c, 1, sweeps)
 
     def test_the_cap_itself_is_allowed(self):
         samplers._check_words(samplers.MAX_WORDS, "n*shots")
@@ -585,6 +647,13 @@ class TestSampleFile:
         path = tmp_path / "bad.csv"
         path.write_text("# schema=wrong/1\nbitstring,count,energy\n00,1,0\n")
         with pytest.raises(DataError):
+            load_samples(path)
+
+    def test_version_3_file_rejected(self, tmp_path):
+        # Version 3 files were drawn with uniforms in [0, 1) and hold no sa_sweeps_run.
+        path = tmp_path / "v3.csv"
+        path.write_text("# schema=hubofs-samples/3\n# n=2\nbitstring,count,energy\n00,1,0\n")
+        with pytest.raises(DataError, match="unknown sample schema 'hubofs-samples/3'"):
             load_samples(path)
 
     def test_total_mismatch_rejected(self, tmp_path):
