@@ -14,7 +14,8 @@ row that differs. ``comparison.svg`` carries no tag and follows
 ``comparison.csv``'s. ``samples.csv`` derives from ``coefficients.json``: when
 only the coefficients' tag moved, its energies may move in their last digits,
 so it is compared on its bitstring and count columns in row order, and the
-largest energy change is reported. Exits 1 on any difference.
+largest energy change is reported. Last, it prints the line counts of both
+trees' ``src/hubofs``. Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ FLAG_SETS = {
     "dcqo_cd_only_k12": ["--sampler", "dcqo", "--preselect-k", "12", "--mode", "cd_only",
                          "--steps", "5"],
     "shallow_sweep": [*SHALLOW, "--delta", "0.3", "--delta", "0.5"],  # writes sweep.csv
+    # One qubit: the rotation's state axis is a scalar, and the normalization degenerate.
+    "dcqo_k1": ["--sampler", "dcqo", "--preselect-k", "1", "--steps", "3"],
 }
 TAG_FROM = {"comparison.svg": "comparison.csv"}
 DERIVED = {"samples.csv": "coefficients.json"}
@@ -77,6 +80,11 @@ def sample_rows(path: Path) -> tuple[list[list[str]], list[float]]:
     """The ``[bitstring, count]`` rows of a sample file, in order, and their energies."""
     rows = [line.split(",") for line in body(path)[1:]]
     return [row[:2] for row in rows], [float(row[2]) for row in rows]
+
+
+def source_lines(tree: Path) -> int:
+    """``wc -l`` of the tree's ``src/hubofs/*.py``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "hubofs").glob("*.py"))
 
 
 def hubofs_run(tree: Path, csv: Path, out: Path, flags: list[str]) -> None:
@@ -122,6 +130,8 @@ def main(argv: list[str]) -> int:
                     differ += 1
                 else:
                     print(f"{name}: {file} identical")
+    head_lines, base_lines = source_lines(ROOT), source_lines(base)
+    print(f"src/hubofs lines: {base_lines} -> {head_lines} ({head_lines - base_lines:+d})")
     return 1 if differ else 0
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -136,7 +137,11 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
                 file=sys.stderr,
             )
     tensors = mi.compute_tensors(subset_codes(splits.binned, indices))
-    normalized = hubo.normalize_global(tensors)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", hubo.DegenerateNormalizationWarning)
+        normalized = hubo.normalize_global(tensors)
+    for warning in caught:
+        print(f"warning [build]: {warning.message} (n={tensors.n})", file=sys.stderr)
     coeffs = hubo.build_coefficients(normalized, cfg.w1, cfg.w2, cfg.w3)
     coeffs = hubo.apply_penalty(coeffs, normalized.relevance, cfg.lam, cfg.tau, cfg.p)
     names = [ds.feature_names[i] for i in indices]

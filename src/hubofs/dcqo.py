@@ -25,6 +25,11 @@ dt applies three fused layers, in order:
     that qubit's Y / ZY / ZZY terms. F_q is gathered from E as
     (E(s) - E(s xor bit_q)) / (2 Z_q).
 
+Layers (a) and (c) are one rotation kernel per qubit,
+(a0, a1) <- (cos(phi) a0 - s0 a1, cos(phi) a1 + s1 a0): exp(-i phi X_q)
+with s0 = i sin(phi) = -s1, and exp(-i phi Y_q) with s0 = s1 = sin(phi),
+an array over the other qubits' basis states.
+
 Mode "cd_only" keeps only layer (c) (impulse regime). The layers are exact
 regroupings of the per-term circuit except that the CD terms act grouped by
 qubit, a different O(dt^2) Trotter order. :func:`gate_counts` still tallies
@@ -115,30 +120,15 @@ def cd_amplitude(lam: float) -> float:
     return 1.0 / (4.0 * ((1.0 - lam) ** 2 + lam**2))
 
 
-def _axis_slices(qubit: int):
+def _rotate(state: np.ndarray, qubit: int, cos_t, sin_0, sin_1) -> None:
+    """``(a0, a1) <- (cos_t a0 - sin_0 a1, cos_t a1 + sin_1 a0)`` on axis ``qubit``, each
+    coefficient a scalar or indexed by the other qubits' basis states."""
     head = (slice(None),) * qubit
-    return head + (0,), head + (1,)
-
-
-def _apply_rx(state: np.ndarray, qubit: int, theta: float) -> None:
-    idx0, idx1 = _axis_slices(qubit)
+    idx0, idx1 = head + (0,), head + (1,)
     a0 = state[idx0].copy()
     a1 = state[idx1]
-    cos_t = math.cos(0.5 * theta)
-    sin_t = math.sin(0.5 * theta)
-    state[idx0] = cos_t * a0 - 1j * sin_t * a1
-    state[idx1] = cos_t * a1 - 1j * sin_t * a0
-
-
-def _apply_y_rotation(state: np.ndarray, qubit: int, half: np.ndarray) -> None:
-    """exp(-i half Y_qubit), ``half`` indexed by the other qubits' basis states."""
-    idx0, idx1 = _axis_slices(qubit)
-    cos_t = np.cos(half)
-    sin_t = np.sin(half)
-    a0 = state[idx0].copy()
-    a1 = state[idx1]
-    state[idx0] = cos_t * a0 - sin_t * a1
-    state[idx1] = cos_t * a1 + sin_t * a0
+    state[idx0] = cos_t * a0 - sin_0 * a1
+    state[idx1] = cos_t * a1 + sin_1 * a0
 
 
 def _check_norm(state: np.ndarray, worst: float) -> float:
@@ -189,15 +179,19 @@ def evolve_statevector(
         lam = float(sched.lambda_values[m])
         lam_dot = float(sched.lambda_dot_values[m])
         if mode == "full":
-            theta_x = -2.0 * (1.0 - lam) * dt
+            half_x = -(1.0 - lam) * dt
+            sin_x = 1j * math.sin(half_x)
             for q in range(n):
-                _apply_rx(state, q, theta_x)
+                _rotate(state, q, math.cos(half_x), sin_x, -sin_x)
             worst = _check_norm(state, worst)
             state *= np.exp(-1j * (lam * dt) * diagonal)
             worst = _check_norm(state, worst)
         half_cd = -2.0 * dt * lam_dot * cd_amplitude(lam)
         for q in range(n):
-            _apply_y_rotation(state, q, half_cd * fields[q])
+            half = half_cd * fields[q]
+            sin_y = np.sin(half)
+            _rotate(state, q, np.cos(half), sin_y, sin_y)
+        del half, sin_y  # half a statevector's bytes, not to be held through the next step
         worst = _check_norm(state, worst)
     return state.reshape(-1), worst
 

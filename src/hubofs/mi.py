@@ -19,17 +19,18 @@ takes a log, a division or a float sort. Two contracts hold:
   set to 0.0 when its table is independent. Any other negative residue is
   clamped to 0, so coefficient building can rely on non-negativity.
 
-Relevance is one ``bincount`` per chunk of features, and the pair tables one
-per feature i over every j > i; the singles' and the pairs' entropies are
-computed once per call of :func:`compute_tensors`. The triples are taken in
+Every two-variable MI (relevance, the pairs, :func:`mi_pair` and
+:func:`mi_joint_pair_single`) comes from one kernel: one ``bincount`` of
+``(n_a, n_b)`` tables per chunk of columns, returning each table's entropy
+beside its MI. The pairs are one call per feature i over every j > i; their
+entropies and the singles' feed the triples. The triples are taken in
 ascending order, in batches that cross pair boundaries, each one ``bincount``
 into ``(t, b, b, b)`` histograms (features padded to the largest bin count b).
 Each triple adds one entropy, H_ijk, for its three groupings such as
 ``(H_ij + H_k) - H_ijk``. A call takes as many tables as keep its
 ``(tables, N)`` index array and its entropy terms (one per cell) within
 ``MAX_CELLS`` entries, and at least one, so its scratch grows with neither the
-number of features nor, beyond one table's index array, N. The pair tables
-held for the triples take ``C(n, 2) * b * b`` counts.
+number of features nor, beyond one table's index array, N.
 """
 
 from __future__ import annotations
@@ -174,28 +175,19 @@ def _counts(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
     return np.bincount(flat.ravel(), minlength=m * n_a * n_b).reshape(m, n_a, n_b)
 
 
-def _mi_columns(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
-    """MI of codes ``a`` against each row of ``cols (m, N)`` (codes below ``n_b``)."""
+def _mi_columns(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int):
+    """``(mi, h_joint)``: the MI of codes ``a`` against each row of ``cols (m, N)``
+    (codes below ``n_b``), and the entropy of each of their count tables."""
     xlogx = _xlogx(len(a))
     h_a = _entropies(np.bincount(a, minlength=n_a)[None], xlogx)[0]
     step = max(1, MAX_CELLS // max(n_a * n_b, len(a)))
-    out = [np.empty(0)]
+    mi, h_joint = [np.empty(0)], [np.empty(0)]
     for s in range(0, len(cols), step):
         joint = _counts(a, n_a, cols[s : s + step], n_b)
         h_b = _entropies(joint.sum(axis=1), xlogx)
-        out.append(_mi(h_a + h_b, _entropies(joint, xlogx), joint, 2, len(a)))
-    return np.concatenate(out)
-
-
-def _pair_tables(cols: np.ndarray, b: int) -> np.ndarray:
-    """``(C(n, 2), b, b)`` count tables of the ascending feature pairs of ``cols (n, N)``."""
-    n, size = cols.shape
-    step = max(1, MAX_CELLS // max(b * b, size))
-    chunks = [(i, s) for i in range(n) for s in range(i + 1, n, step)]
-    return np.concatenate(
-        [np.empty((0, b, b), dtype=np.int64)]
-        + [_counts(cols[i], b, cols[s : s + step], b) for i, s in chunks]
-    )
+        h_joint.append(_entropies(joint, xlogx))
+        mi.append(_mi(h_a + h_b, h_joint[-1], joint, 2, len(a)))
+    return np.concatenate(mi), np.concatenate(h_joint)
 
 
 def _pairs_and_triples(binned: np.ndarray, b: int, triples: np.ndarray):
@@ -206,16 +198,11 @@ def _pairs_and_triples(binned: np.ndarray, b: int, triples: np.ndarray):
     xlogx = _xlogx(size)
     singles = np.stack([np.bincount(col, minlength=b) for col in cols])
     h = _entropies(singles, xlogx)
-    tables = _pair_tables(cols, b)
-    step = max(1, MAX_CELLS // (b * b))
-    h_pairs = np.concatenate(
-        [np.empty(0)]
-        + [_entropies(tables[s : s + step], xlogx) for s in range(0, len(tables), step)]
-    )
+    pairs = [_mi_columns(cols[i], b, cols[i + 1 :], b) for i in range(n)]
+    redundancy, h_pairs = map(np.concatenate, zip(*pairs))
     first, second = _combinations(n, 2).T
-    redundancy = _mi(h[first] + h[second], h_pairs, tables, 2, size)
     pair_row = np.zeros((n, n), dtype=np.int64)
-    pair_row[first, second] = np.arange(len(tables))
+    pair_row[first, second] = np.arange(len(first))
     i, j, k = triples.T
     h_sums = [h_pairs[pair_row[p, q]] + h[r] for p, q, r in ((i, j, k), (i, k, j), (j, k, i))]
     cube = b**3
@@ -269,7 +256,7 @@ def mi_pair(a, b) -> float:
         raise DataError(f"length mismatch: {av.shape} vs {bv.shape}")
     inv_a, n_a = _compress(av)
     inv_b, n_b = _compress(bv)
-    return float(_mi_columns(inv_a, n_a, inv_b[None], n_b)[0])
+    return float(_mi_columns(inv_a, n_a, inv_b[None], n_b)[0][0])
 
 
 def _check_triple(dd: DiscretizedDataset, i: int, j: int, k: int):
@@ -289,7 +276,7 @@ def mi_joint_pair_single(dd: DiscretizedDataset, i: int, j: int, k: int) -> floa
     _check_triple(dd, i, j, k)
     bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
     composite = dd.codes[:, i] * bj + dd.codes[:, j]
-    return float(_mi_columns(composite, bi * bj, dd.codes[:, k][None], bk)[0])
+    return float(_mi_columns(composite, bi * bj, dd.codes[:, k][None], bk)[0][0])
 
 
 def cyclic_mi(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
@@ -308,7 +295,7 @@ def relevance(dd: DiscretizedDataset) -> np.ndarray:
     """MI (bits) between each feature and the target, in feature order."""
     target, n_t = _compress(dd.target)
     b = int(dd.bin_counts.max(initial=1))
-    return _mi_columns(target, n_t, dd.codes.T, b)
+    return _mi_columns(target, n_t, dd.codes.T, b)[0]
 
 
 def compute_tensors(dd: DiscretizedDataset) -> MiTensors:

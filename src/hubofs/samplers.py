@@ -252,37 +252,41 @@ def simulated_annealing(
     accepted = np.zeros(sweeps * n, dtype=np.int64)
     moved_buf, update_buf, field_buf = (np.empty((shots, n)) for _ in range(3))
     scale_buf = np.empty(shots)
-    for sweep, temp in enumerate(temps):
-        u = uniforms(gen.random_raw(block)).reshape(n, shots)
-        for i in range(n):
-            delta = -2.0 * spins[:, i] * fields[:, i]
-            accept = u[i] <= np.exp(np.minimum(-delta / temp, 0.0))
-            k = int(np.count_nonzero(accept))
-            if k >= _DENSE_SHARE * shots:
-                # Every chain at once; a rejected chain's row is scaled by 0 and subtracts ±0.
-                k_products(spins, kcube[i], update_buf)
-                update_buf += jmat[i]
-                np.multiply(spins[:, i], 2.0, out=scale_buf)
-                scale_buf *= accept
-                update_buf *= scale_buf[:, None]
-                fields -= update_buf
-                spins[:, i] -= scale_buf  # Z - 2Z = -Z where accepted, Z - 0 elsewhere
-            elif k:
-                flips = np.flatnonzero(accept)
-                # mode="clip" lets take write straight into out= (flips are in range).
-                moved = np.take(spins, flips, axis=0, out=moved_buf[:k], mode="clip")
-                update = k_products(moved, kcube[i], update_buf)
-                update += jmat[i]
-                update *= np.multiply(moved[:, i], 2.0, out=scale_buf[:k])[:, None]
-                moved_fields = np.take(fields, flips, axis=0, out=field_buf[:k], mode="clip")
-                moved_fields -= update
-                fields[flips] = moved_fields
-                spins[flips, i] = -moved[:, i]
-            accepted[sweep * n + i] = k
-        if sweep + 1 < sweeps and not accepted[sweep * n : (sweep + 1) * n].any():
-            top = np.exp(np.minimum(2.0 * spins * fields / temps[sweep + 1], 0.0)).max()
-            if top < _FROZEN_P:
-                break  # frozen: no uniform (>= 2**-53) accepts again
+    # At a subnormal temperature a ratio may overflow to +-inf; exp(min(-inf, 0)) = 0
+    # rejects and min(+inf, 0) = 0 accepts, the exact decisions, so the overflow is
+    # silenced; a field that overflows still fails _check_fields.
+    with np.errstate(over="ignore"):
+        for sweep, temp in enumerate(temps):
+            u = uniforms(gen.random_raw(block)).reshape(n, shots)
+            for i in range(n):
+                delta = -2.0 * spins[:, i] * fields[:, i]
+                accept = u[i] <= np.exp(np.minimum(-delta / temp, 0.0))
+                k = int(np.count_nonzero(accept))
+                if k >= _DENSE_SHARE * shots:
+                    # Every chain at once; a rejected chain's row is scaled by 0 and subtracts ±0.
+                    k_products(spins, kcube[i], update_buf)
+                    update_buf += jmat[i]
+                    np.multiply(spins[:, i], 2.0, out=scale_buf)
+                    scale_buf *= accept
+                    update_buf *= scale_buf[:, None]
+                    fields -= update_buf
+                    spins[:, i] -= scale_buf  # Z - 2Z = -Z where accepted, Z - 0 elsewhere
+                elif k:
+                    flips = np.flatnonzero(accept)
+                    # mode="clip" lets take write straight into out= (flips are in range).
+                    moved = np.take(spins, flips, axis=0, out=moved_buf[:k], mode="clip")
+                    update = k_products(moved, kcube[i], update_buf)
+                    update += jmat[i]
+                    update *= np.multiply(moved[:, i], 2.0, out=scale_buf[:k])[:, None]
+                    moved_fields = np.take(fields, flips, axis=0, out=field_buf[:k], mode="clip")
+                    moved_fields -= update
+                    fields[flips] = moved_fields
+                    spins[flips, i] = -moved[:, i]
+                accepted[sweep * n + i] = k
+            if sweep + 1 < sweeps and not accepted[sweep * n : (sweep + 1) * n].any():
+                top = np.exp(np.minimum(2.0 * spins * fields / temps[sweep + 1], 0.0)).max()
+                if top < _FROZEN_P:
+                    break  # frozen: no uniform (>= 2**-53) accepts again
 
     _check_fields(c, jmat, kcube, spins, fields, sweeps)
     tenth = np.arange(sweeps * n) * 10 // (sweeps * n)

@@ -113,6 +113,19 @@ class TestBuild:
         assert (out_a / "coefficients.json").read_bytes() == (out_b / "coefficients.json").read_bytes()
         assert (out_a / "mi_tensors.json").read_bytes() == (out_b / "mi_tensors.json").read_bytes()
 
+    def test_degenerate_normalization_is_one_warning_line(self, demo_csv, tmp_path, capsys):
+        # One kept feature leaves one MI value, so the normalization is degenerate; the
+        # warning is a line of the build, not a Python warning (an error under -W error).
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("build", "--input", demo_csv, "--target", "label",
+                           "--preselect-k", 1, "--out", tmp_path / "k1")
+        err = capsys.readouterr().err.splitlines()
+        assert code == 0 and (tmp_path / "k1" / "coefficients.json").exists()
+        assert err == ["warning [build]: all MI values are equal; normalized tensors are all "
+                       "zero (n=1)"]
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert run_cli("build", "--input", tmp_path / "nope.csv", "--target", "y") == 3
         assert "error [build]" in capsys.readouterr().err
@@ -270,14 +283,27 @@ class TestSample:
     def test_degenerate_schedule_exit_2_without_warnings(self, built, tmp_path, capsys,
                                                           flags, cause):
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("always")  # print each warning, as a plain CLI run does
+        # Pytest records a shown warning, so it would never reach stderr: assert on both.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli("sample", "--coefficients", built / "coefficients.json", *flags,
                            "--out", tmp_path / "rejected")
         err = capsys.readouterr().err
-        assert code == 2
+        assert code == 2 and not caught
         assert cause in err and "Warning" not in err and "Traceback" not in err
         assert not (tmp_path / "rejected" / "samples.csv").exists()
+
+    def test_subnormal_t_end_prints_no_warning(self, built, tmp_path, capsys):
+        # -delta / T overflows at T = 1e-310 once |delta| > 0.018.
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("sample", "--coefficients", built / "coefficients.json",
+                           "--t-end", "1e-310", "--sweeps", 2, "--shots", 100,
+                           "--out", tmp_path / "cold")
+        err = capsys.readouterr().err
+        assert code == 0 and (tmp_path / "cold" / "samples.csv").exists()
+        assert not caught and "Warning" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("sampler", ["sa", "random", "dcqo", "exhaustive"])
     def test_zero_spins_exit_3(self, built, tmp_path, capsys, sampler):

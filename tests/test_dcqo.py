@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from hubofs.dcqo import (
     CdSchedule,
     _check_norm,
     _gathered_fields,
+    _rotate,
     build_schedule,
     cd_amplitude,
     evolve_and_sample,
@@ -255,6 +258,36 @@ class TestEvolution:
             fused, _ = evolve_statevector(c, sched, mode)
             reference = per_term_evolution(c, sched, mode)
             assert np.abs(fused - reference).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_rotation_kernel_matches_both_layer_formulas(self, n):
+        # References: the x- and y-rotation formulas of layers (a) and (c), inline.
+        rng = np.random.default_rng(n)
+        fields = _gathered_fields(energies_all_states(random_instance(40 + n, n)), n)
+        for q in range(n):
+            idx0, idx1 = (slice(None),) * q + (0,), (slice(None),) * q + (1,)
+            start = rng.normal(size=[2] * n) + 1j * rng.normal(size=[2] * n)
+            for lam, dt, lam_dot in ((0.0, 1.7, 0.0), (0.3, 0.2, 0.8), (0.9, 0.05, -2.5)):
+                theta_x = -2.0 * (1.0 - lam) * dt
+                cos_t, sin_t = math.cos(0.5 * theta_x), math.sin(0.5 * theta_x)
+                x_ref = start.copy()
+                a0, a1 = x_ref[idx0].copy(), x_ref[idx1]
+                x_ref[idx0] = cos_t * a0 - 1j * sin_t * a1
+                x_ref[idx1] = cos_t * a1 - 1j * sin_t * a0
+                half = -2.0 * dt * lam_dot * cd_amplitude(lam) * fields[q]
+                cos_y, sin_y = np.cos(half), np.sin(half)
+                y_ref = start.copy()
+                a0, a1 = y_ref[idx0].copy(), y_ref[idx1]
+                y_ref[idx0] = cos_y * a0 - sin_y * a1
+                y_ref[idx1] = cos_y * a1 + sin_y * a0
+
+                half_x = -(1.0 - lam) * dt
+                sin_x = 1j * math.sin(half_x)
+                x_got, y_got = start.copy(), start.copy()
+                _rotate(x_got, q, math.cos(half_x), sin_x, -sin_x)
+                _rotate(y_got, q, cos_y, sin_y, sin_y)
+                assert x_got.tobytes() == x_ref.tobytes()
+                assert y_got.tobytes() == y_ref.tobytes()
 
     def test_gathered_fields_match_local_fields(self):
         for n in (1, 3, 6, 8):

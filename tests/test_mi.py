@@ -421,13 +421,17 @@ class TestBatchedKernel:
     def test_kernel_matches_reference_across_summation_blocks(self):
         # Tables of 1 to 150 rows against 2 columns, 40 per call: their nonzero
         # counts straddle numpy's pairwise-summation block sizes (8 and 128 terms),
-        # which must not reach the one-by-one entropy sums.
+        # which must not reach the one-by-one entropy sums of the MI or of the
+        # joint entropy handed back beside it.
         rng = np.random.default_rng(2)
+        xlogx = _xlogx(400)
         for rows in (1, 4, 5, 63, 64, 65, 150):
             a = rng.integers(0, rows, 400)
             cols = rng.integers(0, 2, (40, 400))
-            expect = [_mi_from_joint(_joint(a, rows, col, 2)) for col in cols]
-            assert mi._mi_columns(a, rows, cols, 2).tolist() == expect
+            tables = [_joint(a, rows, col, 2) for col in cols]
+            values, h_joint = mi._mi_columns(a, rows, cols, 2)
+            assert values.tolist() == [_mi_from_joint(table) for table in tables]
+            assert h_joint.tolist() == [_entropy_of(table, xlogx) for table in tables]
 
 
 def codes_of(table: np.ndarray, rng) -> np.ndarray:

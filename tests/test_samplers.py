@@ -519,6 +519,20 @@ class TestSimulatedAnnealing:
             simulated_annealing(zero_instance(3), 1, sweeps=3, t_start=1e300, t_end=1e-300)
         assert info.value.exit_code == 2
 
+    @pytest.mark.parametrize("t_start, sweeps", [(None, 2), (1e-310, 4)])
+    def test_subnormal_temperature_decides_without_warnings(self, t_start, sweeps):
+        # At T = 1e-310, -delta / T and the freeze probe's ratio overflow to +-inf;
+        # exp(-inf) = 0 and min(+inf, 0) = 0 are the decisions of any tiny T, here
+        # 1e-300, and the suite turns a RuntimeWarning into an error.
+        c = random_instance(17, 6)
+        cold = simulated_annealing(c, 50, sweeps, t_start, t_end=1e-310, seed=5)
+        ref = simulated_annealing(c, 50, sweeps, t_start and 1e-300, t_end=1e-300, seed=5)
+        assert np.array_equal(cold.spins, ref.spins) and np.array_equal(cold.counts, ref.counts)
+        for key in ("sa_acceptance", "sa_sweeps_run"):
+            assert cold.metadata[key] == ref.metadata[key]
+        if t_start:  # the freeze probe ran at T = 1e-310 and stopped the chains
+            assert cold.metadata["sa_sweeps_run"] == "3"
+
     def test_auto_schedule_handles_tiny_coefficients(self):
         tiny = HuboCoefficients.from_terms(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
         res = simulated_annealing(tiny, shots=4, sweeps=5, seed=0)
