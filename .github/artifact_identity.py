@@ -47,6 +47,10 @@ FLAG_SETS = {
     "shallow_sweep": [*SHALLOW, "--delta", "0.3", "--delta", "0.5"],  # writes sweep.csv
     # One qubit: the rotation's state axis is a scalar, and the normalization degenerate.
     "dcqo_k1": ["--sampler", "dcqo", "--preselect-k", "1", "--steps", "3"],
+    # Default SA in two halves of its chains, at an n where OpenBLAS rounds by row count.
+    "sa_k57": ["--preselect-k", "57"],
+    # Halves of 999 and 1000 chains, never frozen.
+    "sa_odd_shots": ["--shots", "1999", "--sweeps", "300"],
 }
 TAG_FROM = {"comparison.svg": "comparison.csv"}
 DERIVED = {"samples.csv": "coefficients.json"}

@@ -123,14 +123,20 @@ def logistic_loss(features: np.ndarray, target: np.ndarray, model: LogisticModel
 
 
 def logistic_fit(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2) -> LogisticModel:
-    """The minimizer of :func:`logistic_loss` by Newton steps on ``[X | 1]`` from zero,
-    until ``max|step| <= NEWTON_TOLERANCE``; ``l2 > 0`` keeps the Hessian positive definite."""
+    """The minimizer of :func:`logistic_loss` by Newton steps on ``[X - mean | 1]`` from zero,
+    until ``max|step| <= NEWTON_TOLERANCE``; ``l2 > 0`` keeps the Hessian positive definite.
+
+    Centred columns keep the bias column from being swamped by a column's offset (raw
+    values near 1e8 made the Hessian singular in floating point); the bias is mapped back."""
     if not l2 > 0:
         raise UsageError(f"l2 must be > 0, got {l2}")
     if np.unique(y).shape[0] < 2:
         raise DataError("logistic regression needs both classes in the training data")
     n, d = X.shape
-    design = np.hstack([X, np.ones((n, 1))])
+    mean = X.mean(axis=0)
+    design = np.empty((n, d + 1))
+    np.subtract(X, mean, out=design[:, :d])
+    design[:, d] = 1.0
     ridge = np.append(np.full(d, l2), 0.0)  # the bias is not regularized
     theta = np.zeros(d + 1)
     scaled = np.empty_like(design)
@@ -141,12 +147,13 @@ def logistic_fit(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2) -> Logist
         hessian = scaled.T @ scaled + np.diag(ridge)
         try:
             step = np.linalg.solve(hessian, grad)
-        except np.linalg.LinAlgError as exc:  # e.g. an uncentred column swamps the bias
+        except np.linalg.LinAlgError as exc:  # e.g. columns on wildly different scales
             raise DataError("singular Hessian in the logistic fit; z-score the features") from exc
         theta -= step
         if np.max(np.abs(step)) <= NEWTON_TOLERANCE:
             break
-    return LogisticModel(weights=theta[:d].copy(), bias=float(theta[d]))
+    weights = theta[:d].copy()
+    return LogisticModel(weights=weights, bias=float(theta[d] - mean @ weights))
 
 
 def roc_auc(target: np.ndarray, scores: np.ndarray) -> float:

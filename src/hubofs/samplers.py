@@ -49,6 +49,25 @@ fields stay fixed while no spin flips, the temperature only falls, and the
 smallest uniform 2**-53 is twice the bound, a margin for ``exp`` rounding).
 SA then stops and reads no further word; unmade proposals count as rejected.
 
+Halves: a run whose work ``shots * sweeps * n * n`` reaches :data:`_FORK_WORK` =
+2**28 (the default 2000 shots x 500 sweeps at n = 32 does) anneals chains
+``0 .. shots//2 - 1`` and ``shots//2 .. shots - 1`` apart. Each half reads the
+stream from word 0 in whole blocks and keeps its own chains' columns, so every
+chain reads the words above; it picks its step kinds against its own chain
+count and stops at its own freeze. Where ``os.sched_getaffinity`` lists two or
+more CPUs, a worker made by ``os.fork`` anneals the first half into an
+anonymous shared mapping while this process anneals the second; the worker
+is always reaped (killed first if this process's half raised), and a worker
+that fails raises :class:`~hubofs.errors.HubofsError`. Elsewhere the halves
+run one after the other, with the same bits, so no artifact depends on the
+CPU count. The acceptance tallies add, and ``sa_sweeps_run`` is the larger
+of the halves': a frozen chain never moves again, so the run's first
+all-frozen sweep is the later half's. Each half's products run over its own
+chains: a step that moves one chain of a half takes the 1-row path, and at
+n = 33 and 57 rows round by the half's row count, so the final fields may
+differ from those of one whole-run kernel in their last bits; no artifact
+holds the fields.
+
 A :class:`SampleSet` is three arrays: ``spins`` (distinct configurations x n,
 int8, one row each), ``counts`` (int64, shots per row) and ``energies``
 (float64). Every sampler canonicalizes its set: duplicate configurations
@@ -61,6 +80,10 @@ rows as :class:`SampleEntry` objects, built from the arrays on each access.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -89,6 +112,8 @@ _DENSE_SHARE = 0.5
 # Cap on the stream words of one draw (n*shots per SA sweep or random run, shots for
 # dcqo), and on the proposal steps (sweeps*n) of one SA run.
 MAX_WORDS = 1 << 24
+# Work (shots * sweeps * n * n) from which SA anneals two halves of its chains apart.
+_FORK_WORK = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -243,26 +268,72 @@ def simulated_annealing(
         raise UsageError(f"schedule underflows to T = 0 (t_start={t_start:.3g}, sweeps={sweeps})")
 
     n = c.n
-    block = n * shots
-    gen = stream(seed)
-    spins = spins_from_bits(gen.random_raw(block)).reshape(n, shots).T.astype(np.float64, order="C")
-
     jmat, kcube = dense_couplings(c)
-    fields = local_fields(c.h, jmat, kcube, spins)
-    accepted = np.zeros(sweeps * n, dtype=np.int64)
-    moved_buf, update_buf, field_buf = (np.empty((shots, n)) for _ in range(3))
-    scale_buf = np.empty(shots)
+    cut = shots // 2 if shots * sweeps * n * n >= _FORK_WORK else 0
+    ranges = [(0, cut), (cut, shots)] if cut else [(0, shots)]
+    # The run's spins and fields, then per range ten acceptance tallies and its sweeps run:
+    # one anonymous shared mapping, which a forked worker writes into.
+    shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * shots * n + 11 * len(ranges))), np.float64)
+    spins, fields = shared[: 2 * shots * n].reshape(2, shots, n)
+    outs = shared[2 * shots * n :].view(np.int64).reshape(len(ranges), 11)
+    jobs = [(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out)
+            for (lo, hi), out in zip(ranges, outs)]
+    if len(jobs) == 2 and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2:
+        _anneal_forked(*jobs)
+    else:
+        for job in jobs:
+            _anneal(*job)
+
+    _check_fields(c, jmat, kcube, spins, fields, sweeps)
+    total = sweeps * n
+    starts = -(-np.arange(11) * total // 10)  # ceil(j * total / 10): where tenth j starts
+    with np.errstate(invalid="ignore"):
+        rates = outs[:, :10].sum(0) / (shots * np.diff(starts))
+    return _aggregate(
+        c,
+        spins.astype(np.int8),
+        "sa",
+        seed,
+        {
+            "sweeps": str(sweeps),
+            "t_start": f"{t_start:.12g}",
+            "t_end": f"{t_end:.12g}",
+            "sa_acceptance": ",".join(f"{r:.6g}" for r in rates),
+            "sa_sweeps_run": str(outs[:, 10].max()),
+        },
+    )
+
+
+def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None) -> None:
+    """Anneal chains ``lo..hi-1`` in place on their rows of the run's ``spins`` and ``fields``.
+
+    Reads the run's stream from word 0, whole blocks, and takes the columns of its own
+    chains, so every chain reads the words of the stream contract. ``out`` receives the
+    accepted proposals in each tenth of the ``sweeps * n`` steps, then the sweeps run. A
+    worker passes its ``parent``'s pid and gives up once it has been orphaned.
+    """
+    n, shots, sweeps = c.n, len(spins), len(temps)
+    rows, block, tallies = hi - lo, n * shots, out[:10]
+    spins, fields = spins[lo:hi], fields[lo:hi]
+    gen = stream(seed)
+    spins[...] = spins_from_bits(gen.random_raw(block).reshape(n, shots)[:, lo:hi]).T
+    fields[...] = local_fields(c.h, jmat, kcube, spins)
+    moved_buf, update_buf, field_buf = (np.empty((rows, n)) for _ in range(3))
+    scale_buf = np.empty(rows)
     # At a subnormal temperature a ratio may overflow to +-inf; exp(min(-inf, 0)) = 0
     # rejects and min(+inf, 0) = 0 accepts, the exact decisions, so the overflow is
     # silenced; a field that overflows still fails _check_fields.
     with np.errstate(over="ignore"):
         for sweep, temp in enumerate(temps):
-            u = uniforms(gen.random_raw(block)).reshape(n, shots)
+            if parent is not None and os.getppid() != parent:
+                raise HubofsError("the SA worker lost its parent process")
+            u = uniforms(gen.random_raw(block).reshape(n, shots)[:, lo:hi])
+            accepted = 0
             for i in range(n):
                 delta = -2.0 * spins[:, i] * fields[:, i]
                 accept = u[i] <= np.exp(np.minimum(-delta / temp, 0.0))
                 k = int(np.count_nonzero(accept))
-                if k >= _DENSE_SHARE * shots:
+                if k >= _DENSE_SHARE * rows:
                     # Every chain at once; a rejected chain's row is scaled by 0 and subtracts ±0.
                     k_products(spins, kcube[i], update_buf)
                     update_buf += jmat[i]
@@ -282,31 +353,44 @@ def simulated_annealing(
                     moved_fields -= update
                     fields[flips] = moved_fields
                     spins[flips, i] = -moved[:, i]
-                accepted[sweep * n + i] = k
-            if sweep + 1 < sweeps and not accepted[sweep * n : (sweep + 1) * n].any():
+                tallies[(sweep * n + i) * 10 // (sweeps * n)] += k
+                accepted += k
+            if sweep + 1 < sweeps and not accepted:
                 top = np.exp(np.minimum(2.0 * spins * fields / temps[sweep + 1], 0.0)).max()
                 if top < _FROZEN_P:
                     break  # frozen: no uniform (>= 2**-53) accepts again
+    out[10] = sweep + 1
 
-    _check_fields(c, jmat, kcube, spins, fields, sweeps)
-    tenth = np.arange(sweeps * n) * 10 // (sweeps * n)
-    with np.errstate(invalid="ignore"):
-        rates = np.bincount(tenth, weights=accepted, minlength=10) / (
-            shots * np.bincount(tenth, minlength=10)
-        )
-    return _aggregate(
-        c,
-        spins.astype(np.int8),
-        "sa",
-        seed,
-        {
-            "sweeps": str(sweeps),
-            "t_start": f"{t_start:.12g}",
-            "t_end": f"{t_end:.12g}",
-            "sa_acceptance": ",".join(f"{r:.6g}" for r in rates),
-            "sa_sweeps_run": str(sweep + 1),
-        },
-    )
+
+def _anneal_forked(first, second) -> None:
+    """Anneal the ``_anneal`` arguments ``first`` in a forked worker and ``second`` here.
+
+    The worker never returns into the caller: it exits 0 when done, and 1 with one stderr
+    line on any exception. It is always reaped, and killed first if this process's own
+    half raised.
+    """
+    parent = os.getpid()
+    sys.stdout.flush()  # else the worker would inherit, and could repeat, buffered output
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            _anneal(*first, parent=parent)
+            status = 0
+        except BaseException as exc:  # the worker ends below either way
+            print(f"error [sa worker]: {exc!r}", file=sys.stderr, flush=True)
+        finally:
+            os._exit(status)
+    try:
+        _anneal(*second)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise HubofsError(f"the SA worker process failed (wait status {status})")
 
 
 def _check_words(words: int, what: str) -> None:

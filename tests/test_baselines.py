@@ -174,11 +174,14 @@ class TestLogistic:
         assert model.weights[4] == 0.0
         assert model.weights[0] == pytest.approx(model.weights[2], rel=1e-9)
 
-    def test_singular_hessian_is_a_data_error(self):
-        # Uncentred, the column is 1e8 times the bias column, and after three steps the
-        # Hessian is singular in floating point. compare's rows are z-scored.
-        with pytest.raises(DataError, match="singular Hessian"):
-            logistic_fit(*arrays([[1e8], [1e8 + 1], [1e8 + 2], [1e8 + 3]], [0, 0, 1, 1]))
+    def test_raw_scale_column_fits(self):
+        # Uncentred, the column is 1e8 times the bias column, and the Hessian went singular
+        # in floating point after three steps. Centred, the fit reaches the optimum.
+        X, y = arrays([[1e8], [1e8 + 1], [1e8 + 2], [1e8 + 3]], [0, 0, 1, 1])
+        model = logistic_fit(X, y)
+        assert np.allclose(loss_gradient(X, y, model, DEFAULT_L2), 0.0, atol=1e-6)
+        proba = model.predict_proba(X)
+        assert np.all(np.diff(proba) > 0) and proba[0] < 1e-4 and proba[-1] > 1 - 1e-4
 
     @pytest.mark.parametrize("l2", [0.0, -1e-3, float("nan")])
     def test_l2_must_be_positive(self, l2):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -498,6 +504,33 @@ class TestSimulatedAnnealing:
         save_samples(path, res)
         assert load_samples(path).metadata == res.metadata
 
+    @pytest.mark.parametrize("n, sweeps", [(6, 1), (3, 2), (11, 3), (3, 11)])
+    def test_tenth_tallies_equal_the_per_step_bincount(self, monkeypatch, n, sweeps):
+        # sweeps * n = 6 or 33: tenths of unequal sizes, and empty tenths at 6.
+        shots, steps = 50, []
+        count = np.count_nonzero
+
+        def recording(a, *args, **kwargs):
+            k = count(a, *args, **kwargs)
+            if a.dtype == bool and a.shape == (shots,):  # an SA step's accepted chains
+                steps.append(k)
+            return k
+
+        monkeypatch.setattr(np, "count_nonzero", recording)
+        got = simulated_annealing(random_instance(n + sweeps, n), shots, sweeps, seed=6)
+        monkeypatch.undo()
+        # The former formula: one count per proposal step (unmade ones 0), binned by tenth.
+        total = sweeps * n
+        accepted = np.zeros(total, dtype=np.int64)
+        accepted[: len(steps)] = steps
+        tenth = np.arange(total) * 10 // total
+        with np.errstate(invalid="ignore"):
+            rates = np.bincount(tenth, weights=accepted, minlength=10) / (
+                shots * np.bincount(tenth, minlength=10)
+            )
+        assert 0 < sum(steps) < shots * total
+        assert got.metadata["sa_acceptance"] == ",".join(f"{r:.6g}" for r in rates)
+
     def test_flat_landscape_accepts_every_proposal(self):
         res = simulated_annealing(zero_instance(3), shots=8, sweeps=10, seed=0)
         assert res.metadata["sa_acceptance"] == ",".join(["1"] * 10)
@@ -537,6 +570,134 @@ class TestSimulatedAnnealing:
         tiny = HuboCoefficients.from_terms(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
         res = simulated_annealing(tiny, shots=4, sweeps=5, seed=0)
         assert res.total_shots == 4  # auto t_start floors at t_end
+
+
+# Imports hubofs first, runs argv[1:] through the CLI with every SA run split in halves
+# and two CPUs reported, then prints the number of forks on stderr.
+FORKING_CLI = """
+import os, sys
+from hubofs import cli, samplers
+samplers._FORK_WORK = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+fork, forks = os.fork, []
+os.fork = lambda: forks.append(1) or fork()
+code = cli.main(sys.argv[1:])
+print(f"forks={len(forks)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+class TestHalves:
+    """From ``_FORK_WORK`` on, SA anneals two halves of its chains, the first in a worker."""
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+    @pytest.mark.parametrize("n", [5, 12, 32])
+    def test_forked_halves_equal_halves_in_process(self, monkeypatch, n):
+        # The process analogue of the BLAS thread check: bits do not follow the CPU count.
+        monkeypatch.setattr(samplers, "_FORK_WORK", 0)
+        c = random_instance(n, n)
+        fields, forks = [], []
+        check, fork = samplers._check_fields, os.fork
+
+        def recording(c, jmat, kcube, spins, f, sweeps):
+            fields.append(f.copy())
+            check(c, jmat, kcube, spins, f, sweeps)
+
+        monkeypatch.setattr(samplers, "_check_fields", recording)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        runs = []
+        for count in (1, 2):
+            self.cpus(monkeypatch, count)
+            runs.append(simulated_annealing(c, shots=301, sweeps=40, seed=4))
+            assert len(forks) == count - 1
+        assert runs[0] == runs[1]
+        assert fields[0].tobytes() == fields[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "c, sweeps, seed",
+        [(frozen_instance(), 80, 3), (random_instance(21, 8), 300, 1)],
+        ids=["frozen4", "random8"],
+    )
+    def test_halves_equal_the_gather_reference(self, monkeypatch, c, sweeps, seed):
+        monkeypatch.setattr(samplers, "_FORK_WORK", 0)
+        got = simulated_annealing(c, shots=65, sweeps=sweeps, seed=seed)
+        assert got == gather_annealing(c, shots=65, sweeps=sweeps, seed=seed)
+
+    def test_the_later_freeze_of_the_halves_is_the_runs(self, monkeypatch):
+        # In process, each half's sweeps run stays in its out row. Here the first half,
+        # chains 0..31, freezes last.
+        monkeypatch.setattr(samplers, "_FORK_WORK", 0)
+        self.cpus(monkeypatch, 1)
+        halves, anneal = [], samplers._anneal
+
+        def recording(*args, **kwargs):
+            anneal(*args, **kwargs)
+            halves.append((args[5], args[6], int(args[9][10])))
+
+        monkeypatch.setattr(samplers, "_anneal", recording)
+        got = simulated_annealing(random_instance(21, 8), shots=65, sweeps=300, seed=1)
+        assert [(lo, hi) for lo, hi, _ in halves] == [(0, 32), (32, 65)]
+        first, second = (run for _, _, run in halves)
+        assert first > second
+        assert got.metadata["sa_sweeps_run"] == str(first)
+
+    def test_a_failing_worker_raises_and_is_reaped(self, monkeypatch, capfd):
+        monkeypatch.setattr(samplers, "_FORK_WORK", 0)
+        self.cpus(monkeypatch, 2)
+        anneal, me = samplers._anneal, os.getpid()
+
+        def failing(*args, **kwargs):
+            if os.getpid() != me:
+                raise RuntimeError("worker fault")
+            anneal(*args, **kwargs)
+
+        monkeypatch.setattr(samplers, "_anneal", failing)
+        with pytest.raises(HubofsError, match="SA worker"):
+            simulated_annealing(random_instance(5, 6), shots=40, sweeps=10, seed=1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert "error [sa worker]: RuntimeError('worker fault')" in capfd.readouterr().err
+
+    def test_a_failing_parent_half_kills_the_worker(self, monkeypatch):
+        monkeypatch.setattr(samplers, "_FORK_WORK", 0)
+        self.cpus(monkeypatch, 2)
+        me = os.getpid()
+
+        def stuck_or_failing(*args, **kwargs):
+            if os.getpid() != me:
+                time.sleep(60)  # the parent would wait this long for a worker left alive
+            raise RuntimeError("parent fault")
+
+        monkeypatch.setattr(samplers, "_anneal", stuck_or_failing)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="parent fault"):
+            simulated_annealing(random_instance(5, 6), shots=40, sweeps=10, seed=1)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_forked_cli_run_prints_each_stage_line_once(self, demo_csv, tmp_path):
+        # stdout to a file is block-buffered: a worker that inherited the build line in its
+        # buffer and flushed it would print it twice. The same run without the fork gives
+        # the expected lines.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["run", "--input", str(demo_csv), "--target", "label", "--preselect-k", "6",
+                "--shots", "200", "--sweeps", "20", "--out", str(tmp_path / "out")]
+        logs = {}
+        for label, command in [("plain", ["-m", "hubofs.cli"]), ("forked", ["-c", FORKING_CLI])]:
+            logs[label] = tmp_path / f"{label}.txt"
+            with open(logs[label], "w", encoding="utf-8") as out:
+                proc = subprocess.run([sys.executable, *command, *argv], env=env, stdout=out,
+                                      stderr=subprocess.PIPE, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "forks=1"
+        plain, forked = (logs[label].read_text(encoding="utf-8") for label in ("plain", "forked"))
+        assert [line.split(":")[0] for line in plain.splitlines()[:3]] == ["build", "sample", "select"]
+        assert forked == plain
 
 
 class TestShotsCap:
