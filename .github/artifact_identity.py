@@ -41,6 +41,8 @@ FLAG_SETS = {
     # At n = 33 this OpenBLAS rounds a row by the product's row count.
     "k33_shallow": ["--preselect-k", "33", *SHALLOW],
     "exhaustive_k12": ["--sampler", "exhaustive", "--preselect-k", "12"],
+    # keep = shots clamped to all 2^4 = 16 states.
+    "exhaustive_k4": ["--sampler", "exhaustive", "--preselect-k", "4"],
     "random": ["--sampler", "random", "--delta", "0.4"],
     "dcqo_cd_only_k12": ["--sampler", "dcqo", "--preselect-k", "12", "--mode", "cd_only",
                          "--steps", "5"],

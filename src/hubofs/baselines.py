@@ -18,7 +18,7 @@ from .errors import DataError, UsageError
 
 COMPARISON_SCHEMA = "hubofs-comparison/2"
 
-DEFAULT_L2 = 1e-3
+DEFAULT_L2 = 1e-3  # the fit's ridge; > 0 keeps its Hessian positive definite
 NEWTON_TOLERANCE = 1e-10  # a fit ends once no weight moves by more than this
 NEWTON_MAX_STEPS = 50
 
@@ -122,14 +122,12 @@ def logistic_loss(features: np.ndarray, target: np.ndarray, model: LogisticModel
     return ce + 0.5 * l2 * float(model.weights @ model.weights)
 
 
-def logistic_fit(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2) -> LogisticModel:
-    """The minimizer of :func:`logistic_loss` by Newton steps on ``[X - mean | 1]`` from zero,
-    until ``max|step| <= NEWTON_TOLERANCE``; ``l2 > 0`` keeps the Hessian positive definite.
+def logistic_fit(X: np.ndarray, y: np.ndarray) -> LogisticModel:
+    """The minimizer of :func:`logistic_loss` at ``l2 = DEFAULT_L2`` by Newton steps on
+    ``[X - mean | 1]`` from zero, until ``max|step| <= NEWTON_TOLERANCE``.
 
     Centred columns keep the bias column from being swamped by a column's offset (raw
     values near 1e8 made the Hessian singular in floating point); the bias is mapped back."""
-    if not l2 > 0:
-        raise UsageError(f"l2 must be > 0, got {l2}")
     if np.unique(y).shape[0] < 2:
         raise DataError("logistic regression needs both classes in the training data")
     n, d = X.shape
@@ -137,7 +135,7 @@ def logistic_fit(X: np.ndarray, y: np.ndarray, l2: float = DEFAULT_L2) -> Logist
     design = np.empty((n, d + 1))
     np.subtract(X, mean, out=design[:, :d])
     design[:, d] = 1.0
-    ridge = np.append(np.full(d, l2), 0.0)  # the bias is not regularized
+    ridge = np.append(np.full(d, DEFAULT_L2), 0.0)  # the bias is not regularized
     theta = np.zeros(d + 1)
     scaled = np.empty_like(design)
     for _ in range(NEWTON_MAX_STEPS):

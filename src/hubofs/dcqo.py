@@ -105,8 +105,8 @@ def build_schedule(steps: int, total_time: float) -> CdSchedule:
         raise UsageError(f"steps must be >= 1, got {steps}")
     if steps > MAX_STEPS:
         raise CapabilityError(f"DCQO schedules need steps <= {MAX_STEPS}, got {steps}")
-    if not 0.0 < total_time < math.inf:
-        raise UsageError(f"total_time must be finite and > 0, got {total_time}")
+    if not 0.0 < math.pi * total_time < math.inf:  # the schedule's largest argument
+        raise UsageError(f"total_time must be > 0 with pi * total_time finite, got {total_time}")
     midpoints = [(m + 0.5) * total_time / steps for m in range(steps)]
     return CdSchedule(
         lambda_values=np.array([schedule_lambda(t, total_time) for t in midpoints]),
@@ -149,31 +149,29 @@ def _gathered_fields(energies: np.ndarray, n: int) -> list[np.ndarray]:
     return [0.5 * (np.take(e, 0, axis=q) - np.take(e, 1, axis=q)) for q in range(n)]
 
 
-def _check_qubits(c: HuboCoefficients) -> None:
-    if c.n > MAX_QUBITS:
-        raise CapabilityError(f"statevector simulation needs n <= {MAX_QUBITS}, got n={c.n}")
-
-
 def evolve_statevector(
-    c: HuboCoefficients, sched: CdSchedule, mode: str = "full", *, energies=None
+    c: HuboCoefficients, sched: CdSchedule, mode: str = "full"
 ) -> tuple[np.ndarray, float]:
     """Run the digitized evolution; returns (final flat 2^n amplitudes, max norm drift).
 
-    It starts from the uniform superposition. ``energies`` is
-    ``energies_all_states(c)`` when the caller already has it.
+    It starts from the uniform superposition. A step whose largest phase
+    ``dt * max|E - constant|`` is not finite raises :class:`UsageError`.
     """
-    _check_qubits(c)
+    if c.n > MAX_QUBITS:
+        raise CapabilityError(f"statevector simulation needs n <= {MAX_QUBITS}, got n={c.n}")
     if mode not in ("full", "cd_only"):
         raise UsageError(f"mode must be 'full' or 'cd_only', got {mode!r}")
     n = c.n
     dt = sched.dt
-    state = np.full([2] * n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
-    if energies is None:
-        energies = energies_all_states(c)
-    fields = _gathered_fields(energies, n)
+    energies = energies_all_states(c)
     # The constant is a global phase; dropping it keeps layer (b) equal to
     # the product of the per-term phases.
     diagonal = (energies - c.constant).reshape([2] * n)
+    if not math.isfinite(dt * float(np.abs(diagonal).max())):  # a Python product: no warning
+        raise UsageError(f"total_time={sched.total_time:.12g} is too large: the phase "
+                         "dt * max|E - constant| of one step overflows")
+    state = np.full([2] * n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
+    fields = _gathered_fields(energies, n)
     worst = 0.0
     for m in range(sched.steps):
         lam = float(sched.lambda_values[m])
@@ -242,15 +240,3 @@ def evolve_and_sample(
     metadata.update((k, str(v)) for k, v in gate_counts(c, sched.steps, mode).items())
     return _aggregate(c, states_to_spins(idx, c.n), "dcqo", seed, metadata)
 
-
-def statevector_probe(
-    c: HuboCoefficients, sched: CdSchedule, mode: str = "full"
-) -> tuple[float, float]:
-    """Exact diagnostics: (overlap with the ground manifold, <H>)."""
-    _check_qubits(c)
-    energies = energies_all_states(c)
-    amplitudes, _ = evolve_statevector(c, sched, mode, energies=energies)
-    probs = np.abs(amplitudes) ** 2
-    e_min = float(energies.min())
-    manifold = energies <= e_min + 1e-9 * max(1.0, abs(e_min))
-    return float(probs[manifold].sum()), float(probs @ energies)

@@ -65,7 +65,9 @@ class HuboCoefficients:
     ``pairs (m2, 2)`` and ``triples (m3, 3)`` are the index rows of
     :class:`~hubofs.mi.MiTensors` with their values ``j`` and ``k``.
     ``weights`` and ``penalty_params`` record how the instance was built;
-    they do not affect energy evaluation.
+    they do not affect energy evaluation. ``2 * n * (sum|h| + sum|J| + sum|K| +
+    |constant|)`` must be finite (:class:`UsageError`): every energy, every partial
+    sum of one, every local field and the default SA ``t_start`` then are.
     """
 
     n: int
@@ -89,6 +91,14 @@ class HuboCoefficients:
         object.__setattr__(self, "h", h)
         check_terms(self, "pairs", "j", 2, self.n)
         check_terms(self, "triples", "k", 3, self.n)
+        with np.errstate(over="ignore"):
+            mass = sum(float(np.abs(v).sum()) for v in (self.h, self.j, self.k))
+        bound = 2.0 * self.n * (mass + abs(self.constant))
+        if not math.isfinite(bound):
+            raise UsageError(
+                f"2 * n * (sum|h| + sum|J| + sum|K| + |constant|) must be finite, got {bound} "
+                f"at n={self.n} (weights w1, w2, w3 = {', '.join(map(str, self.weights))})"
+            )
 
     @classmethod
     def from_terms(cls, n: int, h, j_terms, k_terms, **settings) -> "HuboCoefficients":

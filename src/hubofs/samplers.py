@@ -70,10 +70,11 @@ holds the fields.
 
 A :class:`SampleSet` is three arrays: ``spins`` (distinct configurations x n,
 int8, one row each), ``counts`` (int64, shots per row) and ``energies``
-(float64). Every sampler canonicalizes its set: duplicate configurations
-merge, rows sort by (energy, lexicographic spins with -1 < +1), energies come
-from :func:`hubofs.hubo.energy_many`, and the metadata records the number of
-rows (``distinct_states``). ``SampleSet.entries`` is a read-only view of the
+(float64). Every sampler hands its spin rows to one builder, ``_aggregate``,
+which canonicalizes the set: duplicate configurations merge, rows sort by
+(energy, lexicographic spins with -1 < +1), energies come from
+:func:`hubofs.hubo.energy_many`, and the metadata records the number of rows
+(``distinct_states``). ``SampleSet.entries`` is a read-only view of the
 rows as :class:`SampleEntry` objects, built from the arrays on each access.
 """
 
@@ -212,17 +213,9 @@ def exhaustive_solve(c: HuboCoefficients, keep: int) -> SampleSet:
     size = 1 << c.n
     if keep > size:
         raise UsageError(f"keep={keep} exceeds the 2^{c.n} = {size} configurations")
-    energies = energies_all_states(c)
     # Spin-lex ascending equals state-integer descending (x=1 <-> Z=-1 at the MSB).
-    order = np.lexsort((-np.arange(size), energies))[:keep]
-    return SampleSet(
-        spins=states_to_spins(order, c.n),
-        counts=np.ones(keep, dtype=np.int64),
-        energies=energies[order],
-        sampler_name="exhaustive",
-        seed=0,
-        metadata={"distinct_states": str(keep)},
-    )
+    order = np.lexsort((-np.arange(size), energies_all_states(c)))[:keep]
+    return _aggregate(c, states_to_spins(order, c.n), "exhaustive", 0)
 
 
 def simulated_annealing(
@@ -253,9 +246,6 @@ def simulated_annealing(
     if t_start is None:
         scale = c.max_abs_coefficient()
         t_start = max(2.0 * c.n * scale if scale > 0.0 else 1.0, t_end)
-        if t_start == math.inf:
-            raise UsageError(f"default t_start 2 * n * max|coefficient| = 2 * {c.n} * {scale:.3g} "
-                             "overflows: set --t-start or smaller --w1/--w2/--w3")
     if not t_end <= t_start < math.inf:
         raise UsageError(f"need finite t_start >= t_end > 0, got ({t_start}, {t_end})")
 

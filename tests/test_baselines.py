@@ -183,11 +183,6 @@ class TestLogistic:
         proba = model.predict_proba(X)
         assert np.all(np.diff(proba) > 0) and proba[0] < 1e-4 and proba[-1] > 1 - 1e-4
 
-    @pytest.mark.parametrize("l2", [0.0, -1e-3, float("nan")])
-    def test_l2_must_be_positive(self, l2):
-        with pytest.raises(UsageError):
-            logistic_fit(*arrays([[0.5], [-0.5]], [1, 0]), l2=l2)
-
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             logistic_fit(*arrays([[1.0], [2.0]], [1, 1]))

@@ -5,8 +5,10 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_instance, term_dict
+from conftest import random_instance, term_dict, write_demo_csv
 from hubofs import baselines, dcqo, mi, samplers
 from hubofs.cli import main
 from hubofs.dataset import MAX_BINS, discretize, load_csv, standardize, stratified_split
@@ -168,18 +170,57 @@ def test_non_finite_parameter_exit_code(stage, flags, built, demo_csv, tmp_path,
     assert f"error [{stage}]" in capsys.readouterr().err
 
 
-def test_overflowing_default_t_start_names_its_cause(demo_csv, tmp_path, capsys):
-    # The weights and coefficients are finite; the default t_start, 2 * n * max|c|, is not.
+def test_overflowing_default_t_start_names_its_cause(demo_csv, built, tmp_path, capsys):
+    # Each coefficient is finite, but 2 * n * (sum|h| + sum|J| + sum|K|), which bounds the
+    # default t_start = 2 * n * max|c| and every energy, is not: build refuses the weights.
     out = tmp_path / "run"
     flags = ["--input", demo_csv, "--target", "label", "--w1", "1e308", "--w2", "1e308"]
     capsys.readouterr()
     assert run_cli("run", *flags, "--out", out) == 2
     err = capsys.readouterr().err
-    assert "error [run]" in err and "--t-start" in err and "--w1" in err
-    assert "max|coefficient|" in err and "Traceback" not in err
-    sample = ["sample", "--coefficients", out / "coefficients.json", "--out", tmp_path / "s"]
-    assert run_cli(*sample) == 2
-    assert "--t-start" in capsys.readouterr().err
+    assert "error [run]" in err and "weights w1, w2, w3 = 1e+308, 1e+308, 0.3" in err
+    assert "sum|h| + sum|J| + sum|K|" in err and "Traceback" not in err
+    assert not (out / "coefficients.json").exists()
+    # A coefficient file that holds such an instance is malformed.
+    doc = json.loads((built / "coefficients.json").read_text())
+    doc["h"] = [1e308] * len(doc["h"])
+    path = tmp_path / "overflowing.json"
+    path.write_text(json.dumps(doc))
+    assert run_cli("sample", "--coefficients", path, "--out", tmp_path / "s") == 3
+    err = capsys.readouterr().err
+    assert "error [sample]" in err and "must be finite" in err and "Traceback" not in err
+
+
+EDGE_VALUES = ["0", "-1", "1e-320", "0.5", "1e306", "1e308", "nan", "inf"]
+EDGE_FLAGS = ["--w1", "--w2", "--w3", "--lambda", "--tau", "--p", "--t-start", "--t-end",
+              "--total-time", "--rho", "--delta"]
+
+
+@pytest.fixture(scope="module")
+def tiny_table(tmp_path_factory):
+    root = tmp_path_factory.mktemp("tiny")
+    write_demo_csv(root / "tiny.csv", n_rows=60)
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    sampler=st.sampled_from(["sa", "dcqo", "random", "exhaustive"]),
+    values=st.dictionaries(st.sampled_from(EDGE_FLAGS), st.sampled_from(EDGE_VALUES), max_size=3),
+)
+@example(sampler="sa", values={"--w1": "1e308", "--w2": "1e308", "--w3": "1e308", "--t-start": "1"})
+@example(sampler="dcqo", values={"--w1": "1e306", "--w2": "1e306", "--w3": "1e306"})
+@example(sampler="exhaustive", values={"--w1": "1e308", "--w2": "1e308", "--w3": "1e308"})
+@example(sampler="random", values={"--w1": "1e308", "--w2": "1e308", "--w3": "1e308"})
+@example(sampler="dcqo", values={"--total-time": "1e308"})
+def test_every_input_ends_in_a_documented_exit_code(tiny_table, sampler, values):
+    # A numpy RuntimeWarning is an error under this suite's filter, so it fails the run too.
+    flags = [item for flag_value in values.items() for item in flag_value]
+    code = run_cli(
+        "run", "--input", tiny_table / "tiny.csv", "--target", "label", "--sampler", sampler,
+        "--shots", 16, "--sweeps", 10, "--steps", 3, *flags, "--out", tiny_table / "out",
+    )
+    assert code in (0, 2, 3, 4)
 
 
 class TestSample:
@@ -277,8 +318,13 @@ class TestSample:
         [
             (["--t-start", "1e300", "--t-end", "1e-300", "--sweeps", "3"], "underflows"),
             (["--sampler", "dcqo", "--total-time", "1e-310"], "dl/dt overflows"),
+            (["--sampler", "dcqo", "--total-time", "1e308"], "pi * total_time finite"),
+            # The demo build's max|E - constant| is about 5.04: dt * 5.04 overflows.
+            (["--sampler", "dcqo", "--total-time", "5e307", "--steps", "1"],
+             "dt * max|E - constant|"),
         ],
-        ids=["sa_temperature_underflow", "dcqo_rate_overflow"],
+        ids=["sa_temperature_underflow", "dcqo_rate_overflow", "dcqo_schedule_overflow",
+             "dcqo_phase_overflow"],
     )
     def test_degenerate_schedule_exit_2_without_warnings(self, built, tmp_path, capsys,
                                                           flags, cause):

@@ -18,7 +18,6 @@ from hubofs.dcqo import (
     gate_counts,
     schedule_lambda,
     schedule_lambda_dot,
-    statevector_probe,
 )
 from hubofs.errors import CapabilityError, HubofsError, UsageError
 from hubofs.hubo import (
@@ -37,6 +36,16 @@ def zero_instance(n):
 def basis_spins(n):
     """(2^n, n) spins of every basis state; feature 0 is the most significant bit."""
     return 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+
+
+def statevector_probe(c, sched, mode="full"):
+    """Exact diagnostics: (overlap with the ground manifold, <H>)."""
+    energies = energies_all_states(c)
+    amplitudes, _ = evolve_statevector(c, sched, mode)
+    probs = np.abs(amplitudes) ** 2
+    e_min = float(energies.min())
+    manifold = energies <= e_min + 1e-9 * max(1.0, abs(e_min))
+    return float(probs[manifold].sum()), float(probs @ energies)
 
 
 def per_term_evolution(c, sched, mode):
@@ -98,6 +107,13 @@ class TestSchedule:
             build_schedule(10, 1e-310)
         assert info.value.exit_code == 2
         assert np.isfinite(build_schedule(10, 1e-300).lambda_dot_values).all()
+
+    def test_total_time_whose_arguments_overflow_refused(self):
+        # pi * t overflows past T of about 5.7e307, and math.sin(inf) raises ValueError.
+        with pytest.raises(UsageError, match=r"pi \* total_time finite") as info:
+            build_schedule(2, 1e308)
+        assert info.value.exit_code == 2
+        assert np.isfinite(build_schedule(2, 5e307).lambda_values).all()
 
     def test_steps_past_the_cap_refused_before_the_schedule(self, monkeypatch):
         def refuse(*args):
@@ -229,6 +245,17 @@ class TestEvolution:
         with pytest.raises(CapabilityError):
             evolve_statevector(zero_instance(21), build_schedule(5, 1.0))
 
+    def test_phase_that_overflows_refused(self):
+        # dt = 5e307; dt * max|E - constant| is 2e308 at |h| = 4 and 1.5e308 at |h| = 3.
+        def one_spin(h):
+            return HuboCoefficients.from_terms(n=1, h=np.array([h]), j_terms={}, k_terms={})
+
+        sched = build_schedule(1, 5e307)
+        with pytest.raises(UsageError, match=r"dt \* max\|E - constant\| of one step") as info:
+            evolve_statevector(one_spin(4.0), sched)
+        assert info.value.exit_code == 2
+        assert evolve_statevector(one_spin(3.0), sched)[1] < 1e-9
+
     def test_diagonal_phase_terms_commute(self):
         c = random_instance(6, 5)
         rng = np.random.default_rng(0)
@@ -357,18 +384,6 @@ class TestProbe:
         ]
         assert all(b > a for a, b in zip(overlaps, overlaps[1:]))
         assert overlaps[-1] > 0.9
-
-    def test_all_states_built_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            dcqo, "energies_all_states", lambda c: calls.append(c) or energies_all_states(c)
-        )
-        c = random_instance(44, 5)
-        overlap, expectation = statevector_probe(c, build_schedule(10, 3.0))
-        assert len(calls) == 1
-        final, _ = evolve_statevector(c, build_schedule(10, 3.0))
-        probs = np.abs(final) ** 2
-        assert expectation == probs @ energies_all_states(c)
 
     def test_variational_bound(self):
         for trial in range(5):

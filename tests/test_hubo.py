@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -148,6 +149,18 @@ class TestBuildCoefficients:
         t_bad = MiTensors.from_terms(relevance=np.array([1.5]), redundancy={}, triadic={})
         with pytest.raises(UsageError):
             build_coefficients(t_bad, 1.0, 1.0, 1.0)
+
+
+    def test_instance_whose_energy_scale_overflows_refused(self):
+        # Every coefficient is finite; 2 * n * (sum|h| + sum|J| + sum|K| + |constant|) is not.
+        t = MiTensors.from_terms(relevance=np.ones(2), redundancy={(0, 1): 1.0}, triadic={})
+        with pytest.raises(UsageError, match=r"got inf at n=2 \(weights w1, w2, w3 = 1e\+308, 1"):
+            build_coefficients(t, 1e308, 1.0, 1.0)
+        c = build_coefficients(t, 1e307, 1e307, 1.0)  # 2 * 2 * 3e307 is finite
+        assert np.isfinite(energies_all_states(c)).all()
+        for constant in (float("nan"), float("inf"), 1e308):
+            with pytest.raises(UsageError, match="must be finite"):
+                replace(c, constant=constant)
 
 
 class TestPenalty:
@@ -435,6 +448,7 @@ class TestCoefficientIo:
             lambda doc: doc.__setitem__("feature_names", ["a", "b"]),
             lambda doc: doc.__setitem__("feature_names", ["a", "b", 3]),
             lambda doc: doc.__setitem__("feature_names", "abc"),
+            lambda doc: doc["K"][0].__setitem__(3, 1e308),  # finite, but 2 * n * sum is not
         ],
     )
     def test_malformed_file_is_data_error(self, tmp_path, corrupt):
