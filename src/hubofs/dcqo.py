@@ -36,19 +36,36 @@ qubit, a different O(dt^2) Trotter order. :func:`gate_counts` still tallies
 the per-term gates of the hardware circuit. Basis ordering: the amplitude at
 index s belongs to the x-bitstring of s with feature 0 as the most
 significant bit, matching the all-states energy evaluator.
+
+Halves (after the split of distributed statevector simulators, Smelyanskiy et
+al., "qHiPSTER", arXiv:1601.07195): the state lives in an anonymous shared
+mapping. From :data:`_FORK_QUBITS` = 15 qubits on, where ``os.sched_getaffinity``
+lists two or more CPUs, a worker made by ``os.fork`` applies every layer to one
+half of the basis states while this process applies it to the other. Qubit 0's
+rotations split along qubit 1; every other rotation and the diagonal phase split
+along qubit 0. The halves meet after each qubit-0 rotation and at each norm
+check, which this process runs on the whole state while the worker waits. Every
+operation works element by element, so the amplitudes and the drift have the
+bits of the unsplit loop, which runs below the size or on one CPU. The worker is
+a process, not a thread, made by SA's helper: it is always reaped, and killed if
+this process's half raises (at a norm check, say), which a thread cannot be. The
+helper pins the halves to different CPUs: unpinned, the meetings' wake-ups often
+left both halves taking turns on one CPU.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import CapabilityError, HubofsError, UsageError
 from .hubo import HuboCoefficients, energies_all_states, states_to_spins
 from .rng import stream, uniforms
-from .samplers import SampleSet, _aggregate, _check_words
+from .samplers import SampleSet, _aggregate, _check_words, _cpus, _fork_halves
 
 MAX_QUBITS = 20
 # Trotter steps: build_schedule keeps two Python lists of this many floats.
@@ -56,6 +73,8 @@ MAX_STEPS = 100_000
 DEFAULT_STEPS = 50
 DEFAULT_TOTAL_TIME = 10.0
 _NORM_TOL = 1e-9
+# Qubits from which a forked worker evolves half of the statevector.
+_FORK_QUBITS = 15
 
 
 @dataclass(frozen=True)
@@ -149,48 +168,79 @@ def _gathered_fields(energies: np.ndarray, n: int) -> list[np.ndarray]:
     return [0.5 * (np.take(e, 0, axis=q) - np.take(e, 1, axis=q)) for q in range(n)]
 
 
+def _layers(sched, mode, qubits, rest, diagonal, check, meet) -> None:
+    """Apply every step's layers to one part of the statevector.
+
+    ``qubits[q]`` is (state view, axis, field) of qubit q, ``rest`` the view that the
+    diagonal phase multiplies and ``diagonal`` its phases. The parts meet with
+    ``meet()`` after each qubit-0 rotation and with ``meet(check)`` at each norm check.
+    """
+    dt = sched.dt
+    for lam, lam_dot in zip(sched.lambda_values.tolist(), sched.lambda_dot_values.tolist()):
+        if mode == "full":
+            half_x = -(1.0 - lam) * dt
+            cos_x, sin_x = math.cos(half_x), 1j * math.sin(half_x)
+            for q, (view, axis, _) in enumerate(qubits):
+                _rotate(view, axis, cos_x, sin_x, -sin_x)
+                if q == 0:
+                    meet()
+            meet(check)
+            rest *= np.exp(-1j * (lam * dt) * diagonal)
+            meet(check)
+        half_cd = -2.0 * dt * lam_dot * cd_amplitude(lam)
+        for q, (view, axis, field) in enumerate(qubits):
+            half = half_cd * field
+            sin_y = np.sin(half)
+            _rotate(view, axis, np.cos(half), sin_y, sin_y)
+            if q == 0:
+                meet()
+        # Half a statevector's bytes, not to be held through the next step. Freed any
+        # earlier, each qubit's temporaries would be given back to the OS and faulted
+        # in again (7x the page faults at n = 16).
+        del half, sin_y
+        meet(check)
+
+
 def evolve_statevector(
     c: HuboCoefficients, sched: CdSchedule, mode: str = "full"
 ) -> tuple[np.ndarray, float]:
     """Run the digitized evolution; returns (final flat 2^n amplitudes, max norm drift).
 
     It starts from the uniform superposition. A step whose largest phase
-    ``dt * max|E - constant|`` is not finite raises :class:`UsageError`.
+    ``dt * max|E - constant|`` is not finite raises :class:`UsageError`. From
+    :data:`_FORK_QUBITS` qubits on, with two or more CPUs, it runs in two halves
+    (module docstring).
     """
     if c.n > MAX_QUBITS:
         raise CapabilityError(f"statevector simulation needs n <= {MAX_QUBITS}, got n={c.n}")
     if mode not in ("full", "cd_only"):
         raise UsageError(f"mode must be 'full' or 'cd_only', got {mode!r}")
     n = c.n
-    dt = sched.dt
     energies = energies_all_states(c)
     # The constant is a global phase; dropping it keeps layer (b) equal to
     # the product of the per-term phases.
     diagonal = (energies - c.constant).reshape([2] * n)
-    if not math.isfinite(dt * float(np.abs(diagonal).max())):  # a Python product: no warning
+    if not math.isfinite(sched.dt * float(np.abs(diagonal).max())):  # a Python product
         raise UsageError(f"total_time={sched.total_time:.12g} is too large: the phase "
                          "dt * max|E - constant| of one step overflows")
-    state = np.full([2] * n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
+    state = np.frombuffer(mmap.mmap(-1, 16 << n), np.complex128).reshape([2] * n)
+    state[...] = 1.0 / math.sqrt(1 << n)
     fields = _gathered_fields(energies, n)
     worst = 0.0
-    for m in range(sched.steps):
-        lam = float(sched.lambda_values[m])
-        lam_dot = float(sched.lambda_dot_values[m])
-        if mode == "full":
-            half_x = -(1.0 - lam) * dt
-            sin_x = 1j * math.sin(half_x)
-            for q in range(n):
-                _rotate(state, q, math.cos(half_x), sin_x, -sin_x)
-            worst = _check_norm(state, worst)
-            state *= np.exp(-1j * (lam * dt) * diagonal)
-            worst = _check_norm(state, worst)
-        half_cd = -2.0 * dt * lam_dot * cd_amplitude(lam)
-        for q in range(n):
-            half = half_cd * fields[q]
-            sin_y = np.sin(half)
-            _rotate(state, q, np.cos(half), sin_y, sin_y)
-        del half, sin_y  # half a statevector's bytes, not to be held through the next step
+
+    def check():
+        nonlocal worst
         worst = _check_norm(state, worst)
+
+    if n >= _FORK_QUBITS and _cpus() >= 2:
+        # Half h: qubit 1 = h for qubit 0's rotations, qubit 0 = h for every other layer.
+        halves = [([(state.swapaxes(0, 1)[h], 0, fields[0][h])]
+                   + [(state[h], q - 1, f[h]) for q, f in enumerate(fields[1:], 1)],
+                   state[h], diagonal[h]) for h in (0, 1)]
+        _fork_halves("DCQO", *(partial(_layers, sched, mode, *half, check) for half in halves))
+    else:
+        qubits = [(state, q, f) for q, f in enumerate(fields)]
+        _layers(sched, mode, qubits, state, diagonal, check, lambda then=None: then and then())
     return state.reshape(-1), worst
 
 

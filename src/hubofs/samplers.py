@@ -56,9 +56,11 @@ stream from word 0 in whole blocks and keeps its own chains' columns, so every
 chain reads the words above; it picks its step kinds against its own chain
 count and stops at its own freeze. Where ``os.sched_getaffinity`` lists two or
 more CPUs, a worker made by ``os.fork`` anneals the first half into an
-anonymous shared mapping while this process anneals the second; the worker
-is always reaped (killed first if this process's half raised), and a worker
-that fails raises :class:`~hubofs.errors.HubofsError`. Elsewhere the halves
+anonymous shared mapping while this process anneals the second (through
+``_fork_halves``, which DCQO's halves use too, pinning this process to its CPU
+and the worker to the others until the worker is reaped); the worker is always
+reaped (killed first if this process's half raised), and a worker that fails
+raises :class:`~hubofs.errors.HubofsError`. Elsewhere the halves
 run one after the other, with the same bits, so no artifact depends on the
 CPU count. The acceptance tallies add, and ``sa_sweeps_run`` is the larger
 of the halves': a frozen chain never moves again, so the run's first
@@ -147,7 +149,10 @@ class SampleSet:
             raise DataError("spins must be -1 or +1")
         if np.any(self.counts < 1):
             raise DataError("entry counts must be positive")
-        if len(self.counts) > 1 and len(np.unique(self.spins, axis=0)) != len(self.counts):
+        # Each row's packed bits as one opaque key (none at n = 0: a second row repeats).
+        keys = np.ascontiguousarray(np.packbits(self.spins < 0, axis=1))
+        keys = keys.view(np.dtype((np.void, max(keys.shape[1], 1))))
+        if len(self.counts) > 1 and len(np.unique(keys)) != len(self.counts):
             raise DataError("duplicate spin configurations in sample set")
 
     def __eq__(self, other):
@@ -268,8 +273,10 @@ def simulated_annealing(
     outs = shared[2 * shots * n :].view(np.int64).reshape(len(ranges), 11)
     jobs = [(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out)
             for (lo, hi), out in zip(ranges, outs)]
-    if len(jobs) == 2 and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) >= 2:
-        _anneal_forked(*jobs)
+    if len(jobs) == 2 and _cpus() >= 2:
+        parent = os.getpid()
+        _fork_halves("SA", lambda meet: _anneal(*jobs[0], parent=parent),
+                     lambda meet: _anneal(*jobs[1]))
     else:
         for job in jobs:
             _anneal(*job)
@@ -309,10 +316,11 @@ def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None
     spins[...] = spins_from_bits(gen.random_raw(block).reshape(n, shots)[:, lo:hi]).T
     fields[...] = local_fields(c.h, jmat, kcube, spins)
     moved_buf, update_buf, field_buf = (np.empty((rows, n)) for _ in range(3))
-    scale_buf = np.empty(rows)
-    # At a subnormal temperature a ratio may overflow to +-inf; exp(min(-inf, 0)) = 0
-    # rejects and min(+inf, 0) = 0 accepts, the exact decisions, so the overflow is
-    # silenced; a field that overflows still fails _check_fields.
+    scale_buf, ratio, accept = np.empty(rows), np.empty(rows), np.empty(rows, bool)
+    # u <= exp(ratio), ratio = -delta / T: a positive ratio's exp is >= 1 >= u, so no
+    # min(ratio, 0) is needed. At a subnormal temperature a ratio may overflow to +-inf;
+    # exp(-inf) = 0 rejects and exp(+inf) accepts, the exact decisions, so the overflow
+    # is silenced; a field that overflows still fails _check_fields.
     with np.errstate(over="ignore"):
         for sweep, temp in enumerate(temps):
             if parent is not None and os.getppid() != parent:
@@ -320,8 +328,10 @@ def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None
             u = uniforms(gen.random_raw(block).reshape(n, shots)[:, lo:hi])
             accepted = 0
             for i in range(n):
-                delta = -2.0 * spins[:, i] * fields[:, i]
-                accept = u[i] <= np.exp(np.minimum(-delta / temp, 0.0))
+                np.multiply(spins[:, i], fields[:, i], out=ratio)
+                ratio *= 2.0
+                ratio /= temp
+                np.less_equal(u[i], np.exp(ratio, out=ratio), out=accept)
                 k = int(np.count_nonzero(accept))
                 if k >= _DENSE_SHARE * rows:
                     # Every chain at once; a rejected chain's row is scaled by 0 and subtracts ±0.
@@ -352,35 +362,71 @@ def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None
     out[10] = sweep + 1
 
 
-def _anneal_forked(first, second) -> None:
-    """Anneal the ``_anneal`` arguments ``first`` in a forked worker and ``second`` here.
+def _fork_halves(name: str, first, second) -> None:
+    """Run ``first(meet)`` in a worker made by ``os.fork`` and ``second(meet)`` here.
 
-    The worker never returns into the caller: it exits 0 when done, and 1 with one stderr
-    line on any exception. It is always reaped, and killed first if this process's own
-    half raised.
+    ``meet(then=None)`` is where the halves meet, through a pipe pair: the worker says
+    it has arrived and waits; this process waits for it, calls ``then``, and lets it go
+    on. A worker whose parent is gone reads EOF there and ends. The worker never
+    returns into the caller: it exits 0 when done, and 1 with one stderr line on any
+    exception. It is always reaped, and killed first if this process's own half
+    raised; a worker that failed raises :class:`~hubofs.errors.HubofsError`.
     """
-    parent = os.getpid()
+    # The halves are pinned apart: a woken half was often placed on the CPU of the half
+    # that woke it, and the two took turns there (seen on a 2-vCPU VM). This process
+    # keeps the CPU it last ran on (field 39 of /proc/self/stat) and the worker the rest.
+    cpus = os.sched_getaffinity(0)
+    with open("/proc/self/stat") as stat:
+        here = {int(stat.read().rsplit(")", 1)[1].split()[36])}
+    go_r, go_w = os.pipe()  # this process -> worker
+    arrived_r, arrived_w = os.pipe()  # worker -> this process
     sys.stdout.flush()  # else the worker would inherit, and could repeat, buffered output
     sys.stderr.flush()
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
-            _anneal(*first, parent=parent)
+            os.sched_setaffinity(0, cpus - here or cpus)
+            os.close(go_w)  # then this process's exit leaves the worker an EOF
+
+            def meet(then=None):
+                os.write(arrived_w, b".")
+                if not os.read(go_r, 1):
+                    raise HubofsError(f"the {name} worker lost its parent process")
+
+            first(meet)
             status = 0
         except BaseException as exc:  # the worker ends below either way
-            print(f"error [sa worker]: {exc!r}", file=sys.stderr, flush=True)
+            print(f"error [{name.lower()} worker]: {exc!r}", file=sys.stderr, flush=True)
         finally:
             os._exit(status)
+    os.close(arrived_w)  # then the worker's exit leaves this process an EOF
+
+    def meet(then=None):
+        if not os.read(arrived_r, 1):
+            raise HubofsError(f"the {name} worker process ended before the halves met")
+        if then is not None:
+            then()
+        os.write(go_w, b".")  # go_r is open here, so this never breaks the pipe
+
     try:
-        _anneal(*second)
+        os.sched_setaffinity(0, here)
+        second(meet)
     except BaseException:
         os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        for fd in (go_r, go_w, arrived_r):
+            os.close(fd)
         status = os.waitpid(pid, 0)[1]
+        os.sched_setaffinity(0, cpus)
     if status:
-        raise HubofsError(f"the SA worker process failed (wait status {status})")
+        raise HubofsError(f"the {name} worker process failed (wait status {status})")
+
+
+def _cpus() -> int:
+    """The CPUs in this process's affinity mask (0 where the platform cannot say)."""
+    return len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
 
 
 def _check_words(words: int, what: str) -> None:

@@ -1,4 +1,10 @@
+import contextlib
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -364,6 +370,111 @@ class TestEvolution:
         save_samples(a, evolve_and_sample(c, sched, shots=256, seed=5))
         save_samples(b, evolve_and_sample(c, sched, shots=256, seed=5))
         assert a.read_bytes() == b.read_bytes()
+
+
+# Runs a 16-qubit evolution in two halves with two CPUs reported; this process's half
+# ends the process (os._exit) at its first norm check, orphaning the worker mid-run.
+ORPHANING = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import random_instance
+from hubofs import dcqo
+dcqo._cpus = lambda: 2
+dcqo._check_norm = lambda state, worst: os._exit(0)
+dcqo.evolve_statevector(random_instance(3, 16), dcqo.build_schedule(2, 3.0))
+"""
+
+
+class TestHalves:
+    """From ``_FORK_QUBITS`` on, a forked worker evolves half of the statevector."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Two CPUs reported; the list gains each worker's pid."""
+        monkeypatch.setattr(dcqo, "_cpus", lambda: 2)
+        made, fork = [], os.fork
+
+        def recording():
+            pid = fork()
+            if pid:
+                made.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording)
+        yield made
+        with pytest.raises(ChildProcessError):  # no worker is left behind
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mode, steps", [("full", 3), ("cd_only", 2)])
+    def test_forked_halves_equal_the_unsplit_loop(self, monkeypatch, forks, mode, steps):
+        n = dcqo._FORK_QUBITS + 1
+        c, sched = random_instance(90, n), build_schedule(steps, 4.0)
+        forked = evolve_statevector(c, sched, mode)
+        assert len(forks) == 1
+        monkeypatch.setattr(dcqo, "_cpus", lambda: 1)
+        unsplit = evolve_statevector(c, sched, mode)
+        assert len(forks) == 1
+        assert forked[0].tobytes() == unsplit[0].tobytes()
+        assert forked[1] == unsplit[1]
+
+    @pytest.mark.parametrize("n", [1, dcqo._FORK_QUBITS - 1])
+    def test_no_fork_below_the_size_constant(self, forks, n):
+        evolve_statevector(random_instance(91, n), build_schedule(2, 4.0))
+        assert forks == []
+
+    def test_the_halves_are_pinned_apart_and_the_mask_restored(self, monkeypatch, forks):
+        cpus = os.sched_getaffinity(0)
+        if len(cpus) < 2:
+            pytest.skip("the halves are pinned apart only where two CPUs are allowed")
+        masks, check = [], dcqo._check_norm
+
+        def recording(state, worst):  # runs here while the worker waits
+            masks.append((os.sched_getaffinity(0), os.sched_getaffinity(forks[0])))
+            return check(state, worst)
+
+        monkeypatch.setattr(dcqo, "_check_norm", recording)
+        evolve_statevector(random_instance(94, dcqo._FORK_QUBITS), build_schedule(1, 4.0))
+        here, there = masks[0]
+        assert len(here) == 1 and here.isdisjoint(there) and here | there == cpus
+        assert os.sched_getaffinity(0) == cpus
+
+    def test_a_failing_worker_raises_and_is_reaped(self, monkeypatch, forks, capfd):
+        rotate, me = dcqo._rotate, os.getpid()
+
+        def failing(*args):
+            if os.getpid() != me:
+                raise RuntimeError("worker fault")
+            rotate(*args)
+
+        monkeypatch.setattr(dcqo, "_rotate", failing)
+        with pytest.raises(HubofsError, match="DCQO worker"):
+            evolve_statevector(random_instance(92, dcqo._FORK_QUBITS), build_schedule(2, 4.0))
+        assert len(forks) == 1
+        assert "error [dcqo worker]: RuntimeError('worker fault')" in capfd.readouterr().err
+
+    def test_a_norm_drift_here_kills_the_worker(self, monkeypatch, forks):
+        monkeypatch.setattr(dcqo, "_NORM_TOL", -1.0)  # every norm check now fails here
+        kills, kill = [], os.kill
+        monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(sig) or kill(pid, sig))
+        with pytest.raises(HubofsError, match="statevector norm drifted"):
+            evolve_statevector(random_instance(93, dcqo._FORK_QUBITS), build_schedule(2, 4.0))
+        assert len(forks) == 1
+        assert kills == [signal.SIGKILL]
+
+    def test_an_orphaned_worker_ends_at_its_next_meeting(self):
+        # stderr reaches EOF only once the worker, which holds it too, has ended.
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(tests).parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", ORPHANING, tests], env=env,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            with contextlib.suppress(ProcessLookupError):  # a worker still alive on failure
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 0
+        assert "error [dcqo worker]: HubofsError('the DCQO worker lost its parent process')" in err
 
 
 class TestProbe:

@@ -594,7 +594,7 @@ FORKING_CLI = """
 import os, sys
 from hubofs import cli, samplers
 samplers._FORK_WORK = 0
-os.sched_getaffinity = lambda pid: {0, 1}
+samplers._cpus = lambda: 2
 fork, forks = os.fork, []
 os.fork = lambda: forks.append(1) or fork()
 code = cli.main(sys.argv[1:])
@@ -608,7 +608,7 @@ class TestHalves:
 
     @staticmethod
     def cpus(monkeypatch, count):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        monkeypatch.setattr(samplers, "_cpus", lambda: count)
 
     @pytest.mark.parametrize("n", [5, 12, 32])
     def test_forked_halves_equal_halves_in_process(self, monkeypatch, n):
@@ -833,6 +833,25 @@ class TestSampleFile:
         assert [e.count for e in loaded.entries] == [e.count for e in res.entries]
         for got, expect in zip(loaded.entries, res.entries):
             assert got.energy == pytest.approx(expect.energy, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [3, 9, 17])  # one, two and three packed bytes per row
+    def test_duplicate_rows_refused(self, tmp_path, n):
+        spins = np.ones((3, n), dtype=np.int8)
+        spins[1:, -1] = -1  # rows 1 and 2 are one configuration; row 0 differs in its last bit
+
+        def first(rows):
+            return SampleSet(spins=spins[:rows], counts=np.ones(rows), energies=np.zeros(rows),
+                             sampler_name="test", seed=0)
+
+        assert first(2).n == n
+        with pytest.raises(DataError, match="duplicate spin configurations"):
+            first(3)
+        path = tmp_path / "dup.csv"
+        head = "0" * (n - 1)
+        path.write_text(f"# schema={SAMPLE_SCHEMA}\n# n={n}\nbitstring,count,energy\n"
+                        f"{head}0,1,0\n{head}1,1,0\n{head}1,2,0\n")
+        with pytest.raises(DataError, match="duplicate spin configurations"):
+            load_samples(path)
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
