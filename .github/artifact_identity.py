@@ -43,6 +43,8 @@ FLAG_SETS = {
     "exhaustive_k12": ["--sampler", "exhaustive", "--preselect-k", "12"],
     # keep = shots clamped to all 2^4 = 16 states.
     "exhaustive_k4": ["--sampler", "exhaustive", "--preselect-k", "4"],
+    # keep = all 2^12 states: two packed bytes per row key, energies handed to _aggregate.
+    "exhaustive_k12_all": ["--sampler", "exhaustive", "--preselect-k", "12", "--shots", "4096"],
     "random": ["--sampler", "random", "--delta", "0.4"],
     "dcqo_cd_only_k12": ["--sampler", "dcqo", "--preselect-k", "12", "--mode", "cd_only",
                          "--steps", "5"],

@@ -54,9 +54,6 @@ class SpinConfig:
         if any(s not in (-1, 1) for s in self.spins):
             raise UsageError(f"spins must be -1 or +1, got {self.spins}")
 
-    def __len__(self) -> int:
-        return len(self.spins)
-
 
 @dataclass(frozen=True)
 class HuboCoefficients:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .artifacts import read_tagged, write_tagged
 from .errors import DataError, UsageError
-from .samplers import SampleSet
+from .samplers import SampleSet, _row_keys
 
 IMPORTANCE_SCHEMA = "hubofs-importance/1"
 IMPORTANCE_FIELDS = ("feature_index", "feature_name", "importance", "selected")
@@ -31,7 +31,7 @@ def retain_low_energy(s: SampleSet, rho: float) -> SampleSet:
     if s.total_shots < 1:
         raise DataError("cannot retain from an empty sample set")
     k = max(1, math.floor(rho * s.total_shots))
-    order = np.lexsort((*s.spins.T[::-1], s.energies))
+    order = np.lexsort((_row_keys(s.spins), s.energies))
     counts = s.counts[order]
     before = np.cumsum(counts) - counts  # shots ranked ahead of each row
     keep = before < k

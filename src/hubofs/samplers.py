@@ -72,12 +72,12 @@ holds the fields.
 
 A :class:`SampleSet` is three arrays: ``spins`` (distinct configurations x n,
 int8, one row each), ``counts`` (int64, shots per row) and ``energies``
-(float64). Every sampler hands its spin rows to one builder, ``_aggregate``,
-which canonicalizes the set: duplicate configurations merge, rows sort by
-(energy, lexicographic spins with -1 < +1), energies come from
-:func:`hubofs.hubo.energy_many`, and the metadata records the number of rows
-(``distinct_states``). ``SampleSet.entries`` is a read-only view of the
-rows as :class:`SampleEntry` objects, built from the arrays on each access.
+(float64). Rows compare only by ``_row_keys``: one packed key per row, whose
+bytes sort like the spins (-1 < +1). Every sampler's rows go to one builder,
+``_aggregate``: equal keys merge, rows sort by (energy, key), the energies are
+exhaustive's own or else :func:`hubofs.hubo.energy_many`'s, and the metadata
+records the number of rows (``distinct_states``). ``SampleSet.entries`` is a
+read-only view of the rows as :class:`SampleEntry` objects, built on each access.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ import numpy as np
 from .artifacts import read_tagged, write_tagged
 from .errors import CapabilityError, DataError, HubofsError, UsageError
 from .hubo import (
-    MAX_ALL_STATES_N,
     HuboCoefficients,
     SpinConfig,
     dense_couplings,
@@ -149,10 +148,7 @@ class SampleSet:
             raise DataError("spins must be -1 or +1")
         if np.any(self.counts < 1):
             raise DataError("entry counts must be positive")
-        # Each row's packed bits as one opaque key (none at n = 0: a second row repeats).
-        keys = np.ascontiguousarray(np.packbits(self.spins < 0, axis=1))
-        keys = keys.view(np.dtype((np.void, max(keys.shape[1], 1))))
-        if len(self.counts) > 1 and len(np.unique(keys)) != len(self.counts):
+        if len(self.counts) > 1 and len(np.unique(_row_keys(self.spins))) != len(self.counts):
             raise DataError("duplicate spin configurations in sample set")
 
     def __eq__(self, other):
@@ -185,18 +181,25 @@ class SampleSet:
         return float(self.energies.min())
 
 
+def _row_keys(spins: np.ndarray) -> np.ndarray:
+    """The packed key of each row of a (S, n) spin matrix; none at n = 0, where rows repeat."""
+    keys = np.ascontiguousarray(np.packbits(spins > 0, axis=1))
+    return keys.view(np.dtype((np.void, max(keys.shape[1], 1)))).ravel()
+
+
 def _aggregate(
     c: HuboCoefficients,
     spin_matrix: np.ndarray,
     sampler_name: str,
     seed: int,
     metadata: dict[str, str] | None = None,
+    energies: np.ndarray | None = None,
 ) -> SampleSet:
-    uniq, counts = np.unique(spin_matrix, axis=0, return_counts=True)
-    energies = energy_many(c, uniq)
-    order = np.argsort(energies, kind="stable")  # np.unique rows are already spin-lex
+    _, first, counts = np.unique(_row_keys(spin_matrix), return_index=True, return_counts=True)
+    energies = energy_many(c, spin_matrix[first]) if energies is None else energies[first]
+    order = np.argsort(energies, kind="stable")  # the unique keys are already spin-lex
     return SampleSet(
-        spins=uniq[order],
+        spins=spin_matrix[first[order]],
         counts=counts[order],
         energies=energies[order],
         sampler_name=sampler_name,
@@ -209,18 +212,18 @@ def exhaustive_solve(c: HuboCoefficients, keep: int) -> SampleSet:
     """All 2^n configurations, keeping the ``keep`` lowest-energy ones.
 
     Ties break lexicographically on spins (-1 < +1). Ground-truth oracle for
-    desk-scale validation; refuses n > ``MAX_ALL_STATES_N`` (24).
+    desk-scale validation; each energy is evaluated once, by :func:`energies_all_states`,
+    which refuses n > ``MAX_ALL_STATES_N`` (24) before it allocates anything.
     """
-    if c.n > MAX_ALL_STATES_N:
-        raise CapabilityError(f"exhaustive enumeration needs n <= {MAX_ALL_STATES_N}, got n={c.n}")
     if keep < 1:
         raise UsageError(f"keep must be >= 1, got {keep}")
-    size = 1 << c.n
+    energies = energies_all_states(c)
+    size = len(energies)
     if keep > size:
         raise UsageError(f"keep={keep} exceeds the 2^{c.n} = {size} configurations")
     # Spin-lex ascending equals state-integer descending (x=1 <-> Z=-1 at the MSB).
-    order = np.lexsort((-np.arange(size), energies_all_states(c)))[:keep]
-    return _aggregate(c, states_to_spins(order, c.n), "exhaustive", 0)
+    order = np.lexsort((-np.arange(size), energies))[:keep]
+    return _aggregate(c, states_to_spins(order, c.n), "exhaustive", 0, energies=energies[order])
 
 
 def simulated_annealing(

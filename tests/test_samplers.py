@@ -206,6 +206,42 @@ class TestExhaustive:
         with pytest.raises(UsageError):
             exhaustive_solve(zero_instance(3), 0)
 
+    def test_size_refused_before_keep_is_checked(self):
+        # energies_all_states refuses n > 24 whatever keep is, so the CLI still exits 4.
+        with pytest.raises(CapabilityError, match="n <= 24"):
+            exhaustive_solve(zero_instance(25), 1 << 26)
+
+
+class TestRowKeys:
+    @staticmethod
+    def rows_with_repeats(n, seed):
+        """300 rows drawn from 40 random spin rows, so most rows repeat."""
+        gen = np.random.default_rng(seed)
+        pool = gen.choice(np.array([-1, 1], dtype=np.int8), size=(40, n))
+        return pool[gen.integers(0, len(pool), 300)]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 57])  # byte edges and padding
+    def test_keys_sort_and_merge_like_the_rows(self, n):
+        gen = np.random.default_rng(n)
+        for spins in (gen.choice(np.array([-1, 1], dtype=np.int8), size=(500, n)),
+                      self.rows_with_repeats(n, n)):
+            keys = samplers._row_keys(spins)
+            assert keys.shape == (len(spins),)
+            assert np.array_equal(np.argsort(keys, kind="stable"), np.lexsort(spins.T[::-1]))
+            _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+            rows, row_counts = np.unique(spins, axis=0, return_counts=True)
+            assert np.array_equal(spins[first], rows)
+            assert np.array_equal(counts, row_counts)
+
+    @pytest.mark.parametrize("n", [1, 5, 9, 17])
+    def test_given_energies_build_the_same_set(self, n):
+        c = random_instance(80 + n, n)
+        spins = self.rows_with_repeats(n, 80 + n)
+        given = _aggregate(c, spins, "sa", 3, energies=hubo.energy_many(c, spins))
+        evaluated = _aggregate(c, spins, "sa", 3)
+        assert given == evaluated
+        assert given.energies.tobytes() == evaluated.energies.tobytes()
+
 
 class TestSimulatedAnnealing:
     def test_flat_landscape(self):
