@@ -14,14 +14,17 @@ row that differs. ``comparison.svg`` carries no tag and follows
 ``comparison.csv``'s. ``samples.csv`` derives from ``coefficients.json``: when
 only the coefficients' tag moved, its energies may move in their last digits,
 so it is compared on its bitstring and count columns in row order, and the
-largest energy change is reported. Last, it prints the line counts of both
-trees' ``src/hubofs``. Exits 1 on any difference.
+largest energy change is reported. Each run starts in its own session and
+writes to a log file; a run that leaves a process of that session running is
+reported, killed and counted as a difference. Last, it prints the line counts
+of both trees' ``src/hubofs``. Exits 1 on any difference.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
@@ -97,13 +100,32 @@ def source_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "hubofs").glob("*.py"))
 
 
-def hubofs_run(tree: Path, csv: Path, out: Path, flags: list[str]) -> None:
+def hubofs_run(name: str, tree: Path, csv: Path, out: Path, flags: list[str]) -> bool:
+    """Run ``hubofs run`` in its own session; True if it left a process running.
+
+    Output goes to a log beside ``out``: a pipe would stay open, and this wait hang,
+    while a surviving worker held it.
+    """
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     argv = [sys.executable, "-m", "hubofs.cli", "run", "--input", str(csv), "--target",
             table.TARGET, "--seed", "7", "--out", str(out), *flags]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        sys.exit(f"{tree}: hubofs run {' '.join(flags)} exited {done.returncode}\n{done.stderr}")
+    log = out.with_suffix(".log")
+    with open(log, "w", encoding="utf-8") as fh:
+        proc = subprocess.Popen(argv, env=env, stdout=fh, stderr=subprocess.STDOUT,
+                                start_new_session=True)
+        code = proc.wait()
+    try:
+        os.killpg(proc.pid, 0)
+    except ProcessLookupError:
+        left = False
+    else:
+        print(f"{name}: {tree} left a process running")
+        os.killpg(proc.pid, signal.SIGKILL)
+        left = True
+    if code != 0:
+        tail = "\n".join(log.read_text(encoding="utf-8").splitlines()[-20:])
+        sys.exit(f"{tree}: hubofs run {' '.join(flags)} exited {code}\n{tail}")
+    return left
 
 
 def main(argv: list[str]) -> int:
@@ -115,8 +137,9 @@ def main(argv: list[str]) -> int:
         table.write_table(csv, seed)
         for name, flags in FLAG_SETS.items():
             outs = [Path(tmp) / name / side for side in ("head", "base")]
+            outs[0].parent.mkdir()
             for tree, out in zip((ROOT, base), outs):
-                hubofs_run(tree, csv, out, flags)
+                differ += hubofs_run(name, tree, csv, out, flags)
             for file in sorted({p.name for out in outs for p in out.iterdir()}):
                 head, other = (out / file for out in outs)
                 tags = (schema(head), schema(other))

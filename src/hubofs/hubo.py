@@ -108,7 +108,7 @@ class HuboCoefficients:
     def j_terms(self) -> dict[tuple[int, int], float]:
         """``{(i, j): J_ij}``, built from the arrays on each access: a view for the
         benchmark scripts that goes with ROADMAP item 1, along with
-        ``SampleSet.entries``, ``SpinConfig`` and the xoshiro generators."""
+        ``SampleSet.entries``, ``SpinConfig`` and the inert xoshiro names."""
         return dict(zip(map(tuple, self.pairs.tolist()), self.j.tolist()))
 
     @property

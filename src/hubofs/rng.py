@@ -31,11 +31,9 @@ stream, keyed by their ``seed``, at fixed positions:
 
 Runs with different seeds read different keys, so they share no stream.
 
-``Xoshiro256StarStar`` and ``VectorXoshiro256StarStar`` (xoshiro256** by
-Blackman & Vigna, seeded with splitmix64) are the generators of the
-``hubofs-samples/2`` files. No sampler uses them any more; they stay only
-because ``perfbench/tracer.py`` wraps their methods when it installs, and go
-away with that tracer.
+``Xoshiro256StarStar`` and ``VectorXoshiro256StarStar`` are inert names whose
+methods raise ``NotImplementedError``: they exist only because
+``perfbench/tracer.py``'s ``install()`` wraps them, and go with that tracer.
 """
 
 from __future__ import annotations
@@ -61,74 +59,13 @@ def spins_from_bits(words: np.ndarray) -> np.ndarray:
     return (1 - 2 * (words >> np.uint64(63))).astype(np.int8)
 
 
-def splitmix64_stream(seed: int, count: int) -> list[int]:
-    """First ``count`` outputs of splitmix64 started from ``seed``."""
-    x = seed & _MASK64
-    out = []
-    for _ in range(count):
-        x = (x + 0x9E3779B97F4A7C15) & _MASK64
-        z = x
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out.append(z ^ (z >> 31))
-    return out
+def _retired(*args, **kwargs):
+    raise NotImplementedError("the xoshiro256** generators are retired; samplers read rng.stream")
 
 
 class Xoshiro256StarStar:
-    """Scalar xoshiro256** stream seeded via splitmix64."""
-
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
-
-    def __init__(self, seed: int):
-        self._s0, self._s1, self._s2, self._s3 = splitmix64_stream(seed, 4)
-
-    def next_u64(self) -> int:
-        s1 = self._s1
-        result = ((((s1 * 5) & _MASK64) << 7 | ((s1 * 5) & _MASK64) >> 57) & _MASK64) * 9 & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 = self._s2 ^ self._s0
-        s3 = self._s3 ^ s1
-        self._s1 = s1 ^ s2
-        self._s0 = self._s0 ^ s3
-        self._s2 = s2 ^ t
-        self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        return result
-
-    def random(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * _INV_2_53
-
-    def next_bit(self) -> int:
-        """Top bit of the next output word (fair coin)."""
-        return self.next_u64() >> 63
+    random = next_bit = _retired
 
 
 class VectorXoshiro256StarStar:
-    """Lane-parallel xoshiro256**: lane ``i`` is exactly ``Xoshiro256StarStar(seeds[i])``."""
-
-    def __init__(self, seeds):
-        states = [splitmix64_stream(int(s), 4) for s in seeds]
-        arr = np.array(states, dtype=np.uint64).T
-        self._s = [arr[i].copy() for i in range(4)]
-        self.n_lanes = arr.shape[1]
-
-    def next_u64(self) -> np.ndarray:
-        s0, s1, s2, s3 = self._s
-        with np.errstate(over="ignore"):
-            r = s1 * np.uint64(5)
-            result = ((r << np.uint64(7)) | (r >> np.uint64(57))) * np.uint64(9)
-            t = s1 << np.uint64(17)
-            s2 = s2 ^ s0
-            s3 = s3 ^ s1
-            s1 = s1 ^ s2
-            s0 = s0 ^ s3
-            s2 = s2 ^ t
-            s3 = (s3 << np.uint64(45)) | (s3 >> np.uint64(19))
-        self._s = [s0, s1, s2, s3]
-        return result
-
-    def random(self) -> np.ndarray:
-        return (self.next_u64() >> np.uint64(11)).astype(np.float64) * _INV_2_53
-
-    def next_bit(self) -> np.ndarray:
-        return (self.next_u64() >> np.uint64(63)).astype(np.int64)
+    __init__ = random = next_bit = _retired

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from hubofs.rng import (
-    Xoshiro256StarStar,
-    VectorXoshiro256StarStar,
-    spins_from_bits,
-    splitmix64_stream,
-    stream,
-    uniforms,
-)
+from hubofs import rng
+from hubofs.rng import spins_from_bits, stream, uniforms
 
 MASK64 = (1 << 64) - 1
 
@@ -55,58 +49,17 @@ def test_word_maps_to_uniform_and_spin():
     assert spins_from_bits(words).dtype == np.int8
 
 
-# xoshiro256** backs no sampler; it stays while perfbench/tracer.py wraps it.
-def test_splitmix64_known_values():
-    # Frozen from the documented recurrence; any port must reproduce these.
-    assert splitmix64_stream(0, 3) == [
-        0xE220A8397B1DCDAF,
-        0x6E789E6AA1B965F4,
-        0x06C45D188009454F,
-    ]
-    assert splitmix64_stream(1234567, 2) == [
-        0x599ED017FB08FC85,
-        0x2C73F08458540FA5,
-    ]
-
-
-def test_xoshiro_stream_frozen():
-    gen = Xoshiro256StarStar(42)
-    first = [gen.next_u64() for _ in range(4)]
-    gen2 = Xoshiro256StarStar(42)
-    assert [gen2.next_u64() for _ in range(4)] == first
-    assert all(0 <= v < 2**64 for v in first)
-    assert len(set(first)) == 4
-
-
-def test_random_in_unit_interval():
-    gen = Xoshiro256StarStar(7)
-    values = [gen.random() for _ in range(1000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-    assert 0.4 < float(np.mean(values)) < 0.6
-
-
-def test_vector_lanes_match_scalar_streams():
-    seeds = [0, 1, 7, 2**63, 12345]
-    scalars = [Xoshiro256StarStar(s) for s in seeds]
-    vec = VectorXoshiro256StarStar(seeds)
-    for _ in range(50):
-        expect = [g.next_u64() for g in scalars]
-        got = [int(v) for v in vec.next_u64()]
-        assert got == expect
-
-
-def test_vector_random_matches_scalar_random():
-    seeds = [3, 4]
-    scalars = [Xoshiro256StarStar(s) for s in seeds]
-    vec = VectorXoshiro256StarStar(seeds)
-    for _ in range(20):
-        expect = [g.random() for g in scalars]
-        got = list(vec.random())
-        assert got == expect
-
-
-def test_next_bit_is_top_bit():
-    gen_a = Xoshiro256StarStar(99)
-    gen_b = Xoshiro256StarStar(99)
-    for _ in range(32):
-        assert gen_a.next_bit() == gen_b.next_u64() >> 63
+# The attributes perfbench/tracer.py's install() wraps: present, and inert.
+@pytest.mark.parametrize(
+    "owner, attr",
+    [
+        (rng.VectorXoshiro256StarStar, "__init__"),
+        (rng.VectorXoshiro256StarStar, "random"),
+        (rng.VectorXoshiro256StarStar, "next_bit"),
+        (rng.Xoshiro256StarStar, "random"),
+        (rng.Xoshiro256StarStar, "next_bit"),
+    ],
+)
+def test_retired_xoshiro_names_raise(owner, attr):
+    with pytest.raises(NotImplementedError):
+        getattr(owner, attr)(None)

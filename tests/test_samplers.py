@@ -1,4 +1,6 @@
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -638,6 +640,19 @@ print(f"forks={len(forks)}", file=sys.stderr)
 sys.exit(code)
 """
 
+# This process's own half (no parent pid) ends the process at once, orphaning the worker.
+ORPHANING = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+from conftest import random_instance
+from hubofs import samplers
+samplers._FORK_WORK = 0
+samplers._cpus = lambda: 2
+anneal = samplers._anneal
+samplers._anneal = lambda *a, parent=None: anneal(*a, parent=parent) if parent else os._exit(0)
+samplers.simulated_annealing(random_instance(3, 12), 400, 200, seed=1)
+"""
+
 
 class TestHalves:
     """From ``_FORK_WORK`` on, SA anneals two halves of its chains, the first in a worker."""
@@ -750,6 +765,21 @@ class TestHalves:
         plain, forked = (logs[label].read_text(encoding="utf-8") for label in ("plain", "forked"))
         assert [line.split(":")[0] for line in plain.splitlines()[:3]] == ["build", "sample", "select"]
         assert forked == plain
+
+    def test_an_orphaned_worker_ends_at_its_next_sweep(self):
+        # stderr reaches EOF only once the worker, which holds it too, has ended.
+        tests = str(Path(__file__).resolve().parent)
+        src = str(Path(tests).parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", ORPHANING, tests], env=env,
+                                stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            err = proc.communicate(timeout=60)[1]
+        finally:
+            with contextlib.suppress(ProcessLookupError):  # a worker still alive on failure
+                os.killpg(proc.pid, signal.SIGKILL)
+        assert proc.returncode == 0
+        assert "error [sa worker]: HubofsError('the SA worker lost its parent process')" in err
 
 
 class TestShotsCap:
