@@ -16,8 +16,10 @@ only the coefficients' tag moved, its energies may move in their last digits,
 so it is compared on its bitstring and count columns in row order, and the
 largest energy change is reported. Each run starts in its own session and
 writes to a log file; a run that leaves a process of that session running is
-reported, killed and counted as a difference. Last, it prints the line counts
-of both trees' ``src/hubofs``. Exits 1 on any difference.
+reported, killed and counted as a difference. Each flag set's peak RSS on both
+trees is printed and not compared: ``ru_maxrss`` from ``os.wait4``, the larger
+of the run's and its reaped workers'. Last, it prints the line counts of both
+trees' ``src/hubofs``. Exits 1 on any difference.
 """
 
 from __future__ import annotations
@@ -100,8 +102,9 @@ def source_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "hubofs").glob("*.py"))
 
 
-def hubofs_run(name: str, tree: Path, csv: Path, out: Path, flags: list[str]) -> bool:
-    """Run ``hubofs run`` in its own session; True if it left a process running.
+def hubofs_run(name: str, tree: Path, csv: Path, out: Path, flags: list[str]) -> tuple[bool, int]:
+    """Run ``hubofs run`` in its own session; (whether it left a process running, its
+    peak RSS in KiB).
 
     Output goes to a log beside ``out``: a pipe would stay open, and this wait hang,
     while a surviving worker held it.
@@ -113,7 +116,8 @@ def hubofs_run(name: str, tree: Path, csv: Path, out: Path, flags: list[str]) ->
     with open(log, "w", encoding="utf-8") as fh:
         proc = subprocess.Popen(argv, env=env, stdout=fh, stderr=subprocess.STDOUT,
                                 start_new_session=True)
-        code = proc.wait()
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = code = os.waitstatus_to_exitcode(status)
     try:
         os.killpg(proc.pid, 0)
     except ProcessLookupError:
@@ -125,7 +129,7 @@ def hubofs_run(name: str, tree: Path, csv: Path, out: Path, flags: list[str]) ->
     if code != 0:
         tail = "\n".join(log.read_text(encoding="utf-8").splitlines()[-20:])
         sys.exit(f"{tree}: hubofs run {' '.join(flags)} exited {code}\n{tail}")
-    return left
+    return left, usage.ru_maxrss
 
 
 def main(argv: list[str]) -> int:
@@ -138,8 +142,10 @@ def main(argv: list[str]) -> int:
         for name, flags in FLAG_SETS.items():
             outs = [Path(tmp) / name / side for side in ("head", "base")]
             outs[0].parent.mkdir()
-            for tree, out in zip((ROOT, base), outs):
-                differ += hubofs_run(name, tree, csv, out, flags)
+            (head_left, head_kb), (base_left, base_kb) = (
+                hubofs_run(name, tree, csv, out, flags) for tree, out in zip((ROOT, base), outs))
+            differ += head_left + base_left
+            print(f"{name}: peak RSS {base_kb / 1024:.1f} -> {head_kb / 1024:.1f} MB")
             for file in sorted({p.name for out in outs for p in out.iterdir()}):
                 head, other = (out / file for out in outs)
                 tags = (schema(head), schema(other))

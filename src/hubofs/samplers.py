@@ -318,7 +318,7 @@ def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None
     gen = stream(seed)
     spins[...] = spins_from_bits(gen.random_raw(block).reshape(n, shots)[:, lo:hi]).T
     fields[...] = local_fields(c.h, jmat, kcube, spins)
-    moved_buf, update_buf, field_buf = (np.empty((rows, n)) for _ in range(3))
+    moved_buf, update_buf = (np.empty((rows, n)) for _ in range(2))
     scale_buf, ratio, accept = np.empty(rows), np.empty(rows), np.empty(rows, bool)
     # u <= exp(ratio), ratio = -delta / T: a positive ratio's exp is >= 1 >= u, so no
     # min(ratio, 0) is needed. At a subnormal temperature a ratio may overflow to +-inf;
@@ -352,9 +352,7 @@ def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None
                     update = k_products(moved, kcube[i], update_buf)
                     update += jmat[i]
                     update *= np.multiply(moved[:, i], 2.0, out=scale_buf[:k])[:, None]
-                    moved_fields = np.take(fields, flips, axis=0, out=field_buf[:k], mode="clip")
-                    moved_fields -= update
-                    fields[flips] = moved_fields
+                    fields[flips] -= update
                     spins[flips, i] = -moved[:, i]
                 tallies[(sweep * n + i) * 10 // (sweeps * n)] += k
                 accepted += k

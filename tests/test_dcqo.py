@@ -4,6 +4,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,6 @@ from hubofs.dcqo import (
     MAX_STEPS,
     CdSchedule,
     _check_norm,
-    _gathered_fields,
     _rotate,
     build_schedule,
     cd_amplitude,
@@ -47,7 +47,7 @@ def basis_spins(n):
 def statevector_probe(c, sched, mode="full"):
     """Exact diagnostics: (overlap with the ground manifold, <H>)."""
     energies = energies_all_states(c)
-    amplitudes, _ = evolve_statevector(c, sched, mode)
+    amplitudes, _, _ = evolve_statevector(c, sched, mode)
     probs = np.abs(amplitudes) ** 2
     e_min = float(energies.min())
     manifold = energies <= e_min + 1e-9 * max(1.0, abs(e_min))
@@ -156,7 +156,7 @@ class TestSchedule:
 class TestEvolution:
     def test_zero_hamiltonian_stays_uniform(self):
         c = zero_instance(4)
-        sv, drift = evolve_statevector(c, build_schedule(30, 5.0))
+        sv, drift, _ = evolve_statevector(c, build_schedule(30, 5.0))
         assert drift < 1e-9
         assert np.allclose(np.abs(sv) ** 2, 1 / 16, atol=1e-12)
         res = evolve_and_sample(c, build_schedule(30, 5.0), shots=4096, seed=1)
@@ -168,7 +168,7 @@ class TestEvolution:
 
     def test_single_qubit_adiabatic_success(self):
         c = HuboCoefficients.from_terms(n=1, h=np.array([1.0]), j_terms={}, k_terms={})
-        sv, _ = evolve_statevector(c, build_schedule(50, 10.0))
+        sv, _, _ = evolve_statevector(c, build_schedule(50, 10.0))
         # x=1 (selected, Z=-1) is the ground state of +Z-field
         assert (np.abs(sv) ** 2)[1] > 0.9
 
@@ -190,7 +190,7 @@ class TestEvolution:
             state = unitary @ state
         oracle = np.abs(state) ** 2
         c = HuboCoefficients.from_terms(n=1, h=np.array([h]), j_terms={}, k_terms={})
-        sv, _ = evolve_statevector(c, build_schedule(800, total_time))
+        sv, _, _ = evolve_statevector(c, build_schedule(800, total_time))
         assert np.abs(np.abs(sv) ** 2 - oracle).max() < 5e-4
 
     def test_two_qubit_matches_exact_time_ordered_propagator(self):
@@ -219,7 +219,7 @@ class TestEvolution:
             state = v @ (np.exp(-1j * w * dt) * (v.conj().T @ state))
         oracle = np.abs(state) ** 2
         c = HuboCoefficients.from_terms(n=2, h=h, j_terms={(0, 1): coupling}, k_terms={})
-        sv, _ = evolve_statevector(c, build_schedule(800, total_time))
+        sv, _, _ = evolve_statevector(c, build_schedule(800, total_time))
         # First-order Trotter error at 800 steps is ~9e-4 in either CD order; a
         # flipped sign of Y_0 Z_1 + Z_0 Y_1 moves the probabilities by ~0.07.
         assert np.abs(np.abs(sv) ** 2 - oracle).max() < 2e-3
@@ -235,14 +235,38 @@ class TestEvolution:
 
     def test_norm_preserved(self):
         c = random_instance(2, 6)
-        _, drift = evolve_statevector(c, build_schedule(80, 12.0))
+        _, drift, _ = evolve_statevector(c, build_schedule(80, 12.0))
         assert drift < 1e-9
+
+    def test_evolution_holds_only_its_documented_arrays(self):
+        # Unsplit, per basis state: the energies, the diagonal and the norm buffer (8 B
+        # each), the rotation's two complex half-states (16 B), the angle, sin and cos
+        # (12 B) and the phases (16 B). The statevector is an anonymous mapping, which
+        # tracemalloc does not see. The slack covers Python objects and ufunc buffers,
+        # made small here; a stored field array (4n B per state) or a temporary made in
+        # every rotation (a complex half-state is 32 KiB) exceeds it.
+        n = 12
+        c, sched = random_instance(7, n), build_schedule(3, 4.0)
+        documented, slack = (8 + 8 + 8 + 16 + 12 + 16) << n, 40 << 10
+        bufsize = np.setbufsize(64)
+        try:
+            evolve_statevector(c, sched)  # Python's and numpy's caches warm up here
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                evolve_statevector(c, sched)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            np.setbufsize(bufsize)
+        assert peak - start <= documented + slack
 
     def test_norm_check_rejects_nan(self):
         with pytest.raises(HubofsError):
-            _check_norm(np.full(2, np.nan), 0.0)
+            _check_norm(np.full(2, np.nan), 0.0, np.empty(2))
         with pytest.raises(HubofsError):
-            _check_norm(np.ones(2), 0.0)
+            _check_norm(np.ones(2), 0.0, np.empty(2))
 
     def test_mode_validation_and_cap(self):
         c = zero_instance(2)
@@ -288,7 +312,7 @@ class TestEvolution:
                 n=n, h=r.h, j_terms=r.j_terms, k_terms=r.k_terms, constant=1.7
             )
             sched = build_schedule(int(rng.integers(1, 6)), float(rng.uniform(1.0, 8.0)))
-            fused, _ = evolve_statevector(c, sched, mode)
+            fused, _, _ = evolve_statevector(c, sched, mode)
             reference = per_term_evolution(c, sched, mode)
             assert np.abs(fused - reference).max() <= 1e-12
 
@@ -296,9 +320,10 @@ class TestEvolution:
     def test_rotation_kernel_matches_both_layer_formulas(self, n):
         # References: the x- and y-rotation formulas of layers (a) and (c), inline.
         rng = np.random.default_rng(n)
-        fields = _gathered_fields(energies_all_states(random_instance(40 + n, n)), n)
+        e = energies_all_states(random_instance(40 + n, n)).reshape([2] * n)
         for q in range(n):
             idx0, idx1 = (slice(None),) * q + (0,), (slice(None),) * q + (1,)
+            field = 0.5 * (np.take(e, 0, axis=q) - np.take(e, 1, axis=q))
             start = rng.normal(size=[2] * n) + 1j * rng.normal(size=[2] * n)
             for lam, dt, lam_dot in ((0.0, 1.7, 0.0), (0.3, 0.2, 0.8), (0.9, 0.05, -2.5)):
                 theta_x = -2.0 * (1.0 - lam) * dt
@@ -307,7 +332,7 @@ class TestEvolution:
                 a0, a1 = x_ref[idx0].copy(), x_ref[idx1]
                 x_ref[idx0] = cos_t * a0 - 1j * sin_t * a1
                 x_ref[idx1] = cos_t * a1 - 1j * sin_t * a0
-                half = -2.0 * dt * lam_dot * cd_amplitude(lam) * fields[q]
+                half = -2.0 * dt * lam_dot * cd_amplitude(lam) * field
                 cos_y, sin_y = np.cos(half), np.sin(half)
                 y_ref = start.copy()
                 a0, a1 = y_ref[idx0].copy(), y_ref[idx1]
@@ -317,28 +342,41 @@ class TestEvolution:
                 half_x = -(1.0 - lam) * dt
                 sin_x = 1j * math.sin(half_x)
                 x_got, y_got = start.copy(), start.copy()
-                _rotate(x_got, q, math.cos(half_x), sin_x, -sin_x)
-                _rotate(y_got, q, cos_y, sin_y, sin_y)
+                bufs = [np.empty([2] * (n - 1), complex) for _ in range(2)]
+                _rotate(x_got, q, math.cos(half_x), sin_x, -sin_x, bufs)
+                _rotate(y_got, q, cos_y, sin_y, sin_y, bufs)
                 assert x_got.tobytes() == x_ref.tobytes()
                 assert y_got.tobytes() == y_ref.tobytes()
 
-    def test_gathered_fields_match_local_fields(self):
-        for n in (1, 3, 6, 8):
+    def test_gathered_fields_match_local_fields(self, monkeypatch):
+        # F_q as the Y layer reads it from each energies view, at the basis states of the
+        # amplitudes the kernel pairs with it: unsplit, and in both halves.
+        parts = []
+        monkeypatch.setattr(dcqo, "_cpus", lambda: 2)
+        monkeypatch.setattr(dcqo, "_layers", lambda sched, mode, *part: parts.append(part))
+        monkeypatch.setattr(dcqo, "_fork_halves",
+                            lambda name, *halves: parts.extend(h.args[2:] for h in halves))
+        for n in (1, 3, 6, 8, dcqo._FORK_QUBITS):
             c = random_instance(20 + n, n)
-            spins = basis_spins(n)
-            expected = local_fields(c.h, *dense_couplings(c), spins)
-            fields = _gathered_fields(energies_all_states(c), n)
-            assert len(fields) == n
-            for q, field in enumerate(fields):
-                assert field.shape == (2,) * (n - 1)
-                full = np.broadcast_to(np.expand_dims(field, q), (2,) * n).reshape(-1)
-                assert np.abs(full - expected[:, q]).max() <= 1e-12
+            expected = local_fields(c.h, *dense_couplings(c), basis_spins(n))
+            parts.clear()
+            evolve_statevector(c, build_schedule(1, 1.0))
+            assert len(parts) == (2 if n >= dcqo._FORK_QUBITS else 1)
+            for h, (_, rest, *_) in enumerate(parts):  # each amplitude holds its basis state
+                rest[...] = h * rest.size + np.arange(rest.size).reshape(rest.shape)
+            for qubits, *_ in parts:
+                assert len(qubits) == n
+                for q, (view, axis, e) in enumerate(qubits):
+                    states = view[(slice(None),) * axis + (0, ...)].real.astype(np.int64)
+                    field = 0.5 * (e[0] - e[1])
+                    assert field.shape == states.shape == (2,) * (n - 1 - (len(parts) > 1))
+                    assert np.abs(field - expected[states, q]).max() <= 1e-12
 
     def test_shot_draws_match_per_shot_loop(self):
         c = random_instance(31, 6)
         sched = build_schedule(20, 5.0)
         shots, seed = 3000, 9
-        final, _ = evolve_statevector(c, sched)
+        final, _, _ = evolve_statevector(c, sched)
         cumulative = np.cumsum(np.abs(final) ** 2)
         words = np.random.Philox(key=seed).random_raw(shots).tolist()
         spins = np.empty((shots, c.n), dtype=np.int8)
@@ -359,8 +397,8 @@ class TestEvolution:
             lambda_dot_values=sched.lambda_dot_values[::-1].copy(),
             total_time=sched.total_time,
         )
-        fwd, _ = evolve_statevector(c, sched, mode="cd_only")
-        rev, _ = evolve_statevector(c, reversed_sched, mode="cd_only")
+        fwd, _, _ = evolve_statevector(c, sched, mode="cd_only")
+        rev, _, _ = evolve_statevector(c, reversed_sched, mode="cd_only")
         assert np.abs(np.abs(fwd) - np.abs(rev)).max() < 1e-9
 
     def test_sampling_reproducible_byte_for_byte(self, tmp_path):
@@ -380,7 +418,7 @@ sys.path.insert(0, sys.argv[1])
 from conftest import random_instance
 from hubofs import dcqo
 dcqo._cpus = lambda: 2
-dcqo._check_norm = lambda state, worst: os._exit(0)
+dcqo._check_norm = lambda state, worst, buf: os._exit(0)
 dcqo.evolve_statevector(random_instance(3, 16), dcqo.build_schedule(2, 3.0))
 """
 
@@ -428,9 +466,9 @@ class TestHalves:
             pytest.skip("the halves are pinned apart only where two CPUs are allowed")
         masks, check = [], dcqo._check_norm
 
-        def recording(state, worst):  # runs here while the worker waits
+        def recording(state, worst, buf):  # runs here while the worker waits
             masks.append((os.sched_getaffinity(0), os.sched_getaffinity(forks[0])))
-            return check(state, worst)
+            return check(state, worst, buf)
 
         monkeypatch.setattr(dcqo, "_check_norm", recording)
         evolve_statevector(random_instance(94, dcqo._FORK_QUBITS), build_schedule(1, 4.0))
