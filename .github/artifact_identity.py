@@ -45,6 +45,9 @@ FLAG_SETS = {
     "k57_shallow": ["--preselect-k", "57", *SHALLOW],
     # At n = 33 this OpenBLAS rounds a row by the product's row count.
     "k33_shallow": ["--preselect-k", "33", *SHALLOW],
+    # The MI kernel's smallest and largest padding: 2 and 64 bins a side.
+    "bins2_k57_shallow": ["--bins", "2", "--preselect-k", "57", *SHALLOW],
+    "bins64_k8_shallow": ["--bins", "64", "--preselect-k", "8", *SHALLOW],
     "exhaustive_k12": ["--sampler", "exhaustive", "--preselect-k", "12"],
     # keep = shots clamped to all 2^4 = 16 states.
     "exhaustive_k4": ["--sampler", "exhaustive", "--preselect-k", "4"],

@@ -42,11 +42,10 @@ from .hubo import (
     SpinConfig,
     apply_penalty,
     build_coefficients,
-    energy,
     normalize_global,
     preselect_top_k,
 )
-from .mi import MiTensors, compute_tensors, cyclic_mi, entropy, mi_joint_pair_single, mi_pair
+from .mi import MiTensors, compute_tensors, mi_pair
 from .postselect import importance, retain_low_energy, threshold_select
 from .samplers import SampleSet, exhaustive_solve, random_sample, simulated_annealing
 
@@ -66,14 +65,10 @@ __all__ = [
     "apply_penalty",
     "build_coefficients",
     "compute_tensors",
-    "cyclic_mi",
     "discretize",
-    "energy",
-    "entropy",
     "exhaustive_solve",
     "importance",
     "load_csv",
-    "mi_joint_pair_single",
     "mi_pair",
     "normalize_global",
     "preselect_top_k",

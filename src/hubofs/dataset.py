@@ -67,7 +67,8 @@ class DiscretizedDataset:
 
 
 def load_csv(path, target_column: str) -> Dataset:
-    """Load a UTF-8 CSV with a header row into a :class:`Dataset`.
+    """Load a UTF-8 CSV with a header row into a :class:`Dataset`; a leading
+    byte-order mark (Excel's "CSV UTF-8") is not part of the first column's name.
 
     Rows with any empty cell are dropped (and counted). Feature columns whose
     remaining values all parse as floats pass through; other columns are
@@ -86,14 +87,14 @@ def _load_numeric(path, target_column: str) -> Dataset | None:
     a header fault, ragged row, empty or quoted cell, ``1_0``, ``nan``, no rows, not two classes."""
     ids: dict[str, int] = {}  # target values, numbered as they appear
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
         t_idx = header.index(target_column)
         with warnings.catch_warnings():  # loadtxt warns on a body with no rows
             warnings.simplefilter("error")
             table = np.loadtxt(
-                path, delimiter=",", comments=None, ndmin=2, encoding="utf-8",
+                path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig",
                 skiprows=reader.line_num, converters={t_idx: lambda v: ids.setdefault(v, len(ids))},
             )
     except (OSError, ValueError, csv.Error, StopIteration, UserWarning):
@@ -110,7 +111,7 @@ def _load_numeric(path, target_column: str) -> Dataset | None:
 def _load_rows(path, target_column: str) -> Dataset:
     """:func:`load_csv` through ``csv.reader``, one Python string per cell."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
     except (OSError, UnicodeDecodeError, csv.Error) as exc:

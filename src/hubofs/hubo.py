@@ -7,9 +7,9 @@ not; the binary view is x_i = (1 - Z_i) / 2. The energy of a configuration is
          + sum_{i<j<k} K_ijk Z_i Z_j Z_k + constant
 
 with terms always accumulated in ascending index-tuple order. There is one
-evaluator, :func:`energy_many`, over a (S, n) spin matrix: :func:`energy` is
-one row of it and :func:`energies_all_states` is every basis state of it, so
-all three produce bitwise identical floats for the same configuration.
+evaluator, :func:`energy_many`, over a (S, n) spin matrix, and
+:func:`energies_all_states` is every basis state of it, so both produce
+bitwise identical floats for the same configuration.
 """
 
 from __future__ import annotations
@@ -214,12 +214,6 @@ def apply_penalty(
         raise UsageError("relevance values must lie in [0, 1]")
     deltas = np.array([hinge_delta(r, lam, tau, p) for r in rel.tolist()])
     return replace(c, h=c.h + deltas, penalty_params=(lam, tau, p), penalty_applied=True)
-
-
-def energy(c: HuboCoefficients, z) -> float:
-    """Exact energy of one configuration: :func:`energy_many` on a single row."""
-    spins = z.spins if isinstance(z, SpinConfig) else z
-    return float(energy_many(c, np.asarray(spins).reshape(1, -1))[0])
 
 
 def energy_many(c: HuboCoefficients, spins: np.ndarray) -> np.ndarray:

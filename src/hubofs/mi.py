@@ -9,28 +9,23 @@ takes a log, a division or a float sort. Two contracts hold:
 
 * An entropy depends only on the multiset of its nonzero counts: a table's
   counts are sorted as integers and their terms added one by one, empty cells
-  first, each adding exactly 0.0. So MI(a, b) == MI(b, a) bitwise, a cyclic MI
-  is the same for every order of its triple, a triadic value is bitwise the
-  mean of its three :func:`mi_joint_pair_single` values, and padding a feature
-  to more bins changes nothing.
+  first, each adding exactly 0.0. So MI(a, b) == MI(b, a) bitwise, and padding
+  a feature to more bins changes nothing.
 * An exactly independent empirical table (``c_ab * N == c_a * c_b`` on every
   cell) gives exactly 0.0. The entropies alone leave a rounding residue of
   either sign there, so a value below a rounding gate is checked in int64 and
   set to 0.0 when its table is independent. Any other negative residue is
   clamped to 0, so coefficient building can rely on non-negativity.
 
-Every two-variable MI (relevance, the pairs, :func:`mi_pair` and
-:func:`mi_joint_pair_single`) comes from one kernel: one ``bincount`` of
-``(n_a, n_b)`` tables per chunk of columns, returning each table's entropy
-beside its MI. The pairs are one call per feature i over every j > i; their
-entropies and the singles' feed the triples. The triples are taken in
-ascending order, in batches that cross pair boundaries, each one ``bincount``
-into ``(t, b, b, b)`` histograms (features padded to the largest bin count b).
-Each triple adds one entropy, H_ijk, for its three groupings such as
-``(H_ij + H_k) - H_ijk``. A call takes as many tables as keep its
-``(tables, N)`` index array and its entropy terms (one per cell) within
-``MAX_CELLS`` entries, and at least one, so its scratch grows with neither the
-number of features nor, beyond one table's index array, N.
+Every count table comes from one kernel, :func:`_tables_mi`. Its input is rows
+of column indices (a single, a pair, a triple, or ``(target, feature)``), each
+table padded to ``b**r`` cells; it returns each table's entropy and, for each
+grouping of the table's axes into A and B, the MI. The singles' and the pairs'
+entropies are computed once, and each triple adds one entropy, H_ijk, for its
+three groupings such as ``(H_ij + H_k) - H_ijk``. A batch takes as many tables
+as keep its ``(tables, N)`` index array and its entropy terms (one per cell)
+within ``MAX_CELLS`` entries, and at least one, so its scratch grows with
+neither the number of tables nor, beyond one table's index array, N.
 """
 
 from __future__ import annotations
@@ -167,69 +162,38 @@ def _mi(h_sum: np.ndarray, h_joint: np.ndarray, joint: np.ndarray, b_axis: int, 
     return np.where(mi < 0.0, 0.0, mi)
 
 
-def _counts(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int) -> np.ndarray:
-    """``(m, n_a, n_b)`` count tables of codes ``a (N,)`` against each row of ``cols (m, N)``."""
-    m = len(cols)
-    flat = np.add(cols, np.arange(0, m * n_a * n_b, n_a * n_b)[:, None], order="C")
-    flat += a * n_b
-    return np.bincount(flat.ravel(), minlength=m * n_a * n_b).reshape(m, n_a, n_b)
-
-
-def _mi_columns(a: np.ndarray, n_a: int, cols: np.ndarray, n_b: int):
-    """``(mi, h_joint)``: the MI of codes ``a`` against each row of ``cols (m, N)``
-    (codes below ``n_b``), and the entropy of each of their count tables."""
-    xlogx = _xlogx(len(a))
-    h_a = _entropies(np.bincount(a, minlength=n_a)[None], xlogx)[0]
-    step = max(1, MAX_CELLS // max(n_a * n_b, len(a)))
-    mi, h_joint = [np.empty(0)], [np.empty(0)]
-    for s in range(0, len(cols), step):
-        joint = _counts(a, n_a, cols[s : s + step], n_b)
-        h_b = _entropies(joint.sum(axis=1), xlogx)
-        h_joint.append(_entropies(joint, xlogx))
-        mi.append(_mi(h_a + h_b, h_joint[-1], joint, 2, len(a)))
-    return np.concatenate(mi), np.concatenate(h_joint)
-
-
-def _pairs_and_triples(binned: np.ndarray, b: int, triples: np.ndarray):
-    """MI of every ascending feature pair of ``binned (N, n)``, and the cyclic MI of each
-    ascending triple (i, j, k) of ``triples``; every feature is padded to ``b`` bins."""
-    cols = np.ascontiguousarray(binned.T)
-    n, size = cols.shape
-    xlogx = _xlogx(size)
-    singles = np.stack([np.bincount(col, minlength=b) for col in cols])
-    h = _entropies(singles, xlogx)
-    pairs = [_mi_columns(cols[i], b, cols[i + 1 :], b) for i in range(n)]
-    redundancy, h_pairs = map(np.concatenate, zip(*pairs))
-    first, second = _combinations(n, 2).T
-    pair_row = np.zeros((n, n), dtype=np.int64)
-    pair_row[first, second] = np.arange(len(first))
-    i, j, k = triples.T
-    h_sums = [h_pairs[pair_row[p, q]] + h[r] for p, q, r in ((i, j, k), (i, k, j), (j, k, i))]
-    cube = b**3
-    step = max(1, MAX_CELLS // max(cube, size))
-    codes = cols.astype(np.min_scalar_type(step * cube - 1))  # the smallest type that holds a key
-    high, mid = codes * (b * b), codes * b
-    keys = np.empty((step, size), dtype=codes.dtype)
-    offsets = np.arange(0, step * cube, cube, dtype=codes.dtype)[:, None]
-    out = [np.empty(0)]
-    for s in range(0, len(triples), step):
-        batch = triples[s : s + step]
+def _tables_mi(cols: np.ndarray, b: int, tuples: np.ndarray, groupings, xlogx: np.ndarray):
+    """``(h, mi)``: the entropy of the count table of each row of ``tuples (m, r)``,
+    indices into the code rows ``cols (n, N)``, each table padded to ``b**r`` cells;
+    and, for each ``(h_sum, axis)`` of ``groupings``, the :func:`_mi` of every table
+    against its entropy sum ``h_sum (m,)``, B on ``axis`` of the ``(m, b, ..., b)``
+    stack."""
+    (m, r), size = tuples.shape, cols.shape[1]
+    cells = b**r
+    step = max(1, MAX_CELLS // max(cells, size))
+    # Each call codes in the smallest type that holds a key, C-ordered.
+    codes = np.ascontiguousarray(cols, dtype=np.min_scalar_type(step * cells - 1))
+    keys = np.empty((min(step, m), size), dtype=codes.dtype)
+    offsets = np.arange(0, len(keys) * cells, cells, dtype=codes.dtype)[:, None]
+    h, mi = [np.empty(0)], [[np.empty(0)] for _ in groupings]
+    for s in range(0, m, step):
+        batch = tuples[s : s + step]
         t = len(batch)
-        # A pair's triples are consecutive, k rising by one: each run adds the pair's
-        # code to a slice of rows.
-        cuts = (np.flatnonzero(np.diff(batch[:, 2]) != 1) + 1).tolist()
+        # Rows of one head whose last index rises by one key one slice of codes each.
+        breaks = (np.diff(batch[:, -1]) != 1) | (np.diff(batch[:, :-1], axis=0) != 0).any(axis=1)
+        cuts = (np.flatnonzero(breaks) + 1).tolist()
         for lo, hi in zip([0, *cuts], [*cuts, t]):
-            i, j, k = batch[lo].tolist()
-            np.add(codes[k : k + hi - lo], high[i] + mid[j], out=keys[lo:hi])
+            *head, last = batch[lo].tolist()
+            key = 0
+            for p in head:
+                key = (key + codes[p]) * b
+            np.add(codes[last : last + hi - lo], key, out=keys[lo:hi])
         keys[:t] += offsets[:t]
-        hist = np.bincount(keys[:t].ravel(), minlength=t * cube).reshape(t, b, b, b)
-        h_ijk = _entropies(hist, xlogx)
-        g0, g1, g2 = (  # (i, j) vs k, (i, k) vs j, (j, k) vs i
-            _mi(h_sum[s : s + step], h_ijk, hist, axis, size)
-            for h_sum, axis in zip(h_sums, (3, 2, 1))
-        )
-        out.append((g0 + g1 + g2) / 3.0)
-    return redundancy, np.concatenate(out)
+        hist = np.bincount(keys[:t].ravel(), minlength=t * cells).reshape(t, *(b,) * r)
+        h.append(_entropies(hist, xlogx))
+        for out, (h_sum, axis) in zip(mi, groupings):
+            out.append(_mi(h_sum[s : s + step], h[-1], hist, axis, size))
+    return np.concatenate(h), [np.concatenate(out) for out in mi]
 
 
 def _compress(codes) -> tuple[np.ndarray, int]:
@@ -238,64 +202,29 @@ def _compress(codes) -> tuple[np.ndarray, int]:
     return inv.astype(np.int64), int(uniq.shape[0])
 
 
-def entropy(codes) -> float:
-    """Shannon entropy (bits) of the empirical distribution of ``codes``."""
-    arr = np.asarray(codes).ravel()
-    if arr.size == 0:
-        raise DataError("entropy of an empty vector is undefined")
-    return float(_entropies(np.bincount(_compress(arr)[0])[None], _xlogx(arr.size))[0])
-
-
 def mi_pair(a, b) -> float:
-    """Plug-in mutual information (bits) between two integer code vectors."""
+    """Plug-in mutual information (bits) between two integer code vectors; its
+    table is padded to the larger of their distinct-value counts a side."""
     av = np.asarray(a)
     bv = np.asarray(b)
     if av.size == 0:
         raise DataError("mutual information of empty vectors is undefined")
     if av.shape != bv.shape:
         raise DataError(f"length mismatch: {av.shape} vs {bv.shape}")
-    inv_a, n_a = _compress(av)
-    inv_b, n_b = _compress(bv)
-    return float(_mi_columns(inv_a, n_a, inv_b[None], n_b)[0][0])
-
-
-def _check_triple(dd: DiscretizedDataset, i: int, j: int, k: int):
-    n = dd.n_features
-    if len({i, j, k}) != 3:
-        raise UsageError(f"indices must be distinct, got ({i}, {j}, {k})")
-    for idx in (i, j, k):
-        if not 0 <= idx < n:
-            raise UsageError(f"feature index {idx} out of range for n={n}")
-
-
-def mi_joint_pair_single(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
-    """MI (bits) between the composite variable (X_i, X_j) and X_k.
-
-    The composite is coded as ``code_i * bin_counts[j] + code_j``.
-    """
-    _check_triple(dd, i, j, k)
-    bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
-    composite = dd.codes[:, i] * bj + dd.codes[:, j]
-    return float(_mi_columns(composite, bi * bj, dd.codes[:, k][None], bk)[0][0])
-
-
-def cyclic_mi(dd: DiscretizedDataset, i: int, j: int, k: int) -> float:
-    """Cyclic average of the three pair-vs-single MI groupings of a triple.
-
-    Indices are canonicalized (sorted) before evaluation, so any permutation
-    of the same triple returns the exact same float.
-    """
-    _check_triple(dd, i, j, k)
-    index = sorted((i, j, k))
-    b = int(dd.bin_counts[index].max())
-    return float(_pairs_and_triples(dd.codes[:, index], b, _combinations(3, 3))[1][0])
+    (inv_a, n_a), (inv_b, n_b) = _compress(av.ravel()), _compress(bv.ravel())
+    cols, b, xlogx = np.stack([inv_a, inv_b]), max(n_a, n_b), _xlogx(av.size)
+    h = _tables_mi(cols, b, _combinations(2, 1), [], xlogx)[0]
+    return float(_tables_mi(cols, b, _combinations(2, 2), [(h[:1] + h[1:], 2)], xlogx)[1][0][0])
 
 
 def relevance(dd: DiscretizedDataset) -> np.ndarray:
     """MI (bits) between each feature and the target, in feature order."""
     target, n_t = _compress(dd.target)
-    b = int(dd.bin_counts.max(initial=1))
-    return _mi_columns(target, n_t, dd.codes.T, b)[0]
+    n, b = dd.n_features, max(int(dd.bin_counts.max(initial=1)), n_t)
+    cols, xlogx = np.vstack([dd.codes.T, target]), _xlogx(len(target))
+    h = _tables_mi(cols, b, _combinations(n + 1, 1), [], xlogx)[0]
+    rows = np.column_stack([np.full(n, n), np.arange(n)])  # (target, feature)
+    return _tables_mi(cols, b, rows, [(h[n] + h[:n], 2)], xlogx)[1][0]
 
 
 def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
@@ -306,9 +235,21 @@ def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
     n = dd.n_features
     if n < 1:
         raise DataError("need at least one feature")
+    cols, b, xlogx = dd.codes.T, int(dd.bin_counts.max()), _xlogx(dd.n_samples)
+    h = _tables_mi(cols, b, _combinations(n, 1), [], xlogx)[0]
+    pairs = _combinations(n, 2)
+    i, j = pairs.T
+    h_pairs, (redundancy,) = _tables_mi(cols, b, pairs, [(h[i] + h[j], 2)], xlogx)
+    pair_row = np.zeros((n, n), dtype=np.int64)
+    pair_row[i, j] = np.arange(len(pairs))
     triples = _combinations(n, 3)
-    redundancy, triadic = _pairs_and_triples(dd.codes, int(dd.bin_counts.max()), triples)
-    return MiTensors(relevance(dd), _combinations(n, 2), redundancy, triples, triadic)
+    i, j, k = triples.T
+    groupings = [  # (i, j) vs k, (i, k) vs j, (j, k) vs i
+        (h_pairs[pair_row[p, q]] + h[r], axis)
+        for p, q, r, axis in ((i, j, k, 3), (i, k, j, 2), (j, k, i, 1))
+    ]
+    g0, g1, g2 = _tables_mi(cols, b, triples, groupings, xlogx)[1]
+    return MiTensors(relevance(dd), pairs, redundancy, triples, (g0 + g1 + g2) / 3.0)
 
 
 def _combinations(n: int, r: int) -> np.ndarray:

@@ -171,6 +171,27 @@ class TestNumericFastPath:
         assert_same_dataset(ds, _load_rows(p, "label"))
 
     @pytest.mark.parametrize(
+        "text, numeric",
+        [
+            ("label,x\n0,1.5\n1,2.5\n0,0.5\n", True),
+            ("x,label\n1.5,0\n2.5,1\n0.5,0\n", True),
+            ("label,c\nneg,u\npos,v\npos,u\n", False),
+            ("c,label\nu,neg\nv,pos\nu,pos\n", False),
+        ],
+        ids=["numeric_target_first", "numeric", "csv_target_first", "csv"],
+    )
+    def test_byte_order_mark_loads_like_the_table_without_it(self, tmp_path, text, numeric):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF, which is not part of a name.
+        plain, marked = write(tmp_path / "plain.csv", text), tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        fast = _load_numeric(marked, "label")
+        assert (fast is not None) == numeric
+        if numeric:
+            assert_same_dataset(fast, _load_numeric(plain, "label"))
+        assert_same_dataset(_load_rows(marked, "label"), _load_rows(plain, "label"))
+        assert_same_dataset(load_csv(marked, "label"), load_csv(plain, "label"))
+
+    @pytest.mark.parametrize(
         "text",
         [
             "a,label\n1,x\n2#3,y\n4,y\n",

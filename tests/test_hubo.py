@@ -16,7 +16,6 @@ from hubofs.hubo import (
     build_coefficients,
     dense_couplings,
     energies_all_states,
-    energy,
     energy_many,
     hinge_delta,
     load_coefficients,
@@ -241,12 +240,11 @@ class TestEnergy:
         c = HuboCoefficients.from_terms(
             n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.3}, k_terms={}
         )
-        assert energy(c, SpinConfig((-1, -1))) == -1.2
-        assert energy(c, SpinConfig((1, 1))) == 1.8
+        assert energy_many(c, np.array([[-1, -1], [1, 1]])).tolist() == [-1.2, 1.8]
 
     def test_three_body_sign_example(self):
         c = HuboCoefficients.from_terms(n=3, h=np.zeros(3), j_terms={}, k_terms={(0, 1, 2): -0.4})
-        assert energy(c, SpinConfig((-1, -1, -1))) == pytest.approx(0.4, abs=1e-15)
+        assert energy_many(c, np.array([[-1, -1, -1]]))[0] == pytest.approx(0.4, abs=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(31)
@@ -254,7 +252,8 @@ class TestEnergy:
             n = int(rng.integers(1, 11))
             c = random_instance(trial, n)
             spins = rng.choice([-1, 1], n)
-            assert energy(c, spins) == pytest.approx(naive_energy(c, spins), abs=1e-12)
+            expect = naive_energy(c, spins)
+            assert energy_many(c, spins[None])[0] == pytest.approx(expect, abs=1e-12)
 
     def test_energy_many_bitwise_equal(self):
         c = random_instance(77, 8)
@@ -262,7 +261,7 @@ class TestEnergy:
         spins = rng.choice([-1, 1], (50, 8)).astype(np.int8)
         batch = energy_many(c, spins)
         for row in range(50):
-            assert batch[row] == energy(c, spins[row])
+            assert batch[row] == energy_many(c, spins[row : row + 1])[0]
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.float64])
     def test_spin_major_rows_keep_the_per_term_bits(self, dtype):
@@ -312,7 +311,7 @@ class TestEnergy:
         assert len(blocks) == -(-64 // block)
         assert np.concatenate(blocks).tolist() == list(range(64))
         for s in range(64):
-            assert energies[s] == energy(c, states_to_spins([s], 6)[0])
+            assert energies[s] == energy_many(c, states_to_spins([s], 6))[0]
 
     def test_all_states_cap_is_capability_error_before_allocation(self, monkeypatch):
         # Same cap and exit code (4) as exhaustive_solve; nothing is enumerated.
@@ -328,7 +327,7 @@ class TestEnergy:
     def test_dimension_mismatch(self):
         c = random_instance(0, 4)
         with pytest.raises(UsageError):
-            energy(c, (1, -1))
+            energy_many(c, np.array([[1, -1]]))
 
     def test_all_selected_ground_state_without_suppressors(self):
         # with w2=w3=lambda=0-equivalents and all h > 0, all-selected wins

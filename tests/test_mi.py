@@ -11,16 +11,7 @@ from conftest import term_dict
 from hubofs import mi
 from hubofs.dataset import MAX_BINS, DiscretizedDataset
 from hubofs.errors import DataError, UsageError
-from hubofs.mi import (
-    compute_tensors,
-    cyclic_mi,
-    entropy,
-    load_tensors,
-    mi_joint_pair_single,
-    mi_pair,
-    relevance,
-    save_tensors,
-)
+from hubofs.mi import MiTensors, compute_tensors, load_tensors, mi_pair, relevance, save_tensors
 
 
 def oracle_entropy(codes) -> float:
@@ -86,6 +77,13 @@ def reference_cyclic(dd, i, j, k) -> float:
     ) / 3.0
 
 
+def reference_pair_vs_single(dd, i, j, k) -> float:
+    """(X_i, X_j) against X_k, binned on the composite code ``code_i * b_j + code_j``."""
+    bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
+    composite = dd.codes[:, i] * bj + dd.codes[:, j]
+    return _mi_from_joint(_joint(composite, bi * bj, dd.codes[:, k], bk))
+
+
 def reference_pair(dd, i, j) -> float:
     bi, bj = int(dd.bin_counts[i]), int(dd.bin_counts[j])
     return _mi_from_joint(_joint(dd.codes[:, i], bi, dd.codes[:, j], bj))
@@ -114,14 +112,16 @@ def make_dd(codes, target=None):
 
 
 class TestEntropy:
+    """An entropy is the self-information MI(a; a)."""
+
     def test_examples(self):
-        assert entropy([0, 1, 0, 1]) == 1.0
-        assert entropy([3, 3, 3]) == 0.0
-        assert entropy([0, 0, 1, 2]) == oracle_entropy([0, 0, 1, 2]) == 1.5
+        assert mi_pair([0, 1, 0, 1], [0, 1, 0, 1]) == 1.0
+        assert mi_pair([3, 3, 3], [3, 3, 3]) == 0.0
+        assert mi_pair([0, 0, 1, 2], [0, 0, 1, 2]) == oracle_entropy([0, 0, 1, 2]) == 1.5
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            entropy([])
+            mi_pair([], [])
 
 
 class TestMiPair:
@@ -157,66 +157,71 @@ class TestMiPair:
         b = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
         forward = mi_pair(a, b)
         assert forward == mi_pair(b, a)
-        assert 0.0 <= forward <= min(entropy(a), entropy(b)) + 1e-12
+        assert 0.0 <= forward <= min(oracle_entropy(a.tolist()), oracle_entropy(b.tolist())) + 1e-12
 
 
 class TestTriples:
     def test_composite_determines_duplicate(self):
-        # X_k identical to X_i, X_j independent of both
+        # X_2 identical to X_0, X_1 independent of both: (X_0, X_1) determines X_2 and
+        # (X_1, X_2) determines X_0, while X_1 shares nothing with (X_0, X_2).
         codes = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1]])
-        dd = make_dd(codes)
-        assert mi_joint_pair_single(dd, 0, 1, 2) == pytest.approx(
-            entropy(codes[:, 2]), abs=1e-12
-        )
+        t = compute_tensors(make_dd(codes))
+        h = oracle_entropy(codes[:, 2].tolist())
+        assert t.triadic[0] == pytest.approx(2 * h / 3, abs=1e-12)
 
     def test_constant_columns(self):
-        dd = make_dd(np.zeros((6, 3), dtype=int))
-        assert mi_joint_pair_single(dd, 0, 1, 2) == 0.0
-        assert cyclic_mi(dd, 0, 1, 2) == 0.0
+        t = compute_tensors(make_dd(np.zeros((6, 3), dtype=int)))
+        assert t.redundancy.tolist() == [0.0] * 3
+        assert t.triadic.tolist() == [0.0]
 
     def test_against_contingency_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             codes = rng.integers(0, 2, (16, 3))
-            dd = make_dd(codes)
-            pair = [tuple(row) for row in codes[:, :2]]
-            expect = oracle_mi(pair, list(codes[:, 2]))
-            assert mi_joint_pair_single(dd, 0, 1, 2) == pytest.approx(expect, abs=1e-12)
+            groupings = [
+                oracle_mi(list(zip(codes[:, p], codes[:, q])), list(codes[:, r]))
+                for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
+            ]
+            triadic = compute_tensors(make_dd(codes)).triadic[0]
+            assert triadic == pytest.approx(sum(groupings) / 3.0, abs=1e-12)
 
     def test_cyclic_identical_columns(self):
         col = np.array([0, 1, 2, 0, 1, 2])
-        dd = make_dd(np.column_stack([col, col, col]))
-        assert cyclic_mi(dd, 0, 1, 2) == pytest.approx(entropy(col), abs=1e-12)
+        t = compute_tensors(make_dd(np.column_stack([col, col, col])))
+        assert t.triadic[0] == pytest.approx(oracle_entropy(col.tolist()), abs=1e-12)
 
     def test_cyclic_independent_columns(self):
         # three mutually independent empirical columns (full factorial design)
         rows = list(itertools.product([0, 1], repeat=3))
-        dd = make_dd(np.array(rows))
-        assert cyclic_mi(dd, 0, 1, 2) == 0.0
+        assert compute_tensors(make_dd(np.array(rows))).triadic.tolist() == [0.0]
 
     def test_cyclic_permutation_invariant_exactly(self):
+        # A triple's table has bitwise one entropy in every axis order, so each grouping
+        # is the same float in any column order; a column permutation moves only the
+        # order in which the three are added.
         rng = np.random.default_rng(9)
         codes = rng.integers(0, 3, (24, 4))
         dd = make_dd(codes)
-        reference = cyclic_mi(dd, 0, 1, 2)
-        for perm in itertools.permutations((0, 1, 2)):
-            assert cyclic_mi(dd, *perm) == reference
+        orders = np.array(list(itertools.permutations((0, 1, 2))))
+        h_ijk = mi._tables_mi(codes.T, 3, orders, [], mi._xlogx(24))[0]
+        assert len(set(h_ijk.tolist())) == 1
+        for order in orders:
+            t = compute_tensors(make_dd(codes[:, order]))
+            assert t.triadic[0] == reference_cyclic(dd, *order)
 
     def test_composite_at_least_as_informative(self):
         rng = np.random.default_rng(21)
         for _ in range(40):
             codes = rng.integers(0, 3, (20, 3))
-            dd = make_dd(codes)
-            joint = mi_joint_pair_single(dd, 0, 1, 2)
+            joint = mi_pair(codes[:, 0] * 3 + codes[:, 1], codes[:, 2])
             assert joint >= mi_pair(codes[:, 0], codes[:, 2]) - 1e-12
             assert joint >= mi_pair(codes[:, 1], codes[:, 2]) - 1e-12
 
     def test_index_validation(self):
-        dd = make_dd(np.zeros((4, 3), dtype=int))
-        with pytest.raises(UsageError):
-            mi_joint_pair_single(dd, 0, 0, 1)
-        with pytest.raises(UsageError):
-            cyclic_mi(dd, 0, 1, 5)
+        # A triple's indices must be distinct and below n.
+        for triple in ((0, 0, 1), (0, 1, 5)):
+            with pytest.raises(UsageError):
+                MiTensors.from_terms(np.zeros(3), {}, {triple: 0.5})
 
 
 class TestComputeTensors:
@@ -241,7 +246,8 @@ class TestComputeTensors:
         col = rng.integers(0, 4, 50)
         dd = make_dd(np.column_stack([col, col, rng.integers(0, 3, 50)]))
         t = compute_tensors(dd)
-        assert term_dict(t.pairs, t.redundancy)[(0, 1)] == pytest.approx(entropy(col), abs=1e-12)
+        redundancy = term_dict(t.pairs, t.redundancy)[(0, 1)]
+        assert redundancy == pytest.approx(oracle_entropy(col.tolist()), abs=1e-12)
 
     def test_matches_pointwise_functions(self):
         rng = np.random.default_rng(8)
@@ -252,7 +258,7 @@ class TestComputeTensors:
         for key, value in term_dict(t.pairs, t.redundancy).items():
             assert value == mi_pair(dd.codes[:, key[0]], dd.codes[:, key[1]])
         for key, value in term_dict(t.triples, t.triadic).items():
-            assert value == cyclic_mi(dd, *key)
+            assert value == reference_cyclic(dd, *key)
 
     def test_triadic_matches_pair_vs_single_reference(self):
         # compute_tensors reads one 3-D histogram three ways; the reference
@@ -266,9 +272,9 @@ class TestComputeTensors:
             triadic = term_dict(t.triples, t.triadic)
             for a, b, c in itertools.combinations(range(5), 3):
                 expect = (
-                    mi_joint_pair_single(dd, a, b, c)
-                    + mi_joint_pair_single(dd, a, c, b)
-                    + mi_joint_pair_single(dd, b, c, a)
+                    reference_pair_vs_single(dd, a, b, c)
+                    + reference_pair_vs_single(dd, a, c, b)
+                    + reference_pair_vs_single(dd, b, c, a)
                 ) / 3.0
                 assert triadic[(a, b, c)] == expect
 
@@ -319,14 +325,7 @@ def assert_matches_reference(dd):
         assert mi_pair(dd.codes[:, i], dd.codes[:, j]) == expect
         assert mi_pair(dd.codes[:, j], dd.codes[:, i]) == expect
     for i, j, k in itertools.combinations(range(n), 3):
-        expect = reference_cyclic(dd, i, j, k)
-        assert triadic[(i, j, k)] == expect
-        assert cyclic_mi(dd, k, i, j) == expect
-        bi, bj, bk = (int(dd.bin_counts[idx]) for idx in (i, j, k))
-        composite = dd.codes[:, i] * bj + dd.codes[:, j]
-        assert mi_joint_pair_single(dd, i, j, k) == _mi_from_joint(
-            _joint(composite, bi * bj, dd.codes[:, k], bk)
-        )
+        assert triadic[(i, j, k)] == reference_cyclic(dd, i, j, k)
 
 
 class TestBatchedKernel:
@@ -358,32 +357,32 @@ class TestBatchedKernel:
         assert_matches_reference(structured_dd(n_features=6, n_samples=500))
 
     def test_scratch_per_call_is_bounded(self, monkeypatch):
-        # More features or more rows mean more kernel calls, not larger ones:
-        # each call's index array (tables x N) and count stack stay within
+        # More features or more rows mean more kernel batches, not larger ones:
+        # each batch's index array (tables x N) and count stack stay within
         # MAX_CELLS while one table fits; so do the entropy kernel's terms, one
         # per cell of the tables it is handed.
         monkeypatch.setattr(mi, "MAX_CELLS", 2000)
         sizes = []
-        counts, entropies = mi._counts, mi._entropies
+        bincount, entropies = np.bincount, mi._entropies
 
-        def spy_counts(a, n_a, cols, n_b):
-            sizes.append(cols.size)
-            return counts(a, n_a, cols, n_b)
+        def spy_bincount(keys, minlength=0):
+            sizes.extend([keys.size, minlength])
+            return bincount(keys, minlength=minlength)
 
         def spy_entropies(tables, xlogx):
             sizes.append(tables.size)
             return entropies(tables, xlogx)
 
-        monkeypatch.setattr(mi, "_counts", spy_counts)
+        monkeypatch.setattr(mi.np, "bincount", spy_bincount)
         monkeypatch.setattr(mi, "_entropies", spy_entropies)
         dd = structured_dd(n_features=12, n_samples=500, bins=3)
         assert_matches_reference(dd)
         assert max(sizes) <= 2000
         sizes.clear()
         relevance(dd)
-        # The target's 2 counts, then 4 features per call at N = 500: their index
-        # array, their 3 bin counts and their (2, 3) tables.
-        assert sizes == [2] + [4 * 500, 4 * 3, 4 * 2 * 3] * 3
+        # 4 tables per batch at N = 500: the 13 singles (12 features and the target)
+        # as 3-cell tables, then the 12 (target, feature) tables padded to (3, 3).
+        assert sizes == [4 * 500, 4 * 3, 4 * 3] * 3 + [500, 3, 3] + [4 * 500, 4 * 9, 4 * 9] * 3
 
     @pytest.mark.parametrize("cells, batch", [(700, 11), (200, 3)])
     def test_triple_batches_cross_and_split_pairs(self, monkeypatch, cells, batch):
@@ -411,25 +410,33 @@ class TestBatchedKernel:
 
     def test_unequal_bins_padded_up_to_max_bins(self):
         # One 64-bin feature pads every histogram to 64**3 cells: one triple per call.
+        # The kernel's padding edges: 64 bins beside 2-bin features, and every feature
+        # constant (b = 1), where relevance pads up to the target's 2 classes.
         rng = np.random.default_rng(64)
-        bins = np.array([3, MAX_BINS, 17, 2, 40])
-        codes = np.column_stack([rng.integers(0, b, 300) for b in bins])
-        codes[: len(bins), :] = bins - 1  # every bin count is reached
-        dd = DiscretizedDataset(codes=codes, bin_counts=bins, target=rng.integers(0, 2, 300))
-        assert_matches_reference(dd)
+        for bins in ([3, MAX_BINS, 17, 2, 40], [2, MAX_BINS, 2, 2], [1, 1, 1, 1]):
+            bins = np.array(bins)
+            codes = np.column_stack([rng.integers(0, b, 300) for b in bins])
+            codes[: len(bins), :] = bins - 1  # every bin count is reached
+            target = rng.integers(0, 2, 300)
+            assert set(target) == {0, 1}
+            dd = DiscretizedDataset(codes=codes, bin_counts=bins, target=target)
+            assert_matches_reference(dd)
 
     def test_kernel_matches_reference_across_summation_blocks(self):
-        # Tables of 1 to 150 rows against 2 columns, 40 per call: their nonzero
-        # counts straddle numpy's pairwise-summation block sizes (8 and 128 terms),
-        # which must not reach the one-by-one entropy sums of the MI or of the
-        # joint entropy handed back beside it.
+        # Tables of 1 to 150 rows against 2 columns, padded to max(rows, 2) a side:
+        # their nonzero counts straddle numpy's pairwise-summation block sizes (8 and
+        # 128 terms), which must not reach the one-by-one entropy sums of the MI or
+        # of the joint entropy handed back beside it.
         rng = np.random.default_rng(2)
         xlogx = _xlogx(400)
         for rows in (1, 4, 5, 63, 64, 65, 150):
             a = rng.integers(0, rows, 400)
             cols = rng.integers(0, 2, (40, 400))
             tables = [_joint(a, rows, col, 2) for col in cols]
-            values, h_joint = mi._mi_columns(a, rows, cols, 2)
+            codes, b, table_xlogx = np.vstack([a, cols]), max(rows, 2), mi._xlogx(400)
+            h = mi._tables_mi(codes, b, np.arange(41)[:, None], [], table_xlogx)[0]
+            pairs = np.column_stack([np.zeros(40, dtype=np.int64), np.arange(1, 41)])
+            h_joint, (values,) = mi._tables_mi(codes, b, pairs, [(h[0] + h[1:], 2)], table_xlogx)
             assert values.tolist() == [_mi_from_joint(table) for table in tables]
             assert h_joint.tolist() == [_entropy_of(table, xlogx) for table in tables]
 
@@ -455,11 +462,10 @@ class TestEntropyForm:
             # pair-vs-single: an arbitrary (i, j) table times z
             joint = rng.integers(0, 3, (len(x), len(y)))
             joint[0, 0] += 1
-            dd = make_dd(codes_of(np.multiply.outer(joint, z), rng))
-            assert mi_joint_pair_single(dd, 0, 1, 2) == 0.0
+            codes = codes_of(np.multiply.outer(joint, z), rng)
+            assert mi_pair(codes[:, 0] * len(y) + codes[:, 1], codes[:, 2]) == 0.0
             # three-way product: every pair and every grouping of the triple
             dd = make_dd(codes_of(np.multiply.outer(np.multiply.outer(x, y), z), rng))
-            assert cyclic_mi(dd, 2, 0, 1) == 0.0
             t = compute_tensors(dd)
             assert t.redundancy.tolist() == [0.0] * 3 and t.triadic.tolist() == [0.0]
 
@@ -489,10 +495,7 @@ class TestEntropyForm:
 
         monkeypatch.setattr(mi.np, "log2", spy_log2)
         compute_tensors(dd)
-        cyclic_mi(dd, 0, 1, 2)
-        mi_joint_pair_single(dd, 0, 1, 2)
         mi_pair(dd.codes[:, 0], rng.integers(0, 9, 300))
-        entropy(dd.codes[:, 1])
         assert sizes and max(sizes) <= 300 + 1
 
 

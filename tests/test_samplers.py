@@ -12,7 +12,7 @@ import pytest
 from conftest import random_instance
 from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
 from hubofs.dcqo import build_schedule, evolve_and_sample
-from hubofs.hubo import HuboCoefficients, energy
+from hubofs.hubo import HuboCoefficients, energy_many
 from hubofs import dcqo, hubo, rng, samplers
 from hubofs.samplers import (
     SAMPLE_SCHEMA,
@@ -289,7 +289,7 @@ class TestSimulatedAnnealing:
         c = random_instance(4, 7)
         res = simulated_annealing(c, shots=40, sweeps=60, seed=5)
         for e in res.entries:
-            assert e.energy == energy(c, e.spins)
+            assert e.energy == energy_many(c, np.array([e.spins.spins]))[0]
 
     def test_parameter_validation(self):
         c = zero_instance(3)
