@@ -1,11 +1,13 @@
-"""Byte-identity of every `hubofs run` artifact against another checkout of the repository.
+"""Byte-identity of every `hubofs` artifact against another checkout of the repository.
 
     python .github/artifact_identity.py BASE_TREE [TABLE_SEED]
 
 Writes the benchmark table for TABLE_SEED (default 3) with ``perfbench/table.py``,
 then runs ``python -m hubofs.cli run --seed 7`` once from this tree's ``src`` and
 once from BASE_TREE's ``src``, under the flags of each benchmark workload and of
-the runs no workload makes (FLAG_SETS). Every artifact whose schema tag is the
+the runs no workload makes (FLAG_SETS). It also runs the stages one by one
+(STANDALONE): ``build``, a shallow SA ``sample``, ``select`` at two deltas and a
+``compare`` of both selections. Every artifact whose schema tag is the
 same on both sides must have the same bytes, and a file that only one side
 wrote is a difference. An artifact whose schema changed (a deliberate format
 change) is reported and does not count as a difference; for a CSV the report
@@ -16,9 +18,9 @@ only the coefficients' tag moved, its energies may move in their last digits,
 so it is compared on its bitstring and count columns in row order, and the
 largest energy change is reported. Each run starts in its own session and
 writes to a log file; a run that leaves a process of that session running is
-reported, killed and counted as a difference. Each flag set's peak RSS on both
-trees is printed and not compared: ``ru_maxrss`` from ``os.wait4``, the larger
-of the run's and its reaped workers'. Last, it prints the line counts of both
+reported, killed and counted as a difference. Each job's peak RSS on both trees
+is printed and not compared: the largest ``ru_maxrss`` from ``os.wait4`` of its
+runs, each the larger of the run's and its reaped workers'. Last, it prints the line counts of both
 trees' ``src/hubofs``. Exits 1 on any difference.
 """
 
@@ -66,6 +68,7 @@ FLAG_SETS = {
     # Halves of 999 and 1000 chains, never frozen.
     "sa_odd_shots": ["--shots", "1999", "--sweeps", "300"],
 }
+STANDALONE = "standalone_shallow"
 TAG_FROM = {"comparison.svg": "comparison.csv"}
 DERIVED = {"samples.csv": "coefficients.json"}
 
@@ -105,17 +108,35 @@ def source_lines(tree: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "hubofs").glob("*.py"))
 
 
-def hubofs_run(name: str, tree: Path, csv: Path, out: Path, flags: list[str]) -> tuple[bool, int]:
-    """Run ``hubofs run`` in its own session; (whether it left a process running, its
+def commands(name: str, csv: Path, out: Path) -> list[list[str]]:
+    """The ``hubofs`` command lines of job ``name``, which write to ``out``: one ``run``
+    under FLAG_SETS[name], or for STANDALONE the stages one by one, the second
+    ``select`` into ``out/second``."""
+    data = ["--input", str(csv), "--target", table.TARGET]
+    if name != STANDALONE:
+        return [["run", *data, "--seed", "7", "--out", str(out), *FLAG_SETS[name]]]
+    coeffs = ["--coefficients", str(out / "coefficients.json")]
+    samples = [*coeffs, "--samples", str(out / "samples.csv")]
+    second = out / "second"
+    return [
+        ["build", *data, "--out", str(out)],
+        ["sample", *coeffs, "--seed", "7", *SHALLOW, "--out", str(out)],
+        ["select", *samples, "--delta", "0.3", "--out", str(out)],
+        ["select", *samples, "--delta", "0.35", "--out", str(second)],
+        ["compare", *data, "--selection", str(out / "importance.csv"),
+         "--selection", str(second / "importance.csv"), "--out", str(out)],
+    ]
+
+
+def hubofs(name: str, tree: Path, args: list[str], log: Path) -> tuple[bool, int]:
+    """Run ``hubofs ARGS`` in its own session; (whether it left a process running, its
     peak RSS in KiB).
 
-    Output goes to a log beside ``out``: a pipe would stay open, and this wait hang,
-    while a surviving worker held it.
+    Output goes to ``log``: a pipe would stay open, and this wait hang, while a
+    surviving worker held it.
     """
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    argv = [sys.executable, "-m", "hubofs.cli", "run", "--input", str(csv), "--target",
-            table.TARGET, "--seed", "7", "--out", str(out), *flags]
-    log = out.with_suffix(".log")
+    argv = [sys.executable, "-m", "hubofs.cli", *args]
     with open(log, "w", encoding="utf-8") as fh:
         proc = subprocess.Popen(argv, env=env, stdout=fh, stderr=subprocess.STDOUT,
                                 start_new_session=True)
@@ -131,7 +152,7 @@ def hubofs_run(name: str, tree: Path, csv: Path, out: Path, flags: list[str]) ->
         left = True
     if code != 0:
         tail = "\n".join(log.read_text(encoding="utf-8").splitlines()[-20:])
-        sys.exit(f"{tree}: hubofs run {' '.join(flags)} exited {code}\n{tail}")
+        sys.exit(f"{tree}: hubofs {' '.join(args)} exited {code}\n{tail}")
     return left, usage.ru_maxrss
 
 
@@ -142,14 +163,19 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / f"table{seed}.csv"
         table.write_table(csv, seed)
-        for name, flags in FLAG_SETS.items():
+        for name in [*FLAG_SETS, STANDALONE]:
             outs = [Path(tmp) / name / side for side in ("head", "base")]
             outs[0].parent.mkdir()
-            (head_left, head_kb), (base_left, base_kb) = (
-                hubofs_run(name, tree, csv, out, flags) for tree, out in zip((ROOT, base), outs))
-            differ += head_left + base_left
-            print(f"{name}: peak RSS {base_kb / 1024:.1f} -> {head_kb / 1024:.1f} MB")
-            for file in sorted({p.name for out in outs for p in out.iterdir()}):
+            kbs = []
+            for tree, out in zip((ROOT, base), outs):
+                runs = [hubofs(name, tree, args, out.with_suffix(f".{step}.log"))
+                        for step, args in enumerate(commands(name, csv, out))]
+                differ += sum(left for left, _ in runs)
+                kbs.append(max(kb for _, kb in runs))
+            print(f"{name}: peak RSS {kbs[1] / 1024:.1f} -> {kbs[0] / 1024:.1f} MB")
+            written = {p.relative_to(out).as_posix()
+                       for out in outs for p in out.rglob("*") if p.is_file()}
+            for file in sorted(written):
                 head, other = (out / file for out in outs)
                 tags = (schema(head), schema(other))
                 if not (head.exists() and other.exists()):

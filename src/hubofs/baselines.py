@@ -4,7 +4,9 @@ The evaluator is L2-regularized logistic regression fitted to its optimum by New
 (IRLS) steps from zero weights (Hastie et al., *Elements of Statistical Learning*,
 2nd ed., 4.4.1): no RNG, so every run gives the same weights. Metrics are accuracy at
 the 0.5 cutoff, F1 of the positive class (0/0 := 0), and Mann-Whitney ROC-AUC with
-tied scores counting one half.
+tied scores counting one half. Rows ``X`` may come in any layout (``X[:, cols]`` is
+Fortran-ordered): as a product's bits follow its operands' layout, each is taken over
+C-ordered rows, copied here if need be, so results depend on the values only.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class LogisticModel:
         self.weights.setflags(write=False)
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        return _sigmoid(features @ self.weights + self.bias)
+        return _sigmoid(np.ascontiguousarray(features) @ self.weights + self.bias)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -81,6 +83,7 @@ def pca_fit(X: np.ndarray, var_threshold: float) -> PcaModel:
         raise UsageError(f"var_threshold must be in (0, 1], got {var_threshold}")
     if X.shape[0] < 2:
         raise DataError("PCA needs at least 2 samples")
+    X = np.ascontiguousarray(X)
     mean = X.mean(axis=0)
     centered = X - mean
     cov = centered.T @ centered / (X.shape[0] - 1)
@@ -111,7 +114,7 @@ def pca_transform(m: PcaModel, X: np.ndarray) -> np.ndarray:
     """Centered projection of the rows of ``X`` onto the kept components."""
     if X.shape[1] != m.mean.shape[0]:
         raise UsageError(f"data has {X.shape[1]} features, PCA model expects {m.mean.shape[0]}")
-    return (X - m.mean) @ m.components[: m.kept_components].T
+    return (np.ascontiguousarray(X) - m.mean) @ m.components[: m.kept_components].T
 
 
 def logistic_loss(features: np.ndarray, target: np.ndarray, model: LogisticModel, l2: float) -> float:
@@ -128,13 +131,13 @@ def logistic_fit(X: np.ndarray, y: np.ndarray) -> LogisticModel:
 
     Centred columns keep the bias column from being swamped by a column's offset (raw
     values near 1e8 made the Hessian singular in floating point); the bias is mapped back."""
-    if np.unique(y).shape[0] < 2:
+    if np.unique(y, return_counts=True)[0].shape[0] < 2:  # plain np.unique imports numpy.ma
         raise DataError("logistic regression needs both classes in the training data")
     n, d = X.shape
-    mean = X.mean(axis=0)
-    design = np.empty((n, d + 1))
-    np.subtract(X, mean, out=design[:, :d])
-    design[:, d] = 1.0
+    design = np.ones((n, d + 1))
+    design[:, :d] = X
+    mean = design[:, :d].mean(axis=0)
+    design[:, :d] -= mean
     ridge = np.append(np.full(d, DEFAULT_L2), 0.0)  # the bias is not regularized
     theta = np.zeros(d + 1)
     scaled = np.empty_like(design)

@@ -177,7 +177,7 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
 
 
 def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> samplers.SampleSet:
-    """Dispatch to the named sampler, write the sample CSV and return the samples."""
+    """Dispatch to the named sampler, write the sample CSV and return the samples it holds."""
     (path,) = _out_dir(cfg, "samples.csv")
     if cfg.sampler == "exhaustive":
         keep = cfg.shots
@@ -196,12 +196,12 @@ def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> samplers.Sample
         result = samplers.random_sample(coeffs, cfg.shots, cfg.seed)
     else:
         raise UsageError(f"unknown sampler {cfg.sampler!r}")
-    samplers.save_samples(path, result)
+    saved = samplers.save_samples(path, result)
     print(
         f"sample: {result.sampler_name} wrote {path} "
         f"({result.total_shots} shots, min energy {result.min_energy():.6g})"
     )
-    return result
+    return saved
 
 
 def _select_inputs(cfg: RunConfig) -> tuple[hubo.HuboCoefficients, list[str], samplers.SampleSet]:
@@ -295,29 +295,30 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     if not selections:
         raise UsageError("compare needs at least one --selection file")
     csv_path, svg_path = _out_dir(cfg, "comparison.csv", "comparison.svg")
-    ds, train, test = splits.ds, splits.train, splits.test
-
-    def fit_eval(columns, label) -> baselines.EvalReport:
-        # C order: a column slice is Fortran-ordered, and a product's bits follow the layout.
-        model = baselines.logistic_fit(train.features[:, columns].copy(), train.target)
-        return baselines.evaluate(model, test.features[:, columns].copy(), test.target, label)
-
+    train, test = splits.train, splits.test
     reports = []
+
+    def fit_eval(label, train_x, test_x) -> None:
+        model = baselines.logistic_fit(train_x, train.target)
+        reports.append(baselines.evaluate(model, test_x, test.target, label))
+
     matched_sizes = []
     for label, columns in selections:
         if not columns:
             print(f"note [compare]: selection {label!r} is empty, skipped", file=sys.stderr)
             continue
-        reports.append(fit_eval(columns, label))
+        fit_eval(label, train.features[:, columns], test.features[:, columns])
         matched_sizes.append(len(columns))
-    reports.append(fit_eval(list(range(ds.n_features)), "all_features"))
+    fit_eval("all_features", train.features, test.features)
     for size in matched_sizes:
         columns = hubo.preselect_top_k(splits.relevance, size)
-        reports.append(fit_eval(columns, f"select_k_best_{size}"))
+        fit_eval(f"select_k_best_{size}", train.features[:, columns], test.features[:, columns])
     pca = baselines.pca_fit(train.features, PCA_VARIANCE)
-    pca_model = baselines.logistic_fit(baselines.pca_transform(pca, train.features), train.target)
-    scores = baselines.pca_transform(pca, test.features)
-    reports.append(baselines.evaluate(pca_model, scores, test.target, f"pca_var{PCA_VARIANCE:g}"))
+    fit_eval(
+        f"pca_var{PCA_VARIANCE:g}",
+        baselines.pca_transform(pca, train.features),
+        baselines.pca_transform(pca, test.features),
+    )
     baselines.write_comparison_csv(csv_path, reports)
     _write_auc_svg(svg_path, reports)
     for r in reports:
@@ -367,9 +368,7 @@ def cmd_run(cfg: RunConfig) -> None:
              "comparison.csv", "comparison.svg")
     splits = _load_splits(cfg)
     coeffs, names = cmd_build(cfg, splits)
-    # select ranks the energies as samples.csv holds them, to 12 digits, as the
-    # stand-alone select does, so states that tie at 12 digits rank the same way.
-    selected = cmd_select(cfg, coeffs, names, samplers.as_saved(cmd_sample(cfg, coeffs)))
+    selected = cmd_select(cfg, coeffs, names, cmd_sample(cfg, coeffs))
     picked = [names[i] for i in selected]
     cmd_compare(cfg, splits, [("importance", _columns(splits.ds, picked, "importance.csv"))])
 

@@ -221,7 +221,7 @@ def stratified_split(d: Dataset, test_fraction: float) -> tuple[Dataset, Dataset
     if not 0.0 < test_fraction < 1.0:
         raise UsageError(f"test_fraction must be in (0,1), got {test_fraction}")
     to_test = np.zeros(d.n_samples, dtype=bool)
-    for label in np.unique(d.target):
+    for label in np.unique(d.target, return_counts=True)[0]:  # plain np.unique imports numpy.ma
         rows = np.flatnonzero(d.target == label)
         if rows.size < 2:
             raise DataError(f"class {label} has fewer than 2 samples")

@@ -148,7 +148,9 @@ class SampleSet:
             raise DataError("spins must be -1 or +1")
         if np.any(self.counts < 1):
             raise DataError("entry counts must be positive")
-        if len(self.counts) > 1 and len(np.unique(_row_keys(self.spins))) != len(self.counts):
+        # return_counts: a plain np.unique imports numpy.ma for its is_masked check
+        keys, _ = np.unique(_row_keys(self.spins), return_counts=True)
+        if len(self.counts) > 1 and len(keys) != len(self.counts):
             raise DataError("duplicate spin configurations in sample set")
 
     def __eq__(self, other):
@@ -462,23 +464,18 @@ def random_sample(c: HuboCoefficients, shots: int, seed: int = 0) -> SampleSet:
     return _aggregate(c, spins_from_bits(words).reshape(shots, c.n), "random", seed)
 
 
-def save_samples(path, s: SampleSet) -> None:
-    """Write the sample CSV: '#' metadata lines, then bitstring,count,energy.
-
-    A bitstring is the x-representation, feature 0 leftmost ('1' = selected).
-    """
+def save_samples(path, s: SampleSet) -> SampleSet:
+    """Write the sample CSV: '#' metadata lines, then bitstring,count,energy; return the
+    set the file holds, ``s`` with its energies to 12 significant digits. A bitstring is
+    the x-representation, feature 0 leftmost ('1' = selected)."""
     meta = [("sampler", s.sampler_name), ("seed", s.seed), ("n", s.n)]
     meta += [("total_shots", s.total_shots), *sorted(s.metadata.items())]
     chars = ((s.spins < 0) + ord("0")).astype(np.uint8).tobytes().decode("ascii")
     bits = (chars[t * s.n : (t + 1) * s.n] for t in range(len(s.counts)))
-    energies = (f"{energy:.12g}" for energy in s.energies.tolist())
+    energies = [f"{energy:.12g}" for energy in s.energies.tolist()]
     rows = zip(bits, s.counts.tolist(), energies)
     write_tagged(path, SAMPLE_SCHEMA, meta, ("bitstring", "count", "energy"), rows)
-
-
-def as_saved(s: SampleSet) -> SampleSet:
-    """``s`` with its energies as :func:`save_samples` writes them, to 12 significant digits."""
-    return replace(s, energies=[float(f"{energy:.12g}") for energy in s.energies.tolist()])
+    return replace(s, energies=[float(energy) for energy in energies])
 
 
 def load_samples(path) -> SampleSet:

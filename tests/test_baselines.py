@@ -293,3 +293,45 @@ class TestMetrics:
         assert lines[0] == "# schema=hubofs-comparison/2"
         assert lines[1] == "method,n,accuracy,f1,auc"
         assert lines[2].startswith("demo,1,")
+
+
+class TestLayout:
+    """Every result depends on the values of the rows only: a C-ordered copy, the
+    Fortran-ordered ``X[:, cols]`` and a strided slice of the same values give the same
+    bits, though a product's bits follow its operands' layout."""
+
+    @staticmethod
+    def layouts(seed: int, n: int, d: int) -> tuple[list[np.ndarray], np.ndarray]:
+        rng = np.random.default_rng(seed)
+        scale, offset = rng.uniform(0.5, 4.0, d + 3), rng.uniform(-50, 50, d + 3)
+        wide = rng.normal(size=(n, d + 3)) * scale + offset
+        view = wide[:, sorted(rng.choice(d + 3, d, replace=False).tolist())]
+        padded = np.zeros((n, 2 * d))
+        padded[:, ::2] = view
+        z = (view - view.mean(0)) / view.std(0)
+        target = (z[:, 0] - z[:, 1] + rng.normal(size=n) > 0).astype(np.int64)
+        rows = [view.copy(order="C"), view, padded[:, ::2]]
+        assert [(X.flags.c_contiguous, X.flags.f_contiguous) for X in rows] == [
+            (True, False), (False, True), (False, False)
+        ]
+        return rows, target
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fit_and_evaluate_depend_on_values_only(self, seed):
+        rows, target = self.layouts(seed, 601, 7)
+        models = [logistic_fit(X, target) for X in rows]
+        for model in models[1:]:
+            assert model.weights.tobytes() == models[0].weights.tobytes()
+            assert model.bias == models[0].bias
+        model = models[0]
+        assert len({model.predict_proba(X).tobytes() for X in rows}) == 1
+        assert len({evaluate(model, X, target, "m") for X in rows}) == 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_pca_depends_on_values_only(self, seed):
+        rows, _ = self.layouts(seed, 601, 7)
+        fits = [pca_fit(X, 0.95) for X in rows]
+        arrays = ("mean", "components", "explained_variance_ratios")
+        for fit in fits[1:]:
+            assert all(getattr(fit, a).tobytes() == getattr(fits[0], a).tobytes() for a in arrays)
+        assert len({pca_transform(fits[0], X).tobytes() for X in rows}) == 1

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from xml.etree import ElementTree
 
@@ -11,7 +14,14 @@ from hypothesis import strategies as st
 from conftest import random_instance, term_dict, write_demo_csv
 from hubofs import baselines, dcqo, mi, samplers
 from hubofs.cli import main
-from hubofs.dataset import MAX_BINS, discretize, load_csv, standardize, stratified_split
+from hubofs.dataset import (
+    MAX_BINS,
+    Dataset,
+    discretize,
+    load_csv,
+    standardize,
+    stratified_split,
+)
 from hubofs.hubo import (
     DEFAULT_PENALTY,
     DEFAULT_WEIGHTS,
@@ -24,6 +34,50 @@ from hubofs.hubo import (
 from hubofs.mi import MiTensors, compute_tensors
 from hubofs.postselect import read_importance_csv
 from hubofs.samplers import load_samples
+
+# What compare wrote for the table of test_compare_holds_no_copy_of_the_train_columns
+# while it still copied the train columns into C order itself.
+COMPARE_STDOUT = """\
+compare: narrow                   n=3   acc=0.7997 f1=0.8020 auc=0.8873
+compare: half                     n=10  acc=0.8611 f1=0.8625 auc=0.9447
+compare: all_features             n=24  acc=0.8636 f1=0.8646 auc=0.9487
+compare: select_k_best_3          n=3   acc=0.8611 f1=0.8625 auc=0.9450
+compare: select_k_best_10         n=10  acc=0.8723 f1=0.8728 auc=0.9497
+compare: pca_var0.95              n=3   acc=0.8648 f1=0.8663 auc=0.9470
+"""
+COMPARE_CSV = """\
+# schema=hubofs-comparison/2
+method,n,accuracy,f1,auc
+narrow,3,0.799749687109,0.80198019802,0.887299498747
+half,10,0.861076345432,0.862453531599,0.944705513784
+all_features,24,0.863579474343,0.864596273292,0.948740601504
+select_k_best_3,3,0.861076345432,0.862453531599,0.944968671679
+select_k_best_10,10,0.872340425532,0.872817955112,0.949661654135
+pca_var0.95,3,0.864831038798,0.866336633663,0.94701754386
+"""
+
+# Runs every sampler through `run`, then the four stages one by one, in this fresh
+# process (argv: CSV, output directory); prints the exit codes and whether numpy.ma
+# was imported.
+STAGES_IN_A_FRESH_PROCESS = """
+import contextlib, io, json, sys
+from hubofs.cli import main
+csv, out = sys.argv[1:]
+data = ["--input", csv, "--target", "label"]
+small = ["--shots", "100", "--sweeps", "5", "--steps", "3", "--preselect-k", "6"]
+files = ["--coefficients", out + "/stages/coefficients.json"]
+argvs = [["run", *data, *small, "--sampler", s, "--out", out + "/" + s]
+         for s in ("sa", "dcqo", "random", "exhaustive")]
+argvs += [
+    ["build", *data, "--preselect-k", "6", "--out", out + "/stages"],
+    ["sample", *files, "--shots", "100", "--sweeps", "5", "--out", out + "/stages"],
+    ["select", *files, "--samples", out + "/stages/samples.csv", "--out", out + "/stages"],
+    ["compare", *data, "--selection", out + "/stages/importance.csv", "--out", out + "/stages"],
+]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+print(json.dumps([codes, "numpy.ma" in sys.modules]))
+"""
 
 
 def run_cli(*args):
@@ -224,6 +278,25 @@ def test_every_input_ends_in_a_documented_exit_code(tiny_table, sampler, values)
 
 
 class TestSample:
+    def test_sample_returns_its_file_and_prints_the_exact_minimum(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 1.234565 + 1.2e-13 prints as 1.23457 to 6 digits, and as 1.23456 once rounded
+        # to the 12 digits the file holds: the stage returns the set its file holds and
+        # reports the sampler's exact minimum.
+        import hubofs.cli as cli
+
+        exact = samplers.SampleSet(
+            spins=[[1, -1]], counts=[3], energies=[1.234565 + 1.2e-13],
+            sampler_name="random", seed=0,
+        )
+        monkeypatch.setattr(cli.samplers, "random_sample", lambda *args: exact)
+        cfg = cli.RunConfig(sampler="random", out=str(tmp_path))
+        saved = cli.cmd_sample(cfg, random_instance(0, 2))
+        assert saved == load_samples(tmp_path / "samples.csv")
+        assert saved.energies.tolist() == [1.234565]
+        assert "min energy 1.23457)" in capsys.readouterr().out
+
     def test_sa_writes_samples(self, built):
         assert (
             run_cli(
@@ -657,38 +730,43 @@ class TestSelectAndCompare:
         svg = (sampled / "comparison.svg").read_text()
         assert svg.startswith("<svg") and "ROC-AUC" in svg
 
-    def test_compare_hands_the_fits_c_ordered_rows(self, sampled, demo_csv, monkeypatch):
-        # The fits' bits depend on the layout; a bare column slice is Fortran-ordered.
-        from hubofs import baselines
+    def test_compare_holds_no_copy_of_the_train_columns(self, tmp_path, capsys):
+        # The widest fit, on all d features, holds its design and its Newton-scaled
+        # design, n_train x (d + 1) floats each. PCA keeps 3 components and the selections
+        # are narrow, so no other fit comes near. The slack covers the fit's n_train-long
+        # vectors (probabilities and their temporaries, 8 at most), Python objects and
+        # ufunc buffers, made small here; a third n_train x d array, such as a copy of
+        # the train columns (24 such vectors), exceeds it.
+        import tracemalloc
 
-        layouts = []
-        fit, evaluate = baselines.logistic_fit, baselines.evaluate
+        import hubofs.cli as cli
 
-        def fit_c(X, y):
-            layouts.append(X.flags.c_contiguous)
-            return fit(X, y)
-
-        def evaluate_c(model, X, y, name):
-            layouts.append(X.flags.c_contiguous)
-            return evaluate(model, X, y, name)
-
-        monkeypatch.setattr(baselines, "logistic_fit", fit_c)
-        monkeypatch.setattr(baselines, "evaluate", evaluate_c)
-        assert (
-            run_cli(
-                "select", "--coefficients", sampled / "coefficients.json",
-                "--samples", sampled / "samples.csv", "--out", sampled,
-            )
-            == 0
-        )
-        assert (
-            run_cli(
-                "compare", "--input", demo_csv, "--target", "label",
-                "--selection", sampled / "importance.csv", "--out", sampled,
-            )
-            == 0
-        )
-        assert layouts == [True] * 8  # selection, all features, k-best, PCA: fit and evaluate
+        rng = np.random.default_rng(3)
+        n, d = 4000, 24
+        latent = rng.normal(size=(n, 3)) @ rng.normal(size=(3, d))
+        features = latent + 0.2 * rng.normal(size=(n, d))
+        target = (features[:, 0] - features[:, 1] + rng.normal(size=n) > 0).astype(np.int64)
+        ds = standardize(Dataset(features, target, tuple(f"f{i}" for i in range(d))))
+        train, test = stratified_split(ds, 0.2)
+        splits = cli._Splits(ds, train, test, 8)
+        cfg = cli.RunConfig(out=str(tmp_path))
+        selections = [("narrow", [0, 3, 7]), ("half", list(range(2, 12)))]
+        bufsize = np.setbufsize(64)
+        try:
+            cli.cmd_compare(cfg, splits, selections)  # the relevance is cached here
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                cli.cmd_compare(cfg, splits, selections)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        finally:
+            np.setbufsize(bufsize)
+        vector = 8 * train.n_samples
+        assert peak - start <= 2 * (d + 1) * vector + 8 * vector + (32 << 10)
+        assert capsys.readouterr().out == 2 * COMPARE_STDOUT
+        assert (tmp_path / "comparison.csv").read_text() == COMPARE_CSV
 
     def test_compare_svg_escapes_selection_name(self, sampled, demo_csv):
         run_cli(
@@ -732,6 +810,17 @@ class TestSelectAndCompare:
 
 
 class TestRun:
+    def test_no_stage_imports_numpy_ma(self, demo_csv, tmp_path):
+        # A plain np.unique asks np.ma.is_masked, and so imports numpy.ma (8-14 ms).
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", STAGES_IN_A_FRESH_PROCESS, str(demo_csv), str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0] * 8, False]
+
     def test_pipeline_with_comma_in_category_value(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "commas.csv"
@@ -899,8 +988,8 @@ class TestRun:
 
     def test_run_ranks_near_ties_as_select_reads_them(self, tmp_path):
         # Two states whose energies differ in the 13th digit tie in samples.csv, where
-        # the lexicographically smaller one ranks first: run hands select the samples
-        # rounded as the file holds them, so it keeps the same shot as select does.
+        # the lexicographically smaller one ranks first: run hands select the set that
+        # save_samples returns, as the file holds it, so it keeps the same shot as select.
         import hubofs.cli as cli
 
         coeffs, names = random_instance(0, 3), ["a", "b", "c"]
@@ -908,9 +997,8 @@ class TestRun:
             spins=[[1, -1, 1], [-1, 1, -1]], counts=[1, 1], energies=[1.0, 1.0 + 3e-13],
             sampler_name="sa", seed=1,
         )
-        samplers.save_samples(tmp_path / "samples.csv", exact)
         inputs = {
-            "run": samplers.as_saved(exact),
+            "run": samplers.save_samples(tmp_path / "samples.csv", exact),
             "select": load_samples(tmp_path / "samples.csv"),
             "exact": exact,
         }

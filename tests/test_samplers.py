@@ -847,6 +847,15 @@ class TestRandomSample:
         assert random_sample(c, 64, seed=9) == random_sample(c, 64, seed=9)
 
 
+DRAWS = [
+    lambda c: exhaustive_solve(c, 20),
+    lambda c: simulated_annealing(c, shots=40, sweeps=30, seed=5),
+    lambda c: random_sample(c, 40, seed=5),
+    lambda c: evolve_and_sample(c, build_schedule(10, 4.0), 40, seed=5),
+]
+DRAW_IDS = ["exhaustive", "sa", "random", "dcqo"]
+
+
 class TestSampleFile:
     def test_bitstring_convention(self, tmp_path):
         # "1" = selected (Z = -1), feature 0 leftmost.
@@ -859,16 +868,7 @@ class TestSampleFile:
         assert path.read_bytes().endswith(b"\nbitstring,count,energy\n101,1,0.5\n")
         assert load_samples(path) == one
 
-    @pytest.mark.parametrize(
-        "draw",
-        [
-            lambda c: exhaustive_solve(c, 20),
-            lambda c: simulated_annealing(c, shots=40, sweeps=30, seed=5),
-            lambda c: random_sample(c, 40, seed=5),
-            lambda c: evolve_and_sample(c, build_schedule(10, 4.0), 40, seed=5),
-        ],
-        ids=["exhaustive", "sa", "random", "dcqo"],
-    )
+    @pytest.mark.parametrize("draw", DRAWS, ids=DRAW_IDS)
     def test_every_sampler_records_distinct_states(self, tmp_path, draw):
         res = draw(random_instance(21, 6))
         assert res.metadata["distinct_states"] == str(len(res.counts))
@@ -877,6 +877,22 @@ class TestSampleFile:
         loaded = load_samples(path)
         assert loaded.metadata["distinct_states"] == str(len(res.counts))
         assert np.array_equal(loaded.spins, res.spins)
+
+    @pytest.mark.parametrize("draw", DRAWS, ids=DRAW_IDS)
+    def test_save_returns_the_set_its_file_holds(self, tmp_path, draw):
+        res = draw(random_instance(21, 6))
+        saved = save_samples(tmp_path / "samples.csv", res)
+        assert saved == load_samples(tmp_path / "samples.csv")
+        assert np.array_equal(saved.spins, res.spins) and np.array_equal(saved.counts, res.counts)
+
+    def test_save_returns_energies_that_tie_at_12_digits(self, tmp_path):
+        exact = SampleSet(
+            spins=[[1, -1, 1], [-1, 1, -1]], counts=[2, 1], energies=[1.0, 1.0 + 3e-13],
+            sampler_name="sa", seed=1, metadata={"distinct_states": "2"},
+        )
+        saved = save_samples(tmp_path / "samples.csv", exact)
+        assert saved == load_samples(tmp_path / "samples.csv")
+        assert saved.energies.tolist() == [1.0, 1.0] != exact.energies.tolist()
 
     def test_file_without_rows_loads_empty(self, tmp_path):
         path = tmp_path / "empty.csv"
