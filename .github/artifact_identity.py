@@ -7,7 +7,9 @@ then runs ``python -m hubofs.cli run --seed 7`` once from this tree's ``src`` an
 once from BASE_TREE's ``src``, under the flags of each benchmark workload and of
 the runs no workload makes (FLAG_SETS). It also runs the stages one by one
 (STANDALONE): ``build``, a shallow SA ``sample``, ``select`` at two deltas and a
-``compare`` of both selections. Every artifact whose schema tag is the
+``compare`` of both selections. One job (CSV_PATH) runs on the table that
+``csv_path_table`` derives, which ``load_csv`` reads through ``csv``, not
+``np.loadtxt``. Every artifact whose schema tag is the
 same on both sides must have the same bytes, and a file that only one side
 wrote is a difference. An artifact whose schema changed (a deliberate format
 change) is reported and does not count as a difference; for a CSV the report
@@ -67,7 +69,10 @@ FLAG_SETS = {
     "sa_k57": ["--preselect-k", "57"],
     # Halves of 999 and 1000 chains, never frozen.
     "sa_odd_shots": ["--shots", "1999", "--sweeps", "300"],
+    # Categorical strings, a dropped row and a mixed column: the loader's csv path.
+    "csv_path_shallow": SHALLOW,
 }
+CSV_PATH = "csv_path_shallow"
 STANDALONE = "standalone_shallow"
 TAG_FROM = {"comparison.svg": "comparison.csv"}
 DERIVED = {"samples.csv": "coefficients.json"}
@@ -101,6 +106,21 @@ def sample_rows(path: Path) -> tuple[list[list[str]], list[float]]:
     """The ``[bitstring, count]`` rows of a sample file, in order, and their energies."""
     rows = [line.split(",") for line in body(path)[1:]]
     return [row[:2] for row in rows], [float(row[2]) for row in rows]
+
+
+def csv_path_table(text: str) -> str:
+    """The benchmark table ``text`` in the form that takes ``load_csv``'s ``csv`` path:
+    ``f0`` becomes "lo" or "hi" about its median (one-hot, two levels), ``f1`` whole
+    numbers with ``nan`` in the first row (the mixed-column note; whole numbers keep
+    its one-hot indicators to about a dozen), and ``f2`` is blank in the second row,
+    which is dropped."""
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    median = sorted(float(row[0]) for row in rows)[len(rows) // 2]
+    for row in rows:
+        row[0] = "hi" if float(row[0]) > median else "lo"
+        row[1] = f"{float(row[1]):.0f}"
+    rows[0][1], rows[1][2] = "nan", ""
+    return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
 def source_lines(tree: Path) -> int:
@@ -163,13 +183,16 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / f"table{seed}.csv"
         table.write_table(csv, seed)
+        mixed = csv.with_name(f"mixed{seed}.csv")
+        mixed.write_text(csv_path_table(csv.read_text(encoding="ascii")), encoding="ascii")
         for name in [*FLAG_SETS, STANDALONE]:
             outs = [Path(tmp) / name / side for side in ("head", "base")]
             outs[0].parent.mkdir()
             kbs = []
             for tree, out in zip((ROOT, base), outs):
                 runs = [hubofs(name, tree, args, out.with_suffix(f".{step}.log"))
-                        for step, args in enumerate(commands(name, csv, out))]
+                        for step, args in enumerate(
+                            commands(name, mixed if name == CSV_PATH else csv, out))]
                 differ += sum(left for left, _ in runs)
                 kbs.append(max(kb for _, kb in runs))
             print(f"{name}: peak RSS {kbs[1] / 1024:.1f} -> {kbs[0] / 1024:.1f} MB")

@@ -117,17 +117,10 @@ def pca_transform(m: PcaModel, X: np.ndarray) -> np.ndarray:
     return (np.ascontiguousarray(X) - m.mean) @ m.components[: m.kept_components].T
 
 
-def logistic_loss(features: np.ndarray, target: np.ndarray, model: LogisticModel, l2: float) -> float:
-    """Mean cross-entropy plus (l2/2)*||w||^2 (bias unregularized)."""
-    z = features @ model.weights + model.bias
-    sign = 2.0 * target - 1.0
-    ce = float(np.mean(np.logaddexp(0.0, -sign * z)))
-    return ce + 0.5 * l2 * float(model.weights @ model.weights)
-
-
 def logistic_fit(X: np.ndarray, y: np.ndarray) -> LogisticModel:
-    """The minimizer of :func:`logistic_loss` at ``l2 = DEFAULT_L2`` by Newton steps on
-    ``[X - mean | 1]`` from zero, until ``max|step| <= NEWTON_TOLERANCE``.
+    """The minimizer of the mean cross-entropy plus ``(DEFAULT_L2 / 2) * ||w||^2`` (the
+    bias unregularized) by Newton steps on ``[X - mean | 1]`` from zero, until
+    ``max|step| <= NEWTON_TOLERANCE``.
 
     Centred columns keep the bias column from being swamped by a column's offset (raw
     values near 1e8 made the Hessian singular in floating point); the bias is mapped back."""

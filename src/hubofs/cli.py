@@ -82,9 +82,13 @@ def _out_dir(cfg: RunConfig, *names: str) -> list[Path]:
     return paths
 
 
-def _select_names(cfg: RunConfig) -> tuple[str, ...]:
-    """What ``select`` writes: ``sweep.csv`` too when ``--delta`` is repeated."""
-    return ("importance.csv", "sweep.csv") if len(cfg.deltas) > 1 else ("importance.csv",)
+def _artifacts(cfg: RunConfig, stage: str) -> tuple[str, ...]:
+    """What ``stage`` writes in ``--out``: ``select`` adds ``sweep.csv`` when ``--delta``
+    is repeated, and ``run`` writes every stage's files."""
+    names = {"build": ("mi_tensors.json", "coefficients.json"), "sample": ("samples.csv",),
+             "select": ("importance.csv", "sweep.csv")[: 1 + (len(cfg.deltas) > 1)],
+             "compare": ("comparison.csv", "comparison.svg")}
+    return names.get(stage) or sum(names.values(), ())
 
 
 def _dataset_sha256(path: str) -> str:
@@ -124,7 +128,7 @@ def _load_splits(cfg: RunConfig) -> _Splits:
 def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, list[str]]:
     """discretize -> relevance -> preselect -> MI -> HUBO; the coefficients and the
     names of their features."""
-    tensors_path, coeffs_path = _out_dir(cfg, "mi_tensors.json", "coefficients.json")
+    tensors_path, coeffs_path = _out_dir(cfg, *_artifacts(cfg, "build"))
     ds, train = splits.ds, splits.train
     if ds.n_features > cfg.preselect_k:
         indices = hubo.preselect_top_k(splits.relevance, cfg.preselect_k)
@@ -136,7 +140,7 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
                 f"{cfg.preselect_k} skipped",
                 file=sys.stderr,
             )
-    tensors = mi.compute_tensors(subset_codes(splits.binned, indices))
+    tensors = mi.compute_tensors(subset_codes(splits.binned, indices), splits.relevance[indices])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", hubo.DegenerateNormalizationWarning)
         normalized = hubo.normalize_global(tensors)
@@ -178,7 +182,7 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
 
 def cmd_sample(cfg: RunConfig, coeffs: hubo.HuboCoefficients) -> samplers.SampleSet:
     """Dispatch to the named sampler, write the sample CSV and return the samples it holds."""
-    (path,) = _out_dir(cfg, "samples.csv")
+    (path,) = _out_dir(cfg, *_artifacts(cfg, "sample"))
     if cfg.sampler == "exhaustive":
         keep = cfg.shots
         if coeffs.n <= hubo.MAX_ALL_STATES_N and keep > (1 << coeffs.n):
@@ -232,7 +236,7 @@ def cmd_select(
 ) -> tuple[int, ...]:
     """rho-retention, importance scoring, and delta thresholding/sweeping; the
     feature indices selected at the first delta."""
-    importance_path, *sweep = _out_dir(cfg, *_select_names(cfg))
+    importance_path, *sweep = _out_dir(cfg, *_artifacts(cfg, "select"))
     retained = postselect.retain_low_energy(sample_set, cfg.rho)
     scores = postselect.importance(retained)
     selections = [postselect.threshold_select(scores, d) for d in cfg.deltas]
@@ -294,7 +298,7 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     k-best (top relevance), and PCA."""
     if not selections:
         raise UsageError("compare needs at least one --selection file")
-    csv_path, svg_path = _out_dir(cfg, "comparison.csv", "comparison.svg")
+    csv_path, svg_path = _out_dir(cfg, *_artifacts(cfg, "compare"))
     train, test = splits.train, splits.test
     reports = []
 
@@ -362,10 +366,7 @@ def _write_auc_svg(path, reports) -> None:
 def cmd_run(cfg: RunConfig) -> None:
     """All four stages in sequence, artifacts under --out, each stage handed the
     values of the one before: the CSV is loaded, the train rows binned and
-    scored for relevance, and the coefficients built, once. Every artifact path
-    is checked first."""
-    _out_dir(cfg, "mi_tensors.json", "coefficients.json", "samples.csv", *_select_names(cfg),
-             "comparison.csv", "comparison.svg")
+    scored for relevance, and the coefficients built, once."""
     splits = _load_splits(cfg)
     coeffs, names = cmd_build(cfg, splits)
     selected = cmd_select(cfg, coeffs, names, cmd_sample(cfg, coeffs))
@@ -459,6 +460,7 @@ def main(argv=None) -> int:
     cfg = _config_from_args(args)
     stage = args.command
     try:
+        _out_dir(cfg, *_artifacts(cfg, stage))  # before any input is read
         if stage == "build":
             cmd_build(cfg, _load_splits(cfg))
         elif stage == "sample":

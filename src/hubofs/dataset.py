@@ -70,69 +70,67 @@ def load_csv(path, target_column: str) -> Dataset:
     """Load a UTF-8 CSV with a header row into a :class:`Dataset`; a leading
     byte-order mark (Excel's "CSV UTF-8") is not part of the first column's name.
 
+    The header is read and judged once, before any body row: an empty file, a
+    missing target, a repeated name or a feature name holding a carriage return
+    (``importance.csv`` cannot carry one) is refused.
     Rows with any empty cell are dropped (and counted). Feature columns whose
     remaining values all parse as floats pass through; other columns are
     one-hot expanded into ``"<col>=<value>"`` indicators with values sorted
     lexicographically; one that also holds numbers is named in a ``note [build]:``
     line on stderr. The target column must take exactly two distinct raw
-    values; the lexicographically smaller one maps to 0. A feature name
-    (column name or ``"<col>=<value>"``) holding a carriage return is refused.
-    An all-numeric table is parsed in C, any other by ``csv``: both give one result.
+    values; the lexicographically smaller one maps to 0. An all-numeric body is
+    parsed in C (``np.loadtxt`` skips the header's lines), any other by the same
+    ``csv`` reader that read the header: both give one result.
     """
-    return _load_numeric(path, target_column) or _load_rows(path, target_column)
-
-
-def _load_numeric(path, target_column: str) -> Dataset | None:
-    """:func:`load_csv` in one ``np.loadtxt`` pass, or None on a table ``csv`` may read otherwise:
-    a header fault, ragged row, empty or quoted cell, ``1_0``, ``nan``, no rows, not two classes."""
-    ids: dict[str, int] = {}  # target values, numbered as they appear
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-        t_idx = header.index(target_column)
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header is None:
+                raise DataError(f"{path!r} is empty (no header row)")
+            if target_column not in header:
+                raise DataError(f"target column {target_column!r} not found in header")
+            if len(set(header)) != len(header):
+                raise DataError(f"ambiguous header: duplicated column names in {path!r}")
+            for name in header:
+                if "\r" in name and name != target_column:
+                    raise DataError(f"feature name {name!r} holds a carriage return")
+            t_idx = header.index(target_column)
+            return (_load_numeric(path, rows.line_num, header, t_idx)
+                    or _load_rows(rows, header, t_idx))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"cannot read CSV file {path!r}: {exc}") from exc
+
+
+def _load_numeric(path, skip: int, header: list[str], t_idx: int) -> Dataset | None:
+    """The body of :func:`load_csv`, below its first ``skip`` lines, in one ``np.loadtxt``
+    pass, or None where ``csv`` may read it otherwise: a ragged row, an empty or quoted
+    cell, ``1_0``, ``nan``, no rows, not two classes."""
+    ids: dict[str, int] = {}  # target values, numbered as they appear
+    try:
         with warnings.catch_warnings():  # loadtxt warns on a body with no rows
             warnings.simplefilter("error")
             table = np.loadtxt(
-                path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig",
-                skiprows=reader.line_num, converters={t_idx: lambda v: ids.setdefault(v, len(ids))},
+                path, delimiter=",", comments=None, ndmin=2, encoding="utf-8-sig", skiprows=skip,
+                converters={t_idx: lambda v: ids.setdefault(v, len(ids))},
             )
-    except (OSError, ValueError, csv.Error, StopIteration, UserWarning):
+    except (OSError, ValueError, UserWarning):
         return None
     features = np.delete(table, t_idx, axis=1)
-    if (table.shape[1] != len(header) or len(set(header)) != len(header) or len(ids) != 2
-            or "" in ids or '"' in "".join(ids) or "\r" in "".join(header)
+    if (table.shape[1] != len(header) or len(ids) != 2 or "" in ids or '"' in "".join(ids)
             or not np.isfinite(features).all()):
         return None
     target = (table[:, t_idx] != ids[min(ids)]).astype(np.int64)
     return Dataset(features, target, tuple(header[:t_idx] + header[t_idx + 1 :]))
 
 
-def _load_rows(path, target_column: str) -> Dataset:
-    """:func:`load_csv` through ``csv.reader``, one Python string per cell."""
-    try:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"cannot read CSV file {path!r}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path!r} is empty (no header row)")
-
-    header = rows[0]
-    body = [r for r in rows[1:] if r]
-    hits = [idx for idx, name in enumerate(header) if name == target_column]
-    if not hits:
-        raise DataError(f"target column {target_column!r} not found in header")
-    if len(hits) > 1 or len(set(header)) != len(header):
-        raise DataError(f"ambiguous header: duplicated column names in {path!r}")
-    t_idx = hits[0]
-
-    n_cols = len(header)
+def _load_rows(rows, header: list[str], t_idx: int) -> Dataset:
+    """The body ``rows`` of :func:`load_csv` as ``csv.reader`` gives them, one Python
+    string per cell, turned into columns."""
     kept, dropped = [], 0
-    for row in body:
-        if len(row) != n_cols or "" in row:
-            dropped += 1
+    for row in rows:
+        if len(row) != len(header) or "" in row:
+            dropped += bool(row)  # blank lines are skipped, not dropped
             continue
         kept.append(row)
     if not kept:
@@ -141,9 +139,8 @@ def _load_rows(path, target_column: str) -> Dataset:
     raw_target = [row[t_idx] for row in kept]
     classes = sorted(set(raw_target))
     if len(classes) != 2:
-        raise DataError(
-            f"target column {target_column!r} has {len(classes)} distinct values, need exactly 2"
-        )
+        raise DataError(f"target column {header[t_idx]!r} has {len(classes)} distinct values, "
+                        "need exactly 2")
     target = np.array([classes.index(v) for v in raw_target], dtype=np.int64)
 
     columns: list[np.ndarray] = []
@@ -175,18 +172,12 @@ def _load_rows(path, target_column: str) -> Dataset:
                 names.append(f"{col_name}={level}")
     if len(set(names)) != len(names):
         raise DataError("one-hot expansion produced duplicate feature names")
-    # importance.csv holds the names as CSV fields, and its writer leaves "\r" unquoted.
-    for name in names:
+    for name in names:  # a level's "\r"; the header's were refused before the body was read
         if "\r" in name:
             raise DataError(f"feature name {name!r} holds a carriage return")
 
     features = np.column_stack(columns) if columns else np.empty((len(kept), 0))
-    return Dataset(
-        features=features,
-        target=target,
-        feature_names=tuple(names),
-        n_dropped_rows=dropped,
-    )
+    return Dataset(features, target, tuple(names), n_dropped_rows=dropped)
 
 
 def _finite(token: str) -> bool:

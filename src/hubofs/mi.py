@@ -227,14 +227,18 @@ def relevance(dd: DiscretizedDataset) -> np.ndarray:
     return _tables_mi(cols, b, rows, [(h[n] + h[:n], 2)], xlogx)[1][0]
 
 
-def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
-    """Relevance, pairwise, and triadic MI values of every feature of ``dd``.
+def compute_tensors(dd: DiscretizedDataset, relevance) -> MiTensors:
+    """The ``relevance`` of every feature of ``dd``, as :func:`relevance` scored it
+    (its value does not depend on the other features binned with it), with their
+    pairwise and triadic MI.
 
     O(n^3 * N): pass only the features the Hamiltonian keeps.
     """
     n = dd.n_features
     if n < 1:
         raise DataError("need at least one feature")
+    if len(relevance) != n:
+        raise UsageError(f"{len(relevance)} relevance values for {n} features")
     cols, b, xlogx = dd.codes.T, int(dd.bin_counts.max()), _xlogx(dd.n_samples)
     h = _tables_mi(cols, b, _combinations(n, 1), [], xlogx)[0]
     pairs = _combinations(n, 2)
@@ -249,7 +253,7 @@ def compute_tensors(dd: DiscretizedDataset) -> MiTensors:
         for p, q, r, axis in ((i, j, k, 3), (i, k, j, 2), (j, k, i, 1))
     ]
     g0, g1, g2 = _tables_mi(cols, b, triples, groupings, xlogx)[1]
-    return MiTensors(relevance(dd), pairs, redundancy, triples, (g0 + g1 + g2) / 3.0)
+    return MiTensors(relevance, pairs, redundancy, triples, (g0 + g1 + g2) / 3.0)
 
 
 def _combinations(n: int, r: int) -> np.ndarray:

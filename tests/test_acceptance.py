@@ -25,7 +25,7 @@ from hubofs.hubo import (
     hinge_delta,
     normalize_global,
 )
-from hubofs.mi import compute_tensors, mi_pair
+from hubofs.mi import compute_tensors, mi_pair, relevance
 from hubofs.samplers import exhaustive_solve, simulated_annealing
 
 
@@ -43,7 +43,8 @@ def criterion(num: int, description: str):
 def build_redundant_model(seed: int):
     ds = standardize(make_redundant_dataset(seed))
     train, test = stratified_split(ds, 0.2)
-    norm = normalize_global(compute_tensors(discretize(train, 8)))
+    binned = discretize(train, 8)
+    norm = normalize_global(compute_tensors(binned, relevance(binned)))
     coeffs = build_coefficients(norm, 1.0, 0.5, 0.3)
     coeffs = apply_penalty(coeffs, norm.relevance, 0.5, 0.2, 2.0)
     return coeffs, train, test

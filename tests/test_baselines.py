@@ -8,7 +8,6 @@ from hubofs.baselines import (
     LogisticModel,
     evaluate,
     logistic_fit,
-    logistic_loss,
     pca_fit,
     pca_transform,
     roc_auc,
@@ -193,6 +192,15 @@ class TestLogistic:
         a = logistic_fit(X, y)
         b = logistic_fit(X, y)
         assert a.weights.tobytes() == b.weights.tobytes() and a.bias == b.bias
+
+
+def logistic_loss(features, target, model, l2):
+    """The objective :func:`logistic_fit` minimizes at ``l2 = DEFAULT_L2``: mean
+    cross-entropy plus (l2/2)*||w||^2, the bias unregularized."""
+    z = features @ model.weights + model.bias
+    sign = 2.0 * target - 1.0
+    ce = float(np.mean(np.logaddexp(0.0, -sign * z)))
+    return ce + 0.5 * l2 * float(model.weights @ model.weights)
 
 
 def loss_gradient(features, target, model, l2):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
@@ -124,7 +125,8 @@ class TestBuild:
         # Reference route: tensors of all 8 features, restricted to the kept
         # ones and reindexed to source_indices.
         train, _ = stratified_split(standardize(load_csv(demo_csv, "label")), 0.2)
-        full = compute_tensors(discretize(train, 8))
+        binned = discretize(train, 8)
+        full = compute_tensors(binned, mi.relevance(binned))
         idx = extras["source_indices"]
         assert idx == preselect_top_k(full.relevance, 4)
         pos = {orig: new for new, orig in enumerate(idx)}
@@ -582,20 +584,23 @@ class TestSelectAndCompare:
         if stage == "compare":
             assert run_cli("select", *coefficients, "--samples", sampled / "samples.csv",
                            "--out", sampled) == 0
-        # --out a file, then --out a directory with a directory at the stage's last artifact.
+        # --out a file, then --out a directory with a directory at the stage's last artifact;
+        # each with the stage's input files, then with every one of them missing.
         blocker = tmp_path / "blocker"
         blocker.write_text("")
         out = tmp_path / "out"
         (out / last).mkdir(parents=True)
-        for target, error in (
-            (blocker, f"cannot create output directory '{blocker}'"),
-            (out, f"cannot write '{out / last}': it is a directory"),
-        ):
-            capsys.readouterr()
-            assert run_cli(stage, *args, "--out", target) == 2
-            err = capsys.readouterr().err
-            assert f"error [{stage}]: {error}" in err
-            assert "Traceback" not in err
+        missing = [tmp_path / "absent" if isinstance(arg, Path) else arg for arg in args]
+        for inputs in (args, missing):
+            for target, error in (
+                (blocker, f"cannot create output directory '{blocker}'"),
+                (out, f"cannot write '{out / last}': it is a directory"),
+            ):
+                capsys.readouterr()
+                assert run_cli(stage, *inputs, "--out", target) == 2
+                err = capsys.readouterr().err
+                assert f"error [{stage}]: {error}" in err
+                assert "Traceback" not in err
         assert [path.name for path in out.iterdir()] == [last]
 
     def test_sweep_path_checked_only_for_a_sweep(self, sampled, tmp_path):
@@ -942,10 +947,10 @@ class TestRun:
         args = ("--input", demo_csv, "--target", "label", "--preselect-k", 4)
         sampler = ("--sampler", "random", "--shots", 200, "--delta", 0.3)
         assert run_cli("run", *args, *sampler, "--out", tmp_path) == 0
-        # One all-feature relevance serves preselection and the matched k-best baseline;
-        # compute_tensors scores the 4 kept features itself.
+        # One all-feature relevance serves preselection, the 4 kept features' tensors
+        # and the matched k-best baseline.
         assert len(binned) == 1
-        assert scored == [8, 4]
+        assert scored == [8]
         assert "select_k_best_" in (tmp_path / "comparison.csv").read_text()
 
     def test_only_standalone_select_rechecks_energies(self, demo_csv, tmp_path, monkeypatch):

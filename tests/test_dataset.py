@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hubofs import dataset
 from hubofs.dataset import (
     MAX_BINS,
     Dataset,
     _bin_column,
-    _load_numeric,
-    _load_rows,
     discretize,
     load_csv,
     standardize,
@@ -94,6 +93,30 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             load_csv(p, "label")
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (b"", "is empty (no header row)"),
+            (b"a,b\n1,2\n3,4\n", "target column 'label' not found in header"),
+            (b"a,a,label\n1,2,x\n3,4,y\n", "ambiguous header: duplicated column names"),
+            (b'"a\rb",label\n1,x\n2,y\n', "feature name 'a\\rb' holds a carriage return"),
+            # Bytes past the chunk the header read decodes are never decoded.
+            (b"a,a,label\n" + b"1,2,x\n" * 4000 + b"\xff,3,y\n", "ambiguous header"),
+        ],
+        ids=["empty", "missing_target", "duplicate_name", "cr_in_name", "unreadable_body"],
+    )
+    def test_header_fault_raised_before_the_body_is_parsed(self, tmp_path, monkeypatch, text, error):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the body was parsed before the header was judged")
+
+        monkeypatch.setattr(dataset.np, "loadtxt", unreachable)
+        monkeypatch.setattr(dataset, "_load_rows", unreachable)
+        p = tmp_path / "t.csv"
+        p.write_bytes(text)
+        with pytest.raises(DataError) as caught:
+            load_csv(p, "label")
+        assert error in str(caught.value)
+
     def test_spambase_shape_when_available(self):
         import os
 
@@ -119,6 +142,25 @@ def csv_outcome(loader, path):
         return loader(path, "label")
     except DataError as exc:
         return str(exc)
+
+
+def numeric_parse(path):
+    """What :func:`load_csv`'s ``np.loadtxt`` parse returned for ``path``: None
+    where it declined or was not reached."""
+    parsed = [None]
+    parse = dataset._load_numeric
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_load_numeric", lambda *args: parsed.append(parse(*args)) or parsed[-1])
+        csv_outcome(load_csv, path)
+    return parsed[-1]
+
+
+def csv_path(path):
+    """:func:`load_csv` of ``path`` with its numeric parse declining, so ``csv`` reads
+    the body, or the message of the DataError it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_load_numeric", lambda *args: None)
+        return csv_outcome(load_csv, path)
 
 
 def finite_token(value: float, form: tuple) -> str:
@@ -159,16 +201,16 @@ class TestNumericFastPath:
         path = tmp_path_factory.mktemp("numeric") / "t.csv"
         ending = newline * data.draw(st.integers(0, 2))
         path.write_bytes((newline.join(lines) + ending).encode())
-        fast = _load_numeric(path, "label")
+        fast = numeric_parse(path)
         assert fast is not None
-        assert_same_dataset(fast, _load_rows(path, "label"))
+        assert_same_dataset(fast, csv_path(path))
         assert_same_dataset(load_csv(path, "label"), fast)
 
     def test_target_keeps_its_spaces(self, tmp_path):
         p = write(tmp_path / "t.csv", "a,label\n1, x\n2,x\n3, x\n")
-        ds = _load_numeric(p, "label")
+        ds = numeric_parse(p)
         assert ds is not None and ds.target.tolist() == [0, 1, 0]  # " x" < "x"
-        assert_same_dataset(ds, _load_rows(p, "label"))
+        assert_same_dataset(ds, csv_path(p))
 
     @pytest.mark.parametrize(
         "text, numeric",
@@ -184,12 +226,24 @@ class TestNumericFastPath:
         # Excel's "CSV UTF-8" starts the file with U+FEFF, which is not part of a name.
         plain, marked = write(tmp_path / "plain.csv", text), tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
-        fast = _load_numeric(marked, "label")
+        fast = numeric_parse(marked)
         assert (fast is not None) == numeric
         if numeric:
-            assert_same_dataset(fast, _load_numeric(plain, "label"))
-        assert_same_dataset(_load_rows(marked, "label"), _load_rows(plain, "label"))
+            assert_same_dataset(fast, numeric_parse(plain))
+        assert_same_dataset(csv_path(marked), csv_path(plain))
         assert_same_dataset(load_csv(marked, "label"), load_csv(plain, "label"))
+
+    @pytest.mark.parametrize(
+        "text",
+        ["a,label\r1,x\r2,y\r3,x\r", "a,label\r1,x\n2,y\r\n3,x\n", '"a\nb",label\n1,x\n2,y\n3,x\n'],
+        ids=["cr_lines", "mixed_lines", "two_line_header"],
+    )
+    def test_header_lines_skipped_as_csv_counts_them(self, tmp_path, text):
+        p = tmp_path / "t.csv"
+        p.write_bytes(text.encode())
+        fast = numeric_parse(p)
+        assert fast is not None and fast.features[:, 0].tolist() == [1.0, 2.0, 3.0]
+        assert_same_dataset(fast, csv_path(p))
 
     @pytest.mark.parametrize(
         "text",
@@ -229,8 +283,8 @@ class TestNumericFastPath:
         p.write_bytes(text.encode())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert _load_numeric(p, "label") is None
-            got, want = csv_outcome(load_csv, p), csv_outcome(_load_rows, p)
+            assert numeric_parse(p) is None
+            got, want = csv_outcome(load_csv, p), csv_path(p)
         assert caught == []
         if isinstance(want, str):
             assert got == want

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import term_dict
 from hubofs import mi
-from hubofs.dataset import MAX_BINS, DiscretizedDataset
+from hubofs.dataset import MAX_BINS, DiscretizedDataset, subset_codes
 from hubofs.errors import DataError, UsageError
 from hubofs.mi import MiTensors, compute_tensors, load_tensors, mi_pair, relevance, save_tensors
 
@@ -99,6 +99,11 @@ def reference_relevance(dd) -> np.ndarray:
     )
 
 
+def tensors_of(dd):
+    """:func:`compute_tensors` of ``dd`` handed the relevance that ``build`` holds."""
+    return compute_tensors(dd, relevance(dd))
+
+
 def make_dd(codes, target=None):
     codes = np.asarray(codes, dtype=np.int64)
     n = codes.shape[1]
@@ -165,12 +170,12 @@ class TestTriples:
         # X_2 identical to X_0, X_1 independent of both: (X_0, X_1) determines X_2 and
         # (X_1, X_2) determines X_0, while X_1 shares nothing with (X_0, X_2).
         codes = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 1], [1, 1, 1]])
-        t = compute_tensors(make_dd(codes))
+        t = tensors_of(make_dd(codes))
         h = oracle_entropy(codes[:, 2].tolist())
         assert t.triadic[0] == pytest.approx(2 * h / 3, abs=1e-12)
 
     def test_constant_columns(self):
-        t = compute_tensors(make_dd(np.zeros((6, 3), dtype=int)))
+        t = tensors_of(make_dd(np.zeros((6, 3), dtype=int)))
         assert t.redundancy.tolist() == [0.0] * 3
         assert t.triadic.tolist() == [0.0]
 
@@ -182,18 +187,18 @@ class TestTriples:
                 oracle_mi(list(zip(codes[:, p], codes[:, q])), list(codes[:, r]))
                 for p, q, r in ((0, 1, 2), (0, 2, 1), (1, 2, 0))
             ]
-            triadic = compute_tensors(make_dd(codes)).triadic[0]
+            triadic = tensors_of(make_dd(codes)).triadic[0]
             assert triadic == pytest.approx(sum(groupings) / 3.0, abs=1e-12)
 
     def test_cyclic_identical_columns(self):
         col = np.array([0, 1, 2, 0, 1, 2])
-        t = compute_tensors(make_dd(np.column_stack([col, col, col])))
+        t = tensors_of(make_dd(np.column_stack([col, col, col])))
         assert t.triadic[0] == pytest.approx(oracle_entropy(col.tolist()), abs=1e-12)
 
     def test_cyclic_independent_columns(self):
         # three mutually independent empirical columns (full factorial design)
         rows = list(itertools.product([0, 1], repeat=3))
-        assert compute_tensors(make_dd(np.array(rows))).triadic.tolist() == [0.0]
+        assert tensors_of(make_dd(np.array(rows))).triadic.tolist() == [0.0]
 
     def test_cyclic_permutation_invariant_exactly(self):
         # A triple's table has bitwise one entropy in every axis order, so each grouping
@@ -206,7 +211,7 @@ class TestTriples:
         h_ijk = mi._tables_mi(codes.T, 3, orders, [], mi._xlogx(24))[0]
         assert len(set(h_ijk.tolist())) == 1
         for order in orders:
-            t = compute_tensors(make_dd(codes[:, order]))
+            t = tensors_of(make_dd(codes[:, order]))
             assert t.triadic[0] == reference_cyclic(dd, *order)
 
     def test_composite_at_least_as_informative(self):
@@ -229,10 +234,28 @@ class TestComputeTensors:
         rng = np.random.default_rng(1)
         for n, pairs, triples in ((1, 0, 0), (3, 3, 1), (6, 15, 20)):
             dd = make_dd(rng.integers(0, 2, (30, n)))
-            t = compute_tensors(dd)
+            t = tensors_of(dd)
             assert t.relevance.shape == (n,)
             assert len(t.redundancy) == pairs
             assert len(t.triadic) == triples
+
+    def test_relevance_is_the_one_handed_in(self):
+        rng = np.random.default_rng(2)
+        dd = make_dd(rng.integers(0, 3, (30, 4)))
+        held = np.array([0.5, 0.25, 0.125, 0.0])
+        assert compute_tensors(dd, held).relevance.tolist() == held.tolist()
+        with pytest.raises(UsageError, match="3 relevance values for 4 features"):
+            compute_tensors(dd, held[:3])
+
+    def test_kept_features_relevance_is_their_share_of_all(self):
+        # build scores every feature once and hands compute_tensors the kept ones'
+        # values: binned with fewer, wider-padded or narrower-padded features, a
+        # feature's relevance is bitwise the same.
+        rng = np.random.default_rng(5)
+        codes = np.column_stack([rng.integers(0, b, 80) for b in (2, 9, 3, 5, 4, 7)])
+        dd = make_dd(codes, rng.integers(0, 2, 80))
+        for kept in ([0, 2], [1, 3, 5], [4], [5, 0, 3]):
+            assert relevance(subset_codes(dd, kept)).tobytes() == relevance(dd)[kept].tobytes()
 
     def test_n32_counts(self):
         # combinatorial bookkeeping only: relevance 32, C(32,2), C(32,3)
@@ -245,14 +268,14 @@ class TestComputeTensors:
         rng = np.random.default_rng(4)
         col = rng.integers(0, 4, 50)
         dd = make_dd(np.column_stack([col, col, rng.integers(0, 3, 50)]))
-        t = compute_tensors(dd)
+        t = tensors_of(dd)
         redundancy = term_dict(t.pairs, t.redundancy)[(0, 1)]
         assert redundancy == pytest.approx(oracle_entropy(col.tolist()), abs=1e-12)
 
     def test_matches_pointwise_functions(self):
         rng = np.random.default_rng(8)
         dd = make_dd(rng.integers(0, 3, (25, 4)))
-        t = compute_tensors(dd)
+        t = tensors_of(dd)
         for i in range(4):
             assert t.relevance[i] == mi_pair(dd.codes[:, i], dd.target)
         for key, value in term_dict(t.pairs, t.redundancy).items():
@@ -268,7 +291,7 @@ class TestComputeTensors:
             bins = rng.permutation([2, 3, 4, 5, 7])
             dd = make_dd(np.column_stack([rng.integers(0, b, 60) for b in bins]))
             assert len(set(dd.bin_counts)) > 1
-            t = compute_tensors(dd)
+            t = tensors_of(dd)
             triadic = term_dict(t.triples, t.triadic)
             for a, b, c in itertools.combinations(range(5), 3):
                 expect = (
@@ -281,7 +304,7 @@ class TestComputeTensors:
     def test_all_values_nonnegative(self):
         rng = np.random.default_rng(3)
         dd = make_dd(rng.integers(0, 4, (60, 5)))
-        assert compute_tensors(dd).all_values().min() >= 0.0
+        assert tensors_of(dd).all_values().min() >= 0.0
 
 
 def random_dd(rng, n_features, n_samples, max_bins=6):
@@ -314,7 +337,7 @@ def structured_dd(seed=0, n_features=12, n_samples=3000, bins=8):
 
 def assert_matches_reference(dd):
     n = dd.n_features
-    t = compute_tensors(dd)
+    t = tensors_of(dd)
     redundancy = term_dict(t.pairs, t.redundancy)
     triadic = term_dict(t.triples, t.triadic)
     assert np.array_equal(relevance(dd), reference_relevance(dd))
@@ -403,7 +426,7 @@ class TestBatchedKernel:
         monkeypatch.setattr(mi, "_entropies", spy_entropies)
         rng = np.random.default_rng(cells)
         dd = make_dd(rng.integers(0, 3, (60, 7)))
-        compute_tensors(dd)
+        tensors_of(dd)
         assert batches == [batch] * (35 // batch) + [35 % batch] * (35 % batch > 0)
         monkeypatch.setattr(mi, "_entropies", entropies)
         assert_matches_reference(dd)
@@ -466,7 +489,7 @@ class TestEntropyForm:
             assert mi_pair(codes[:, 0] * len(y) + codes[:, 1], codes[:, 2]) == 0.0
             # three-way product: every pair and every grouping of the triple
             dd = make_dd(codes_of(np.multiply.outer(np.multiply.outer(x, y), z), rng))
-            t = compute_tensors(dd)
+            t = tensors_of(dd)
             assert t.redundancy.tolist() == [0.0] * 3 and t.triadic.tolist() == [0.0]
 
     def test_entropy_depends_on_the_count_multiset_alone(self):
@@ -494,7 +517,7 @@ class TestEntropyForm:
             return log2(x, *args, **kwargs)
 
         monkeypatch.setattr(mi.np, "log2", spy_log2)
-        compute_tensors(dd)
+        tensors_of(dd)
         mi_pair(dd.codes[:, 0], rng.integers(0, 9, 300))
         assert sizes and max(sizes) <= 300 + 1
 
@@ -503,7 +526,7 @@ class TestTensorIo:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)
         dd = make_dd(rng.integers(0, 3, (30, 4)))
-        t = compute_tensors(dd)
+        t = tensors_of(dd)
         path = tmp_path / "tensors.json"
         save_tensors(path, t, provenance={"input": "x.csv"})
         loaded = load_tensors(path)
@@ -545,7 +568,7 @@ class TestTensorIo:
     def test_malformed_file_is_data_error(self, tmp_path, corrupt):
         rng = np.random.default_rng(6)
         path = tmp_path / "tensors.json"
-        save_tensors(path, compute_tensors(make_dd(rng.integers(0, 3, (30, 3)))))
+        save_tensors(path, tensors_of(make_dd(rng.integers(0, 3, (30, 3)))))
         doc = json.loads(path.read_text())
         corrupt(doc)
         path.write_text(json.dumps(doc))
