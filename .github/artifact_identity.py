@@ -21,14 +21,19 @@ so it is compared on its bitstring and count columns in row order, and the
 largest energy change is reported. Each run starts in its own session and
 writes to a log file; a run that leaves a process of that session running is
 reported, killed and counted as a difference. Each job's peak RSS on both trees
-is printed and not compared: the largest ``ru_maxrss`` from ``os.wait4`` of its
-runs, each the larger of the run's and its reaped workers'. Last, it prints the line counts of both
-trees' ``src/hubofs``. Exits 1 on any difference.
+is printed: the largest ``ru_maxrss`` from ``os.wait4`` of its runs, each the
+larger of the run's and its reaped workers'. A job whose peak on this tree exceeds
+BASE_TREE's by more than the ``peak_rss_mb`` bound of ``BENCHMARK.json`` counts as
+a difference. The tables are written in a forked child, so that this process's own
+peak RSS, which Linux reports as a floor of every run's ``ru_maxrss``, stays below
+the runs'. Last, it prints the line counts of both trees' ``src/hubofs``. Exits
+1 on any difference.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -123,6 +128,12 @@ def csv_path_table(text: str) -> str:
     return "".join(",".join(row) + "\n" for row in [header, *rows])
 
 
+def write_tables(csv: Path, mixed: Path, seed: int) -> None:
+    """Write the table of ``seed`` to ``csv`` and its ``csv_path_table`` form to ``mixed``."""
+    table.write_table(csv, seed)
+    mixed.write_text(csv_path_table(csv.read_text(encoding="ascii")), encoding="ascii")
+
+
 def source_lines(tree: Path) -> int:
     """``wc -l`` of the tree's ``src/hubofs/*.py``."""
     return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "hubofs").glob("*.py"))
@@ -179,12 +190,18 @@ def hubofs(name: str, tree: Path, args: list[str], log: Path) -> tuple[bool, int
 def main(argv: list[str]) -> int:
     base = Path(argv[1]).resolve()
     seed = int(argv[2]) if len(argv) > 2 else 3
+    rss_bound = next(m["bound"] for m in run.SPEC["end_to_end"] if m["name"] == "peak_rss_mb")
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
         csv = Path(tmp) / f"table{seed}.csv"
-        table.write_table(csv, seed)
         mixed = csv.with_name(f"mixed{seed}.csv")
-        mixed.write_text(csv_path_table(csv.read_text(encoding="ascii")), encoding="ascii")
+        # Built here, the tables' text lifted every run's ru_maxrss to this process's 63 MB.
+        writer = multiprocessing.get_context("fork").Process(
+            target=write_tables, args=(csv, mixed, seed))
+        writer.start()
+        writer.join()
+        if writer.exitcode != 0:
+            sys.exit(f"writing the tables of seed {seed} failed")
         for name in [*FLAG_SETS, STANDALONE]:
             outs = [Path(tmp) / name / side for side in ("head", "base")]
             outs[0].parent.mkdir()
@@ -195,7 +212,11 @@ def main(argv: list[str]) -> int:
                             commands(name, mixed if name == CSV_PATH else csv, out))]
                 differ += sum(left for left, _ in runs)
                 kbs.append(max(kb for _, kb in runs))
-            print(f"{name}: peak RSS {kbs[1] / 1024:.1f} -> {kbs[0] / 1024:.1f} MB")
+            head_mb, base_mb = (kb / 1024 for kb in kbs)
+            over = head_mb > base_mb + rss_bound
+            print(f"{name}: peak RSS {base_mb:.2f} -> {head_mb:.2f} MB"
+                  + (f", over the {rss_bound:g} MB bound" if over else ""))
+            differ += over
             written = {p.relative_to(out).as_posix()
                        for out in outs for p in out.rglob("*") if p.is_file()}
             for file in sorted(written):

@@ -129,6 +129,7 @@ def logistic_fit(X: np.ndarray, y: np.ndarray) -> LogisticModel:
     n, d = X.shape
     design = np.ones((n, d + 1))
     design[:, :d] = X
+    del X  # a caller's temporary rows (X[:, cols], PCA scores) need not outlive the copy
     mean = design[:, :d].mean(axis=0)
     design[:, :d] -= mean
     ridge = np.append(np.full(d, DEFAULT_L2), 0.0)  # the bias is not regularized

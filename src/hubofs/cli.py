@@ -101,10 +101,10 @@ def _dataset_sha256(path: str) -> str:
 
 @dataclass
 class _Splits:
-    """The loaded dataset, its train/test split, and what build and compare
-    derive from the train rows; each is computed at most once."""
+    """The standardized train/test split of the loaded table, and what build and
+    compare derive from the train rows; each is computed at most once. The loaded
+    matrix is not kept: its names and dropped-row count ride on both splits."""
 
-    ds: Dataset
     train: Dataset
     test: Dataset
     bins: int
@@ -119,24 +119,25 @@ class _Splits:
 
 
 def _load_splits(cfg: RunConfig) -> _Splits:
-    ds = load_csv(cfg.input, cfg.target)
-    ds_std = standardize(ds)
-    train, test = stratified_split(ds_std, cfg.test_fraction)
-    return _Splits(ds, train, test, cfg.bins)
+    """The split of the standardized table; the loaded matrix is freed as soon as
+    ``standardize`` returns, the standardized one once the split exists."""
+    train, test = stratified_split(standardize(load_csv(cfg.input, cfg.target)),
+                                   cfg.test_fraction)
+    return _Splits(train, test, cfg.bins)
 
 
 def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, list[str]]:
     """discretize -> relevance -> preselect -> MI -> HUBO; the coefficients and the
     names of their features."""
     tensors_path, coeffs_path = _out_dir(cfg, *_artifacts(cfg, "build"))
-    ds, train = splits.ds, splits.train
-    if ds.n_features > cfg.preselect_k:
+    train, test = splits.train, splits.test
+    if train.n_features > cfg.preselect_k:
         indices = hubo.preselect_top_k(splits.relevance, cfg.preselect_k)
     else:
-        indices = list(range(ds.n_features))
-        if ds.n_features < cfg.preselect_k:
+        indices = list(range(train.n_features))
+        if train.n_features < cfg.preselect_k:
             print(
-                f"note [build]: only {ds.n_features} features, preselection to "
+                f"note [build]: only {train.n_features} features, preselection to "
                 f"{cfg.preselect_k} skipped",
                 file=sys.stderr,
             )
@@ -148,13 +149,13 @@ def cmd_build(cfg: RunConfig, splits: _Splits) -> tuple[hubo.HuboCoefficients, l
         print(f"warning [build]: {warning.message} (n={tensors.n})", file=sys.stderr)
     coeffs = hubo.build_coefficients(normalized, cfg.w1, cfg.w2, cfg.w3)
     coeffs = hubo.apply_penalty(coeffs, normalized.relevance, cfg.lam, cfg.tau, cfg.p)
-    names = [ds.feature_names[i] for i in indices]
+    names = [train.feature_names[i] for i in indices]
     provenance = {
         "input": str(cfg.input),
         "input_sha256": _dataset_sha256(cfg.input),
         "target": cfg.target,
-        "rows_used": ds.n_samples,
-        "rows_dropped": ds.n_dropped_rows,
+        "rows_used": train.n_samples + test.n_samples,
+        "rows_dropped": train.n_dropped_rows,
         "train_rows": train.n_samples,
         "params": {
             "test_fraction": cfg.test_fraction,
@@ -302,27 +303,25 @@ def cmd_compare(cfg: RunConfig, splits: _Splits, selections) -> Path:
     train, test = splits.train, splits.test
     reports = []
 
-    def fit_eval(label, train_x, test_x) -> None:
-        model = baselines.logistic_fit(train_x, train.target)
-        reports.append(baselines.evaluate(model, test_x, test.target, label))
+    def fit_eval(label, rows) -> None:
+        """Fit on ``rows(train.features)``, then score ``rows(test.features)``. The rows
+        are made in the call, so the fit holds the only reference to them."""
+        model = baselines.logistic_fit(rows(train.features), train.target)
+        reports.append(baselines.evaluate(model, rows(test.features), test.target, label))
 
     matched_sizes = []
     for label, columns in selections:
         if not columns:
             print(f"note [compare]: selection {label!r} is empty, skipped", file=sys.stderr)
             continue
-        fit_eval(label, train.features[:, columns], test.features[:, columns])
+        fit_eval(label, lambda x: x[:, columns])
         matched_sizes.append(len(columns))
-    fit_eval("all_features", train.features, test.features)
+    fit_eval("all_features", lambda x: x)
     for size in matched_sizes:
         columns = hubo.preselect_top_k(splits.relevance, size)
-        fit_eval(f"select_k_best_{size}", train.features[:, columns], test.features[:, columns])
+        fit_eval(f"select_k_best_{size}", lambda x: x[:, columns])
     pca = baselines.pca_fit(train.features, PCA_VARIANCE)
-    fit_eval(
-        f"pca_var{PCA_VARIANCE:g}",
-        baselines.pca_transform(pca, train.features),
-        baselines.pca_transform(pca, test.features),
-    )
+    fit_eval(f"pca_var{PCA_VARIANCE:g}", lambda x: baselines.pca_transform(pca, x))
     baselines.write_comparison_csv(csv_path, reports)
     _write_auc_svg(svg_path, reports)
     for r in reports:
@@ -371,7 +370,7 @@ def cmd_run(cfg: RunConfig) -> None:
     coeffs, names = cmd_build(cfg, splits)
     selected = cmd_select(cfg, coeffs, names, cmd_sample(cfg, coeffs))
     picked = [names[i] for i in selected]
-    cmd_compare(cfg, splits, [("importance", _columns(splits.ds, picked, "importance.csv"))])
+    cmd_compare(cfg, splits, [("importance", _columns(splits.train, picked, "importance.csv"))])
 
 
 def _add_data_args(p: argparse.ArgumentParser) -> None:
@@ -469,7 +468,7 @@ def main(argv=None) -> int:
             cmd_select(cfg, *_select_inputs(cfg))
         elif stage == "compare":
             splits = _load_splits(cfg)
-            cmd_compare(cfg, splits, [_read_selection(p, splits.ds) for p in cfg.selections])
+            cmd_compare(cfg, splits, [_read_selection(p, splits.train) for p in cfg.selections])
         else:
             cmd_run(cfg)
     except HubofsError as exc:

@@ -51,7 +51,8 @@ class Dataset:
 
 @dataclass(frozen=True)
 class DiscretizedDataset:
-    """Integer bin codes per feature, for histogram-based MI estimation."""
+    """Integer bin codes per feature, for histogram-based MI estimation; :func:`discretize`
+    stores them in the smallest unsigned type that holds its largest code."""
 
     codes: np.ndarray
     bin_counts: np.ndarray
@@ -175,8 +176,10 @@ def _load_rows(rows, header: list[str], t_idx: int) -> Dataset:
     for name in names:  # a level's "\r"; the header's were refused before the body was read
         if "\r" in name:
             raise DataError(f"feature name {name!r} holds a carriage return")
-
-    features = np.column_stack(columns) if columns else np.empty((len(kept), 0))
+    # The rows, the target's cells and the last column's reach every memory arena of
+    # the cells' strings: dropped, the arenas are freed before the columns are stacked.
+    kept = raw_target = values = None
+    features = np.column_stack(columns) if columns else np.empty((len(target), 0))
     return Dataset(features, target, tuple(names), n_dropped_rows=dropped)
 
 
@@ -250,12 +253,13 @@ def _bin_column(values: np.ndarray, max_bins: int) -> tuple[np.ndarray, int]:
 
 
 def discretize(d: Dataset, max_bins: int) -> DiscretizedDataset:
-    """Per-feature equal-frequency binning with B = min(max_bins, #distinct)."""
+    """Per-feature equal-frequency binning with B = min(max_bins, #distinct); the codes
+    are of the smallest unsigned type that holds ``max_bins - 1`` (uint8 up to MAX_BINS)."""
     if max_bins < 2:
         raise UsageError(f"max_bins must be >= 2, got {max_bins}")
     if max_bins > MAX_BINS:
         raise CapabilityError(f"max_bins must be <= {MAX_BINS}, got {max_bins}")
-    codes = np.empty((d.n_samples, d.n_features), dtype=np.int64)
+    codes = np.empty((d.n_samples, d.n_features), dtype=np.min_scalar_type(max_bins - 1))
     bin_counts = np.empty(d.n_features, dtype=np.int64)
     for j in range(d.n_features):
         codes[:, j], bin_counts[j] = _bin_column(d.features[:, j], max_bins)

@@ -19,7 +19,8 @@ takes a log, a division or a float sort. Two contracts hold:
 
 Every count table comes from one kernel, :func:`_tables_mi`. Its input is rows
 of column indices (a single, a pair, a triple, or ``(target, feature)``), each
-table padded to ``b**r`` cells; it returns each table's entropy and, for each
+table padded to one size per axis (b a side for features of at most b bins, and
+n_a x n_b for :func:`mi_pair`); it returns each table's entropy and, for each
 grouping of the table's axes into A and B, the MI. The singles' and the pairs'
 entropies are computed once, and each triple adds one entropy, H_ijk, for its
 three groupings such as ``(H_ij + H_k) - H_ijk``. A batch takes as many tables
@@ -162,14 +163,14 @@ def _mi(h_sum: np.ndarray, h_joint: np.ndarray, joint: np.ndarray, b_axis: int, 
     return np.where(mi < 0.0, 0.0, mi)
 
 
-def _tables_mi(cols: np.ndarray, b: int, tuples: np.ndarray, groupings, xlogx: np.ndarray):
+def _tables_mi(cols: np.ndarray, shape: tuple, tuples: np.ndarray, groupings, xlogx):
     """``(h, mi)``: the entropy of the count table of each row of ``tuples (m, r)``,
-    indices into the code rows ``cols (n, N)``, each table padded to ``b**r`` cells;
-    and, for each ``(h_sum, axis)`` of ``groupings``, the :func:`_mi` of every table
-    against its entropy sum ``h_sum (m,)``, B on ``axis`` of the ``(m, b, ..., b)``
-    stack."""
-    (m, r), size = tuples.shape, cols.shape[1]
-    cells = b**r
+    indices into the code rows ``cols (n, N)``, each table padded to ``shape``, r
+    sizes, one per axis; and, for each ``(h_sum, axis)`` of ``groupings``, the
+    :func:`_mi` of every table against its entropy sum ``h_sum (m,)``, B on ``axis``
+    of the ``(m, *shape)`` stack."""
+    m, size = len(tuples), cols.shape[1]
+    cells = math.prod(shape)
     step = max(1, MAX_CELLS // max(cells, size))
     # Each call codes in the smallest type that holds a key, C-ordered.
     codes = np.ascontiguousarray(cols, dtype=np.min_scalar_type(step * cells - 1))
@@ -185,11 +186,11 @@ def _tables_mi(cols: np.ndarray, b: int, tuples: np.ndarray, groupings, xlogx: n
         for lo, hi in zip([0, *cuts], [*cuts, t]):
             *head, last = batch[lo].tolist()
             key = 0
-            for p in head:
+            for p, b in zip(head, shape[1:]):
                 key = (key + codes[p]) * b
             np.add(codes[last : last + hi - lo], key, out=keys[lo:hi])
         keys[:t] += offsets[:t]
-        hist = np.bincount(keys[:t].ravel(), minlength=t * cells).reshape(t, *(b,) * r)
+        hist = np.bincount(keys[:t].ravel(), minlength=t * cells).reshape(t, *shape)
         h.append(_entropies(hist, xlogx))
         for out, (h_sum, axis) in zip(mi, groupings):
             out.append(_mi(h_sum[s : s + step], h[-1], hist, axis, size))
@@ -203,8 +204,8 @@ def _compress(codes) -> tuple[np.ndarray, int]:
 
 
 def mi_pair(a, b) -> float:
-    """Plug-in mutual information (bits) between two integer code vectors; its
-    table is padded to the larger of their distinct-value counts a side."""
+    """Plug-in mutual information (bits) between two integer code vectors, from
+    their n_a x n_b count table of distinct values."""
     av = np.asarray(a)
     bv = np.asarray(b)
     if av.size == 0:
@@ -212,9 +213,10 @@ def mi_pair(a, b) -> float:
     if av.shape != bv.shape:
         raise DataError(f"length mismatch: {av.shape} vs {bv.shape}")
     (inv_a, n_a), (inv_b, n_b) = _compress(av.ravel()), _compress(bv.ravel())
-    cols, b, xlogx = np.stack([inv_a, inv_b]), max(n_a, n_b), _xlogx(av.size)
-    h = _tables_mi(cols, b, _combinations(2, 1), [], xlogx)[0]
-    return float(_tables_mi(cols, b, _combinations(2, 2), [(h[:1] + h[1:], 2)], xlogx)[1][0][0])
+    cols, xlogx = np.stack([inv_a, inv_b]), _xlogx(av.size)
+    h = _tables_mi(cols, (max(n_a, n_b),), _combinations(2, 1), [], xlogx)[0]
+    pair = _tables_mi(cols, (n_a, n_b), _combinations(2, 2), [(h[:1] + h[1:], 2)], xlogx)
+    return float(pair[1][0][0])
 
 
 def relevance(dd: DiscretizedDataset) -> np.ndarray:
@@ -222,9 +224,9 @@ def relevance(dd: DiscretizedDataset) -> np.ndarray:
     target, n_t = _compress(dd.target)
     n, b = dd.n_features, max(int(dd.bin_counts.max(initial=1)), n_t)
     cols, xlogx = np.vstack([dd.codes.T, target]), _xlogx(len(target))
-    h = _tables_mi(cols, b, _combinations(n + 1, 1), [], xlogx)[0]
+    h = _tables_mi(cols, (b,), _combinations(n + 1, 1), [], xlogx)[0]
     rows = np.column_stack([np.full(n, n), np.arange(n)])  # (target, feature)
-    return _tables_mi(cols, b, rows, [(h[n] + h[:n], 2)], xlogx)[1][0]
+    return _tables_mi(cols, (b, b), rows, [(h[n] + h[:n], 2)], xlogx)[1][0]
 
 
 def compute_tensors(dd: DiscretizedDataset, relevance) -> MiTensors:
@@ -240,10 +242,10 @@ def compute_tensors(dd: DiscretizedDataset, relevance) -> MiTensors:
     if len(relevance) != n:
         raise UsageError(f"{len(relevance)} relevance values for {n} features")
     cols, b, xlogx = dd.codes.T, int(dd.bin_counts.max()), _xlogx(dd.n_samples)
-    h = _tables_mi(cols, b, _combinations(n, 1), [], xlogx)[0]
+    h = _tables_mi(cols, (b,), _combinations(n, 1), [], xlogx)[0]
     pairs = _combinations(n, 2)
     i, j = pairs.T
-    h_pairs, (redundancy,) = _tables_mi(cols, b, pairs, [(h[i] + h[j], 2)], xlogx)
+    h_pairs, (redundancy,) = _tables_mi(cols, (b, b), pairs, [(h[i] + h[j], 2)], xlogx)
     pair_row = np.zeros((n, n), dtype=np.int64)
     pair_row[i, j] = np.arange(len(pairs))
     triples = _combinations(n, 3)
@@ -252,7 +254,7 @@ def compute_tensors(dd: DiscretizedDataset, relevance) -> MiTensors:
         (h_pairs[pair_row[p, q]] + h[r], axis)
         for p, q, r, axis in ((i, j, k, 3), (i, k, j, 2), (j, k, i, 1))
     ]
-    g0, g1, g2 = _tables_mi(cols, b, triples, groupings, xlogx)[1]
+    g0, g1, g2 = _tables_mi(cols, (b, b, b), triples, groupings, xlogx)[1]
     return MiTensors(relevance, pairs, redundancy, triples, (g0 + g1 + g2) / 3.0)
 
 

@@ -22,6 +22,7 @@ from hubofs.dataset import (
     load_csv,
     standardize,
     stratified_split,
+    subset_codes,
 )
 from hubofs.hubo import (
     DEFAULT_PENALTY,
@@ -56,6 +57,30 @@ select_k_best_3,3,0.861076345432,0.862453531599,0.944968671679
 select_k_best_10,10,0.872340425532,0.872817955112,0.949661654135
 pca_var0.95,3,0.864831038798,0.866336633663,0.94701754386
 """
+# The same for its i.i.d. table, while a selection's fit held X[:, cols], and the
+# PCA fit its scores, beside the design.
+COMPARE_IID_STDOUT = """\
+compare: narrow                   n=3   acc=0.7009 f1=0.7165 auc=0.7739
+compare: wide                     n=18  acc=0.6696 f1=0.6879 auc=0.7422
+compare: all_features             n=20  acc=0.8135 f1=0.8228 auc=0.8895
+compare: select_k_best_3          n=3   acc=0.8123 f1=0.8214 auc=0.8899
+compare: select_k_best_18         n=18  acc=0.8173 f1=0.8262 auc=0.8897
+compare: pca_var0.95              n=19  acc=0.8110 f1=0.8200 auc=0.8830
+"""
+COMPARE_IID_CSV = """\
+# schema=hubofs-comparison/2
+method,n,accuracy,f1,auc
+narrow,3,0.700876095119,0.716488730724,0.773948378358
+wide,18,0.66958698373,0.687943262411,0.74219279103
+all_features,20,0.81351689612,0.822829964328,0.889538967065
+select_k_best_3,3,0.812265331665,0.821428571429,0.889865051296
+select_k_best_18,18,0.817271589487,0.82619047619,0.889708280031
+pca_var0.95,19,0.811013767209,0.820023837902,0.883017282464
+"""
+COMPARE_OUTPUT = {
+    "latent": (COMPARE_STDOUT, COMPARE_CSV),
+    "iid": (COMPARE_IID_STDOUT, COMPARE_IID_CSV),
+}
 
 # Runs every sampler through `run`, then the four stages one by one, in this fresh
 # process (argv: CSV, output directory); prints the exit codes and whether numpy.ma
@@ -183,6 +208,61 @@ class TestBuild:
         assert code == 0 and (tmp_path / "k1" / "coefficients.json").exists()
         assert err == ["warning [build]: all MI values are equal; normalized tensors are all "
                        "zero (n=1)"]
+
+    def test_splits_keep_one_copy_of_the_table(self, tmp_path, monkeypatch):
+        # Once the split exists, neither the loaded matrix nor its standardized whole
+        # is alive: what stays is the train and test rows, their targets and one byte
+        # per train cell of bin codes. Relevance and the MI tensors read those uint8
+        # codes bitwise as they read the same codes in int64.
+        import tracemalloc
+        import weakref
+        from dataclasses import replace
+
+        import hubofs.cli as cli
+
+        rng = np.random.default_rng(11)
+        n, d = 3000, 20
+        features = rng.normal(size=(n, d)) * np.exp(rng.normal(size=d))
+        label = (features[:, 0] + features[:, 1] > 0).astype(int)
+        path = tmp_path / "table.csv"
+        header = ",".join([f"f{j}" for j in range(d)] + ["label"])
+        np.savetxt(path, np.column_stack([features, label]), fmt="%.6f", delimiter=",",
+                   header=header, comments="")
+        cfg = cli.RunConfig(input=str(path), target="label")
+        cli._load_splits(cfg).binned  # imports and caches made once per process
+        made = []
+
+        def watched(fn):
+            def call(*args):
+                result = fn(*args)
+                made.append(weakref.ref(result.features))
+                return result
+            return call
+
+        monkeypatch.setattr(cli, "load_csv", watched(cli.load_csv))
+        monkeypatch.setattr(cli, "standardize", watched(cli.standardize))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            splits = cli._load_splits(cfg)
+            binned = splits.binned
+            live = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(made) == 2 and all(ref() is None for ref in made)
+        n_train = splits.train.n_samples
+        assert n_train + splits.test.n_samples == n
+        assert live <= 8 * n * d + 8 * (n + n_train) + n_train * d + (64 << 10)
+        assert binned.codes.dtype == np.uint8
+        wide = replace(binned, codes=binned.codes.astype(np.int64))
+        scores = [mi.relevance(dd) for dd in (binned, wide)]
+        assert scores[0].tobytes() == scores[1].tobytes()
+        kept = list(range(0, d, 3))
+        narrow, wide = (subset_codes(dd, kept) for dd in (binned, wide))
+        tensors = [compute_tensors(dd, scores[0][kept]) for dd in (narrow, wide)]
+        for family in ("relevance", "redundancy", "triadic"):
+            values = [getattr(t, family).tobytes() for t in tensors]
+            assert values[0] == values[1], family
 
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert run_cli("build", "--input", tmp_path / "nope.csv", "--target", "y") == 3
@@ -736,42 +816,50 @@ class TestSelectAndCompare:
         assert svg.startswith("<svg") and "ROC-AUC" in svg
 
     def test_compare_holds_no_copy_of_the_train_columns(self, tmp_path, capsys):
-        # The widest fit, on all d features, holds its design and its Newton-scaled
-        # design, n_train x (d + 1) floats each. PCA keeps 3 components and the selections
-        # are narrow, so no other fit comes near. The slack covers the fit's n_train-long
-        # vectors (probabilities and their temporaries, 8 at most), Python objects and
-        # ufunc buffers, made small here; a third n_train x d array, such as a copy of
-        # the train columns (24 such vectors), exceeds it.
+        # The fit on all d features holds its design and its Newton-scaled design,
+        # n_train x (d + 1) floats each, and no other fit may hold more. On the latent
+        # table PCA keeps 3 components and the selections are narrow. On the i.i.d. one
+        # PCA keeps 19 of 20 and a selection takes 18 columns, so their fits stay under
+        # the bound only if the scores or X[:, cols] are freed once copied into the
+        # design. The slack covers the fit's n_train-long vectors (probabilities and
+        # their temporaries, 8 at most), Python objects and ufunc buffers, made small
+        # here; a third n_train x d array, such as a copy of the train columns (24
+        # such vectors), exceeds it.
         import tracemalloc
 
         import hubofs.cli as cli
 
-        rng = np.random.default_rng(3)
-        n, d = 4000, 24
-        latent = rng.normal(size=(n, 3)) @ rng.normal(size=(3, d))
-        features = latent + 0.2 * rng.normal(size=(n, d))
-        target = (features[:, 0] - features[:, 1] + rng.normal(size=n) > 0).astype(np.int64)
-        ds = standardize(Dataset(features, target, tuple(f"f{i}" for i in range(d))))
-        train, test = stratified_split(ds, 0.2)
-        splits = cli._Splits(ds, train, test, 8)
-        cfg = cli.RunConfig(out=str(tmp_path))
-        selections = [("narrow", [0, 3, 7]), ("half", list(range(2, 12)))]
-        bufsize = np.setbufsize(64)
-        try:
-            cli.cmd_compare(cfg, splits, selections)  # the relevance is cached here
-            tracemalloc.start()
+        for table, (stdout, csv_text) in COMPARE_OUTPUT.items():
+            rng = np.random.default_rng(3)
+            n, d = 4000, {"latent": 24, "iid": 20}[table]
+            if table == "latent":
+                latent = rng.normal(size=(n, 3)) @ rng.normal(size=(3, d))
+                features = latent + 0.2 * rng.normal(size=(n, d))
+                selections = [("narrow", [0, 3, 7]), ("half", list(range(2, 12)))]
+            else:
+                features = rng.normal(size=(n, d))
+                selections = [("narrow", [0, 3, 7]), ("wide", list(range(1, 19)))]
+            target = (features[:, 0] - features[:, 1] + rng.normal(size=n) > 0).astype(np.int64)
+            ds = standardize(Dataset(features, target, tuple(f"f{i}" for i in range(d))))
+            train, test = stratified_split(ds, 0.2)
+            splits = cli._Splits(train, test, 8)
+            cfg = cli.RunConfig(out=str(tmp_path / table))
+            bufsize = np.setbufsize(64)
             try:
-                start = tracemalloc.get_traced_memory()[0]
-                cli.cmd_compare(cfg, splits, selections)
-                peak = tracemalloc.get_traced_memory()[1]
+                cli.cmd_compare(cfg, splits, selections)  # the relevance is cached here
+                tracemalloc.start()
+                try:
+                    start = tracemalloc.get_traced_memory()[0]
+                    cli.cmd_compare(cfg, splits, selections)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
             finally:
-                tracemalloc.stop()
-        finally:
-            np.setbufsize(bufsize)
-        vector = 8 * train.n_samples
-        assert peak - start <= 2 * (d + 1) * vector + 8 * vector + (32 << 10)
-        assert capsys.readouterr().out == 2 * COMPARE_STDOUT
-        assert (tmp_path / "comparison.csv").read_text() == COMPARE_CSV
+                np.setbufsize(bufsize)
+            vector = 8 * train.n_samples
+            assert peak - start <= 2 * (d + 1) * vector + 8 * vector + (32 << 10), table
+            assert capsys.readouterr().out == 2 * stdout
+            assert (tmp_path / table / "comparison.csv").read_text() == csv_text
 
     def test_compare_svg_escapes_selection_name(self, sampled, demo_csv):
         run_cli(

@@ -146,6 +146,29 @@ class TestMiPair:
         with pytest.raises(DataError):
             mi_pair([0, 1], [0, 1, 0])
 
+    def test_table_is_n_a_by_n_b(self):
+        # 1000 distinct values against 2: a 1000 x 2 count table, not one padded to
+        # 1000 x 1000 (a 40 MiB traced peak). Vectors of unequal distinct counts give
+        # the reference table's MI bitwise, in either order.
+        import tracemalloc
+
+        rng = np.random.default_rng(8)
+        a, b = rng.permutation(np.arange(3681) % 1000), rng.integers(0, 2, 3681)
+        mi_pair(a, b)  # a first call's imports and caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            value = mi_pair(a, b)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        assert value == reference_mi_pair(a, b) == mi_pair(b, a)
+        for _ in range(100):
+            n = int(rng.integers(2, 400))
+            a, b = (rng.integers(0, rng.integers(1, 120), n) for _ in range(2))
+            assert mi_pair(a, b) == reference_mi_pair(a, b) == mi_pair(b, a)
+
     def test_against_oracle_random_tables(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
@@ -208,7 +231,7 @@ class TestTriples:
         codes = rng.integers(0, 3, (24, 4))
         dd = make_dd(codes)
         orders = np.array(list(itertools.permutations((0, 1, 2))))
-        h_ijk = mi._tables_mi(codes.T, 3, orders, [], mi._xlogx(24))[0]
+        h_ijk = mi._tables_mi(codes.T, (3, 3, 3), orders, [], mi._xlogx(24))[0]
         assert len(set(h_ijk.tolist())) == 1
         for order in orders:
             t = tensors_of(make_dd(codes[:, order]))
@@ -457,9 +480,11 @@ class TestBatchedKernel:
             cols = rng.integers(0, 2, (40, 400))
             tables = [_joint(a, rows, col, 2) for col in cols]
             codes, b, table_xlogx = np.vstack([a, cols]), max(rows, 2), mi._xlogx(400)
-            h = mi._tables_mi(codes, b, np.arange(41)[:, None], [], table_xlogx)[0]
+            h = mi._tables_mi(codes, (b,), np.arange(41)[:, None], [], table_xlogx)[0]
             pairs = np.column_stack([np.zeros(40, dtype=np.int64), np.arange(1, 41)])
-            h_joint, (values,) = mi._tables_mi(codes, b, pairs, [(h[0] + h[1:], 2)], table_xlogx)
+            h_joint, (values,) = mi._tables_mi(
+                codes, (b, b), pairs, [(h[0] + h[1:], 2)], table_xlogx
+            )
             assert values.tolist() == [_mi_from_joint(table) for table in tables]
             assert h_joint.tolist() == [_entropy_of(table, xlogx) for table in tables]
 
