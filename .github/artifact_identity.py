@@ -16,9 +16,9 @@ change) is reported and does not count as a difference; for a CSV the report
 says whether its rows below the ``#`` lines are identical, or shows the first
 row that differs. ``comparison.svg`` carries no tag and follows
 ``comparison.csv``'s. ``samples.csv`` derives from ``coefficients.json``: when
-only the coefficients' tag moved, its energies may move in their last digits,
-so it is compared on its bitstring and count columns in row order, and the
-largest energy change is reported. Each run starts in its own session and
+the coefficients' tag moved, its energies may move in their last digits, so it
+is compared on its bitstring and count columns in row order, whether or not its
+own tag moved too, and the largest energy change is reported. Each run starts in its own session and
 writes to a log file; a run that leaves a process of that session running is
 reported, killed and counted as a difference. Each job's peak RSS on both trees
 is printed: the largest ``ru_maxrss`` from ``os.wait4`` of its runs, each the
@@ -52,7 +52,7 @@ SHALLOW = ["--sweeps", "5", "--t-end", "16"]
 FLAG_SETS = {
     **{name: list(w.flags) for name, w in run.WORKLOADS.items()},
     "k57_shallow": ["--preselect-k", "57", *SHALLOW],
-    # At n = 33 this OpenBLAS rounds a row by the product's row count.
+    # One spin past the default 32: the packed row keys take a fifth byte.
     "k33_shallow": ["--preselect-k", "33", *SHALLOW],
     # The MI kernel's smallest and largest padding: 2 and 64 bins a side.
     "bins2_k57_shallow": ["--bins", "2", "--preselect-k", "57", *SHALLOW],
@@ -68,9 +68,11 @@ FLAG_SETS = {
     "shallow_sweep": [*SHALLOW, "--delta", "0.3", "--delta", "0.5"],  # writes sweep.csv
     # One qubit: the rotation's state axis is a scalar, and the normalization degenerate.
     "dcqo_k1": ["--sampler", "dcqo", "--preselect-k", "1", "--steps", "3"],
+    # Full mode below the fork size, in one process: qubit 0, then driver groups of 4 and 1.
+    "dcqo_k6_full": ["--sampler", "dcqo", "--preselect-k", "6", "--steps", "4"],
     # The qubit cap: both halves of the statevector, 16 MiB, evolved in two processes.
     "dcqo_k20": ["--sampler", "dcqo", "--preselect-k", "20", "--steps", "2"],
-    # Default SA in two halves of its chains, at an n where OpenBLAS rounds by row count.
+    # Default SA in two halves of its chains at Spambase's full width.
     "sa_k57": ["--preselect-k", "57"],
     # Halves of 999 and 1000 chains, never frozen.
     "sa_odd_shots": ["--shots", "1999", "--sweeps", "300"],
@@ -225,18 +227,19 @@ def main(argv: list[str]) -> int:
                 if not (head.exists() and other.exists()):
                     print(f"{name}: {file} written by {'head' if head.exists() else 'base'} only")
                     differ += 1
-                elif tags[0] != tags[1]:
-                    rows = f", {retagged_rows(head, other)}" if file.endswith(".csv") else ""
-                    print(f"{name}: {file} skipped, schema {tags[1]} -> {tags[0]}{rows}")
                 elif file in DERIVED and len({schema(out / DERIVED[file]) for out in outs}) > 1:
                     (states, energies), (old_states, old) = map(sample_rows, (head, other))
+                    own = f", its own {tags[1]} -> {tags[0]}" if tags[0] != tags[1] else ""
                     if states != old_states:
                         print(f"{name}: {file} DIFFERS in its states, counts or row order")
                         differ += 1
                     else:
                         gap = max((abs(e - o) for e, o in zip(energies, old)), default=0.0)
                         print(f"{name}: {file} same states and counts, largest energy change "
-                              f"{gap:.3g} ({DERIVED[file]} schema moved)")
+                              f"{gap:.3g} ({DERIVED[file]} schema moved{own})")
+                elif tags[0] != tags[1]:
+                    rows = f", {retagged_rows(head, other)}" if file.endswith(".csv") else ""
+                    print(f"{name}: {file} skipped, schema {tags[1]} -> {tags[0]}{rows}")
                 elif head.read_bytes() != other.read_bytes():
                     print(f"{name}: {file} DIFFERS")
                     differ += 1

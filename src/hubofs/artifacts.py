@@ -31,17 +31,18 @@ def read_json(path, schema: str, what: str) -> dict:
 
 
 def write_json(path, doc: dict) -> None:
-    """The bytes of ``json.dump(doc, indent=1)`` and a newline; the term rows (``J``,
-    ``K``, ``pairs``, ``triples``) are laid out here by ``repr``, faster than ``json``."""
-    items = []
+    """The bytes of ``json.dump(doc, indent=1)`` and a newline, in pieces; the term rows
+    (``J``, ``K``, ``pairs``, ``triples``) are laid out here by ``repr``, faster than ``json``."""
+    pieces = []
     for key, value in doc.items():
+        pieces.append(f"{',' if pieces else '{'}\n {json.dumps(key)}: ")
         term = key in ("J", "K", "pairs", "triples")
         rows = "\n  ],\n  [\n   ".join(",\n   ".join(map(repr, r)) for r in value) if term else ""
         if rows and "n" not in rows:  # repr is json's for an int or a finite float
-            items.append(f" {json.dumps(key)}: [\n  [\n   {rows}\n  ]\n ]")
+            pieces += ["[\n  [\n   ", rows, "\n  ]\n ]"]
         else:  # nested one level; every newline of JSON text is layout, none is in a string
-            items.append(f" {json.dumps(key)}: " + json.dumps(value, indent=1).replace("\n", "\n "))
-    write_text(path, "{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n")
+            pieces.append(json.dumps(value, indent=1).replace("\n", "\n "))
+    write_text(path, *pieces, "\n}\n" if pieces else "{}\n")
 
 
 def json_int(value) -> int:
@@ -110,11 +111,11 @@ def write_tagged(path, schema: str, meta, header, rows) -> None:
     write_text(path, out.getvalue())
 
 
-def write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as UTF-8; a path that cannot be written (a
+def write_text(path, *texts: str) -> None:
+    """Write ``texts`` to ``path`` as UTF-8; a path that cannot be written (a
     directory, a missing parent, no permission) raises :class:`UsageError`."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(texts)
     except OSError as exc:
         raise UsageError(f"cannot write '{path}': {exc.strerror or exc}") from exc

@@ -22,17 +22,16 @@ dt applies three fused layers, in order:
 (c) one rotation per qubit q = 0 .. n-1, exp(-i (theta/2) Y_q F_q) with
     theta = -4 dt ldot a1(l). F_q does not depend on Z_q and every string
     with its Y on q commutes with every other, so this is the product of
-    that qubit's Y / ZY / ZZY terms. F_q = (E(s) - E(s xor bit_q)) / (2 Z_q) is
-    read in each step from two views of E; no field array is stored.
+    that qubit's Y / ZY / ZZY terms.
 
-Layers (a) and (c) are one rotation kernel per qubit,
-(a0, a1) <- (cos(phi) a0 - s0 a1, cos(phi) a1 + s1 a0): exp(-i phi X_q)
-with s0 = i sin(phi) = -s1, and exp(-i phi Y_q) with s0 = s1 = sin(phi),
-an array over the other qubits' basis states, applied in place. Each part of
-the state (the whole, or one half below) makes its buffers once, before the
-first step: the kernel's two products, the angle, sin and cos of layer (c) and
-the phases of layer (b) (n = 20 in halves: peak RSS 109 MB here, 83 in the worker,
-against 177 and 160 with n stored fields and temporaries made in every rotation).
+Layer (c) and qubit 0's x-rotation use one in-place kernel, (a0, a1) <- (cos(phi)
+a0 - s0 a1, cos(phi) a1 + s1 a0), s0 = i sin(phi) = -s1 for X and s0 = s1 = sin(phi)
+for Y. The other x-rotations commute, so qubits 1 .. n-1 go in groups of up to
+:data:`_GROUP`, one product each with the rotation's Kronecker power (gate fusion,
+Haener & Steiger, SC17). Layer (c) stores no fields: each step makes W = exp(i
+(theta/4) (E - constant)), and W[Z_q=+1] conj(W[Z_q=-1]) is cos + i sin of qubit q's
+angle; qubit 0, which straddles the halves, takes np.cos and np.sin of F_0 =
+(E(Z_0=+1) - E(Z_0=-1)) / 2. Each part of the state makes its buffers once.
 
 Mode "cd_only" keeps only layer (c) (impulse regime). The layers are exact
 regroupings of the per-term circuit except that the CD terms act grouped by
@@ -44,17 +43,12 @@ significant bit, matching the all-states energy evaluator.
 Halves (after the split of distributed statevector simulators, Smelyanskiy et
 al., "qHiPSTER", arXiv:1601.07195): the state lives in an anonymous shared
 mapping. From :data:`_FORK_QUBITS` = 15 qubits on, where ``os.sched_getaffinity``
-lists two or more CPUs, a worker made by ``os.fork`` applies every layer to one
-half of the basis states while this process applies it to the other. Qubit 0's
-rotations split along qubit 1; every other rotation and the diagonal phase split
-along qubit 0. The halves meet after each qubit-0 rotation and at each norm
-check, which this process runs on the whole state while the worker waits. Every
-operation works element by element, so the amplitudes and the drift have the
-bits of the unsplit loop, which runs below the size or on one CPU. The worker is
-a process, not a thread, made by SA's helper: it is always reaped, and killed if
-this process's half raises (at a norm check, say), which a thread cannot be. The
-helper pins the halves to different CPUs: unpinned, the meetings' wake-ups often
-left both halves taking turns on one CPU.
+lists two or more CPUs, a worker made by SA's ``_fork_halves`` applies every layer
+to one half of the basis states while this process applies the other; qubit 0's
+rotations split along qubit 1, the rest along qubit 0. The halves meet after each
+qubit-0 rotation and at each norm check (run here on the whole state). Every
+operation acts element by element, or row by row of a matrix product, so the
+halves keep the bits of the unsplit loop, which runs below the size or on one CPU.
 """
 
 from __future__ import annotations
@@ -62,7 +56,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -79,6 +73,8 @@ DEFAULT_TOTAL_TIME = 10.0
 _NORM_TOL = 1e-9
 # Qubits from which a forked worker evolves half of the statevector.
 _FORK_QUBITS = 15
+# Driver qubits fused into one matrix product (3 and 4 ran equally fast at n = 16, 5 slower).
+_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -162,40 +158,68 @@ def _check_norm(state: np.ndarray, worst: float, buf: np.ndarray) -> float:
     return max(worst, drift)
 
 
-def _layers(sched, mode, qubits, rest, diagonal, check, meet) -> None:
-    """Apply every step's layers to one part of the statevector.
+def _layers(sched, mode, first, rest, axes, diagonal, check, meet) -> None:
+    """Apply every step's layers to one part of the statevector, its buffers made here.
 
-    ``qubits[q]`` is (state view, axis, energies view) of qubit q, the energies view
-    with Z_q on its axis 0, so F_q = (E[Z_q=+1] - E[Z_q=-1]) / 2 is read from it per
-    step. ``rest`` is the view that the diagonal phase multiplies and ``diagonal`` its
-    phases. The part's buffers are made once, here. The parts meet with ``meet()``
+    ``first`` is (state view, axis, energies view with Z_0 on its axis 0) of qubit 0.
+    Qubits 1 .. n-1 are ``axes`` of ``rest``, the view that the diagonal phase
+    multiplies, and ``diagonal`` is its E - constant. The parts meet with ``meet()``
     after each qubit-0 rotation and with ``meet(check)`` at each norm check.
     """
     dt = sched.dt
     half_shape = rest.shape[1:]  # the half-state of every rotation in this part
-    products = [np.empty(half_shape, complex) for _ in range(2)]
-    angle, sin_y, cos_y = (np.empty(half_shape) for _ in range(3))
+    # The kernel's two products, together the size of the part: the driver groups' spare.
+    scratch = np.empty((2, *half_shape), complex)
+    products = [scratch[0, ...], scratch[1, ...]]
+    cs = np.empty(half_shape, complex)  # cos + i sin of one qubit's CD angles
     phase = np.empty(rest.shape, complex)
+    # Driver groups: (width, input, output, spare) float views, each amplitude a (re, im)
+    # pair, in turn from the part into the phase buffer and back.
+    groups, parts = [], (rest, phase, scratch)
+    for g, lo in enumerate(range(0, len(axes), _GROUP)):
+        width, a = len(axes[lo : lo + _GROUP]), axes[lo]
+        shape = (1 << a, -1) if a + width == rest.ndim else (1 << a, 1 << width, -1)
+        views = (parts[i].view(float).reshape(shape) for i in (g % 2, 1 - g % 2, 2))
+        groups.append((width, *views))
+    view, axis, e = first
     for lam, lam_dot in zip(sched.lambda_values.tolist(), sched.lambda_dot_values.tolist()):
         if mode == "full":
             half_x = -(1.0 - lam) * dt
-            cos_x, sin_x = math.cos(half_x), 1j * math.sin(half_x)
-            for q, (view, axis, _) in enumerate(qubits):
-                _rotate(view, axis, cos_x, sin_x, -sin_x, products)
-                if q == 0:
-                    meet()
+            cos_x, sin_x = math.cos(half_x), math.sin(half_x)
+            _rotate(view, axis, cos_x, 1j * sin_x, -1j * sin_x, products)
+            meet()
+            rotation = np.array([[cos_x, -1j * sin_x], [-1j * sin_x, cos_x]])
+            for width, source, target, spare in groups:
+                power = reduce(np.kron, [rotation] * width)  # symmetric, as rotation is
+                re, im = power.real.copy(), power.imag.copy()
+                if source.ndim == 2:  # rows of pairs times the real 2 x 2 blocks of power
+                    block = np.stack([np.stack([re, im], -1), np.stack([-im, re], -1)], 1)
+                    np.matmul(source, block.reshape(2 << width, -1), out=target)
+                else:  # power x = re x + i im x, two real products
+                    np.matmul(re, source, out=target)
+                    np.matmul(im, source, out=spare)
+                    target[..., ::2] -= spare[..., 1::2]
+                    target[..., 1::2] += spare[..., ::2]
+            if len(groups) % 2:
+                np.copyto(rest, phase)
             meet(check)
             np.multiply(-1j * (lam * dt), diagonal, out=phase)
             rest *= np.exp(phase, out=phase)
             meet(check)
         half_cd = -2.0 * dt * lam_dot * cd_amplitude(lam)
-        for q, (view, axis, e) in enumerate(qubits):
-            np.subtract(e[0], e[1], out=angle)
-            angle *= 0.5  # F_q
-            angle *= half_cd
-            _rotate(view, axis, np.cos(angle, out=cos_y), np.sin(angle, out=sin_y), sin_y, products)
-            if q == 0:
-                meet()
+        # W = exp(i half_cd (E - constant) / 2): W[Z_q=+1] conj(W[Z_q=-1]) = exp(i half_cd F_q).
+        np.multiply(0.5j * half_cd, diagonal, out=phase)
+        np.exp(phase, out=phase)
+        angle = np.subtract(e[0], e[1], out=cs.real)
+        angle *= 0.5  # F_0
+        angle *= half_cd
+        np.sin(angle, out=cs.imag)
+        _rotate(view, axis, np.cos(angle, out=angle), cs.imag, cs.imag, products)
+        meet()
+        for q in axes:
+            w = np.moveaxis(phase, q, 0)
+            np.multiply(w[0], np.conjugate(w[1], out=cs), out=cs)
+            _rotate(rest, q, cs.real, cs.imag, cs.imag, products)
         meet(check)
 
 
@@ -233,13 +257,12 @@ def evolve_statevector(
 
     if n >= _FORK_QUBITS and _cpus() >= 2:
         # Half h: qubit 1 = h for qubit 0's rotations, qubit 0 = h for every other layer.
-        halves = [([(state.swapaxes(0, 1)[h], 0, e[:, h])]
-                   + [(state[h], q - 1, np.moveaxis(e[h], q - 1, 0)) for q in range(1, n)],
-                   state[h], diagonal[h]) for h in (0, 1)]
+        halves = [((state.swapaxes(0, 1)[h], 0, e[:, h]), state[h], range(n - 1), diagonal[h])
+                  for h in (0, 1)]
         _fork_halves("DCQO", *(partial(_layers, sched, mode, *half, check) for half in halves))
     else:
-        qubits = [(state, q, np.moveaxis(e, q, 0)) for q in range(n)]
-        _layers(sched, mode, qubits, state, diagonal, check, lambda then=None: then and then())
+        _layers(sched, mode, (state, 0, e), state, range(1, n), diagonal, check,
+                lambda then=None: then and then())
     return state.reshape(-1), worst, energies
 
 

@@ -6,10 +6,11 @@ not; the binary view is x_i = (1 - Z_i) / 2. The energy of a configuration is
     E(Z) = sum_i h_i Z_i + sum_{i<j} J_ij Z_i Z_j
          + sum_{i<j<k} K_ijk Z_i Z_j Z_k + constant
 
-with terms always accumulated in ascending index-tuple order. There is one
-evaluator, :func:`energy_many`, over a (S, n) spin matrix, and
-:func:`energies_all_states` is every basis state of it, so both produce
-bitwise identical floats for the same configuration.
+Every coefficient is a multiple of 2**-30 (the grid), snapped there by its makers,
+and their absolute sum is at most 2**21. So every partial sum of an energy or a
+local field, in any order and blocking, is a multiple of 2**-30 below 2**23, which
+float64 holds exactly (Demmel & Nguyen's pre-rounding, ARITH 2013): the evaluators
+agree bitwise by construction.
 """
 
 from __future__ import annotations
@@ -25,15 +26,16 @@ from .artifacts import json_int, json_number, read_json, read_terms, term_rows, 
 from .errors import CapabilityError, DataError, UsageError
 from .mi import MiTensors, check_terms, sort_terms
 
-COEFF_SCHEMA = "hubofs-coefficients/2"
+COEFF_SCHEMA = "hubofs-coefficients/3"
 
 DEFAULT_WEIGHTS = (1.0, 0.5, 0.3)
 DEFAULT_PENALTY = (0.5, 0.2, 2.0)  # (lambda, tau, p)
 # Largest n whose 2**n states energies_all_states enumerates (exhaustive sampling too).
 MAX_ALL_STATES_N = 24
-# Rows per energy_many call in energies_all_states: a 2**16 x n int8 block
-# and its per-term temporaries stay cache-sized instead of 2**n long.
-_STATE_BLOCK = 1 << 16
+# Every coefficient is a multiple of GRID and sum|c| <= MAX_MASS (module docstring).
+GRID, MAX_MASS = 2.0**-30, 2.0**21
+# For |x| <= 2**21, x + _SNAP lies in [2**22, 2**23], spaced GRID apart.
+_SNAP = 1.5 * 2.0**22
 # Multiply-adds per GEMM of k_products: a cache block (256 rows of Z and of their
 # product, 128 KiB at n = 32). Unblocked products ran the default SA run slower,
 # also on the one-thread OpenBLAS pool that importing hubofs sets up.
@@ -63,8 +65,8 @@ class HuboCoefficients:
     :class:`~hubofs.mi.MiTensors` with their values ``j`` and ``k``.
     ``weights`` and ``penalty_params`` record how the instance was built;
     they do not affect energy evaluation. ``2 * n * (sum|h| + sum|J| + sum|K| +
-    |constant|)`` must be finite (:class:`UsageError`): every energy, every partial
-    sum of one, every local field and the default SA ``t_start`` then are.
+    |constant|)`` must be finite (:class:`UsageError`), the sum at most 2**21
+    (:class:`CapabilityError`) and every value on the grid (:class:`UsageError`).
     """
 
     n: int
@@ -88,14 +90,9 @@ class HuboCoefficients:
         object.__setattr__(self, "h", h)
         check_terms(self, "pairs", "j", 2, self.n)
         check_terms(self, "triples", "k", 3, self.n)
-        with np.errstate(over="ignore"):
-            mass = sum(float(np.abs(v).sum()) for v in (self.h, self.j, self.k))
-        bound = 2.0 * self.n * (mass + abs(self.constant))
-        if not math.isfinite(bound):
-            raise UsageError(
-                f"2 * n * (sum|h| + sum|J| + sum|K| + |constant|) must be finite, got {bound} "
-                f"at n={self.n} (weights w1, w2, w3 = {', '.join(map(str, self.weights))})"
-            )
+        _check_mass(self.n, (h, self.j, self.k), self.constant, self.weights)
+        if any(np.fmod(v, GRID).any() for v in (h, self.j, self.k, self.constant)):
+            raise UsageError("coefficients must be multiples of 2**-30 (hubo.snap rounds them)")
 
     @classmethod
     def from_terms(cls, n: int, h, j_terms, k_terms, **settings) -> "HuboCoefficients":
@@ -119,6 +116,28 @@ class HuboCoefficients:
     def max_abs_coefficient(self) -> float:
         """Largest |h|, |J|, or |K| (the constant does not affect dynamics)."""
         return float(np.abs(np.concatenate([self.h, self.j, self.k])).max())
+
+
+def _check_mass(n: int, families, constant: float, weights) -> None:
+    """Refuse a ``2 * n * sum|c|`` that overflows (:class:`UsageError`), then a sum|c|
+    above :data:`MAX_MASS` (:class:`CapabilityError`)."""
+    with np.errstate(over="ignore"):
+        mass = sum(float(np.abs(v).sum()) for v in families) + abs(constant)
+    if not math.isfinite(2.0 * n * mass):
+        w = ", ".join(map(str, weights))
+        raise UsageError(f"2 * n * (sum|h| + sum|J| + sum|K| + |constant|) must be finite, "
+                         f"got {2.0 * n * mass} at n={n} (weights w1, w2, w3 = {w})")
+    if mass > MAX_MASS:
+        raise CapabilityError(f"sum|h| + sum|J| + sum|K| + |constant| must be <= 2**21, got "
+                              f"{mass:.6g} at n={n} (weights {weights})")
+
+
+def snap(values: np.ndarray) -> np.ndarray:
+    """Round float64 ``values`` in place to the nearest multiple of :data:`GRID`, ties to
+    even, where |x| <= 2**21, and return them; no value overflows, nor is inf moved."""
+    values += _SNAP
+    values -= _SNAP
+    return values
 
 
 def preselect_top_k(relevance, k: int) -> list[int]:
@@ -159,22 +178,16 @@ def normalize_global(t: MiTensors) -> MiTensors:
 def build_coefficients(
     t_norm: MiTensors, w1: float, w2: float, w3: float
 ) -> HuboCoefficients:
-    """h_i = w1*rel_i, J_ij = w2*red_ij, K_ijk = -w3*tri_ijk, constant 0."""
+    """h_i = w1*rel_i, J_ij = w2*red_ij, K_ijk = -w3*tri_ijk, constant 0; checked, then snapped."""
     if not all(0.0 < w < math.inf for w in (w1, w2, w3)):
         raise UsageError(f"weights must be positive and finite, got ({w1}, {w2}, {w3})")
     values = t_norm.all_values()
     if values.size and (values.min() < 0.0 or values.max() > 1.0):
         raise UsageError("tensors must be globally normalized to [0, 1] before building")
-    return HuboCoefficients(
-        n=t_norm.n,
-        h=w1 * t_norm.relevance,
-        pairs=t_norm.pairs,
-        j=w2 * t_norm.redundancy,
-        triples=t_norm.triples,
-        k=-w3 * t_norm.triadic,
-        constant=0.0,
-        weights=(w1, w2, w3),
-    )
+    h, j, k = w1 * t_norm.relevance, w2 * t_norm.redundancy, -w3 * t_norm.triadic
+    _check_mass(t_norm.n, (h, j, k), 0.0, (w1, w2, w3))
+    return HuboCoefficients(t_norm.n, snap(h), t_norm.pairs, snap(j), t_norm.triples, snap(k),
+                            weights=(w1, w2, w3))
 
 
 def _hinge_power(ratio: float, p: float) -> float:
@@ -196,8 +209,8 @@ def apply_penalty(
     """Add the low-relevance hinge penalty to the one-body terms.
 
     ``relevance_norm`` must be the globally normalized relevance values (the
-    same ones the builder scaled by w1). Two- and three-body terms and the
-    constant are untouched.
+    same ones the builder scaled by w1); the new h is checked, then snapped. Two-
+    and three-body terms and the constant are untouched.
     """
     if c.penalty_applied:
         raise UsageError("penalty already applied to these coefficients")
@@ -212,12 +225,13 @@ def apply_penalty(
         raise UsageError(f"relevance must have shape ({c.n},), got {rel.shape}")
     if rel.size and (rel.min() < 0.0 or rel.max() > 1.0):
         raise UsageError("relevance values must lie in [0, 1]")
-    deltas = np.array([hinge_delta(r, lam, tau, p) for r in rel.tolist()])
-    return replace(c, h=c.h + deltas, penalty_params=(lam, tau, p), penalty_applied=True)
+    h = c.h + np.array([hinge_delta(r, lam, tau, p) for r in rel.tolist()])
+    _check_mass(c.n, (h, c.j, c.k), c.constant, c.weights)
+    return replace(c, h=snap(h), penalty_params=(lam, tau, p), penalty_applied=True)
 
 
 def energy_many(c: HuboCoefficients, spins: np.ndarray) -> np.ndarray:
-    """Energies of a (S, n) matrix of spin rows, terms in ascending tuple order.
+    """Energies of a (S, n) matrix of spin rows.
 
     The spins are read spin-major, one contiguous row ``Z_i`` per spin. A
     pair's triples are consecutive, so ``Z_i Z_j`` is formed once for all of
@@ -255,17 +269,25 @@ def states_to_spins(states, n: int) -> np.ndarray:
 def energies_all_states(c: HuboCoefficients) -> np.ndarray:
     """Energy of every configuration, indexed by the integer x-bitstring.
 
-    State s encodes x_i as bit (n-1-i) of s (feature 0 is the most
-    significant bit), matching the statevector basis ordering. Evaluated in
-    blocks of 2**16 states; every row is still one :func:`energy_many` row.
+    State s encodes x_i as bit (n-1-i) of s (feature 0 is the most significant bit),
+    the statevector's ordering. The coefficients, placed at their terms' bitmasks,
+    are E's Walsh expansion (O'Donnell, *Analysis of Boolean Functions*, ch. 1), so n
+    in-place butterfly passes give every energy (Fino & Algazi, IEEE Trans. Comput.
+    C-25, 1976), each ``x0 += x1; x1 *= -2; x1 += x0``: exact, with no temporary.
     """
     if c.n > MAX_ALL_STATES_N:
         raise CapabilityError(f"all-states enumeration needs n <= {MAX_ALL_STATES_N}, got n={c.n}")
-    size = 1 << c.n
-    energies = np.empty(size)
-    for lo in range(0, size, _STATE_BLOCK):
-        hi = min(lo + _STATE_BLOCK, size)
-        energies[lo:hi] = energy_many(c, states_to_spins(np.arange(lo, hi), c.n))
+    bits = 1 << np.arange(c.n - 1, -1, -1)  # feature i is bit n-1-i
+    energies = np.zeros(1 << c.n)
+    energies[0] = c.constant
+    energies[bits] = c.h
+    energies[bits[c.pairs].sum(1)] = c.j
+    energies[bits[c.triples].sum(1)] = c.k
+    for b in range(c.n):
+        x0, x1 = energies.reshape(-1, 2, 1 << b).swapaxes(0, 1)
+        x0 += x1
+        x1 *= -2.0
+        x1 += x0
     return energies
 
 
@@ -292,9 +314,7 @@ def local_fields(h, jmat: np.ndarray, kcube: np.ndarray, spins: np.ndarray) -> n
 
     E is linear in each spin, so flipping spin i changes the energy by
     ``-2 Z_i F_i``. Built one column at a time from the products ``Z K[i]``
-    of :func:`k_products`. The GEMV ``Z J[i]`` stays one call over all rows:
-    blocking it moves rows between its unrolled and tail kernels, which
-    round apart.
+    of :func:`k_products`.
     """
     spins = np.asarray(spins, dtype=np.float64)
     fields = np.empty_like(spins)
@@ -308,13 +328,9 @@ def local_fields(h, jmat: np.ndarray, kcube: np.ndarray, spins: np.ndarray) -> n
 def k_products(rows: np.ndarray, k_a: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[:len(rows)] = rows @ k_a``, the ``Z K[i]`` of every local field; returns that slice.
 
-    Run as cache blocks of at most :data:`_GEMM_MACS` multiply-adds and at least 3 rows. A
-    1-row product takes another BLAS path that rounds differently, so a 1-row tail takes a
-    row from the block before it: only a single row makes a 1-row block."""
+    Run as cache blocks of at most :data:`_GEMM_MACS` multiply-adds."""
     size = len(rows)
-    bounds = [*range(0, size, max(3, _GEMM_MACS // k_a.size)), size]
-    if size > 1 and size - bounds[-2] == 1:
-        bounds[-2] -= 1
+    bounds = [*range(0, size, max(1, _GEMM_MACS // k_a.size)), size]
     for lo, hi in zip(bounds, bounds[1:]):
         np.matmul(rows[lo:hi], k_a, out=out[lo:hi])
     return out[:size]

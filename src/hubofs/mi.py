@@ -223,7 +223,8 @@ def relevance(dd: DiscretizedDataset) -> np.ndarray:
     """MI (bits) between each feature and the target, in feature order."""
     target, n_t = _compress(dd.target)
     n, b = dd.n_features, max(int(dd.bin_counts.max(initial=1)), n_t)
-    cols, xlogx = np.vstack([dd.codes.T, target]), _xlogx(len(target))
+    cols = np.vstack([dd.codes.T, target.astype(np.min_scalar_type(n_t - 1))])  # codes' dtype
+    xlogx = _xlogx(len(target))
     h = _tables_mi(cols, (b,), _combinations(n + 1, 1), [], xlogx)[0]
     rows = np.column_stack([np.full(n, n), np.arange(n)])  # (target, feature)
     return _tables_mi(cols, (b, b), rows, [(h[n] + h[:n], 2)], xlogx)[1][0]

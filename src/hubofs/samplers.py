@@ -26,22 +26,16 @@ accepted chains A are updated, ``F[A] -= 2 Z_i[A] (J[i] + Z[A] K[i])``, in
 reused scratch buffers, before their spin i flips (Isakov et al., "Optimised
 simulated annealing for Ising spin glasses", CPC 192 (2015)). A step that
 accepts fewer than half the chains gathers the rows of A and scatters them
-back. A hot step (``2|A| >= shots``) skips the gathers: it forms the product
-for every chain in place and scales each row by ``2 Z_i`` where accepted and
-by 0 elsewhere, so a rejected chain subtracts ±0 and keeps its field (only a
-zero field may change sign, and ``exp(±0) = 1`` accepts either way).
-Both step kinds, and :func:`hubofs.hubo.local_fields`, form the products
-``Z K[i]`` with :func:`hubofs.hubo.k_products`: GEMMs of at most 2**18
-multiply-adds, cache blocks run by the one-thread OpenBLAS pool that
-importing :mod:`hubofs` sets up (unblocked products ran slower). No block
-has one row unless |A| = 1: a 1-row product takes another BLAS path that
-rounds differently. At n = 5, 12 and 32 a row's product is then bitwise the
-same in any block, so both step kinds give the fields of one |A|-row GEMM;
-at n = 33 and 57 this OpenBLAS rounds some rows by the product's row count.
-After the last sweep the fields are evaluated afresh and a gap beyond a
-rounding bound raises :class:`~hubofs.errors.HubofsError`. SA sample
-metadata records the acceptance rate in each tenth of the proposals
-(``sa_acceptance``) and the sweeps run (``sa_sweeps_run``).
+back. A hot step (``2|A| >= shots``) forms the product for every chain in place
+and scales each row by ``2 Z_i`` where accepted and by 0 elsewhere, so a rejected
+chain subtracts ±0 and keeps its field (only a zero field may change sign, and
+``exp(±0) = 1`` accepts either way). The products ``Z K[i]`` are cache-blocked
+GEMMs (:func:`hubofs.hubo.k_products`). On the coefficients' grid every field and
+partial sum is exact, so step kinds, blocks and BLAS give the same fields; after
+the last sweep they are evaluated afresh and any difference raises
+:class:`~hubofs.errors.HubofsError`. SA sample metadata records the acceptance
+rate in each tenth of the proposals (``sa_acceptance``) and the sweeps run
+(``sa_sweeps_run``).
 
 Frozen exit: once a sweep accepts no flip and every acceptance probability
 at the next temperature is below 2**-54, no chain can move again (the
@@ -52,32 +46,22 @@ SA then stops and reads no further word; unmade proposals count as rejected.
 Halves: a run whose work ``shots * sweeps * n * n`` reaches :data:`_FORK_WORK` =
 2**28 (the default 2000 shots x 500 sweeps at n = 32 does) anneals chains
 ``0 .. shots//2 - 1`` and ``shots//2 .. shots - 1`` apart. Each half reads the
-stream from word 0 in whole blocks and keeps its own chains' columns, so every
-chain reads the words above; it picks its step kinds against its own chain
-count and stops at its own freeze. Where ``os.sched_getaffinity`` lists two or
-more CPUs, a worker made by ``os.fork`` anneals the first half into an
-anonymous shared mapping while this process anneals the second (through
-``_fork_halves``, which DCQO's halves use too, pinning this process to its CPU
-and the worker to the others until the worker is reaped); the worker is always
-reaped (killed first if this process's half raised), and a worker that fails
-raises :class:`~hubofs.errors.HubofsError`. Elsewhere the halves
-run one after the other, with the same bits, so no artifact depends on the
-CPU count. The acceptance tallies add, and ``sa_sweeps_run`` is the larger
-of the halves': a frozen chain never moves again, so the run's first
-all-frozen sweep is the later half's. Each half's products run over its own
-chains: a step that moves one chain of a half takes the 1-row path, and at
-n = 33 and 57 rows round by the half's row count, so the final fields may
-differ from those of one whole-run kernel in their last bits; no artifact
-holds the fields.
+stream from word 0, draw by draw, and keeps its own chains' columns; it picks
+its step kinds against its own chain count and stops at its own freeze. Where
+``os.sched_getaffinity`` lists two or more CPUs, a worker made by ``os.fork``
+(``_fork_halves``, which DCQO uses too) anneals the first half into an anonymous
+shared mapping while this process anneals the second; elsewhere they run one
+after the other. The fields and samples are bitwise those of one whole-run
+kernel either way. The acceptance tallies add, and ``sa_sweeps_run`` is the
+later half's: a frozen chain never moves again.
 
 A :class:`SampleSet` is three arrays: ``spins`` (distinct configurations x n,
-int8, one row each), ``counts`` (int64, shots per row) and ``energies``
-(float64). Rows compare only by ``_row_keys``: one packed key per row, whose
-bytes sort like the spins (-1 < +1). Every sampler's rows go to one builder,
-``_aggregate``: equal keys merge, rows sort by (energy, key), the energies are
-exhaustive's own or else :func:`hubofs.hubo.energy_many`'s, and the metadata
-records the number of rows (``distinct_states``). ``SampleSet.entries`` is a
-read-only view of the rows as :class:`SampleEntry` objects, built on each access.
+int8), ``counts`` (int64, shots per row) and ``energies`` (float64). Rows compare
+by ``_row_keys``: one packed key per row, whose bytes sort like the spins (-1 <
++1). Every sampler's rows go to ``_aggregate``: equal keys merge, rows sort by
+(energy, key), the energies are the sampler's own or :func:`hubofs.hubo.energy_many`'s,
+and ``distinct_states`` counts the rows. ``SampleSet.entries`` views the rows as
+:class:`SampleEntry` objects, built on each access.
 """
 
 from __future__ import annotations
@@ -105,7 +89,7 @@ from .hubo import (
 )
 from .rng import spins_from_bits, stream, uniforms
 
-SAMPLE_SCHEMA = "hubofs-samples/4"
+SAMPLE_SCHEMA = "hubofs-samples/5"
 DEFAULT_T_END = 0.01
 # Half the smallest uniform: the frozen bound, with a margin for exp rounding.
 _FROZEN_P = 2.0**-54
@@ -211,20 +195,19 @@ def _aggregate(
 
 
 def exhaustive_solve(c: HuboCoefficients, keep: int) -> SampleSet:
-    """All 2^n configurations, keeping the ``keep`` lowest-energy ones.
-
-    Ties break lexicographically on spins (-1 < +1). Ground-truth oracle for
-    desk-scale validation; each energy is evaluated once, by :func:`energies_all_states`,
-    which refuses n > ``MAX_ALL_STATES_N`` (24) before it allocates anything.
-    """
+    """All 2^n configurations, keeping the ``keep`` lowest-energy ones, ties (at the cut
+    too) to the spin-lex first (-1 < +1): the ground-truth oracle. Each energy comes
+    once from :func:`energies_all_states`, which refuses n > 24 before it allocates."""
     if keep < 1:
         raise UsageError(f"keep must be >= 1, got {keep}")
     energies = energies_all_states(c)
     size = len(energies)
     if keep > size:
         raise UsageError(f"keep={keep} exceeds the 2^{c.n} = {size} configurations")
+    cut = energies[np.argpartition(energies, keep - 1)[keep - 1]]
+    kept = np.flatnonzero(energies <= cut)  # every state below the cut and every tie at it
     # Spin-lex ascending equals state-integer descending (x=1 <-> Z=-1 at the MSB).
-    order = np.lexsort((-np.arange(size), energies))[:keep]
+    order = kept[np.lexsort((-kept, energies[kept]))][:keep]
     return _aggregate(c, states_to_spins(order, c.n), "exhaustive", 0, energies=energies[order])
 
 
@@ -286,7 +269,7 @@ def simulated_annealing(
         for job in jobs:
             _anneal(*job)
 
-    _check_fields(c, jmat, kcube, spins, fields, sweeps)
+    _check_fields(c, jmat, kcube, spins, fields)
     total = sweeps * n
     starts = -(-np.arange(11) * total // 10)  # ceil(j * total / 10): where tenth j starts
     with np.errstate(invalid="ignore"):
@@ -309,8 +292,8 @@ def simulated_annealing(
 def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None) -> None:
     """Anneal chains ``lo..hi-1`` in place on their rows of the run's ``spins`` and ``fields``.
 
-    Reads the run's stream from word 0, whole blocks, and takes the columns of its own
-    chains, so every chain reads the words of the stream contract. ``out`` receives the
+    Reads the run's stream from word 0, 16 spins' words a draw, and takes the columns of its
+    own chains, so every chain reads the words of the stream contract. ``out`` receives the
     accepted proposals in each tenth of the ``sweeps * n`` steps, then the sweeps run. A
     worker passes its ``parent``'s pid and gives up once it has been orphaned.
     """
@@ -322,6 +305,7 @@ def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None
     fields[...] = local_fields(c.h, jmat, kcube, spins)
     moved_buf, update_buf = (np.empty((rows, n)) for _ in range(2))
     scale_buf, ratio, accept = np.empty(rows), np.empty(rows), np.empty(rows, bool)
+    u = np.empty((n, rows))
     # u <= exp(ratio), ratio = -delta / T: a positive ratio's exp is >= 1 >= u, so no
     # min(ratio, 0) is needed. At a subnormal temperature a ratio may overflow to +-inf;
     # exp(-inf) = 0 rejects and exp(+inf) accepts, the exact decisions, so the overflow
@@ -330,7 +314,9 @@ def _anneal(c, jmat, kcube, temps, seed, lo, hi, spins, fields, out, parent=None
         for sweep, temp in enumerate(temps):
             if parent is not None and os.getppid() != parent:
                 raise HubofsError("the SA worker lost its parent process")
-            u = uniforms(gen.random_raw(block).reshape(n, shots)[:, lo:hi])
+            for a in range(0, n, 16):  # no block-sized temporaries (2 MB less at n = 57)
+                words = gen.random_raw(min(16, n - a) * shots).reshape(-1, shots)
+                u[a : a + 16] = uniforms(words[:, lo:hi])
             accepted = 0
             for i in range(n):
                 np.multiply(spins[:, i], fields[:, i], out=ratio)
@@ -438,21 +424,13 @@ def _check_words(words: int, what: str) -> None:
         raise CapabilityError(f"{what} must be <= {MAX_WORDS} stream words, got {words}")
 
 
-def _check_fields(c, jmat, kcube, spins, fields, sweeps) -> None:
-    """Compare the maintained fields with a fresh evaluation at the final spins.
-
-    Each of the ``sweeps * n`` updates rounds at most ~(n + 2) ulps of the
-    largest possible |F_i|, so a larger gap (or a NaN) is a kernel fault.
-    """
-    n = c.n
-    bound = np.abs(c.h) + np.abs(jmat).sum(1) + 0.5 * np.abs(kcube).sum((1, 2))
-    scale = np.max(bound, initial=0.0)
-    tol = np.finfo(np.float64).eps * (n + 2) * (sweeps * n + 1) * scale
-    drift = np.abs(local_fields(c.h, jmat, kcube, spins) - fields)
-    if not np.all(drift <= tol):
-        raise HubofsError(
-            f"local field drifted from a fresh evaluation: max {np.max(drift):.3g} > {tol:.3g}"
-        )
+def _check_fields(c, jmat, kcube, spins, fields) -> None:
+    """Any difference (or NaN) between the kept fields and a fresh evaluation, both
+    exact on the grid, is a kernel fault."""
+    fresh = local_fields(c.h, jmat, kcube, spins)
+    if not np.array_equal(fresh, fields):
+        drift = np.abs(fresh - fields)
+        raise HubofsError(f"local field drifted from a fresh evaluation: max {np.max(drift):.3g}")
 
 
 def random_sample(c: HuboCoefficients, shots: int, seed: int = 0) -> SampleSet:

@@ -2,18 +2,23 @@ import numpy as np
 import pytest
 
 from hubofs.dataset import Dataset
-from hubofs.hubo import HuboCoefficients
+from hubofs.hubo import HuboCoefficients, snap
+
+
+def on_grid(value: float) -> float:
+    """``value`` rounded to the nearest multiple of 2**-30, the coefficients' grid."""
+    return float(snap(np.array([value], dtype=np.float64))[0])
 
 
 def random_instance(seed: int, n: int) -> HuboCoefficients:
-    """Dense random HUBO with all coefficients i.i.d. uniform in [-1, 1]."""
+    """Dense random HUBO with all coefficients i.i.d. uniform in [-1, 1], on the grid."""
     rng = np.random.default_rng(seed)
-    h = rng.uniform(-1, 1, n)
+    h = snap(rng.uniform(-1, 1, n))
     j = {
-        (a, b): float(rng.uniform(-1, 1)) for a in range(n) for b in range(a + 1, n)
+        (a, b): on_grid(rng.uniform(-1, 1)) for a in range(n) for b in range(a + 1, n)
     }
     k = {
-        (a, b, c): float(rng.uniform(-1, 1))
+        (a, b, c): on_grid(rng.uniform(-1, 1))
         for a in range(n)
         for b in range(a + 1, n)
         for c in range(b + 1, n)

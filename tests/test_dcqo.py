@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import on_grid, random_instance
 from hubofs import dcqo
 from hubofs.dcqo import (
     MAX_STEPS,
@@ -194,7 +194,7 @@ class TestEvolution:
         assert np.abs(np.abs(sv) ** 2 - oracle).max() < 5e-4
 
     def test_two_qubit_matches_exact_time_ordered_propagator(self):
-        h, coupling = np.array([0.7, -0.4]), 0.5
+        h, coupling = np.array([on_grid(0.7), on_grid(-0.4)]), 0.5
         one = np.eye(2)
         X = np.array([[0, 1], [1, 0]], dtype=complex)
         Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -240,14 +240,15 @@ class TestEvolution:
 
     def test_evolution_holds_only_its_documented_arrays(self):
         # Unsplit, per basis state: the energies, the diagonal and the norm buffer (8 B
-        # each), the rotation's two complex half-states (16 B), the angle, sin and cos
-        # (12 B) and the phases (16 B). The statevector is an anonymous mapping, which
-        # tracemalloc does not see. The slack covers Python objects and ufunc buffers,
-        # made small here; a stored field array (4n B per state) or a temporary made in
-        # every rotation (a complex half-state is 32 KiB) exceeds it.
+        # each), the rotation's two complex half-states (16 B), the complex half-state of
+        # one qubit's CD cos and sin (8 B) and the phases, which hold W too (16 B). The
+        # statevector is an anonymous mapping, which tracemalloc does not see. The slack
+        # covers Python objects, the driver's Kronecker powers and ufunc buffers, made
+        # small here; a stored field array (4n B per state) or a temporary made in every
+        # rotation (a complex half-state is 32 KiB) exceeds it.
         n = 12
         c, sched = random_instance(7, n), build_schedule(3, 4.0)
-        documented, slack = (8 + 8 + 8 + 16 + 12 + 16) << n, 40 << 10
+        documented, slack = (8 + 8 + 8 + 16 + 8 + 16) << n, 40 << 10
         bufsize = np.setbufsize(64)
         try:
             evolve_statevector(c, sched)  # Python's and numpy's caches warm up here
@@ -309,7 +310,7 @@ class TestEvolution:
             n = int(rng.integers(3, 8))
             r = random_instance(500 + trial, n)
             c = HuboCoefficients.from_terms(
-                n=n, h=r.h, j_terms=r.j_terms, k_terms=r.k_terms, constant=1.7
+                n=n, h=r.h, j_terms=r.j_terms, k_terms=r.k_terms, constant=on_grid(1.7)
             )
             sched = build_schedule(int(rng.integers(1, 6)), float(rng.uniform(1.0, 8.0)))
             fused, _, _ = evolve_statevector(c, sched, mode)
@@ -348,9 +349,66 @@ class TestEvolution:
                 assert x_got.tobytes() == x_ref.tobytes()
                 assert y_got.tobytes() == y_ref.tobytes()
 
+    def test_cd_angles_from_w_match_cos_and_sin(self, monkeypatch):
+        # Every CD rotation's cos and sin against np.cos and np.sin of half_cd F_q, F_q
+        # formed as qubit 0 forms it. Qubits 1 .. n-1 take W[Z_q=+1] conj(W[Z_q=-1]), so
+        # beyond 4 ulp they carry the rounding of W's two phase arguments, and the
+        # reference that of its own: half an ulp of each, which grows with |E|.
+        eps = np.finfo(np.float64).eps
+        calls = []
+        monkeypatch.setattr(dcqo, "_rotate", lambda state, axis, cos_t, sin_0, sin_1, bufs:
+                            calls.append((axis, np.array(cos_t), np.array(sin_0))))
+        for n in (2, 8, 12):
+            c, sched = random_instance(200 + n, n), build_schedule(10, 10.0)
+            d = (energies_all_states(c) - c.constant).reshape([2] * n)
+            calls.clear()
+            evolve_statevector(c, sched, "cd_only")
+            assert [axis for axis, *_ in calls] == list(range(n)) * sched.steps
+            for step, (lam, lam_dot) in enumerate(zip(sched.lambda_values, sched.lambda_dot_values)):
+                half_cd = -2.0 * sched.dt * lam_dot * cd_amplitude(lam)
+                for q, (_, cos_t, sin_t) in enumerate(calls[step * n : (step + 1) * n]):
+                    e = np.moveaxis(d, q, 0)
+                    angle = (e[0] - e[1]) * 0.5 * half_cd
+                    arguments = np.abs(0.5 * half_cd * e[0]) + np.abs(0.5 * half_cd * e[1])
+                    bound = eps * (4 + 0.5 * (arguments + np.abs(angle)))
+                    assert np.all(np.abs(cos_t - np.cos(angle)) <= bound)
+                    assert np.all(np.abs(sin_t - np.sin(angle)) <= bound)
+                    if q == 0:  # np.cos and np.sin themselves
+                        assert cos_t.tobytes() == np.cos(angle).tobytes()
+                        assert sin_t.tobytes() == np.sin(angle).tobytes()
+
+    @pytest.mark.parametrize("n, sizes", [(1, []), (2, [4]), (5, [32]), (6, [16, 16, 4]),
+                                          (10, [16, 16, 16, 16, 4])])
+    def test_fused_driver_groups_equal_one_rotation_per_qubit(self, monkeypatch, n, sizes):
+        # One step whose diagonal and CD angles are 0, so only the driver layer moves the
+        # state: qubit 0 through _rotate, qubits 1 .. n-1 in groups of up to four, each the
+        # Kronecker power of the 2 x 2 rotation: two real 16 x 16 products on its axes, or
+        # on the last axes one product with the real 2 x 2 blocks of a 2**width power.
+        rng = np.random.default_rng(n)
+        start = rng.normal(size=[2] * n) + 1j * rng.normal(size=[2] * n)
+        start /= np.linalg.norm(start)
+        sched = CdSchedule(np.array([0.3]), np.array([0.0]), total_time=1.7)
+        half_x = -(1.0 - 0.3) * sched.dt
+        reference = start.copy()
+        bufs = [np.empty([2] * (n - 1), complex) for _ in range(2)]
+        for q in range(n):
+            sin_x = 1j * math.sin(half_x)
+            _rotate(reference, q, math.cos(half_x), sin_x, -sin_x, bufs)
+        matrices, matmul = [], np.matmul
+        monkeypatch.setattr(np, "matmul", lambda a, b, out: matrices.append(  # the power's size
+                            (a if b.ndim == 3 else b).shape[0]) or matmul(a, b, out=out))
+        state, zeros = start.copy(), np.zeros([2] * n)
+        dcqo._layers(sched, "full", (state, 0, zeros), state, range(1, n), zeros,
+                     lambda: None, lambda then=None: then and then())
+        monkeypatch.undo()
+        assert matrices == sizes
+        assert np.abs(state - reference).max() <= 1e-15
+
     def test_gathered_fields_match_local_fields(self, monkeypatch):
-        # F_q as the Y layer reads it from each energies view, at the basis states of the
-        # amplitudes the kernel pairs with it: unsplit, and in both halves.
+        # F_q as the Y layer reads it, at the basis states of the amplitudes the kernel
+        # pairs with it: unsplit, and in both halves. Qubit 0 reads its energies view;
+        # qubits 1 .. n-1 read the part's E - constant along their axes of the part,
+        # through W = exp(i half_cd (E - constant) / 2).
         parts = []
         monkeypatch.setattr(dcqo, "_cpus", lambda: 2)
         monkeypatch.setattr(dcqo, "_layers", lambda sched, mode, *part: parts.append(part))
@@ -364,7 +422,8 @@ class TestEvolution:
             assert len(parts) == (2 if n >= dcqo._FORK_QUBITS else 1)
             for h, (_, rest, *_) in enumerate(parts):  # each amplitude holds its basis state
                 rest[...] = h * rest.size + np.arange(rest.size).reshape(rest.shape)
-            for qubits, *_ in parts:
+            for first, rest, axes, diagonal, *_ in parts:
+                qubits = [first] + [(rest, q, np.moveaxis(diagonal, q, 0)) for q in axes]
                 assert len(qubits) == n
                 for q, (view, axis, e) in enumerate(qubits):
                     states = view[(slice(None),) * axis + (0, ...)].real.astype(np.int64)
@@ -524,8 +583,8 @@ class TestProbe:
     def test_overlap_monotone_tail(self):
         c = HuboCoefficients.from_terms(
             n=2,
-            h=np.array([0.61, -0.4]),
-            j_terms={(0, 1): 0.45},
+            h=np.array([on_grid(0.61), on_grid(-0.4)]),
+            j_terms={(0, 1): on_grid(0.45)},
             k_terms={},
         )
         overlaps = [

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import naive_energy, random_instance, term_dict
+from conftest import naive_energy, on_grid, random_instance, term_dict
 from hubofs import hubo
 from hubofs.errors import CapabilityError, DataError, UsageError
 from hubofs.hubo import (
@@ -23,6 +23,7 @@ from hubofs.hubo import (
     normalize_global,
     preselect_top_k,
     save_coefficients,
+    snap,
     states_to_spins,
 )
 from hubofs.mi import TENSOR_SCHEMA, MiTensors, load_tensors, save_tensors
@@ -155,7 +156,13 @@ class TestBuildCoefficients:
         t = MiTensors.from_terms(relevance=np.ones(2), redundancy={(0, 1): 1.0}, triadic={})
         with pytest.raises(UsageError, match=r"got inf at n=2 \(weights w1, w2, w3 = 1e\+308, 1"):
             build_coefficients(t, 1e308, 1.0, 1.0)
-        c = build_coefficients(t, 1e307, 1e307, 1.0)  # 2 * 2 * 3e307 is finite
+        # 2 * 2 * 3e307 is finite, but the sum is past the grid's cap of 2**21.
+        with pytest.raises(CapabilityError, match=r"<= 2\*\*21, got 3e\+307 at n=2") as info:
+            build_coefficients(t, 1e307, 1e307, 1.0)
+        assert info.value.exit_code == 4
+        with pytest.raises(CapabilityError):
+            build_coefficients(t, 2.0**19, 2.0**20 + 2.0**-30, 1.0)
+        c = build_coefficients(t, 2.0**19, 2.0**20, 1.0)  # sum|c| = 2**21, the cap
         assert np.isfinite(energies_all_states(c)).all()
         for constant in (float("nan"), float("inf"), 1e308):
             with pytest.raises(UsageError, match="must be finite"):
@@ -238,13 +245,13 @@ def per_term_energies(c: HuboCoefficients, spins: np.ndarray) -> np.ndarray:
 class TestEnergy:
     def test_two_spin_example(self):
         c = HuboCoefficients.from_terms(
-            n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.3}, k_terms={}
+            n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.25}, k_terms={}
         )
-        assert energy_many(c, np.array([[-1, -1], [1, 1]])).tolist() == [-1.2, 1.8]
+        assert energy_many(c, np.array([[-1, -1], [1, 1]])).tolist() == [-1.25, 1.75]
 
     def test_three_body_sign_example(self):
-        c = HuboCoefficients.from_terms(n=3, h=np.zeros(3), j_terms={}, k_terms={(0, 1, 2): -0.4})
-        assert energy_many(c, np.array([[-1, -1, -1]]))[0] == pytest.approx(0.4, abs=1e-15)
+        c = HuboCoefficients.from_terms(n=3, h=np.zeros(3), j_terms={}, k_terms={(0, 1, 2): -0.375})
+        assert energy_many(c, np.array([[-1, -1, -1]]))[0] == pytest.approx(0.375, abs=1e-15)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(31)
@@ -272,11 +279,11 @@ class TestEnergy:
             for density, constant in ((0.0, -0.0), (0.3, 0.25), (1.0, -0.0)):
                 c = HuboCoefficients.from_terms(
                     n=n,
-                    h=rng.uniform(-1, 1, n),
-                    j_terms={p: rng.uniform(-1, 1) for p in itertools.combinations(range(n), 2)
-                             if rng.random() < density},
-                    k_terms={t: rng.uniform(-1, 1) for t in itertools.combinations(range(n), 3)
-                             if rng.random() < density},
+                    h=snap(rng.uniform(-1, 1, n)),
+                    j_terms={p: on_grid(rng.uniform(-1, 1))
+                             for p in itertools.combinations(range(n), 2) if rng.random() < density},
+                    k_terms={t: on_grid(rng.uniform(-1, 1))
+                             for t in itertools.combinations(range(n), 3) if rng.random() < density},
                     constant=constant,
                 )
                 for rows in (1, 40):
@@ -292,24 +299,22 @@ class TestEnergy:
         # (0, 2, 3) -> (1, 2, 3): only i changes.
         c = HuboCoefficients.from_terms(
             n=4, h=np.zeros(4), j_terms={},
-            k_terms={(0, 1, 2): 0.3, (0, 2, 3): -0.7, (1, 2, 3): 1.9},
+            k_terms={(0, 1, 2): on_grid(0.3), (0, 2, 3): on_grid(-0.7), (1, 2, 3): on_grid(1.9)},
         )
         spins = np.array(list(itertools.product([-1, 1], repeat=4)), dtype=np.int8)
         assert energy_many(c, spins).tobytes() == per_term_energies(c, spins).tobytes()
 
-    @pytest.mark.parametrize("block", [hubo._STATE_BLOCK, 64, 7])
-    def test_all_states_bitwise_equal(self, monkeypatch, block):
-        # Block 7 splits the 64 states into ten blocks, the last one short.
-        monkeypatch.setattr(hubo, "_STATE_BLOCK", block)
-        blocks = []
-        spins_of = hubo.states_to_spins
-        monkeypatch.setattr(
-            hubo, "states_to_spins", lambda s, n: blocks.append(s) or spins_of(s, n)
-        )
+    @pytest.mark.parametrize("block", [1 << 16, 64, 7])
+    def test_all_states_bitwise_equal(self, block):
+        # The transform against energy_many over blocks of the 64 states; block 7 makes
+        # ten blocks, the last one short. On the grid no batching moves a bit.
         c = random_instance(13, 6)
         energies = energies_all_states(c)
+        blocks = [np.arange(lo, min(lo + block, 64)) for lo in range(0, 64, block)]
         assert len(blocks) == -(-64 // block)
         assert np.concatenate(blocks).tolist() == list(range(64))
+        rows = [energy_many(c, states_to_spins(states, 6)) for states in blocks]
+        assert np.concatenate(rows).tobytes() == energies.tobytes()
         for s in range(64):
             assert energies[s] == energy_many(c, states_to_spins([s], 6))[0]
 
@@ -333,11 +338,55 @@ class TestEnergy:
         # with w2=w3=lambda=0-equivalents and all h > 0, all-selected wins
         rng = np.random.default_rng(41)
         for n in (3, 8, 12):
-            h = rng.uniform(0.05, 1.0, n)
+            h = snap(rng.uniform(0.05, 1.0, n))
             c = HuboCoefficients.from_terms(n=n, h=h, j_terms={}, k_terms={})
             energies = energies_all_states(c)
             best = int(np.argmin(energies))
             assert states_to_spins([best], n)[0].tolist() == [-1] * n
+
+
+class TestGrid:
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_evaluators_agree_bitwise(self, n):
+        # energy_many on every state, the transform, and local_fields against the
+        # transform's F_i = (E(Z_i=+1) - E(Z_i=-1)) / 2: on the grid each is exact.
+        c = replace(random_instance(300 + n, n), constant=on_grid(-0.7))
+        energies = energies_all_states(c)
+        spins = states_to_spins(np.arange(1 << n), n)
+        assert energy_many(c, spins).tobytes() == energies.tobytes()
+        fields = local_fields(c.h, *dense_couplings(c), spins).reshape([2] * n + [n])
+        e = energies.reshape([2] * n)
+        for i in range(n):
+            at = (slice(None),) * i + (0,)  # states with Z_i = +1; F_i does not read Z_i
+            half = 0.5 * (np.take(e, 0, axis=i) - np.take(e, 1, axis=i))
+            assert fields[at][..., i].tobytes() == half.tobytes()
+
+    def test_snap_rounds_to_the_nearest_grid_value(self):
+        values = np.array([0.1, -0.1, 1 / 3, 2.0**21, -(2.0**22), 2.5 * 2.0**-30, 3.5 * 2.0**-30,
+                           1e300, -np.inf, np.nan])
+        expected = [round(v * 2**30) / 2**30 for v in values[:7].tolist()]
+        got = snap(values.copy())
+        assert got[:7].tolist() == expected  # ties to even: 2.5 -> 2, 3.5 -> 4 grid steps
+        assert got[7] == 1e300 and got[8] == -np.inf and np.isnan(got[9])
+        assert snap(got[:7].copy()).tobytes() == got[:7].tobytes()
+
+    def test_off_grid_value_refused_in_every_family(self):
+        base = dict(n=3, h=np.zeros(3), j_terms={(0, 1): 0.5}, k_terms={(0, 1, 2): -0.25})
+        HuboCoefficients.from_terms(**base, constant=0.75)
+        for change in (dict(h=np.array([0.0, 0.1, 0.0])), dict(j_terms={(0, 1): 0.1}),
+                       dict(k_terms={(0, 1, 2): 0.1}), dict(constant=0.1)):
+            with pytest.raises(UsageError, match=r"multiples of 2\*\*-30"):
+                HuboCoefficients.from_terms(**{**base, **change})
+
+    def test_mass_cap_refused_after_overflow_and_before_the_grid(self):
+        one = dict(n=1, j_terms={}, k_terms={})
+        HuboCoefficients.from_terms(h=np.array([2.0**21]), **one)
+        with pytest.raises(UsageError, match="must be finite, got inf"):
+            HuboCoefficients.from_terms(h=np.array([1e308]), **one)
+        for h, constant in ((2.0**21 + 1.0, 0.0), (2.0**20, 2.0**20 + 0.5), (1e300 + 0.1, 0.1)):
+            with pytest.raises(CapabilityError, match=r"<= 2\*\*21") as info:
+                HuboCoefficients.from_terms(h=np.array([h]), constant=constant, **one)
+            assert info.value.exit_code == 4
 
 
 class TestLocalFields:
@@ -364,7 +413,8 @@ class TestLocalFields:
 
     @pytest.mark.parametrize("n", [5, 12, 32])
     def test_gemms_fit_one_core_and_keep_the_unblocked_bits(self, monkeypatch, n):
-        # Two blocks and a 1-row tail, which the second block must fold in.
+        # Two blocks and a 1-row tail, its own block: on the grid every block keeps the
+        # unblocked bits.
         rows = (1 << 18) // (n * n)
         c = random_instance(60 + n, n)
         jmat, kcube = dense_couplings(c)
@@ -380,8 +430,8 @@ class TestLocalFields:
         monkeypatch.setattr(np, "matmul", spy)
         fields = local_fields(c.h, jmat, kcube, spins)
         monkeypatch.undo()
-        assert sizes == [rows, rows - 1, 2] * n
-        assert max(sizes) * n * n <= 1 << 18 and min(sizes) >= 2
+        assert sizes == [rows, rows, 1] * n
+        assert max(sizes) * n * n <= 1 << 18
         expected = np.empty_like(spins)
         for a in range(n):
             expected[:, a] = c.h[a] + spins @ jmat[a] + 0.5 * np.einsum(
@@ -404,6 +454,26 @@ class TestCoefficientIo:
         assert loaded.k_terms == c.k_terms
         assert extras["feature_names"] == ["a", "b", "c", "d", "e"]
         assert extras["source_indices"] == [0, 2, 4, 6, 8]
+
+    @pytest.mark.parametrize("family, at", [("h", [0]), ("J", [0, 2]), ("K", [1, 3]),
+                                            ("constant", [])])
+    def test_off_grid_value_is_malformed(self, tmp_path, family, at):
+        # A file that build writes holds grid values; load refuses an off-grid one (exit 3)
+        # rather than move it.
+        path = tmp_path / "coeffs.json"
+        save_coefficients(path, random_instance(56, 4))
+        doc = json.loads(path.read_text())
+        if at:
+            target = doc[family]
+            for key in at[:-1]:
+                target = target[key]
+            target[at[-1]] += 0.1
+        else:
+            doc[family] = 0.1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"multiples of 2\*\*-30") as info:
+            load_coefficients(path)
+        assert info.value.exit_code == 3
 
     def test_unknown_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -484,18 +554,24 @@ def dict_normalize(relevance, redundancy, triadic):
     )
 
 
+def dict_snap(v):
+    """The nearest multiple of 2**-30, ties to even: Python's round of the scaled value."""
+    return round(v * 2**30) / 2**30
+
+
 def dict_build(relevance, redundancy, triadic, w1, w2, w3):
     return (
-        np.array([w1 * float(v) for v in relevance]),
-        {key: w2 * v for key, v in redundancy.items()},
-        {key: -w3 * v for key, v in triadic.items()},
+        np.array([dict_snap(w1 * float(v)) for v in relevance]),
+        {key: dict_snap(w2 * v) for key, v in redundancy.items()},
+        {key: dict_snap(-w3 * v) for key, v in triadic.items()},
     )
 
 
 def dict_penalty(h, relevance, lam, tau, p):
-    return np.array(
-        [float(h[i]) + hinge_delta(float(relevance[i]), lam, tau, p) for i in range(len(h))]
-    )
+    return np.array([
+        dict_snap(float(h[i]) + hinge_delta(float(relevance[i]), lam, tau, p))
+        for i in range(len(h))
+    ])
 
 
 def dict_dense(n, j_terms, k_terms):

@@ -280,6 +280,24 @@ class TestComputeTensors:
         for kept in ([0, 2], [1, 3, 5], [4], [5, 0, 3]):
             assert relevance(subset_codes(dd, kept)).tobytes() == relevance(dd)[kept].tobytes()
 
+    @pytest.mark.parametrize("classes, table", [(2, np.uint8), (300, np.uint16)])
+    def test_relevance_table_keeps_the_codes_small_type(self, monkeypatch, classes, table):
+        # uint8 codes, as discretize stores them: the stacked table takes the smallest type
+        # that holds the codes and the target's classes, never int64, and relevance is
+        # bitwise that of int64 codes and target, and of the contingency reference.
+        rng = np.random.default_rng(classes)
+        wide = make_dd(rng.integers(0, 6, (900, 5)), rng.permutation(np.arange(900) % classes))
+        narrow = DiscretizedDataset(codes=wide.codes.astype(np.uint8),
+                                    bin_counts=wide.bin_counts, target=wide.target)
+        tables, tables_mi = [], mi._tables_mi
+        monkeypatch.setattr(mi, "_tables_mi", lambda cols, *rest: tables.append(cols.dtype)
+                            or tables_mi(cols, *rest))
+        got = relevance(narrow)
+        assert tables == [table, table]
+        assert got.tobytes() == relevance(wide).tobytes()
+        assert got.tobytes() == reference_relevance(wide).tobytes()
+        assert tables[2:] == [np.int64, np.int64]
+
     def test_n32_counts(self):
         # combinatorial bookkeeping only: relevance 32, C(32,2), C(32,3)
         import math as m

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import on_grid, random_instance
 from hubofs.errors import CapabilityError, DataError, HubofsError, UsageError
 from hubofs.dcqo import build_schedule, evolve_and_sample
-from hubofs.hubo import HuboCoefficients, energy_many
+from hubofs.hubo import HuboCoefficients, energy_many, snap
 from hubofs import dcqo, hubo, rng, samplers
 from hubofs.samplers import (
     SAMPLE_SCHEMA,
@@ -161,9 +161,9 @@ class TestExhaustive:
         assert best.energy == -1.0
 
     def test_two_spin_spectrum(self):
-        c = HuboCoefficients.from_terms(n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.3}, k_terms={})
+        c = HuboCoefficients.from_terms(n=2, h=np.array([1.0, 0.5]), j_terms={(0, 1): 0.25}, k_terms={})
         res = exhaustive_solve(c, 4)
-        assert [e.energy for e in res.entries] == [-1.2, -0.8, 0.2, 1.8]
+        assert [e.energy for e in res.entries] == [-1.25, -0.75, 0.25, 1.75]
         assert [e.spins.spins for e in res.entries] == [
             (-1, -1),
             (-1, 1),
@@ -199,6 +199,21 @@ class TestExhaustive:
             metadata={"distinct_states": str(keep)},
         )
         assert exhaustive_solve(c, keep) == expected
+
+    def test_ties_straddling_the_cut_keep_the_spin_lex_first(self):
+        # Four energies, eight states each: a keep inside a tie keeps its spin-lex first
+        # states, as the full (energy, spin-lex) order does, whatever argpartition picked.
+        c = HuboCoefficients.from_terms(n=5, h=np.array([0.5, 0.0, 0.25, 0.0, 0.0]),
+                                        j_terms={}, k_terms={})
+        energies = hubo.energies_all_states(c)
+        full = np.lexsort((-np.arange(32), energies))
+        straddled = 0
+        for keep in range(1, 33):
+            got = exhaustive_solve(c, keep)
+            assert got.spins.tobytes() == hubo.states_to_spins(full[:keep], 5).tobytes()
+            assert got.energies.tobytes() == energies[full[:keep]].tobytes()
+            straddled += keep % 8 != 0
+        assert straddled == 28
 
     def test_bounds(self):
         with pytest.raises(CapabilityError):
@@ -311,7 +326,7 @@ class TestSimulatedAnnealing:
             random_instance(32, 12),
             random_instance(33, 20),
             zero_instance(5),
-            HuboCoefficients.from_terms(n=4, h=np.array([0.7, -0.2, 0.05, -1.3]), j_terms={}, k_terms={}),
+            HuboCoefficients.from_terms(n=4, h=snap(np.array([0.7, -0.2, 0.05, -1.3])), j_terms={}, k_terms={}),
         ],
         ids=["random6", "random12", "random20", "flat", "h_only"],
     )
@@ -392,13 +407,14 @@ class TestSimulatedAnnealing:
             (1, [0, 1]),
             (2, [0, 2]),
             (5, [0, 5]),
-            (6, [0, 4, 6]),
-            (11, [0, 5, 9, 11]),
+            (6, [0, 5, 6]),
+            (11, [0, 5, 10, 11]),
             (12, [0, 5, 10, 12]),
         ],
     )
     def test_row_blocks_fold_a_one_row_tail(self, monkeypatch, k, bounds):
-        # Five rows fill a block; small integers keep every product exact.
+        # Five rows fill a block and the last block takes the rest, one row too: on the
+        # grid a product is exact in any block. Small integers keep every product exact.
         n = 4
         monkeypatch.setattr(hubo, "_GEMM_MACS", 5 * n * n)
         gen = np.random.default_rng(k)
@@ -421,7 +437,8 @@ class TestSimulatedAnnealing:
 
     @pytest.mark.parametrize("n", [5, 12, 32])
     def test_update_gemms_fit_one_core_and_never_take_one_row(self, monkeypatch, n):
-        # One chain more than a block: the hot first sweep flips every chain.
+        # One chain more than a block: the hot first sweep flips every chain, and its
+        # last block has the one row left over.
         rows = (1 << 18) // (n * n)
         calls = []
         matmul = np.matmul
@@ -440,10 +457,10 @@ class TestSimulatedAnnealing:
                 updates.append([])
             assert offset == sum(updates[-1])
             updates[-1].append(size)
-        assert [rows - 1, 2] in updates
+        assert [rows, 1] in updates
         for blocks in updates:
             assert max(blocks) * n * n <= 1 << 18
-            assert min(blocks) >= 2 or blocks == [1]
+            assert blocks[:-1] == [max(blocks)] * (len(blocks) - 1)
 
     @pytest.mark.parametrize(
         "n, shots, macs",
@@ -457,9 +474,9 @@ class TestSimulatedAnnealing:
         fields = []
         check = samplers._check_fields
 
-        def recording(c, jmat, kcube, spins, f, sweeps):
+        def recording(c, jmat, kcube, spins, f):
             fields.append(f.copy())
-            check(c, jmat, kcube, spins, f, sweeps)
+            check(c, jmat, kcube, spins, f)
 
         monkeypatch.setattr(samplers, "_check_fields", recording)
         if macs:
@@ -495,7 +512,7 @@ class TestSimulatedAnnealing:
         assert dense and dense == [[5] * 8] * len(dense)
         assert any(sum(blocks) > 5 for blocks in gather)
         for blocks in gather:
-            assert max(blocks) <= 5 and (min(blocks) >= 2 or blocks == [1])
+            assert max(blocks) <= 5 and blocks[:-1] == [5] * (len(blocks) - 1)
 
     @pytest.mark.parametrize("n, shots", [(5, 300), (12, 301), (32, 300)])
     def test_dense_steps_equal_gather_steps_bitwise(self, monkeypatch, n, shots):
@@ -506,9 +523,9 @@ class TestSimulatedAnnealing:
         check = samplers._check_fields
         take = np.take
 
-        def recording(c, jmat, kcube, spins, f, sweeps):
+        def recording(c, jmat, kcube, spins, f):
             fields.append(f.copy())
-            check(c, jmat, kcube, spins, f, sweeps)
+            check(c, jmat, kcube, spins, f)
 
         def counting(*args, **kwargs):
             gathers[-1] += 1
@@ -621,7 +638,7 @@ class TestSimulatedAnnealing:
             assert cold.metadata["sa_sweeps_run"] == "3"
 
     def test_auto_schedule_handles_tiny_coefficients(self):
-        tiny = HuboCoefficients.from_terms(n=3, h=np.full(3, 1e-6), j_terms={}, k_terms={})
+        tiny = HuboCoefficients.from_terms(n=3, h=np.full(3, 2.0**-20), j_terms={}, k_terms={})
         res = simulated_annealing(tiny, shots=4, sweeps=5, seed=0)
         assert res.total_shots == 4  # auto t_start floors at t_end
 
@@ -669,9 +686,9 @@ class TestHalves:
         fields, forks = [], []
         check, fork = samplers._check_fields, os.fork
 
-        def recording(c, jmat, kcube, spins, f, sweeps):
+        def recording(c, jmat, kcube, spins, f):
             fields.append(f.copy())
-            check(c, jmat, kcube, spins, f, sweeps)
+            check(c, jmat, kcube, spins, f)
 
         monkeypatch.setattr(samplers, "_check_fields", recording)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
@@ -682,6 +699,27 @@ class TestHalves:
             assert len(forks) == count - 1
         assert runs[0] == runs[1]
         assert fields[0].tobytes() == fields[1].tobytes()
+
+    @pytest.mark.parametrize("n", [33, 57])
+    def test_halves_and_both_step_kinds_keep_the_whole_kernels_fields(self, monkeypatch, n):
+        # On the grid every field is exact: one whole-run kernel, the same with gather
+        # steps only, and the halves in sequence end on bitwise equal fields and samples.
+        c = random_instance(n, n)
+        fields, runs = [], []
+        check = samplers._check_fields
+
+        def recording(c, jmat, kcube, spins, f):
+            fields.append(f.copy())
+            check(c, jmat, kcube, spins, f)
+
+        monkeypatch.setattr(samplers, "_check_fields", recording)
+        self.cpus(monkeypatch, 1)
+        for work, share in ((1 << 62, samplers._DENSE_SHARE), (1 << 62, 2.0), (0, samplers._DENSE_SHARE)):
+            monkeypatch.setattr(samplers, "_FORK_WORK", work)
+            monkeypatch.setattr(samplers, "_DENSE_SHARE", share)
+            runs.append(simulated_annealing(c, shots=301, sweeps=30, seed=4))
+        assert runs[0] == runs[1] == runs[2]
+        assert fields[0].tobytes() == fields[1].tobytes() == fields[2].tobytes()
 
     @pytest.mark.parametrize(
         "c, sweeps, seed",
@@ -985,8 +1023,8 @@ class TestSampleFile:
             load_samples(path)
 
     def test_energy_format_12_significant_digits(self, tmp_path):
-        c = HuboCoefficients.from_terms(n=2, h=np.array([1 / 3, 0.5]), j_terms={}, k_terms={})
+        c = HuboCoefficients.from_terms(n=2, h=np.array([on_grid(1 / 3), 0.5]), j_terms={}, k_terms={})
         path = tmp_path / "samples.csv"
         save_samples(path, exhaustive_solve(c, 1))
         row = path.read_text().splitlines()[-1]
-        assert row.split(",")[2] == "-0.833333333333"
+        assert row.split(",")[2] == "-0.833333333023"
